@@ -26,6 +26,14 @@
 #            BM_RequestTraceOverhead with the flight recorder detached /
 #            tail-sampling / recording everything (the <= 2% overhead
 #            acceptance bar), plus raw and contended Record() cost
+#     e2e    the end-to-end benchmark BENCHMARK.json declares: delegates
+#            to `python3 bench/e2e/run.py` once per workload (seed 1;
+#            BENCHMARK_FILTER narrows it to a space-separated workload
+#            list) and collects the result lines into BENCH_PR<N>.json as
+#            {"runs": [...]}, which `bench/e2e/compare.py diff` reads like
+#            its baseline file. Runs alone, not with other suites; run.py
+#            builds its own Release tree in .bench_build/. For a paired
+#            A/B comparison use `bench/e2e/compare.py run` directly.
 #
 #   --threads sweeps the sharded micro benches (BM_AssignSkillsSharded,
 #   BM_FitParametersSharded) over the given thread counts; each emitted
@@ -45,6 +53,11 @@
 # BENCH_PR6.json records the simd suite; BENCH_PR8.json records the
 # store suite; BENCH_PR9.json records the exec backend suite;
 # BENCH_PR10.json records the obs request-trace overhead suite.
+#
+# BENCH_PR1-10 were all recorded on a 1-CPU host: they are history, not a
+# baseline. A performance claim is judged by the e2e suite on the host
+# the project runs on, against bench/e2e/baseline.json or a paired run of
+# the parent commit (bench/e2e/README.md).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -79,6 +92,40 @@ FILTER="${3:-}"
 BUILD_DIR=build-bench
 OUT="BENCH_PR${PR_NUMBER}.json"
 
+if [[ " $SUITES " == *" e2e "* ]]; then
+  if [[ "$SUITES" != "e2e" ]]; then
+    echo "error: the e2e suite runs alone (got suites '$SUITES')" >&2
+    exit 2
+  fi
+  WORKLOADS="$FILTER"
+  if [[ -z "$WORKLOADS" ]]; then
+    WORKLOADS="$(python3 -c 'import json; print(" ".join(w["name"]
+        for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+  fi
+  PARTS=()
+  for WORKLOAD in $WORKLOADS; do
+    PART="${OUT%.json}.${WORKLOAD}.json"
+    python3 bench/e2e/run.py --workload "$WORKLOAD" --seed 1 --out "$PART"
+    PARTS+=("$PART")
+  done
+  python3 - "$OUT" "${PARTS[@]}" <<'EOF'
+import json
+import sys
+
+out_path, *part_paths = sys.argv[1:]
+runs = []
+for path in part_paths:
+    with open(path) as part:
+        runs.append(json.load(part))
+with open(out_path, "w") as out:
+    json.dump({"runs": runs}, out, indent=1)
+    out.write("\n")
+EOF
+  rm -f "${PARTS[@]}"
+  echo "wrote $OUT"
+  exit 0
+fi
+
 # Each suite expands to `binary:filter` run specs (empty filter = all).
 RUNS=()
 BINARIES=()
@@ -96,7 +143,7 @@ for SUITE in $SUITES; do
     obs) RUNS+=("bench_obs:"); BINARIES+=(bench_obs) ;;
     *)
       echo "error: unknown suite '$SUITE'" \
-           "(want micro, serve, simd, net, store, exec, or obs)" >&2
+           "(want micro, serve, simd, net, store, exec, obs, or e2e)" >&2
       exit 2 ;;
   esac
 done

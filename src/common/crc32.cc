@@ -1,23 +1,11 @@
 #include "common/crc32.h"
 
+#include "simd/kernels.h"
+
 namespace upskill {
 
 void Crc32Accumulator::Update(const void* data, size_t size) {
-  // Nibble-table variant: small enough to live in a cache line, fast
-  // enough for multi-gigabyte segment scans that are I/O-bound anyway.
-  static constexpr uint32_t kTable[16] = {
-      0x00000000, 0x1db71064, 0x3b6e20c8, 0x26d930ac,
-      0x76dc4190, 0x6b6b51f4, 0x4db26158, 0x5005713c,
-      0xedb88320, 0xf00f9344, 0xd6d6a3e8, 0xcb61b38c,
-      0x9b64c2b0, 0x86d3d2d4, 0xa00ae278, 0xbdbdf21c};
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  uint32_t crc = crc_;
-  for (size_t i = 0; i < size; ++i) {
-    crc ^= bytes[i];
-    crc = (crc >> 4) ^ kTable[crc & 0xf];
-    crc = (crc >> 4) ^ kTable[crc & 0xf];
-  }
-  crc_ = crc;
+  crc_ = simd::Crc32Update(crc_, data, size);
 }
 
 uint32_t Crc32(const void* data, size_t size) {

@@ -6,11 +6,16 @@
 
 namespace upskill {
 
-/// Incremental CRC-32 (IEEE 802.3, reflected, nibble-table variant): the
-/// integrity check shared by serve snapshots, the columnar store, the
-/// ingest log, and EM checkpoints. The accumulator form exists because
-/// store segments are written (and verified) in streaming chunks that can
-/// be far larger than any buffer we'd want to hold.
+/// Incremental CRC-32 (IEEE 802.3, reflected): the integrity check shared
+/// by serve snapshots, the columnar store, the ingest log, and EM
+/// checkpoints. The accumulator form exists because store segments are
+/// written (and verified) in streaming chunks that can be far larger than
+/// any buffer we'd want to hold.
+///
+/// Every store open, compaction and snapshot save/load hashes each byte,
+/// so the CRC is compute-bound, not I/O-bound: the body is the dispatched
+/// simd::Crc32Update kernel (PCLMULQDQ folding on AVX2 hosts,
+/// slicing-by-8 otherwise), bit-identical on every backend.
 class Crc32Accumulator {
  public:
   void Update(const void* data, size_t size);

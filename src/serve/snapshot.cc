@@ -14,10 +14,6 @@
 namespace upskill {
 namespace serve {
 
-uint32_t Crc32(const void* data, size_t size) {
-  return ::upskill::Crc32(data, size);
-}
-
 namespace {
 
 // Fixed-size header preceding the payload.

@@ -40,11 +40,6 @@ inline constexpr char kSnapshotMagic[8] = {'U', 'P', 'S', 'K',
 /// Current format version (see DESIGN.md for the layout).
 inline constexpr uint32_t kSnapshotVersion = 1;
 
-/// CRC-32 (IEEE 802.3, reflected) of `data`; the snapshot's integrity
-/// check, exposed for tests. Forwards to the shared common/crc32.h
-/// implementation (kept here for source compatibility).
-uint32_t Crc32(const void* data, size_t size);
-
 /// Writes `snapshot` to `path`: a fixed header (magic, version, payload
 /// size, payload CRC-32) followed by the payload. All multi-byte values
 /// are little-endian host layout; doubles are written as raw IEEE-754

@@ -1,6 +1,7 @@
 #include "simd/kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -18,9 +19,11 @@
 //   QuantizedForwardStep     x          (the per-action serve hot path)
 //   QuantizedForwardInit               (once per session — not hot)
 //   QuantizedForwardLevel              (S-element argmax — not hot)
+//   Crc32Update              x          (PCLMULQDQ folding; scalar is
+//                                        slicing-by-8)
 //
 // The dispatch check is one predictable branch per kernel call; every
-// call amortizes it over a whole batch / DP row.
+// call amortizes it over a whole batch / DP row / buffer.
 
 namespace upskill {
 namespace simd {
@@ -28,6 +31,35 @@ namespace simd {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+// Slicing-by-8 tables for the reflected IEEE polynomial: kCrcTables[0] is
+// the classic byte-at-a-time table, and kCrcTables[k][b] is the register
+// contribution of byte b followed by k zero bytes, so eight independent
+// lookups advance the register by eight bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+constexpr CrcTables kCrcTables = [] {
+  CrcTables t{};
+  for (uint32_t b = 0; b < 256; ++b) {
+    uint32_t crc = b;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
+    }
+    t[0][b] = crc;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (size_t b = 0; b < 256; ++b) {
+      t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xffu];
+    }
+  }
+  return t;
+}();
+
+// Little-endian 32-bit load, independent of host byte order and alignment
+// (compilers fold it into one mov on x86-64 and aarch64).
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 // The quantized bodies below are built from detail::RowAccUnit (the
 // rounded Q15 reconstruction, +2^14 before the arithmetic shift so the
@@ -196,6 +228,22 @@ int QuantizedForwardLevel(const int16_t* column, size_t levels) {
   return static_cast<int>(level) + 1;
 }
 
+uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  const auto& t = kCrcTables;
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xff];
+  }
+  return crc;
+}
+
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -301,6 +349,15 @@ void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
 
 int QuantizedForwardLevel(const int16_t* column, size_t levels) {
   return scalar::QuantizedForwardLevel(column, levels);
+}
+
+uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (ActiveBackend() == Backend::kAvx2) {
+    return avx2::Crc32Update(crc, data, size);
+  }
+#endif
+  return scalar::Crc32Update(crc, data, size);
 }
 
 #undef UPSKILL_DISPATCH_VECTOR

@@ -130,6 +130,16 @@ void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
 int QuantizedForwardLevel(const int16_t* column, size_t levels);
 
 // ---------------------------------------------------------------------------
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+// ---------------------------------------------------------------------------
+
+/// Folds `size` bytes into the CRC register `crc` and returns the new
+/// register. The register is the raw shift-register state: callers seed it
+/// with 0xffffffff and invert the final value (common/crc32.h does both).
+/// Pure carry-less arithmetic, so every backend returns identical values.
+uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
+
+// ---------------------------------------------------------------------------
 // Scalar reference implementations (always available; the dispatchers
 // above fall back to these, and tests compare against them directly).
 // ---------------------------------------------------------------------------
@@ -160,6 +170,7 @@ void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
                           bool allow_down, int16_t q_down, size_t levels,
                           int16_t* next_column);
 int QuantizedForwardLevel(const int16_t* column, size_t levels);
+uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
 
 }  // namespace scalar
 

@@ -1,11 +1,12 @@
-// AVX2 kernel bodies. This translation unit is compiled with -mavx2 (and
-// nothing more — in particular no -mfma, and the project builds with
-// -ffp-contract=off) so the vector code below uses exactly the IEEE
-// operations of the scalar references: vaddpd/vsubpd/vmulpd/vdivpd are
-// element-wise identical to their scalar counterparts, and cmp+blendv
+// AVX2 kernel bodies. This translation unit is compiled with -mavx2
+// -mpclmul (and nothing more — in particular no -mfma, and the project
+// builds with -ffp-contract=off) so the vector code below uses exactly the
+// IEEE operations of the scalar references: vaddpd/vsubpd/vmulpd/vdivpd
+// are element-wise identical to their scalar counterparts, and cmp+blendv
 // reproduces `a > b ? a : b` including its NaN behavior (_CMP_GT_OQ is
-// false on unordered, like scalar >). kernels.cc only calls in here after
-// the runtime cpuid / UPSKILL_FORCE_SCALAR check.
+// false on unordered, like scalar >). The CRC-32 body is carry-less
+// integer arithmetic, exact by construction. kernels.cc only calls in here
+// after the runtime cpuid (avx2 + pclmul) / UPSKILL_FORCE_SCALAR check.
 
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -416,6 +417,87 @@ void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
   for (; j < levels; ++j) {
     next_column[j] = static_cast<int16_t>(next_column[j] - smax);
   }
+}
+
+namespace {
+
+// Folding constants for the reflected IEEE polynomial P (Gopal et al.,
+// "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+// Instruction", Intel, 2009). Each k is x^n mod P, bit-reflected, for the
+// fold distance n it serves:
+//   k1, k2  fold four 128-bit lanes forward by 512 bits
+//   k3, k4  fold one 128-bit lane into the next
+//   k5      fold the final 96 bits to 64
+//   poly, mu  Barrett-reduce 64 bits to the 32-bit CRC
+constexpr int64_t kCrcK1 = 0x154442bd4;
+constexpr int64_t kCrcK2 = 0x1c6e41596;
+constexpr int64_t kCrcK3 = 0x1751997d0;
+constexpr int64_t kCrcK4 = 0x0ccaa009e;
+constexpr int64_t kCrcK5 = 0x163cd6124;
+constexpr int64_t kCrcPoly = 0x1db710641;
+constexpr int64_t kCrcMu = 0x1f7011641;
+
+inline __m128i Load128(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// Carries lane `x` forward by the distance `k` encodes: the low qword
+// times k.low, xor the high qword times k.high.
+inline __m128i Fold(__m128i x, __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                       _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+}  // namespace
+
+uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  // Folding needs one whole 64-byte block to seed its four lanes.
+  if (size < 64) return scalar::Crc32Update(crc, p, size);
+
+  // The register enters as the first four message bytes' xor mask.
+  __m128i x0 = _mm_xor_si128(Load128(p),
+                             _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = Load128(p + 16);
+  __m128i x2 = Load128(p + 32);
+  __m128i x3 = Load128(p + 48);
+  p += 64;
+  size -= 64;
+
+  // Four independent lanes hide the carry-less multiply's latency.
+  const __m128i k1k2 = _mm_set_epi64x(kCrcK2, kCrcK1);
+  for (; size >= 64; p += 64, size -= 64) {
+    x0 = _mm_xor_si128(Fold(x0, k1k2), Load128(p));
+    x1 = _mm_xor_si128(Fold(x1, k1k2), Load128(p + 16));
+    x2 = _mm_xor_si128(Fold(x2, k1k2), Load128(p + 32));
+    x3 = _mm_xor_si128(Fold(x3, k1k2), Load128(p + 48));
+  }
+
+  // Collapse the four lanes into one, then fold in whole 16-byte blocks.
+  const __m128i k3k4 = _mm_set_epi64x(kCrcK4, kCrcK3);
+  x0 = _mm_xor_si128(Fold(x0, k3k4), x1);
+  x0 = _mm_xor_si128(Fold(x0, k3k4), x2);
+  x0 = _mm_xor_si128(Fold(x0, k3k4), x3);
+  for (; size >= 16; p += 16, size -= 16) {
+    x0 = _mm_xor_si128(Fold(x0, k3k4), Load128(p));
+  }
+
+  // 128 -> 96 bits (appending the CRC's 32 zero bits), then 96 -> 64.
+  const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
+  x0 = _mm_xor_si128(_mm_clmulepi64_si128(x0, k3k4, 0x10),
+                     _mm_srli_si128(x0, 8));
+  x0 = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x0, mask32),
+                           _mm_set_epi64x(0, kCrcK5), 0x00),
+      _mm_srli_si128(x0, 4));
+
+  // Barrett reduction: q = floor(x / P) via mu, then x - q * P.
+  const __m128i poly_mu = _mm_set_epi64x(kCrcMu, kCrcPoly);
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, mask32), poly_mu, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, mask32), poly_mu, 0x00);
+  crc = static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(q, x0), 1));
+
+  return scalar::Crc32Update(crc, p, size);
 }
 
 }  // namespace avx2

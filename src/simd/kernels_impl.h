@@ -3,9 +3,9 @@
 
 // Internal: per-backend kernel bodies, shared between the dispatchers in
 // kernels.cc and the backend translation units (kernels_avx2.cc is built
-// with -mavx2; kernels_neon.cc only has bodies on aarch64). Not every
-// backend implements every kernel — the dispatcher falls back to the
-// scalar reference for the rest (see kernels.cc for the per-function
+// with -mavx2 -mpclmul; kernels_neon.cc only has bodies on aarch64). Not
+// every backend implements every kernel — the dispatcher falls back to
+// the scalar reference for the rest (see kernels.cc for the per-function
 // coverage table).
 
 #include <algorithm>
@@ -67,6 +67,7 @@ void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
                           int16_t row_mult, int16_t q_stay, int16_t q_up,
                           bool allow_down, int16_t q_down, size_t levels,
                           int16_t* next_column);
+uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
 
 }  // namespace avx2
 #endif  // x86-64

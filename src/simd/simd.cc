@@ -10,8 +10,8 @@ namespace simd {
 namespace {
 
 // Best backend this binary was compiled for. The AVX2 kernel bodies live
-// in kernels_avx2.cc (built with -mavx2); this TU only decides whether it
-// is safe and wanted to call into them.
+// in kernels_avx2.cc (built with -mavx2 -mpclmul); this TU only decides
+// whether it is safe and wanted to call into them.
 constexpr Backend CompiledBackend() {
 #if defined(__x86_64__) || defined(_M_X64)
   return Backend::kAvx2;
@@ -30,7 +30,9 @@ bool EnvForcesScalar() {
 
 bool CpuSupportsCompiledBackend() {
 #if defined(__x86_64__) || defined(_M_X64)
-  return __builtin_cpu_supports("avx2") != 0;
+  // The AVX2 backend includes the carry-less-multiply CRC-32 kernel.
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("pclmul") != 0;
 #else
   // NEON is baseline on aarch64; the scalar backend needs nothing.
   return true;

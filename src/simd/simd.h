@@ -6,10 +6,12 @@ namespace simd {
 
 /// Vector backend driving the hot kernels (batched log-probs, the two-row
 /// assignment DP, the streaming forward column, the quantized serving
-/// step). The backend is picked once per process:
+/// step, the CRC-32 behind every on-disk checksum). The backend is picked
+/// once per process:
 ///
 ///   compile time  — kAvx2 on x86-64 (the AVX2 bodies live in a dedicated
-///                   translation unit built with -mavx2), kNeon on
+///                   translation unit built with -mavx2 -mpclmul; the CPU
+///                   must report both), kNeon on
 ///                   aarch64, kScalar everywhere else;
 ///   run time      — demoted to kScalar when the CPU lacks the compiled
 ///                   instruction set (cpuid / baseline check) or when the
@@ -19,8 +21,9 @@ namespace simd {
 ///
 /// Every dispatched kernel is bitwise identical across backends for the
 /// double kernels and bit-exact (integer arithmetic) for the quantized
-/// ones, so the choice can never change results — only speed. That is
-/// what lets tests sweep backends and compare with operator==.
+/// ones and the CRC, so the choice can never change results — only
+/// speed. That is what lets tests sweep backends and compare with
+/// operator==.
 enum class Backend {
   kScalar,
   kAvx2,

@@ -39,6 +39,11 @@ obs::Counter& FsyncCounter() {
       obs::MetricsRegistry::Global().GetCounter("upskill_ingest_fsyncs_total");
   return counter;
 }
+obs::Counter& ErrorCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("upskill_ingest_errors_total");
+  return counter;
+}
 
 Status WriteFully(int fd, const char* data, size_t size,
                   const std::string& path) {
@@ -72,19 +77,23 @@ Result<std::unique_ptr<IngestLogWriter>> IngestLogWriter::Open(
   IngestLogOptions sane = options;
   if (sane.batch_records == 0) sane.batch_records = 1;
   if (sane.fsync_batches == 0) sane.fsync_batches = 1;
-  return std::unique_ptr<IngestLogWriter>(
-      new IngestLogWriter(fd, path, sane));
+  // Recovery cut the file to exactly its valid frames.
+  return std::unique_ptr<IngestLogWriter>(new IngestLogWriter(
+      fd, path, sane, recovered.value().scan.valid_bytes));
 }
 
 IngestLogWriter::IngestLogWriter(int fd, std::string path,
-                                 const IngestLogOptions& options)
-    : options_(options), path_(std::move(path)), fd_(fd) {}
+                                 const IngestLogOptions& options,
+                                 uint64_t good_bytes)
+    : options_(options),
+      path_(std::move(path)),
+      fd_(fd),
+      good_bytes_(good_bytes) {}
 
 IngestLogWriter::~IngestLogWriter() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    (void)FlushLocked();
-    (void)::fsync(fd_);
+    if (failed_.ok() && FlushLocked().ok()) (void)::fsync(fd_);
   }
   ::close(fd_);
 }
@@ -98,6 +107,8 @@ Status IngestLogWriter::Append(const IngestRecord& record) {
     return Status::OutOfRange(StringPrintf("item %d", record.item));
   }
   std::lock_guard<std::mutex> lock(mutex_);
+  UPSKILL_RETURN_IF_ERROR(failed_);
+  const size_t frame_bytes = frame_.size();
   const uint32_t name_len = static_cast<uint32_t>(record.user.size());
   frame_.append(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
   frame_.append(record.user.data(), record.user.size());
@@ -108,23 +119,39 @@ Status IngestLogWriter::Append(const IngestRecord& record) {
   frame_.append(reinterpret_cast<const char*>(&record.rating),
                 sizeof(record.rating));
   ++frame_records_;
-  ++appended_;
-  AppendCounter().Increment();
   if (frame_records_ >= options_.batch_records) {
-    UPSKILL_RETURN_IF_ERROR(FlushLocked());
-    if (unsynced_batches_ >= options_.fsync_batches) {
-      if (::fsync(fd_) != 0) {
-        return Status::IoError(StringPrintf("fsync %s: %s", path_.c_str(),
-                                            std::strerror(errno)));
-      }
-      FsyncCounter().Increment();
-      unsynced_batches_ = 0;
+    const Status flushed = FlushLocked();
+    if (!flushed.ok()) {
+      // This record is refused; the ones acknowledged before it stay
+      // buffered, in order, for the next flush to retry.
+      frame_.resize(frame_bytes);
+      --frame_records_;
+      return flushed;
     }
   }
+  ++appended_;
+  AppendCounter().Increment();
+  if (unsynced_batches_ >= options_.fsync_batches) return SyncLocked();
+  return Status::OK();
+}
+
+Status IngestLogWriter::SyncLocked() {
+  if (::fsync(fd_) != 0) {
+    // After a failed fsync the kernel may have dropped the dirty pages
+    // and cleared the error, so a retry could falsely succeed: the
+    // failure is sticky.
+    failed_ = Status::IoError(
+        StringPrintf("fsync %s: %s", path_.c_str(), std::strerror(errno)));
+    ErrorCounter().Increment();
+    return failed_;
+  }
+  FsyncCounter().Increment();
+  unsynced_batches_ = 0;
   return Status::OK();
 }
 
 Status IngestLogWriter::FlushLocked() {
+  UPSKILL_RETURN_IF_ERROR(failed_);
   if (frame_records_ == 0) return Status::OK();
   // One contiguous write per frame: header then payload. O_APPEND makes
   // the write atomic with respect to other appenders of this process
@@ -139,7 +166,24 @@ Status IngestLogWriter::FlushLocked() {
   out.append(reinterpret_cast<const char*>(&frame_records_), 4);
   out.append(reinterpret_cast<const char*>(&crc), 4);
   out.append(frame_);
-  UPSKILL_RETURN_IF_ERROR(WriteFully(fd_, out.data(), out.size(), path_));
+  const Status written = WriteFully(fd_, out.data(), out.size(), path_);
+  if (!written.ok()) {
+    // A partial write (ENOSPC, EFBIG) leaves a torn frame mid-file, and
+    // the next good frame would land after it, where recovery never
+    // looks. Cut the file back to the last good frame; the frame stays
+    // buffered for the next flush. If the cut fails, the file can no
+    // longer be appended to safely: fail for good.
+    ErrorCounter().Increment();
+    if (::ftruncate(fd_, static_cast<off_t>(good_bytes_)) != 0) {
+      failed_ = Status::IoError(StringPrintf(
+          "%s; truncate %s back to %llu bytes: %s",
+          written.message().c_str(), path_.c_str(),
+          static_cast<unsigned long long>(good_bytes_), std::strerror(errno)));
+      return failed_;
+    }
+    return written;
+  }
+  good_bytes_ += out.size();
   frame_.clear();
   frame_records_ = 0;
   ++unsynced_batches_;
@@ -155,13 +199,7 @@ Status IngestLogWriter::Flush() {
 Status IngestLogWriter::Sync() {
   std::lock_guard<std::mutex> lock(mutex_);
   UPSKILL_RETURN_IF_ERROR(FlushLocked());
-  if (::fsync(fd_) != 0) {
-    return Status::IoError(
-        StringPrintf("fsync %s: %s", path_.c_str(), std::strerror(errno)));
-  }
-  FsyncCounter().Increment();
-  unsynced_batches_ = 0;
-  return Status::OK();
+  return SyncLocked();
 }
 
 uint64_t IngestLogWriter::appended() const {

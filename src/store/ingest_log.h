@@ -40,6 +40,9 @@ struct IngestLogOptions {
 /// worker threads append concurrently; frames are assembled under a mutex
 /// and written with a single write() each, so a crash can only ever tear
 /// the final frame — which recovery detects (length/CRC) and truncates.
+/// A write that fails partway (ENOSPC, EFBIG) is truncated away at once,
+/// so later frames never land behind a torn one; write, truncate and
+/// fsync failures count in upskill_ingest_errors_total.
 ///
 /// Frame layout (little-endian):
 ///   [u32 'UPSB'][u32 payload_bytes][u32 record_count][u32 crc32(payload)]
@@ -56,7 +59,10 @@ class IngestLogWriter {
   IngestLogWriter(const IngestLogWriter&) = delete;
   IngestLogWriter& operator=(const IngestLogWriter&) = delete;
 
-  /// Buffers one record; writes a frame when the batch fills.
+  /// Buffers one record; writes a frame when the batch fills. OK means
+  /// the record is accepted: it reaches the file, in order, unless the
+  /// writer later fails for good. On an error the record is refused and
+  /// the records accepted before it stay buffered for the next flush.
   Status Append(const IngestRecord& record);
 
   /// Writes any buffered records as a (possibly short) frame.
@@ -68,14 +74,25 @@ class IngestLogWriter {
   uint64_t appended() const;
 
  private:
-  IngestLogWriter(int fd, std::string path, const IngestLogOptions& options);
+  IngestLogWriter(int fd, std::string path, const IngestLogOptions& options,
+                  uint64_t good_bytes);
 
+  // Writes the open batch as one frame. A failed write is cut back off
+  // the file (the batch stays buffered); if the cut fails, the writer
+  // fails for good.
   Status FlushLocked();
+  // fsync; a failure is sticky (see failed_).
+  Status SyncLocked();
 
   const IngestLogOptions options_;
   const std::string path_;
   mutable std::mutex mutex_;
   int fd_;
+  uint64_t good_bytes_;  // file length after the last complete frame
+  // Non-OK once the file can no longer be trusted (a failed fsync, or a
+  // torn frame that could not be truncated away); every later Append,
+  // Flush and Sync reports it.
+  Status failed_;
   std::string frame_;  // serialized records of the open batch
   uint32_t frame_records_ = 0;
   size_t unsynced_batches_ = 0;

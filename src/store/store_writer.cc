@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -38,21 +39,25 @@ Result<std::unique_ptr<StoreWriter>> StoreWriter::Create(
     return Status::IoError(StringPrintf("open %s: %s", tmp_path.c_str(),
                                         std::strerror(errno)));
   }
-  // A megabyte of stdio buffering keeps the 24-byte Append() writes off
-  // the syscall path; glibc allocates the buffer itself.
-  (void)std::setvbuf(file, nullptr, _IOFBF, 1 << 20);
+  // The writer stages whole blocks itself; stdio buffering would only
+  // copy each block once more on its way to write().
+  (void)std::setvbuf(file, nullptr, _IONBF, 0);
   std::unique_ptr<StoreWriter> writer(
       new StoreWriter(file, path, tmp_path));
   // Reserve the prologue (header + directory); both are rewritten with
   // real contents by Finish(). The action segment streams right after.
   const std::string zeros(kFirstSegmentOffset, '\0');
   UPSKILL_RETURN_IF_ERROR(writer->WriteRaw(zeros.data(), zeros.size()));
+  writer->BeginSegment();
   return writer;
 }
 
 StoreWriter::StoreWriter(std::FILE* file, std::string path,
                          std::string tmp_path)
-    : file_(file), path_(std::move(path)), tmp_path_(std::move(tmp_path)) {}
+    : file_(file),
+      path_(std::move(path)),
+      tmp_path_(std::move(tmp_path)),
+      block_(std::make_unique_for_overwrite<char[]>(kBlockBytes)) {}
 
 StoreWriter::~StoreWriter() {
   if (file_ != nullptr) {
@@ -67,13 +72,48 @@ StoreWriter::~StoreWriter() {
 
 Status StoreWriter::WriteRaw(const void* data, size_t size) {
   if (failed_) return Status::IoError("store writer already failed");
-  if (std::fwrite(data, 1, size, file_) != size) {
+  const char* bytes = static_cast<const char*>(data);
+  while (size > 0) {
+    if (staged_ == kBlockBytes) UPSKILL_RETURN_IF_ERROR(FlushBlock());
+    const size_t n = std::min(size, kBlockBytes - staged_);
+    std::memcpy(block_.get() + staged_, bytes, n);
+    staged_ += n;
+    file_offset_ += n;
+    bytes += n;
+    size -= n;
+  }
+  return Status::OK();
+}
+
+void StoreWriter::HashStaged() {
+  if (in_segment_) {
+    segment_crc_.Update(block_.get() + hashed_, staged_ - hashed_);
+  }
+  hashed_ = staged_;
+}
+
+Status StoreWriter::FlushBlock() {
+  HashStaged();
+  if (std::fwrite(block_.get(), 1, staged_, file_) != staged_) {
     failed_ = true;
     return Status::IoError(
         StringPrintf("write %s: %s", tmp_path_.c_str(), std::strerror(errno)));
   }
-  file_offset_ += size;
+  staged_ = 0;
+  hashed_ = 0;
   return Status::OK();
+}
+
+void StoreWriter::BeginSegment() {
+  HashStaged();  // bytes before the segment (padding) stay unhashed
+  in_segment_ = true;
+  segment_crc_ = Crc32Accumulator();
+}
+
+uint32_t StoreWriter::EndSegment() {
+  HashStaged();
+  in_segment_ = false;
+  return segment_crc_.Finish();
 }
 
 Status StoreWriter::AlignSegment() {
@@ -113,7 +153,6 @@ Status StoreWriter::Append(int64_t time, ItemId item, double rating) {
   std::memcpy(record + offsetof(Action, time), &time, sizeof(time));
   std::memcpy(record + offsetof(Action, item), &item, sizeof(item));
   std::memcpy(record + offsetof(Action, rating), &rating, sizeof(rating));
-  actions_crc_.Update(record, sizeof(record));
   UPSKILL_RETURN_IF_ERROR(WriteRaw(record, sizeof(record)));
   ++num_actions_;
   user_action_end_.back() = num_actions_;
@@ -133,39 +172,34 @@ Status StoreWriter::Finish(const ItemTable& items) {
   // The action segment has been streaming since Create().
   directory.push_back(SegmentEntry{
       static_cast<uint32_t>(SegmentKind::kActions), 0, kFirstSegmentOffset,
-      num_actions_ * sizeof(Action), actions_crc_.Finish(), 0});
+      num_actions_ * sizeof(Action), EndSegment(), 0});
 
-  // Writes one trailing segment: `body(emit)` produces the payload
-  // through `emit`, which both hashes and writes.
-  Crc32Accumulator crc;
-  const auto emit = [&](const void* data, size_t size) -> Status {
-    crc.Update(data, size);
-    return WriteRaw(data, size);
-  };
+  // Writes one trailing segment: `body()` stages the payload, and the
+  // staged bytes are hashed into the segment's CRC.
   const auto write_segment = [&](SegmentKind kind,
                                  auto&& body) -> Status {
     UPSKILL_RETURN_IF_ERROR(AlignSegment());
     const uint64_t offset = file_offset_;
-    crc = Crc32Accumulator();
+    BeginSegment();
     UPSKILL_RETURN_IF_ERROR(body());
     directory.push_back(SegmentEntry{static_cast<uint32_t>(kind), 0, offset,
-                                     file_offset_ - offset, crc.Finish(), 0});
+                                     file_offset_ - offset, EndSegment(), 0});
     return Status::OK();
   };
 
   UPSKILL_RETURN_IF_ERROR(write_segment(SegmentKind::kUserOffsets, [&] {
     const uint64_t zero = 0;
-    UPSKILL_RETURN_IF_ERROR(emit(&zero, sizeof(zero)));
+    UPSKILL_RETURN_IF_ERROR(WriteRaw(&zero, sizeof(zero)));
     for (const uint64_t end : user_action_end_) {
-      UPSKILL_RETURN_IF_ERROR(emit(&end, sizeof(end)));
+      UPSKILL_RETURN_IF_ERROR(WriteRaw(&end, sizeof(end)));
     }
     return Status::OK();
   }));
 
   const auto emit_string = [&](const std::string& s) -> Status {
     const uint32_t size = static_cast<uint32_t>(s.size());
-    UPSKILL_RETURN_IF_ERROR(emit(&size, sizeof(size)));
-    return emit(s.data(), s.size());
+    UPSKILL_RETURN_IF_ERROR(WriteRaw(&size, sizeof(size)));
+    return WriteRaw(s.data(), s.size());
   };
 
   UPSKILL_RETURN_IF_ERROR(write_segment(SegmentKind::kUserNames, [&] {
@@ -178,14 +212,14 @@ Status StoreWriter::Finish(const ItemTable& items) {
   UPSKILL_RETURN_IF_ERROR(write_segment(SegmentKind::kSchema, [&] {
     ByteWriter bytes;
     SerializeSchema(items.schema(), &bytes);
-    return emit(bytes.buffer().data(), bytes.buffer().size());
+    return WriteRaw(bytes.buffer().data(), bytes.buffer().size());
   }));
 
   UPSKILL_RETURN_IF_ERROR(write_segment(SegmentKind::kItemColumns, [&] {
     for (int f = 0; f < items.schema().num_features(); ++f) {
       const std::span<const double> column = items.column(f);
       UPSKILL_RETURN_IF_ERROR(
-          emit(column.data(), column.size() * sizeof(double)));
+          WriteRaw(column.data(), column.size() * sizeof(double)));
     }
     return Status::OK();
   }));
@@ -199,11 +233,11 @@ Status StoreWriter::Finish(const ItemTable& items) {
 
   UPSKILL_RETURN_IF_ERROR(write_segment(SegmentKind::kItemMetadata, [&] {
     const uint32_t count = static_cast<uint32_t>(items.metadata().size());
-    UPSKILL_RETURN_IF_ERROR(emit(&count, sizeof(count)));
+    UPSKILL_RETURN_IF_ERROR(WriteRaw(&count, sizeof(count)));
     for (const auto& [key, values] : items.metadata()) {
       UPSKILL_RETURN_IF_ERROR(emit_string(key));
       UPSKILL_RETURN_IF_ERROR(
-          emit(values.data(), values.size() * sizeof(double)));
+          WriteRaw(values.data(), values.size() * sizeof(double)));
     }
     return Status::OK();
   }));
@@ -224,6 +258,7 @@ Status StoreWriter::Finish(const ItemTable& items) {
                     directory.size() * sizeof(SegmentEntry));
   header.header_crc = header_crc.Finish();
 
+  UPSKILL_RETURN_IF_ERROR(FlushBlock());
   if (std::fseek(file_, 0, SEEK_SET) != 0) {
     failed_ = true;
     return Status::IoError(StringPrintf("seek %s: %s", tmp_path_.c_str(),
@@ -233,6 +268,7 @@ Status StoreWriter::Finish(const ItemTable& items) {
   UPSKILL_RETURN_IF_ERROR(WriteRaw(&header, sizeof(header)));
   UPSKILL_RETURN_IF_ERROR(
       WriteRaw(directory.data(), directory.size() * sizeof(SegmentEntry)));
+  UPSKILL_RETURN_IF_ERROR(FlushBlock());
 
   if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0 ||
       std::fclose(file_) != 0) {

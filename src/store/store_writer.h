@@ -17,7 +17,9 @@ namespace store {
 
 /// Streaming writer for the columnar store format (store/format.h).
 /// Actions are appended user by user and flow straight to disk through a
-/// bounded buffer, so packing never needs the dataset resident in RAM:
+/// fixed 1 MiB staging block the writer owns, so packing never needs the
+/// dataset resident in RAM. Each full block is hashed into its segment's
+/// CRC and written with one fwrite, instead of one per 24-byte record:
 ///
 ///   auto writer = StoreWriter::Create(path);
 ///   for each user:   writer->BeginUser(name);
@@ -53,8 +55,23 @@ class StoreWriter {
  private:
   StoreWriter(std::FILE* file, std::string path, std::string tmp_path);
 
+  // Also the write() size. Smaller writes make the kernel cache the file
+  // in smaller folios, and the store is read back through mmap: with
+  // 64 KiB writes, faulting in a freshly written 160 MB file took ~1.5x
+  // as long and random reads ~5% longer (ext4, Linux 6.18).
+  static constexpr size_t kBlockBytes = size_t{1} << 20;
+
+  // Stages bytes for the file, writing out each block as it fills.
   Status WriteRaw(const void* data, size_t size);
   Status AlignSegment();
+  // Folds the staged bytes not yet hashed into the open segment's CRC.
+  void HashStaged();
+  // Hashes and writes out the staged block.
+  Status FlushBlock();
+  // Starts a segment: later staged bytes are hashed into a fresh CRC.
+  void BeginSegment();
+  // Ends the segment opened by BeginSegment() and returns its CRC.
+  uint32_t EndSegment();
 
   std::FILE* file_;
   std::string path_;
@@ -62,13 +79,18 @@ class StoreWriter {
   bool finished_ = false;
   bool failed_ = false;
 
+  std::unique_ptr<char[]> block_;
+  size_t staged_ = 0;  // bytes of block_ in use
+  size_t hashed_ = 0;  // prefix of those already folded into segment_crc_
+  bool in_segment_ = false;
+  Crc32Accumulator segment_crc_;
+
   uint64_t num_actions_ = 0;
   std::vector<uint64_t> user_action_end_;  // prefix sums, one per user
   std::vector<std::string> user_names_;
   int64_t last_time_ = 0;
   ItemId max_item_ = -1;
-  Crc32Accumulator actions_crc_;
-  uint64_t file_offset_ = 0;
+  uint64_t file_offset_ = 0;  // staged bytes included
 };
 
 /// Packs an in-RAM dataset into a store file at `path`.

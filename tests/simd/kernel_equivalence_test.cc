@@ -435,6 +435,24 @@ TEST_F(KernelEquivalenceTest, StreamingForwardMatchesBatchAcrossBackends) {
   }
 }
 
+TEST_F(KernelEquivalenceTest, Crc32MatchesScalarOnLargeUnalignedBuffer) {
+  // 1 MiB plus a 13-byte tail, read from an odd offset: the vector body's
+  // 64-byte folds, its 16-byte steps and the scalar tail all run, on
+  // unaligned loads throughout.
+  std::vector<uint8_t> bytes((1u << 20) + 13 + 5);
+  std::uniform_int_distribution<int> pick(0, 255);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(pick(rng_));
+  const uint8_t* data = bytes.data() + 5;
+  const size_t size = bytes.size() - 5;
+
+  simd::ForceScalarForTest(false);
+  const uint32_t dispatched = simd::Crc32Update(0xffffffffu, data, size);
+  simd::ForceScalarForTest(true);
+  ASSERT_EQ(simd::ActiveBackend(), simd::Backend::kScalar);
+  EXPECT_EQ(simd::Crc32Update(0xffffffffu, data, size), dispatched);
+  EXPECT_EQ(simd::scalar::Crc32Update(0xffffffffu, data, size), dispatched);
+}
+
 TEST_F(KernelEquivalenceTest, BackendSwitchIsObservable) {
   // Whatever the hardware, forcing scalar must stick; restoring must
   // return to the compile/runtime-detected choice.

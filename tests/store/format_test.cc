@@ -132,6 +132,40 @@ TEST(StoreFormatTest, PackIsDeterministic) {
   EXPECT_EQ(ReadFile(a), ReadFile(b));
 }
 
+// The writer stages its output in 1 MiB blocks and hashes each block into
+// the open segment's CRC. ~180k actions (~4.3 MB) put 24-byte records
+// across several block boundaries; the verified open recomputes every
+// segment CRC from the mapped file, independently of how the writer
+// staged it.
+TEST(StoreFormatTest, PackSpanningSeveralStagingBlocksRoundTrips) {
+  const Dataset dataset = MakeDataset(/*num_users=*/600, /*num_items=*/5000);
+  const std::string path = TempPath("many_blocks.store");
+  ASSERT_TRUE(PackDataset(dataset, path).ok());
+  ASSERT_GT(ReadFile(path).size(), size_t{4} << 20);
+
+  Result<StoreReader> reader = StoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  Result<Dataset> mapped = reader.value().MapDataset();
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const Dataset& loaded = mapped.value();
+  ASSERT_EQ(loaded.num_users(), dataset.num_users());
+  ASSERT_EQ(loaded.num_actions(), dataset.num_actions());
+  for (UserId u = 0; u < dataset.num_users(); ++u) {
+    ASSERT_EQ(loaded.user_name(u), dataset.user_name(u));
+    const std::span<const Action> got = loaded.sequence(u);
+    const std::span<const Action> want = dataset.sequence(u);
+    ASSERT_EQ(got.size(), want.size()) << u;
+    for (size_t n = 0; n < want.size(); ++n) {
+      ASSERT_EQ(got[n].time, want[n].time);
+      ASSERT_EQ(got[n].item, want[n].item);
+    }
+  }
+  for (ItemId i = 0; i < dataset.items().num_items(); ++i) {
+    ASSERT_EQ(loaded.items().name(i), dataset.items().name(i));
+    ASSERT_EQ(loaded.items().value(i, 1), dataset.items().value(i, 1));
+  }
+}
+
 TEST(StoreFormatTest, EmptyDatasetRoundTrips) {
   FeatureSchema schema;
   ASSERT_TRUE(schema.AddCount("steps").ok());

@@ -1,13 +1,17 @@
 // Ingest log: append/replay round trip, crash recovery with randomized
 // torn-tail injection (the recovered state must equal the longest
-// durable prefix), idempotence, and concurrent appends. The torn-tail
-// sweep runs under ASan in CI (see .github/workflows).
+// durable prefix), idempotence, concurrent appends, and a frame torn by a
+// real short write (RLIMIT_FSIZE) that must not cost acknowledged data.
+// The torn-tail sweep runs under ASan in CI (see .github/workflows).
 
 #include "store/ingest_log.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -15,6 +19,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace upskill {
 namespace store {
@@ -290,6 +296,75 @@ TEST(IngestLogTest, ConcurrentAppendsAllSurvive) {
       return want;
     }());
     ++seen[static_cast<size_t>(t)];
+  }
+}
+
+uint64_t FileSize(const std::string& path) {
+  struct stat st;
+  EXPECT_EQ(::stat(path.c_str(), &st), 0);
+  return static_cast<uint64_t>(st.st_size);
+}
+
+// A frame torn mid-write must be cut off the file before the next frame
+// is appended, or recovery would stop at the torn bytes and drop every
+// later record. The file-size limit makes the kernel accept only part of
+// the frame's write() (then fail it with EFBIG): a real short write, with
+// no fault-injection layer.
+TEST(IngestLogTest, TornWriteIsTruncatedAndAcknowledgedRecordsSurvive) {
+  const std::string path = TempPath("ingest_torn_write.log");
+  std::remove(path.c_str());
+  obs::Counter& errors =
+      obs::MetricsRegistry::Global().GetCounter("upskill_ingest_errors_total");
+  const uint64_t errors_before = errors.Value();
+  std::vector<IngestRecord> acknowledged;
+  {
+    IngestLogOptions options;
+    options.batch_records = 4;
+    options.fsync_batches = 1;
+    Result<std::unique_ptr<IngestLogWriter>> writer =
+        IngestLogWriter::Open(path, options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    IngestLogWriter& log = *writer.value();
+    int n = 0;
+    for (; n < 8; ++n) {  // two whole frames
+      ASSERT_TRUE(log.Append(MakeRecord(n)).ok());
+      acknowledged.push_back(MakeRecord(n));
+    }
+    const uint64_t good_bytes = FileSize(path);
+
+    rlimit saved;
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved;
+    lowered.rlim_cur = good_bytes + 20;  // the next frame is ~136 bytes
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+    for (; n < 11; ++n) {  // buffered, not yet written: accepted
+      ASSERT_TRUE(log.Append(MakeRecord(n)).ok());
+      acknowledged.push_back(MakeRecord(n));
+    }
+    const Status torn = log.Append(MakeRecord(n));  // fills the batch
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, old_handler);
+
+    EXPECT_FALSE(torn.ok());
+    EXPECT_EQ(FileSize(path), good_bytes) << "torn frame left in the file";
+    EXPECT_EQ(errors.Value(), errors_before + 1);
+
+    // The refused record is retried; the writer carries on.
+    for (; n < 16; ++n) {
+      ASSERT_TRUE(log.Append(MakeRecord(n)).ok()) << n;
+      acknowledged.push_back(MakeRecord(n));
+    }
+    ASSERT_TRUE(log.Sync().ok());
+    EXPECT_EQ(log.appended(), acknowledged.size());
+  }
+  ASSERT_TRUE(RecoverIngestLog(path).ok());
+  IngestScan scan;
+  const std::vector<IngestRecord> replayed = ReplayAll(path, &scan);
+  EXPECT_EQ(scan.valid_bytes, FileSize(path));
+  ASSERT_EQ(replayed.size(), acknowledged.size());
+  for (size_t i = 0; i < replayed.size(); ++i) {
+    ExpectSameRecord(replayed[i], acknowledged[i]);
   }
 }
 
