@@ -85,11 +85,10 @@ struct Args {
   std::map<std::string, std::string> flags;
 
   bool HasFlag(const std::string& name) const { return flags.count(name) > 0; }
+  // ParseArgs has already rejected a value that is not an integer.
   long long IntFlag(const std::string& name, long long fallback) const {
     const auto it = flags.find(name);
-    if (it == flags.end()) return fallback;
-    const auto parsed = ParseInt(it->second);
-    return parsed.ok() ? parsed.value() : fallback;
+    return it == flags.end() ? fallback : ParseInt(it->second).value();
   }
   std::string StringFlag(const std::string& name,
                          const std::string& fallback) const {
@@ -110,6 +109,12 @@ const std::set<std::string> kValueFlags = {
     "checkpoint", "previous", "ingest-log",
     "admin-listen", "flight-recorder-size", "flight-recorder-sample",
 };
+// The value flags that take an integer (read with Args::IntFlag).
+const std::set<std::string> kIntFlags = {
+    "users", "seed", "levels", "threads", "user", "top", "min", "max",
+    "shards", "net-workers", "deadline-ms", "max-conns",
+    "flight-recorder-size", "flight-recorder-sample",
+};
 const std::set<std::string> kSwitchFlags = {
     "em", "verbose", "transitions", "detail", "quantized", "binary",
     "from-store", "online",
@@ -126,7 +131,19 @@ Result<Args> ParseArgs(int argc, char** argv, int first) {
           return Status::InvalidArgument("flag --" + name +
                                          " requires a value");
         }
-        args.flags[name] = argv[++i];
+        const std::string value = argv[++i];
+        if (kIntFlags.count(name) > 0) {
+          const auto parsed = ParseInt(value);
+          if (!parsed.ok()) {
+            return Status::InvalidArgument("flag --" + name +
+                                           " requires an integer, got '" +
+                                           value + "'");
+          }
+          if (name == "threads" && parsed.value() < 1) {
+            return Status::InvalidArgument("flag --threads must be at least 1");
+          }
+        }
+        args.flags[name] = value;
       } else if (kSwitchFlags.count(name) > 0) {
         args.flags[name] = "";  // boolean switch
       } else {
@@ -1010,8 +1027,10 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const Result<Args> parsed = ParseArgs(argc, argv, 2);
   if (!parsed.ok()) {
-    std::fprintf(stderr, "error: %s\n", parsed.status().ToString().c_str());
-    return Usage();
+    // A flag error exits 1 like any other error; the usage text comes
+    // first so the error is the last line.
+    Usage();
+    return Fail(parsed.status());
   }
   const Args& args = parsed.value();
   if (command == "generate") return CmdGenerate(args);

@@ -147,7 +147,6 @@ namespace {
 
 // Backtracks through `from` (0 = stay, 1 = from below, 2 = from above)
 // starting at the argmax of the final row; ties prefer the lower level.
-// Shared by both item-indexed kernels.
 double BacktrackFused(const double* final_row, const uint8_t* from, size_t n,
                       size_t levels, std::vector<int>* out) {
   size_t level = 0;
@@ -172,6 +171,59 @@ double BacktrackFused(const double* final_row, const uint8_t* from, size_t n,
   return best_ll;
 }
 
+// Backtracks the plain kernel's up-move bits from the argmax of the final
+// row, ties to the lowest level.
+double BacktrackUpMoves(const double* final_row, const uint64_t* up_moves,
+                        size_t n, size_t levels, int* path) {
+  size_t level = 0;
+  double best_ll = final_row[0];
+  for (size_t s = 1; s < levels; ++s) {
+    if (final_row[s] > best_ll) {
+      best_ll = final_row[s];
+      level = s;
+    }
+  }
+  const size_t words = simd::DpUpMoveWords(levels);
+  if (words == 1) {
+    // The common case gets its own loop: the word's load then does not
+    // depend on `level`, which keeps it off the step-to-step chain.
+    for (size_t t = n; t-- > 1;) {
+      path[t] = static_cast<int>(level) + 1;
+      level -= (up_moves[t] >> level) & 1;
+    }
+  } else {
+    for (size_t t = n; t-- > 1;) {
+      path[t] = static_cast<int>(level) + 1;
+      level -= (up_moves[t * words + level / 64] >> (level % 64)) & 1;
+    }
+  }
+  path[0] = static_cast<int>(level) + 1;
+  return best_ll;
+}
+
+// The plain solver over n item ids stored `item_stride` bytes apart: the
+// whole-sequence kernel, then the backtrack into scratch.levels.
+double SolvePlain(std::span<const double> item_log_probs, const void* items,
+                  size_t item_stride, size_t n, int num_levels,
+                  std::span<const double> log_initial, double log_stay,
+                  double log_up, DpScratch& scratch) {
+  UPSKILL_CHECK(num_levels >= 1);
+  UPSKILL_CHECK(log_initial.empty() ||
+                log_initial.size() == static_cast<size_t>(num_levels));
+  scratch.levels.resize(n);
+  if (n == 0) return 0.0;
+  const size_t levels = static_cast<size_t>(num_levels);
+  scratch.best_rows.resize(levels);
+  scratch.up_moves.resize(n * simd::DpUpMoveWords(levels));
+  const simd::DpSequence seq{items, item_stride, n, scratch.up_moves.data(),
+                             scratch.best_rows.data()};
+  simd::DpForward(item_log_probs.data(), levels,
+                  log_initial.empty() ? nullptr : log_initial.data(),
+                  log_stay, log_up, seq);
+  return BacktrackUpMoves(seq.last_row, seq.up_moves, n, levels,
+                          scratch.levels.data());
+}
+
 }  // namespace
 
 double SolveMonotonePathItems(std::span<const double> item_log_probs,
@@ -179,51 +231,20 @@ double SolveMonotonePathItems(std::span<const double> item_log_probs,
                               std::span<const double> log_initial,
                               double log_stay, double log_up,
                               DpScratch& scratch) {
-  UPSKILL_CHECK(num_levels >= 1);
-  UPSKILL_CHECK(log_initial.empty() ||
-                log_initial.size() == static_cast<size_t>(num_levels));
-  const size_t n = items.size();
-  scratch.levels.resize(n);
-  if (n == 0) return 0.0;
-  const size_t levels = static_cast<size_t>(num_levels);
+  return SolvePlain(item_log_probs, items.data(), sizeof(int32_t),
+                    items.size(), num_levels, log_initial, log_stay, log_up,
+                    scratch);
+}
 
-  scratch.best_rows.resize(2 * levels);
-  scratch.from.resize(n * levels);
-  double* prev = scratch.best_rows.data();
-  double* curr = prev + levels;
-
-  const double* first = item_log_probs.data() +
-                        static_cast<size_t>(items[0]) * levels;
-  for (size_t s = 0; s < levels; ++s) {
-    prev[s] = first[s] + (log_initial.empty() ? 0.0 : log_initial[s]);
-  }
-  for (size_t t = 1; t < n; ++t) {
-    const double* row = item_log_probs.data() +
-                        static_cast<size_t>(items[t]) * levels;
-    uint8_t* from_row = scratch.from.data() + t * levels;
-    // The bottom and top levels are peeled so the interior kernel carries
-    // no stay-cost or boundary branch; the up-vs-stay choice is a select
-    // (the comparison outcome is data-dependent and would otherwise
-    // mispredict roughly half the time), vectorized across levels by
-    // simd::DpRowInterior. Strict > keeps ties on "stay", which keeps the
-    // path at the lowest attainable level; values and backpointers stay
-    // bitwise identical to the materialized solver on every backend.
-    curr[0] = prev[0] + (levels > 1 ? log_stay : 0.0) + row[0];
-    from_row[0] = 0;
-    simd::DpRowInterior(prev, row, levels, log_stay, log_up, curr, from_row);
-    if (levels > 1) {
-      // Staying at the top level is the only move there, so it is free.
-      const size_t s = levels - 1;
-      const double stay = prev[s] + 0.0;
-      const double up = prev[s - 1] + log_up;
-      const bool up_wins = up > stay;
-      curr[s] = (up_wins ? up : stay) + row[s];
-      from_row[s] = static_cast<uint8_t>(up_wins);
-    }
-    std::swap(prev, curr);
-  }
-  return BacktrackFused(prev, scratch.from.data(), n, levels,
-                        &scratch.levels);
+double SolveMonotonePathItems(std::span<const double> item_log_probs,
+                              std::span<const Action> actions, int num_levels,
+                              std::span<const double> log_initial,
+                              double log_stay, double log_up,
+                              DpScratch& scratch) {
+  return SolvePlain(item_log_probs,
+                    actions.empty() ? nullptr : &actions.front().item,
+                    sizeof(Action), actions.size(), num_levels, log_initial,
+                    log_stay, log_up, scratch);
 }
 
 double SolveMonotonePathItemsWithForgetting(

@@ -5,6 +5,8 @@
 #include <span>
 #include <vector>
 
+#include "data/dataset.h"
+
 namespace upskill {
 
 /// Result of the per-user dynamic program (Figure 2 / Equation 4).
@@ -49,19 +51,23 @@ MonotonePath SolveMonotonePathWithForgetting(
     std::span<const double> log_initial, double log_stay, double log_up,
     std::span<const uint8_t> allow_down, double log_down);
 
-/// Reusable scratch arena for the item-indexed DP kernels below: two
-/// rolling S-sized best rows (the recurrence only ever reads the previous
-/// row), the n×S backpointer matrix, and per-sequence staging buffers for
-/// item ids and allow-down flags. Buffers grow on demand and never
-/// shrink, so one arena per thread slot makes repeated assignment passes
-/// allocation-free in the steady state.
+/// Reusable scratch arena for the item-indexed DP kernels below: the best
+/// rows (the recurrence only ever reads the previous row), the
+/// backpointers, and per-sequence staging buffers for item ids and
+/// allow-down flags. Buffers grow on demand and never shrink, so one
+/// arena per thread slot makes repeated assignment passes allocation-free
+/// in the steady state.
 struct DpScratch {
-  /// Rolling best rows; laid out as [2 * S], ping-ponged by the kernels.
+  /// Best rows: [S] for the plain solver, [2 * S] ping-ponged by the
+  /// forgetting solver.
   std::vector<double> best_rows;
-  /// Backpointers, [t * S + s]: 0 = stay, 1 = came from one level below
-  /// ("improve"), 2 = came from one level above (forgetting only).
+  /// Plain-solver backpointers (simd::DpSequence::up_moves): one bit per
+  /// (action, level), set when the level was reached from the one below.
+  std::vector<uint64_t> up_moves;
+  /// Forgetting-solver backpointers, [t * S + s]: 0 = stay, 1 = came from
+  /// one level below ("improve"), 2 = came from one level above.
   std::vector<uint8_t> from;
-  /// Item id per action, filled by the caller before invoking a kernel.
+  /// Item id per action, staged by callers of the forgetting solver.
   std::vector<int32_t> items;
   /// Per-transition down-edge flags (forgetting), filled by the caller.
   std::vector<uint8_t> allow_down;
@@ -83,6 +89,13 @@ struct DpScratch {
 /// reproduce SolveMonotonePath.
 double SolveMonotonePathItems(std::span<const double> item_log_probs,
                               std::span<const int32_t> items, int num_levels,
+                              std::span<const double> log_initial,
+                              double log_stay, double log_up,
+                              DpScratch& scratch);
+
+/// Same, reading the item ids in place from a user's actions (no copy).
+double SolveMonotonePathItems(std::span<const double> item_log_probs,
+                              std::span<const Action> actions, int num_levels,
                               std::span<const double> log_initial,
                               double log_stay, double log_up,
                               DpScratch& scratch);

@@ -317,13 +317,8 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
         exec_context.shards()[static_cast<size_t>(shard_index)];
     exec::ShardWorkspace& ws = exec_context.workspace(shard_index);
     for (UserId user = shard.user_begin(); user < shard.user_end(); ++user) {
-      std::span<const Action> seq = shard.sequence(user);
-      ws.dp.items.resize(seq.size());
-      for (size_t t = 0; t < seq.size(); ++t) {
-        ws.dp.items[t] = seq[t].item;
-      }
-      SolveMonotonePathItems(cache, ws.dp.items, S, log_initial, log_stay,
-                             log_up, ws.dp);
+      SolveMonotonePathItems(cache, shard.sequence(user), S, log_initial,
+                             log_stay, log_up, ws.dp);
       result.assignments[static_cast<size_t>(user)].assign(
           ws.dp.levels.begin(), ws.dp.levels.end());
     }

@@ -219,11 +219,11 @@ Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
       assignments_[us].clear();
       continue;
     }
-    scratch_.items.resize(seq.size());
-    for (size_t n = 0; n < seq.size(); ++n) {
-      scratch_.items[n] = seq[n].item;
-    }
     if (forgetting.enabled && seq.size() > 1) {
+      scratch_.items.resize(seq.size());
+      for (size_t n = 0; n < seq.size(); ++n) {
+        scratch_.items[n] = seq[n].item;
+      }
       scratch_.allow_down.resize(seq.size() - 1);
       for (size_t n = 1; n < seq.size(); ++n) {
         scratch_.allow_down[n - 1] =
@@ -236,9 +236,8 @@ Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
                                    seq.size() - 1),
           log_down, scratch_);
     } else {
-      SolveMonotonePathItems(item_log_probs, scratch_.items,
-                             config_.num_levels, log_initial, log_stay,
-                             log_up, scratch_);
+      SolveMonotonePathItems(item_log_probs, seq, config_.num_levels,
+                             log_initial, log_stay, log_up, scratch_);
     }
     assignments_[us].assign(scratch_.levels.begin(), scratch_.levels.end());
     for (size_t n = 0; n < seq.size(); ++n) {

@@ -398,45 +398,10 @@ AssignmentEngine::AssignmentEngine(const Dataset& dataset, int num_levels,
   }
 }
 
-void AssignmentEngine::EnsureInvertedIndex() {
-  if (index_built_) return;
-  const size_t num_items = static_cast<size_t>(dataset_->items().num_items());
-  // Counting sort into CSR with a last-seen-user dedup: a user's actions
-  // are scanned contiguously, so `last[item] == u` exactly detects repeat
-  // selections within one sequence.
-  std::vector<UserId> last(num_items, -1);
-  item_user_offsets_.assign(num_items + 1, 0);
-  for (UserId u = 0; u < dataset_->num_users(); ++u) {
-    for (const Action& action : dataset_->sequence(u)) {
-      const size_t item = static_cast<size_t>(action.item);
-      if (last[item] == u) continue;
-      last[item] = u;
-      ++item_user_offsets_[item + 1];
-    }
-  }
-  for (size_t item = 0; item < num_items; ++item) {
-    item_user_offsets_[item + 1] += item_user_offsets_[item];
-  }
-  item_users_.resize(item_user_offsets_[num_items]);
-  std::fill(last.begin(), last.end(), -1);
-  std::vector<size_t> cursor(item_user_offsets_.begin(),
-                             item_user_offsets_.end() - 1);
-  for (UserId u = 0; u < dataset_->num_users(); ++u) {
-    for (const Action& action : dataset_->sequence(u)) {
-      const size_t item = static_cast<size_t>(action.item);
-      if (last[item] == u) continue;
-      last[item] = u;
-      item_users_[cursor[item]++] = u;
-    }
-  }
-  index_built_ = true;
-}
-
 template <typename SolveUser>
 AssignmentStats AssignmentEngine::RunPass(
     exec::Backend* user_backend, const std::vector<uint8_t>* dirty_items,
     bool weights_changed, const SolveUser& solve_user) {
-  const size_t num_users = static_cast<size_t>(dataset_->num_users());
   // Skipping is sound only when the previous pass exists, the transition
   // weights are bitwise unchanged, and the caller knows which cache rows
   // moved; then a user with no dirty item has a bitwise-identical DP
@@ -444,21 +409,21 @@ AssignmentStats AssignmentEngine::RunPass(
   const bool incremental =
       have_previous_ && !weights_changed && dirty_items != nullptr;
   if (incremental) {
-    EnsureInvertedIndex();
-    user_dirty_.assign(num_users, 0);
-    const std::vector<uint8_t>& dirty = *dirty_items;
-    for (size_t item = 0; item < dirty.size(); ++item) {
-      if (!dirty[item]) continue;
-      for (size_t k = item_user_offsets_[item];
-           k < item_user_offsets_[item + 1]; ++k) {
-        user_dirty_[static_cast<size_t>(item_users_[k])] = 1;
-      }
-    }
+    UPSKILL_CHECK(dirty_items->size() ==
+                  static_cast<size_t>(dataset_->items().num_items()));
   }
+  auto is_dirty = [&](UserId user) {
+    for (const Action& action : dataset_->sequence(user)) {
+      if ((*dirty_items)[static_cast<size_t>(action.item)]) return true;
+    }
+    return false;
+  };
 
   // One MapShards task per balanced user shard; each task owns its
   // shard's persistent workspace (DP arena + counters), so the loop body
-  // is lock-free and allocation-free in the steady state.
+  // is lock-free and allocation-free in the steady state. The task also
+  // decides which of its users to re-solve, so no serial step runs
+  // before the shards start.
   exec::ExecContext& ctx = *context_;
   ctx.EnsureUserShards(*dataset_, num_shards_request_,
                        static_cast<const exec::Backend*>(user_backend));
@@ -472,7 +437,7 @@ AssignmentStats AssignmentEngine::RunPass(
     ws.changed = false;
     for (UserId user = shard.user_begin(); user < shard.user_end(); ++user) {
       const size_t u = static_cast<size_t>(user);
-      if (incremental && !user_dirty_[u]) {
+      if (incremental && !is_dirty(user)) {
         ++ws.skipped;
         continue;
       }
@@ -528,11 +493,11 @@ AssignmentStats AssignmentEngine::Assign(
       [&](DpScratch& scratch, size_t u) {
         std::span<const Action> seq =
             dataset.sequence(static_cast<UserId>(u));
-        scratch.items.resize(seq.size());
-        for (size_t n = 0; n < seq.size(); ++n) {
-          scratch.items[n] = seq[n].item;
-        }
         if (forgetting.enabled && seq.size() > 1) {
+          scratch.items.resize(seq.size());
+          for (size_t n = 0; n < seq.size(); ++n) {
+            scratch.items[n] = seq[n].item;
+          }
           scratch.allow_down.resize(seq.size() - 1);
           for (size_t n = 1; n < seq.size(); ++n) {
             scratch.allow_down[n - 1] = (seq[n].time - seq[n - 1].time) >
@@ -542,9 +507,8 @@ AssignmentStats AssignmentEngine::Assign(
               item_log_probs, scratch.items, num_levels, log_initial,
               log_stay, log_up, scratch.allow_down, log_down, scratch);
         }
-        return SolveMonotonePathItems(item_log_probs, scratch.items,
-                                      num_levels, log_initial, log_stay,
-                                      log_up, scratch);
+        return SolveMonotonePathItems(item_log_probs, seq, num_levels,
+                                      log_initial, log_stay, log_up, scratch);
       });
 }
 
@@ -565,16 +529,12 @@ AssignmentStats AssignmentEngine::AssignWithClasses(
       [&](DpScratch& scratch, size_t u) {
         std::span<const Action> seq =
             dataset.sequence(static_cast<UserId>(u));
-        scratch.items.resize(seq.size());
-        for (size_t n = 0; n < seq.size(); ++n) {
-          scratch.items[n] = seq[n].item;
-        }
         double best_score = -std::numeric_limits<double>::infinity();
         int best_class = 0;
         bool any_best = false;
         for (size_t c = 0; c < classes.size(); ++c) {
           const double path_ll = SolveMonotonePathItems(
-              item_log_probs, scratch.items, num_levels,
+              item_log_probs, seq, num_levels,
               classes[c].weights.log_initial, classes[c].weights.log_stay,
               classes[c].weights.log_up, scratch);
           const double score = path_ll + classes[c].log_prior;

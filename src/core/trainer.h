@@ -198,10 +198,9 @@ struct AssignmentStats {
 ///    context's balanced user shards;
 ///  - the persistent assignments + per-user log-likelihoods of the
 ///    previous pass, so users untouched by the last update step carry
-///    their path forward without re-running the DP;
-///  - an item -> users inverted index (built lazily on the first
-///    incremental pass) that maps LogProbCache::dirty_items() to the set
-///    of users that must be re-solved.
+///    their path forward without re-running the DP. Each shard task
+///    decides this per user: a user is re-solved iff one of its items is
+///    flagged in LogProbCache::dirty_items().
 /// Results are bitwise identical to the one-shot AssignSkills* functions
 /// for any thread count, any shard count, and any skipping pattern: the
 /// objective is reduced per-user by exec::ReduceOrderedSum, never from
@@ -251,7 +250,6 @@ class AssignmentEngine {
   AssignmentStats RunPass(exec::Backend* user_backend,
                           const std::vector<uint8_t>* dirty_items,
                           bool weights_changed, const SolveUser& solve_user);
-  void EnsureInvertedIndex();
 
   const Dataset* dataset_;
   int num_levels_;
@@ -263,11 +261,6 @@ class AssignmentEngine {
   // Sharded-execution state: borrowed from the caller or owned here.
   exec::ExecContext* context_;
   std::unique_ptr<exec::ExecContext> owned_context_;
-  // CSR item -> users index (each user listed once per item it selects).
-  bool index_built_ = false;
-  std::vector<size_t> item_user_offsets_;
-  std::vector<UserId> item_users_;
-  std::vector<uint8_t> user_dirty_;
 };
 
 /// The per-class assignment step (Yang et al.'s progression classes):

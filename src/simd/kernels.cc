@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/logging.h"
@@ -16,6 +17,7 @@
 //   LogNormalLogProbBatch    x     x
 //   DpRowInterior            x     x
 //   DpRowInteriorWithDown    x     x
+//   DpForward                x          (levels <= 8: row in registers)
 //   QuantizedForwardStep     x          (the per-action serve hot path)
 //   QuantizedForwardInit               (once per session — not hot)
 //   QuantizedForwardLevel              (S-element argmax — not hot)
@@ -149,6 +151,40 @@ void DpRowInteriorWithDown(const double* prev, const double* row,
     step = down_wins ? 2 : step;
     curr[s] = incoming + row[s];
     if (from != nullptr) from[s] = step;
+  }
+}
+
+void DpForward(const double* item_log_probs, size_t levels,
+               const double* log_initial, double log_stay, double log_up,
+               const DpSequence& seq) {
+  if (seq.length == 0) return;
+  const size_t words = DpUpMoveWords(levels);
+  const char* id = static_cast<const char*>(seq.items);
+  auto next_row = [&] {
+    int32_t item;
+    std::memcpy(&item, id, sizeof(item));
+    id += seq.item_stride;
+    return item_log_probs + static_cast<size_t>(item) * levels;
+  };
+  // One row, updated in place from the top level down: level s reads
+  // best_{t-1}[s - 1] before that slot is overwritten.
+  double* best = seq.last_row;
+  const double* first = next_row();
+  for (size_t s = 0; s < levels; ++s) {
+    best[s] = first[s] + (log_initial == nullptr ? 0.0 : log_initial[s]);
+  }
+  for (size_t t = 1; t < seq.length; ++t) {
+    const double* row = next_row();
+    uint64_t* moves = seq.up_moves + t * words;
+    std::fill(moves, moves + words, uint64_t{0});
+    for (size_t s = levels; s-- > 1;) {
+      const double stay = best[s] + (s + 1 < levels ? log_stay : 0.0);
+      const double up = best[s - 1] + log_up;
+      const bool up_wins = up > stay;
+      best[s] = (up_wins ? up : stay) + row[s];
+      moves[s / 64] |= static_cast<uint64_t>(up_wins) << (s % 64);
+    }
+    best[0] = best[0] + (levels > 1 ? log_stay : 0.0) + row[0];
   }
 }
 
@@ -324,6 +360,21 @@ void DpRowInteriorWithDown(const double* prev, const double* row,
                           log_up, log_down, curr, from);
   scalar::DpRowInteriorWithDown(prev, row, levels, log_stay, log_up, log_down,
                                 curr, from);
+}
+
+void DpForward(const double* item_log_probs, size_t levels,
+               const double* log_initial, double log_stay, double log_up,
+               const DpSequence& seq) {
+  UPSKILL_CHECK(levels >= 1);
+#if defined(__x86_64__) || defined(_M_X64)
+  if (levels <= 8 && ActiveBackend() == Backend::kAvx2) {
+    avx2::DpForward(item_log_probs, levels, log_initial, log_stay, log_up,
+                    seq);
+    return;
+  }
+#endif
+  scalar::DpForward(item_log_probs, levels, log_initial, log_stay, log_up,
+                    seq);
 }
 
 void QuantizedForwardInit(const int16_t* qrow, int16_t row_mult,

@@ -87,6 +87,44 @@ void DpRowInteriorWithDown(const double* prev, const double* row,
                            double log_down, double* curr, uint8_t* from);
 
 // ---------------------------------------------------------------------------
+// Whole-sequence assignment DP (the plain stay/up recurrence).
+// ---------------------------------------------------------------------------
+
+/// Words of up-move bits DpForward writes per action.
+inline size_t DpUpMoveWords(size_t levels) { return (levels + 63) / 64; }
+
+/// One item sequence for DpForward. Item ids are read in place: id t is
+/// the int32 stored `t * item_stride` bytes past `items`, so a caller
+/// passes a packed id array (stride 4) or the id member of an array of
+/// records (stride = the record size) without copying.
+struct DpSequence {
+  const void* items = nullptr;
+  size_t item_stride = sizeof(int32_t);
+  size_t length = 0;
+  /// Out, [length * DpUpMoveWords(levels)]: for t >= 1, bit s % 64 of
+  /// word t * DpUpMoveWords(levels) + s / 64 is set iff level s at action
+  /// t was reached from level s - 1. The words of t = 0 are not written.
+  uint64_t* up_moves = nullptr;
+  /// Out, [levels]: the final best row. Not written when length == 0.
+  double* last_row = nullptr;
+};
+
+/// The plain assignment recurrence (Equation 4 with optional progression
+/// weights) over a whole sequence, with cache[i][s] =
+/// item_log_probs[i * levels + s]:
+///   best_0[s] = cache[i_0][s] + (log_initial ? log_initial[s] : 0.0)
+///   stay      = best_{t-1}[s] + (s + 1 < levels ? log_stay : 0.0)
+///   up        = best_{t-1}[s - 1] + log_up               (s >= 1 only)
+///   up_wins   = up > stay                // strict: ties stay low
+///   best_t[s] = (up_wins ? up : stay) + cache[i_t][s]
+/// The top level's stay is free (it is the only move there). The vector
+/// body keeps a row of up to 8 levels in two registers for the whole
+/// sequence; more levels run the scalar reference.
+void DpForward(const double* item_log_probs, size_t levels,
+               const double* log_initial, double log_stay, double log_up,
+               const DpSequence& seq);
+
+// ---------------------------------------------------------------------------
 // Quantized serving kernels (int16 column, NNUE-style fixed point).
 // ---------------------------------------------------------------------------
 // The session column lives in int16 "accumulator units" (a fixed global
@@ -162,6 +200,9 @@ void DpRowInterior(const double* prev, const double* row, size_t levels,
 void DpRowInteriorWithDown(const double* prev, const double* row,
                            size_t levels, double log_stay, double log_up,
                            double log_down, double* curr, uint8_t* from);
+void DpForward(const double* item_log_probs, size_t levels,
+               const double* log_initial, double log_stay, double log_up,
+               const DpSequence& seq);
 void QuantizedForwardInit(const int16_t* qrow, int16_t row_mult,
                           const int16_t* q_initial, size_t levels,
                           int16_t* column);

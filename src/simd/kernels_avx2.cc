@@ -3,10 +3,11 @@
 // builds with -ffp-contract=off) so the vector code below uses exactly the
 // IEEE operations of the scalar references: vaddpd/vsubpd/vmulpd/vdivpd
 // are element-wise identical to their scalar counterparts, and cmp+blendv
-// reproduces `a > b ? a : b` including its NaN behavior (_CMP_GT_OQ is
-// false on unordered, like scalar >). The CRC-32 body is carry-less
-// integer arithmetic, exact by construction. kernels.cc only calls in here
-// after the runtime cpuid (avx2 + pclmul) / UPSKILL_FORCE_SCALAR check.
+// (like vmaxpd(a, b)) reproduces `a > b ? a : b` including its NaN
+// behavior (_CMP_GT_OQ is false on unordered, like scalar >). The CRC-32
+// body is carry-less integer arithmetic, exact by construction.
+// kernels.cc only calls in here after the runtime cpuid (avx2 + pclmul) /
+// UPSKILL_FORCE_SCALAR check.
 
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -213,6 +214,102 @@ void DpRowInteriorWithDown(const double* prev, const double* row,
     step = down_wins ? 2 : step;
     curr[s] = incoming + row[s];
     if (from != nullptr) from[s] = step;
+  }
+}
+
+namespace {
+
+// The plain recurrence with the best row in registers: lane s of the
+// (lo, hi) pair is level s. Lanes at and above `levels` carry filler that
+// no real lane reads (level s only reads levels s and s - 1).
+// Each action does the scalar reference's per-level operations for all
+// levels at once. The up candidate is best + log_up shifted one lane up
+// (vpermpd + vblendpd), with -inf entering level 0 so it never wins there.
+// vmaxpd(up, stay) is `up > stay ? up : stay` (its second operand comes
+// back on ties and NaN), the select the scalar reference makes, and
+// vcmppd + vmovmskpd give the up-move bits, one word per action.
+template <bool kHi>
+void DpForwardRegisters(const double* item_log_probs, size_t levels,
+                        const double* log_initial, double log_stay,
+                        double log_up, const DpSequence& seq) {
+  alignas(32) int64_t lane_mask[8];
+  alignas(32) double stay_cost[8];
+  for (size_t s = 0; s < 8; ++s) {
+    lane_mask[s] = s < levels ? -1 : 0;
+    stay_cost[s] = s + 1 < levels ? log_stay : 0.0;
+  }
+  const __m256i mask_lo =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(lane_mask));
+  const __m256i mask_hi =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(lane_mask + 4));
+  const __m256d stay_lo = _mm256_load_pd(stay_cost);
+  const __m256d stay_hi = _mm256_load_pd(stay_cost + 4);
+  const __m256d up = _mm256_set1_pd(log_up);
+  const __m256d neg_inf = _mm256_set1_pd(kNegInf);
+
+  const char* id = static_cast<const char*>(seq.items);
+  __m256d row_lo, row_hi = _mm256_setzero_pd();
+  auto load_row = [&] {
+    int32_t item;
+    std::memcpy(&item, id, sizeof(item));
+    id += seq.item_stride;
+    const double* row = item_log_probs + static_cast<size_t>(item) * levels;
+    if constexpr (kHi) {
+      row_lo = _mm256_loadu_pd(row);
+      row_hi = _mm256_maskload_pd(row + 4, mask_hi);
+    } else {
+      row_lo = _mm256_maskload_pd(row, mask_lo);
+    }
+  };
+
+  // A null log_initial still adds 0.0, as the reference does (-0.0 + 0.0
+  // is +0.0).
+  load_row();
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d best_lo = _mm256_add_pd(
+      row_lo,
+      log_initial == nullptr ? zero : _mm256_maskload_pd(log_initial, mask_lo));
+  __m256d best_hi = _mm256_add_pd(
+      row_hi, !kHi || log_initial == nullptr
+                  ? zero
+                  : _mm256_maskload_pd(log_initial + 4, mask_hi));
+  for (size_t t = 1; t < seq.length; ++t) {
+    load_row();
+    const __m256d stay = _mm256_add_pd(best_lo, stay_lo);
+    const __m256d rot_lo =
+        _mm256_permute4x64_pd(_mm256_add_pd(best_lo, up), 0x93);
+    const __m256d up_lo = _mm256_blend_pd(rot_lo, neg_inf, 0x1);
+    uint64_t moves = static_cast<uint64_t>(
+        _mm256_movemask_pd(_mm256_cmp_pd(up_lo, stay, _CMP_GT_OQ)));
+    best_lo = _mm256_add_pd(_mm256_max_pd(up_lo, stay), row_lo);
+    if constexpr (kHi) {
+      const __m256d stay_h = _mm256_add_pd(best_hi, stay_hi);
+      const __m256d up_h = _mm256_blend_pd(
+          _mm256_permute4x64_pd(_mm256_add_pd(best_hi, up), 0x93), rot_lo,
+          0x1);
+      moves |= static_cast<uint64_t>(_mm256_movemask_pd(
+                   _mm256_cmp_pd(up_h, stay_h, _CMP_GT_OQ)))
+               << 4;
+      best_hi = _mm256_add_pd(_mm256_max_pd(up_h, stay_h), row_hi);
+    }
+    seq.up_moves[t] = moves;
+  }
+  _mm256_maskstore_pd(seq.last_row, mask_lo, best_lo);
+  if constexpr (kHi) _mm256_maskstore_pd(seq.last_row + 4, mask_hi, best_hi);
+}
+
+}  // namespace
+
+void DpForward(const double* item_log_probs, size_t levels,
+               const double* log_initial, double log_stay, double log_up,
+               const DpSequence& seq) {
+  if (seq.length == 0) return;
+  if (levels > 4) {
+    DpForwardRegisters<true>(item_log_probs, levels, log_initial, log_stay,
+                             log_up, seq);
+  } else {
+    DpForwardRegisters<false>(item_log_probs, levels, log_initial, log_stay,
+                              log_up, seq);
   }
 }
 

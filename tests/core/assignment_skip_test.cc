@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
 
@@ -148,66 +150,121 @@ TEST(AssignmentSkipTest, StableDatasetSkipsEveryUser) {
   }
 }
 
-// Engine-level: a pass with no dirty items skips everyone and changes
-// nothing; dirtying one item re-solves exactly the users playing it, and
-// the result matches a from-scratch full pass over the perturbed cache.
-TEST(AssignmentSkipTest, EnginePartialDirtyPass) {
-  const datagen::GeneratedData data = MakeData(5);
-  const Dataset& dataset = data.dataset;
-  SkillModelConfig config;
-  config.num_levels = 4;
-  auto created = SkillModel::Create(dataset.schema(), config);
-  ASSERT_TRUE(created.ok());
-  const SkillModel& model = created.value();
-  std::vector<double> cache = model.ItemLogProbCache(dataset.items());
-  const size_t num_users = static_cast<size_t>(dataset.num_users());
-  const size_t num_items =
-      cache.size() / static_cast<size_t>(config.num_levels);
-  ASSERT_GE(num_items, 1u);
-
-  AssignmentEngine engine(dataset, config.num_levels);
-  const AssignmentStats full =
-      engine.Assign(model, cache, nullptr, nullptr, {});
-  EXPECT_EQ(full.reassigned_users, num_users);
-  const SkillAssignments baseline = engine.assignments();
-
-  // All-clean pass: every user skipped, results carried forward bitwise.
-  const std::vector<uint8_t> clean(num_items, 0);
-  const AssignmentStats skipped = engine.Assign(
-      model, cache, nullptr, nullptr, {}, &clean, /*weights_changed=*/false);
-  EXPECT_EQ(skipped.skipped_users, num_users);
-  EXPECT_EQ(skipped.reassigned_users, 0u);
-  EXPECT_FALSE(skipped.changed);
-  EXPECT_EQ(skipped.log_likelihood, full.log_likelihood);
-  EXPECT_EQ(engine.assignments(), baseline);
-
-  // Perturb one item's rows and flag it: only its players re-solve.
-  const ItemId dirty_item = static_cast<ItemId>(num_items / 2);
-  for (int s = 0; s < config.num_levels; ++s) {
-    cache[static_cast<size_t>(dirty_item) * config.num_levels + s] -=
-        0.5 * (s + 1);
+// `source`'s items and users with every action on `unplayed` dropped, and
+// a user with an empty sequence inserted in the middle.
+Dataset WithUnplayedItemAndEmptyUser(const Dataset& source, ItemId unplayed) {
+  Dataset dataset(source.items());
+  for (UserId u = 0; u < source.num_users(); ++u) {
+    if (u == source.num_users() / 2) dataset.AddUser();
+    const UserId user = dataset.AddUser();
+    for (const Action& a : source.sequence(u)) {
+      if (a.item == unplayed) continue;
+      EXPECT_TRUE(dataset.AddAction(user, a.time, a.item).ok());
+    }
   }
-  std::vector<uint8_t> dirty(num_items, 0);
-  dirty[static_cast<size_t>(dirty_item)] = 1;
+  return dataset;
+}
+
+// After a full pass, perturbs the cache rows of every flagged item and
+// runs an incremental pass: exactly the users who play a flagged item
+// (counted by brute force) must be re-solved, and the result must equal a
+// fresh full pass over the perturbed cache.
+void ExpectPartialPass(const Dataset& dataset, const SkillModel& model,
+                       std::vector<double> cache,
+                       const std::vector<uint8_t>& dirty, ThreadPool* pool,
+                       int num_shards) {
+  const int levels = model.num_levels();
+  const size_t num_users = static_cast<size_t>(dataset.num_users());
+  ParallelOptions parallel;
+  if (pool != nullptr) {
+    parallel.num_threads = pool->num_threads();
+    parallel.users = true;
+  }
+  AssignmentEngine engine(dataset, levels, num_shards);
+  const AssignmentStats full =
+      engine.Assign(model, cache, nullptr, pool, parallel);
+  EXPECT_EQ(full.reassigned_users, num_users);
+
+  for (size_t item = 0; item < dirty.size(); ++item) {
+    if (!dirty[item]) continue;
+    for (int s = 0; s < levels; ++s) {
+      cache[item * static_cast<size_t>(levels) + static_cast<size_t>(s)] -=
+          0.5 * (s + 1);
+    }
+  }
   size_t players = 0;
   for (UserId u = 0; u < dataset.num_users(); ++u) {
     for (const Action& a : dataset.sequence(u)) {
-      if (a.item == dirty_item) {
+      if (dirty[static_cast<size_t>(a.item)]) {
         ++players;
         break;
       }
     }
   }
   const AssignmentStats partial = engine.Assign(
-      model, cache, nullptr, nullptr, {}, &dirty, /*weights_changed=*/false);
+      model, cache, nullptr, pool, parallel, &dirty, /*weights_changed=*/false);
   EXPECT_EQ(partial.reassigned_users, players);
   EXPECT_EQ(partial.skipped_users, num_users - players);
 
-  AssignmentEngine fresh(dataset, config.num_levels);
+  AssignmentEngine fresh(dataset, levels);
   const AssignmentStats oracle =
       fresh.Assign(model, cache, nullptr, nullptr, {});
   EXPECT_EQ(engine.assignments(), fresh.assignments());
   EXPECT_EQ(partial.log_likelihood, oracle.log_likelihood);
+}
+
+// Engine-level: a pass with no dirty items skips everyone and changes
+// nothing; a dirty pass re-solves exactly the users playing a flagged
+// item — one item, every item, or only an item nobody plays — serially
+// and on a pool with several shards, with an empty-sequence user among
+// them.
+TEST(AssignmentSkipTest, EnginePartialDirtyPass) {
+  const datagen::GeneratedData data = MakeData(5);
+  SkillModelConfig config;
+  config.num_levels = 4;
+  auto created = SkillModel::Create(data.dataset.schema(), config);
+  ASSERT_TRUE(created.ok());
+  const SkillModel& model = created.value();
+  const size_t num_items =
+      static_cast<size_t>(data.dataset.items().num_items());
+  ASSERT_GE(num_items, 2u);
+  const ItemId unplayed = static_cast<ItemId>(num_items - 1);
+  const Dataset dataset =
+      WithUnplayedItemAndEmptyUser(data.dataset, unplayed);
+  const std::vector<double> cache = model.ItemLogProbCache(dataset.items());
+  const size_t num_users = static_cast<size_t>(dataset.num_users());
+
+  {
+    // All-clean pass: every user skipped, results carried forward bitwise.
+    AssignmentEngine engine(dataset, config.num_levels);
+    const AssignmentStats full =
+        engine.Assign(model, cache, nullptr, nullptr, {});
+    const SkillAssignments baseline = engine.assignments();
+    const std::vector<uint8_t> clean(num_items, 0);
+    const AssignmentStats skipped = engine.Assign(
+        model, cache, nullptr, nullptr, {}, &clean, /*weights_changed=*/false);
+    EXPECT_EQ(skipped.skipped_users, num_users);
+    EXPECT_EQ(skipped.reassigned_users, 0u);
+    EXPECT_FALSE(skipped.changed);
+    EXPECT_EQ(skipped.log_likelihood, full.log_likelihood);
+    EXPECT_EQ(engine.assignments(), baseline);
+  }
+
+  std::vector<uint8_t> one(num_items, 0);
+  one[num_items / 2] = 1;
+  std::vector<uint8_t> nobody(num_items, 0);
+  nobody[static_cast<size_t>(unplayed)] = 1;
+  const std::pair<const char*, std::vector<uint8_t>> cases[] = {
+      {"one item", one},
+      {"every item", std::vector<uint8_t>(num_items, 1)},
+      {"an unplayed item", nobody},
+  };
+  ThreadPool pool(4);
+  for (const auto& [label, dirty] : cases) {
+    SCOPED_TRACE(label);
+    ExpectPartialPass(dataset, model, cache, dirty, nullptr, 0);
+    ExpectPartialPass(dataset, model, cache, dirty, &pool, 7);
+  }
 }
 
 }  // namespace

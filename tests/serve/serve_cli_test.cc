@@ -5,6 +5,7 @@
 // is injected by CMake as UPSKILL_CLI_PATH.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace upskill {
@@ -236,13 +238,23 @@ TEST_F(ServeCliTest, ServeRejectsMissingSnapshot) {
 }
 
 TEST_F(ServeCliTest, ValueFlagsWithoutValuesAreUsageErrors) {
+  // A missing value, a malformed integer and a thread count below 1 are
+  // each an error naming the flag, before any work starts.
+  const std::pair<std::string, std::string> cases[] = {
+      {"--levels --em", "--levels requires a value"},
+      {"--levels 4x", "--levels requires an integer, got '4x'"},
+      {"--threads 0", "--threads must be at least 1"},
+  };
   const std::string log = dir_ + "/flag.log";
-  const std::string command = std::string(UPSKILL_CLI_PATH) +
-                              " train somewhere model.csv --levels --em > " +
-                              log + " 2>&1";
-  EXPECT_NE(std::system(command.c_str()), 0);
-  EXPECT_NE(Slurp(log).find("--levels requires a value"), std::string::npos)
-      << Slurp(log);
+  for (const auto& [flags, message] : cases) {
+    const std::string command = std::string(UPSKILL_CLI_PATH) +
+                                " train somewhere model.csv " + flags +
+                                " > " + log + " 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << flags;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << flags;
+    EXPECT_NE(Slurp(log).find(message), std::string::npos) << Slurp(log);
+  }
 }
 
 }  // namespace

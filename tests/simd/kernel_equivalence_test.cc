@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/dp.h"
@@ -246,6 +247,72 @@ TEST_F(KernelEquivalenceTest, DpRowInteriorWithDownMatchesScalarBitwise) {
                                           want_from.data());
       ExpectBitEqual(got, want);
       EXPECT_EQ(got_from, want_from) << "levels=" << levels;
+    }
+  }
+}
+
+// The whole-sequence DP against its scalar reference: every level count
+// with a register-resident vector body (1..8) and two that fall back to
+// the reference (9, 12); lengths from empty to many actions; ids packed
+// and read in place from Action records; cache rows that are all -inf,
+// all signed zeros (every comparison a tie) or partly NaN; with and
+// without log_initial, with zero and non-zero costs.
+TEST_F(KernelEquivalenceTest, DpForwardMatchesScalarBitwise) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr int kItems = 12;
+  std::uniform_int_distribution<int32_t> pick(0, kItems - 1);
+  for (const size_t levels : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12}) {
+    std::vector<double> cache = MakeScores(kItems * levels);
+    for (size_t s = 0; s < levels; ++s) {
+      cache[0 * levels + s] = kNegInf;
+      cache[1 * levels + s] = (s % 2) ? -0.0 : 0.0;
+      cache[2 * levels + s] = (s % 3 == 1) ? kNaN : -1.0;
+    }
+    std::vector<double> log_initial = MakeScores(levels);
+    log_initial[0] = -0.0;
+    const size_t words = simd::DpUpMoveWords(levels);
+    for (const size_t length : {0, 1, 2, 3, 17, 64}) {
+      std::vector<Action> actions(length);
+      std::vector<int32_t> ids(length);
+      for (size_t t = 0; t < length; ++t) ids[t] = actions[t].item = pick(rng_);
+      for (const bool in_actions : {false, true}) {
+        for (const bool with_initial : {false, true}) {
+          for (const auto& [log_stay, log_up] :
+               {std::pair{0.0, 0.0}, std::pair{-0.105, -2.302}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "levels=" << levels << " length=" << length
+                         << " in_actions=" << in_actions
+                         << " initial=" << with_initial
+                         << " stay=" << log_stay);
+            // Identical sentinels on both sides: the words of action 0
+            // and an empty sequence's row stay untouched.
+            std::vector<uint64_t> moves[2];
+            std::vector<double> rows[2];
+            simd::DpSequence seqs[2];
+            for (int side = 0; side < 2; ++side) {
+              moves[side].assign(length * words, 0x5a5a5a5a5a5a5a5aULL);
+              rows[side].assign(levels, 42.0);
+              seqs[side].items =
+                  length == 0 ? nullptr
+                  : in_actions ? static_cast<const void*>(&actions[0].item)
+                               : ids.data();
+              seqs[side].item_stride =
+                  in_actions ? sizeof(Action) : sizeof(int32_t);
+              seqs[side].length = length;
+              seqs[side].up_moves = moves[side].data();
+              seqs[side].last_row = rows[side].data();
+            }
+            const double* initial =
+                with_initial ? log_initial.data() : nullptr;
+            simd::DpForward(cache.data(), levels, initial, log_stay, log_up,
+                            seqs[0]);
+            simd::scalar::DpForward(cache.data(), levels, initial, log_stay,
+                                    log_up, seqs[1]);
+            EXPECT_EQ(moves[0], moves[1]);
+            ExpectBitEqual(rows[0], rows[1]);
+          }
+        }
+      }
     }
   }
 }
