@@ -1,12 +1,11 @@
 // Per-backend exec-layer benchmarks: the two pipeline-level sharded
 // kernels (assignment DP sweep and the parameter refit) driven through
-// each registered exec::Backend — serial, pool, and numa. The kernels are
-// bitwise deterministic across backends (tests/exec/determinism_test.cc),
-// so the only thing these benches measure is scheduling: dispatch
-// overhead at shards=1, scaling at shards=4/16, and — on multi-socket
-// hosts — the NUMA backend's node-sticky placement. Every entry records
-// its backend in the benchmark name plus `threads` / `shards` / `nodes` /
-// `steals` counters so BENCH_PR9.json slices cleanly per backend.
+// each exec::Backend — serial and pool. The kernels are bitwise
+// deterministic across backends (tests/exec/determinism_test.cc), so the
+// only thing these benches measure is scheduling: dispatch overhead at
+// shards=1 and scaling at shards=4/16. Every entry records its backend in
+// the benchmark name plus `threads` / `shards` counters so the results
+// slice cleanly per backend.
 
 #include <benchmark/benchmark.h>
 
@@ -22,7 +21,6 @@
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
 #include "exec/backend.h"
-#include "exec/backend_registry.h"
 #include "exec/workspace.h"
 
 namespace upskill {
@@ -57,8 +55,8 @@ const TrainResult& PipelineModel() {
   return *result;
 }
 
-// Builds the named backend sized for `threads` and installs it on a fresh
-// ExecContext; null on registry failure (reported through the state).
+// Builds the named backend sized for `threads`; null on failure (reported
+// through the state).
 std::shared_ptr<exec::Backend> MakeBackend(benchmark::State& state,
                                            const std::string& name,
                                            int threads) {
@@ -70,14 +68,10 @@ std::shared_ptr<exec::Backend> MakeBackend(benchmark::State& state,
   return std::move(backend).value();
 }
 
-void RecordBackendCounters(benchmark::State& state,
-                           const exec::Backend& backend, int threads,
-                           int shards, uint64_t steals_before) {
+void RecordBackendCounters(benchmark::State& state, int threads,
+                           int shards) {
   state.counters["threads"] = threads;
   state.counters["shards"] = shards;
-  state.counters["nodes"] = static_cast<double>(backend.num_nodes());
-  state.counters["steals"] =
-      static_cast<double>(backend.steal_count() - steals_before);
 }
 
 void ExecAssignSharded(benchmark::State& state, const std::string& name) {
@@ -87,21 +81,14 @@ void ExecAssignSharded(benchmark::State& state, const std::string& name) {
   const int shards = static_cast<int>(state.range(1));
   std::shared_ptr<exec::Backend> backend = MakeBackend(state, name, threads);
   if (backend == nullptr) return;
-  ParallelOptions parallel;
-  parallel.num_threads = threads;
-  parallel.users = true;
-  exec::ExecContext context;
-  context.SetBackend(backend);
   const std::vector<double> cache =
       trained.model.ItemLogProbCache(data.dataset.items());
-  AssignmentEngine engine(data.dataset, trained.model.num_levels(), shards,
-                          &context);
-  const uint64_t steals_before = backend->steal_count();
+  AssignmentEngine engine(data.dataset, trained.model.num_levels(), shards);
   for (auto _ : state) {
     engine.Assign(trained.model, cache, /*transitions=*/nullptr,
-                  /*pool=*/nullptr, parallel);
+                  backend.get());
   }
-  RecordBackendCounters(state, *backend, threads, shards, steals_before);
+  RecordBackendCounters(state, threads, shards);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.dataset.num_actions()));
 }
@@ -115,7 +102,6 @@ void ExecFitSharded(benchmark::State& state, const std::string& name) {
   if (backend == nullptr) return;
   ParallelOptions parallel;
   parallel.num_threads = threads;
-  parallel.users = true;
   parallel.levels = true;
   parallel.features = true;
   SkillModelConfig config = trained.model.config();
@@ -126,13 +112,11 @@ void ExecFitSharded(benchmark::State& state, const std::string& name) {
     return;
   }
   exec::ExecContext context;
-  context.SetBackend(backend);
-  const uint64_t steals_before = backend->steal_count();
   for (auto _ : state) {
     FitParameters(data.dataset, trained.assignments, &model.value(),
-                  /*pool=*/nullptr, parallel, &context);
+                  backend.get(), parallel, &context);
   }
-  RecordBackendCounters(state, *backend, threads, shards, steals_before);
+  RecordBackendCounters(state, threads, shards);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.dataset.num_actions()));
 }
@@ -153,7 +137,7 @@ std::vector<int> SweepThreadCounts() {
 }
 
 void RegisterExecSweeps() {
-  static const char* kBackends[] = {"serial", "pool", "numa"};
+  static const char* kBackends[] = {"serial", "pool"};
   for (const char* backend : kBackends) {
     const std::string name(backend);
     for (const int threads : SweepThreadCounts()) {

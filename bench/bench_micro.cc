@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/difficulty.h"
+#include "exec/backend.h"
 #include "exec/shard.h"
 #include "core/dp.h"
 #include "core/posterior.h"
@@ -118,6 +119,12 @@ const TrainResult& PipelineModel() {
   return *result;
 }
 
+// The backend a thread-count argument selects: serial at one thread, a
+// pool of `threads` workers otherwise.
+std::shared_ptr<exec::Backend> BackendForThreads(int threads) {
+  return exec::CreateBackend("", threads).value();
+}
+
 void BM_ItemLogProbCache(benchmark::State& state) {
   const auto& data = PipelineData();
   const auto& trained = PipelineModel();
@@ -186,7 +193,7 @@ void BM_AssignmentStep(benchmark::State& state) {
   for (auto _ : state) {
     double ll = 0.0;
     benchmark::DoNotOptimize(
-        AssignSkills(data.dataset, trained.model, nullptr, {}, &ll));
+        AssignSkills(data.dataset, trained.model, nullptr, &ll));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.dataset.num_actions()));
@@ -202,16 +209,15 @@ void BM_AssignSkillsReference(benchmark::State& state) {
   const auto& trained = PipelineModel();
   const Dataset& dataset = data.dataset;
   const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  const std::shared_ptr<exec::Backend> backend = BackendForThreads(threads);
   const std::vector<double> cache =
       trained.model.ItemLogProbCache(dataset.items());
   const size_t levels = static_cast<size_t>(trained.model.num_levels());
   SkillAssignments assignments(static_cast<size_t>(dataset.num_users()));
   std::vector<double> user_ll(static_cast<size_t>(dataset.num_users()));
   for (auto _ : state) {
-    ParallelFor(pool.get(), 0, static_cast<size_t>(dataset.num_users()),
-                [&](size_t u) {
+    backend->RunIndices(0, static_cast<size_t>(dataset.num_users()),
+                        [&](size_t u) {
       std::span<const Action> seq =
           dataset.sequence(static_cast<UserId>(u));
       std::vector<double> log_probs(seq.size() * levels);
@@ -243,23 +249,17 @@ void BM_AssignSkills(benchmark::State& state) {
   const auto& trained = PipelineModel();
   const Dataset& dataset = data.dataset;
   const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
-  ParallelOptions parallel;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    parallel.num_threads = threads;
-    parallel.users = true;
-  }
+  const std::shared_ptr<exec::Backend> backend = BackendForThreads(threads);
   const std::vector<double> cache =
       trained.model.ItemLogProbCache(dataset.items());
   AssignmentEngine engine(dataset, trained.model.num_levels());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.Assign(trained.model, cache, nullptr, pool.get(), parallel));
+        engine.Assign(trained.model, cache, nullptr, backend.get()));
   }
   state.counters["threads"] = threads;
   state.counters["shards"] = exec::ResolveShardCount(
-      0, pool.get(), static_cast<size_t>(dataset.num_users()));
+      0, backend.get(), static_cast<size_t>(dataset.num_users()));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(dataset.num_actions()));
 }
@@ -276,19 +276,13 @@ void AssignSkillsSharded(benchmark::State& state) {
   const Dataset& dataset = data.dataset;
   const int threads = static_cast<int>(state.range(0));
   const int shards = static_cast<int>(state.range(1));
-  std::unique_ptr<ThreadPool> pool;
-  ParallelOptions parallel;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    parallel.num_threads = threads;
-    parallel.users = true;
-  }
+  const std::shared_ptr<exec::Backend> backend = BackendForThreads(threads);
   const std::vector<double> cache =
       trained.model.ItemLogProbCache(dataset.items());
   AssignmentEngine engine(dataset, trained.model.num_levels(), shards);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.Assign(trained.model, cache, nullptr, pool.get(), parallel));
+        engine.Assign(trained.model, cache, nullptr, backend.get()));
   }
   state.counters["threads"] = threads;
   state.counters["shards"] = shards;
@@ -311,11 +305,11 @@ void BM_AssignSkillsSkipping(benchmark::State& state) {
   std::vector<uint8_t> dirty(num_items, 0);
   for (size_t i = 0; i < num_items; i += 100) dirty[i] = 1;
   AssignmentEngine engine(dataset, trained.model.num_levels());
-  engine.Assign(trained.model, cache, nullptr, nullptr, {});  // warm pass
+  engine.Assign(trained.model, cache, nullptr);  // warm pass
   size_t skipped = 0;
   for (auto _ : state) {
     const AssignmentStats stats =
-        engine.Assign(trained.model, cache, nullptr, nullptr, {}, &dirty,
+        engine.Assign(trained.model, cache, nullptr, nullptr, &dirty,
                       /*weights_changed=*/false);
     skipped = stats.skipped_users;
     benchmark::DoNotOptimize(stats.log_likelihood);
@@ -338,28 +332,25 @@ void BM_UpdateStep(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateStep);
 
-// Sufficient-statistics update step vs. the bucket-and-copy reference, at
-// 1 and 8 threads (levels+features parallel). Arg(0) is the thread count.
+// Sufficient-statistics update step at 1 and 8 threads (levels+features
+// parallel). Arg(0) is the thread count.
 void BM_FitParameters(benchmark::State& state) {
   const auto& data = PipelineData();
   const auto& trained = PipelineModel();
   const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
+  const std::shared_ptr<exec::Backend> backend = BackendForThreads(threads);
   ParallelOptions parallel;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    parallel.num_threads = threads;
-    parallel.levels = true;
-    parallel.features = true;
-  }
+  parallel.num_threads = threads;
+  parallel.levels = threads > 1;
+  parallel.features = threads > 1;
   SkillModel model = trained.model;
   for (auto _ : state) {
-    FitParameters(data.dataset, trained.assignments, &model, pool.get(),
+    FitParameters(data.dataset, trained.assignments, &model, backend.get(),
                   parallel);
   }
   state.counters["threads"] = threads;
   state.counters["shards"] = exec::ResolveShardCount(
-      0, pool.get(), static_cast<size_t>(data.dataset.num_users()));
+      0, backend.get(), static_cast<size_t>(data.dataset.num_users()));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.dataset.num_actions()));
 }
@@ -373,14 +364,11 @@ void FitParametersSharded(benchmark::State& state) {
   const auto& trained = PipelineModel();
   const int threads = static_cast<int>(state.range(0));
   const int shards = static_cast<int>(state.range(1));
-  std::unique_ptr<ThreadPool> pool;
+  const std::shared_ptr<exec::Backend> backend = BackendForThreads(threads);
   ParallelOptions parallel;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    parallel.num_threads = threads;
-    parallel.levels = true;
-    parallel.features = true;
-  }
+  parallel.num_threads = threads;
+  parallel.levels = threads > 1;
+  parallel.features = threads > 1;
   SkillModelConfig config = trained.model.config();
   config.num_shards = shards;
   auto model = SkillModel::Create(trained.model.schema(), config);
@@ -391,35 +379,13 @@ void FitParametersSharded(benchmark::State& state) {
   exec::ExecContext context;
   for (auto _ : state) {
     FitParameters(data.dataset, trained.assignments, &model.value(),
-                  pool.get(), parallel, &context);
+                  backend.get(), parallel, &context);
   }
   state.counters["threads"] = threads;
   state.counters["shards"] = shards;
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.dataset.num_actions()));
 }
-
-void BM_FitParametersReference(benchmark::State& state) {
-  const auto& data = PipelineData();
-  const auto& trained = PipelineModel();
-  const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
-  ParallelOptions parallel;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    parallel.num_threads = threads;
-    parallel.levels = true;
-    parallel.features = true;
-  }
-  SkillModel model = trained.model;
-  for (auto _ : state) {
-    FitParametersReference(data.dataset, trained.assignments, &model,
-                           pool.get(), parallel);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(data.dataset.num_actions()));
-}
-BENCHMARK(BM_FitParametersReference)->Arg(1)->Arg(8);
 
 void BM_DifficultyAssignment(benchmark::State& state) {
   const auto& data = PipelineData();

@@ -103,11 +103,11 @@ BENCHMARK(BM_SnapshotLoad);
 // The swap-time cost: full log-prob matrix + per-level rankings.
 void BM_ServingModelBuild(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  const std::shared_ptr<exec::Backend> backend =
+      exec::CreateBackend("", threads).value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ServingModel::FromSnapshot(BenchSnapshot(), pool.get()));
+        ServingModel::FromSnapshot(BenchSnapshot(), backend.get()));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           BenchSnapshot().items.num_items());
@@ -154,7 +154,7 @@ void BM_ServeThroughput(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const int num_sessions = static_cast<int>(state.range(1));
   Server server(BenchServingModel(), /*num_shards=*/256);
-  ThreadPool pool(threads);
+  exec::ThreadPoolBackend pool(threads);
   const int num_items = BenchServingModel()->num_items();
   Rng rng(13);
 

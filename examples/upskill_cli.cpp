@@ -58,7 +58,6 @@
 #include "datagen/language.h"
 #include "datagen/synthetic.h"
 #include "exec/backend.h"
-#include "exec/backend_registry.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
@@ -182,7 +181,7 @@ int Usage() {
       "  select-levels <data_dir> [--min 2] [--max 8]\n"
       "  train <data_dir> <model_out.csv> [--levels S] [--em]\n"
       "        [--transitions] [--threads N] [--verbose]\n"
-      "        [--backend serial|pool|numa]   (execution backend; results\n"
+      "        [--backend serial|pool]   (execution backend; results\n"
       "        are bitwise identical across backends — default picks pool\n"
       "        when --threads > 1 and serial otherwise)\n"
       "        [--metrics-out metrics.prom] [--trace-out trace.json]\n"
@@ -200,11 +199,12 @@ int Usage() {
       "        [--stretch 1.0] [--top 10]\n"
       "  snapshot <data_dir> <model.csv> <out.snap> [--levels S]\n"
       "        [--prior empirical|uniform] [--transitions] [--threads N]\n"
+      "        [--backend serial|pool]\n"
       "  dataset pack <data_dir> <out.store>\n"
       "  dataset inspect <file.store>\n"
       "  dataset compact <base.store> <log.ingest> <out.store>\n"
       "  serve <snapshot.snap> [--threads N] [--shards N] [--quantized]\n"
-      "        [--backend serial|pool|numa]   (backend for snapshot\n"
+      "        [--backend serial|pool]   (backend for snapshot\n"
       "        builds, requantization, and batch fan-out)\n"
       "        [--ingest-log log.ingest]   (tee observed actions into the\n"
       "        append-only store log for later compaction + refresh)\n"
@@ -365,10 +365,6 @@ int TrainOnline(const Args& args, const Dataset& dataset,
     return Fail(Status::InvalidArgument(
         "--online supports the hard-assignment trainer only"));
   }
-  const int threads = static_cast<int>(args.IntFlag("threads", 1));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
   OnlineTrainer trainer(config);
   if (args.HasFlag("previous")) {
     const auto previous = LoadDatasetOrStore(
@@ -377,7 +373,10 @@ int TrainOnline(const Args& args, const Dataset& dataset,
     auto loaded = OnlineTrainer::LoadCheckpoint(checkpoint, config);
     if (!loaded.ok()) return Fail(loaded.status());
     trainer = std::move(loaded).value();
-    const auto stats = trainer.Refresh(previous.value(), dataset, pool.get());
+    const auto backend = CreateTrainingBackend(config);
+    if (!backend.ok()) return Fail(backend.status());
+    const auto stats =
+        trainer.Refresh(previous.value(), dataset, backend.value().get());
     if (!stats.ok()) return Fail(stats.status());
     std::printf("refreshed: %zu dirty users (%zu new), %zu clean; "
                 "%zu actions added, %zu replaced, %.3fs\n",
@@ -652,12 +651,11 @@ int CmdSnapshot(const Args& args) {
       SkillModel::Load(args.positional[1], dataset.value().schema(), config);
   if (!model.ok()) return Fail(model.status());
 
-  const int threads = static_cast<int>(args.IntFlag("threads", 1));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
+  const auto backend = CreateTrainingBackend(config);
+  if (!backend.ok()) return Fail(backend.status());
   const SkillAssignments assignments = AssignSkills(
-      dataset.value(), model.value(), pool.get(), config.parallel);
+      dataset.value(), model.value(),
+      config.parallel.users ? backend.value().get() : nullptr);
   const std::string prior = args.StringFlag("prior", "empirical");
   const auto difficulty = EstimateDifficultyByGeneration(
       dataset.value().items(), model.value(),

@@ -20,8 +20,8 @@
 #            over a store built larger than UPSKILL_STORE_BUDGET_MB
 #            (default 64; the fixture writes ~2x the budget to /tmp)
 #     exec   bench_exec: the sharded assignment/fit kernels once per
-#            execution backend (serial | pool | numa); every entry names
-#            its backend and records threads/shards/nodes/steals counters
+#            execution backend (serial | pool); every entry names its
+#            backend and records threads/shards counters
 #     obs    bench_obs: request-trace overhead on the serving hot path —
 #            BM_RequestTraceOverhead with the flight recorder detached /
 #            tail-sampling / recording everything (the <= 2% overhead

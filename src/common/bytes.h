@@ -87,6 +87,9 @@ class ByteReader {
   }
   bool exhausted() const { return pos_ == size_; }
   size_t position() const { return pos_; }
+  /// Unread bytes; decoders check counts against this before sizing
+  /// anything from them.
+  size_t remaining() const { return size_ - pos_; }
 
  private:
   const char* data_;

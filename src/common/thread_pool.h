@@ -13,8 +13,9 @@ namespace upskill {
 
 /// Fixed-size worker pool. Section IV-C of the paper derives three
 /// independent axes of parallelism for training (users in the assignment
-/// step; skill levels and features in the update step); the trainer maps
-/// each axis onto this pool via ParallelFor below.
+/// step; skill levels and features in the update step); callers request
+/// them through exec::Backend, and exec::ThreadPoolBackend runs them on
+/// this pool via ParallelFor below.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).

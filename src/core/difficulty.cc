@@ -84,8 +84,7 @@ Result<std::vector<double>> EstimateDifficultyByGeneration(
   // 0.0, as ItemLogProb does, so every log P(i | s) is bitwise the scalar
   // value.
   const size_t levels = static_cast<size_t>(num_levels);
-  const std::vector<double> log_probs =
-      model.ItemLogProbCache(items, static_cast<ThreadPool*>(nullptr));
+  const std::vector<double> log_probs = model.ItemLogProbCache(items);
   std::vector<double> difficulty(static_cast<size_t>(items.num_items()));
   std::vector<double> log_posterior(levels);
   for (size_t i = 0; i < difficulty.size(); ++i) {

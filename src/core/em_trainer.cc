@@ -9,7 +9,6 @@
 #include "core/dp.h"
 #include "core/trainer.h"
 #include "exec/backend.h"
-#include "exec/backend_registry.h"
 #include "exec/map_reduce.h"
 #include "exec/workspace.h"
 
@@ -51,9 +50,8 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
   const int S = config_.model.num_levels;
   const size_t levels = static_cast<size_t>(S);
 
-  Result<std::shared_ptr<exec::Backend>> backend_result = exec::CreateBackend(
-      config_.model.backend,
-      config_.model.parallel.any() ? config_.model.parallel.num_threads : 1);
+  Result<std::shared_ptr<exec::Backend>> backend_result =
+      CreateTrainingBackend(config_.model);
   if (!backend_result.ok()) return backend_result.status();
   std::shared_ptr<exec::Backend> backend = std::move(backend_result).value();
   exec::Backend* user_backend =
@@ -66,15 +64,15 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
   // shard plan and per-shard workspaces (forward/backward arenas, DP
   // arenas) across all iterations.
   exec::ExecContext exec_context;
-  exec_context.SetBackend(backend);
-  exec_context.EnsureUserShards(dataset, config_.model.num_shards);
+  exec_context.EnsureUserShards(dataset, config_.model.num_shards,
+                                backend.get());
 
   // Initialization: same uniform-segmentation hard fit as the hard
   // trainer, so the two are directly comparable.
   {
     const SkillAssignments init = InitializeAssignments(
         dataset, S, config_.model.min_init_actions);
-    FitParameters(dataset, init, &result.model, nullptr,
+    FitParameters(dataset, init, &result.model, backend.get(),
                   config_.model.parallel, &exec_context);
   }
   result.initial_distribution.assign(levels, 1.0 / static_cast<double>(S));

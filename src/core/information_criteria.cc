@@ -35,7 +35,7 @@ Result<InformationCriteria> ComputeInformationCriteria(
   criteria.num_actions = dataset.num_actions();
   criteria.num_parameters =
       CountModelParameters(model.schema(), model.num_levels());
-  AssignSkills(dataset, model, nullptr, {}, &criteria.log_likelihood);
+  AssignSkills(dataset, model, nullptr, &criteria.log_likelihood);
   const double k = static_cast<double>(criteria.num_parameters);
   const double n = static_cast<double>(criteria.num_actions);
   criteria.bic = -2.0 * criteria.log_likelihood + k * std::log(n);

@@ -127,7 +127,7 @@ Result<TrainResult> OnlineTrainer::TrainFullReplay(const Dataset& dataset) {
 
 Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
                                                   const Dataset& current,
-                                                  ThreadPool* pool) {
+                                                  exec::Backend* backend) {
   if (!trained_) {
     return Status::FailedPrecondition(
         "online trainer has no state; call TrainFullReplay or "
@@ -177,7 +177,7 @@ Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
   // cells the last M-step dirtied, and only users whose action bytes
   // changed re-run the DP. Serial on purpose — the delta is the small
   // side, and a fixed visit order keeps the pass trivially deterministic.
-  cache_.Update(model_, current.items(), pool);
+  cache_.Update(model_, current.items(), backend);
   const std::vector<double>& item_log_probs = cache_.values();
   const bool use_transitions =
       config_.transitions == TransitionModel::kGlobal;
@@ -256,7 +256,7 @@ Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
   const bool track_delta = obs::MetricsEnabled() && stats.dirty_users > 0;
   if (track_delta) params_before = FlattenedParameters();
   if (stats.dirty_users > 0) {
-    FitCellsFromCountGrid(current.items(), level_counts_, &model_, pool,
+    FitCellsFromCountGrid(current.items(), level_counts_, &model_, backend,
                           config_.parallel);
     if (use_transitions) {
       transitions_ = FitTransitionWeights(assignments_, config_.num_levels,
@@ -414,6 +414,10 @@ Result<OnlineTrainer> OnlineTrainer::LoadCheckpoint(
   if (static_cast<uint32_t>(schema.value().num_features()) != num_features) {
     return corrupt("schema/feature-count mismatch");
   }
+  if (!ComponentParametersFit(schema.value(), config.num_levels,
+                              reader.remaining())) {
+    return corrupt("model shape exceeds the file");
+  }
   uint64_t num_items = 0;
   if (!reader.U64(&num_items)) return corrupt("truncated item count");
 
@@ -435,12 +439,18 @@ Result<OnlineTrainer> OnlineTrainer::LoadCheckpoint(
       }
     }
   }
+  // Each user takes at least its 4-byte path length, each level 4 bytes.
   uint64_t num_users = 0;
   if (!reader.U64(&num_users)) return corrupt("truncated user count");
+  if (num_users > reader.remaining() / sizeof(uint32_t)) {
+    return corrupt("user count exceeds the file");
+  }
   trainer.assignments_.resize(num_users);
   for (uint64_t u = 0; u < num_users; ++u) {
     uint32_t length = 0;
-    if (!reader.U32(&length)) return corrupt("truncated assignments");
+    if (!reader.U32(&length) || length > reader.remaining() / sizeof(int)) {
+      return corrupt("truncated assignments");
+    }
     std::vector<int>& path = trainer.assignments_[u];
     path.resize(length);
     if (!reader.Raw(path.data(), static_cast<size_t>(length) * sizeof(int))) {
@@ -457,6 +467,9 @@ Result<OnlineTrainer> OnlineTrainer::LoadCheckpoint(
   if (!reader.U64(&grid_size)) return corrupt("truncated grid");
   if (grid_size != static_cast<uint64_t>(num_levels) * num_items) {
     return corrupt("grid size does not match levels * items");
+  }
+  if (grid_size > reader.remaining() / sizeof(double)) {
+    return corrupt("truncated grid");
   }
   trainer.level_counts_.resize(static_cast<size_t>(grid_size));
   if (!reader.Doubles(trainer.level_counts_)) return corrupt("truncated grid");

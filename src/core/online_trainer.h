@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/dp.h"
 #include "core/skill_model.h"
 #include "core/trainer.h"
@@ -86,10 +85,12 @@ class OnlineTrainer {
   /// trained/refreshed on (user names must match on the shared prefix and
   /// the item catalog must be unchanged); `current` may append users
   /// and/or grow or reshuffle existing sequences (compaction merges by
-  /// time). Requires a prior TrainFullReplay or LoadCheckpoint.
+  /// time). Requires a prior TrainFullReplay or LoadCheckpoint. The
+  /// cache refresh and the cell refit dispatch through `backend` (null =
+  /// serial).
   Result<OnlineRefreshStats> Refresh(const Dataset& previous,
                                      const Dataset& current,
-                                     ThreadPool* pool = nullptr);
+                                     exec::Backend* backend = nullptr);
 
   /// Serializes the full online state (config echo, schema, component
   /// parameters, assignments, count grid, transition weights) with a

@@ -111,13 +111,6 @@ double SkillModel::ItemLogProb(const ItemTable& items, ItemId item,
   return total;
 }
 
-std::vector<double> SkillModel::ItemLogProbCache(const ItemTable& items,
-                                                 ThreadPool* pool) const {
-  LogProbCache cache;
-  cache.Update(*this, items, pool);
-  return std::move(cache).TakeValues();
-}
-
 std::vector<double> SkillModel::ItemLogProbCache(
     const ItemTable& items, exec::Backend* backend) const {
   LogProbCache cache;
@@ -131,12 +124,6 @@ namespace {
 // every worker.
 constexpr size_t kCacheBlock = 2048;
 }  // namespace
-
-void LogProbCache::Update(const SkillModel& model, const ItemTable& items,
-                          ThreadPool* pool) {
-  exec::BackendChoice choice;
-  Update(model, items, choice.Resolve(nullptr, pool));
-}
 
 void LogProbCache::Update(const SkillModel& model, const ItemTable& items,
                           exec::Backend* backend) {

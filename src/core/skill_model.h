@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "dist/distribution.h"
 
@@ -23,6 +22,10 @@ class Backend;
 ///  - `levels`:   the update step fans out over skill levels;
 ///  - `features`: the update step fans out over features (only available
 ///                in the multi-faceted model, as the paper notes).
+/// This is an ablation knob, not a way to request threads: the training
+/// drivers build one exec::Backend with `num_threads` workers when any()
+/// holds and hand the assignment step a serial one when `users` is off;
+/// FitParameters reads `levels` and `features` to shape its cell fan-out.
 struct ParallelOptions {
   int num_threads = 1;
   bool users = false;
@@ -102,13 +105,12 @@ struct SkillModelConfig {
   /// DP (results are provably identical either way). Disable to force a
   /// full DP pass every iteration (equivalence tests, benchmarks).
   bool incremental_assignment = true;
-  /// Execution backend name resolved through exec::BackendRegistry
-  /// ("serial", "pool", "numa", or a later-registered backend). Empty or
-  /// "auto" picks "pool" when parallel.any() and "serial" otherwise.
-  /// Backend choice only moves scheduling across threads and NUMA nodes;
-  /// fitted parameters, assignments, objectives, eval reports, and
-  /// snapshot bytes are bitwise identical for every backend (enforced by
-  /// the tests/exec backend sweep).
+  /// Execution backend name passed to exec::CreateBackend ("serial" or
+  /// "pool"). Empty or "auto" picks "pool" when parallel.any() and
+  /// "serial" otherwise. Backend choice only moves scheduling across
+  /// threads; fitted parameters, assignments, objectives, eval reports,
+  /// and snapshot bytes are bitwise identical for every backend (enforced
+  /// by the tests/exec backend sweep).
   std::string backend;
 };
 
@@ -159,13 +161,10 @@ class SkillModel {
 
   /// Precomputes log P(i | s) for every (item, level) pair; entry
   /// [item * S + (level-1)]. The assignment step reuses this across all
-  /// occurrences of an item. Parallelizes over items when `pool` is given.
+  /// occurrences of an item. Parallelizes over items through `backend`
+  /// (null = serial).
   std::vector<double> ItemLogProbCache(const ItemTable& items,
-                                       ThreadPool* pool = nullptr) const;
-
-  /// Backend form: parallelizes through `backend` (null = serial).
-  std::vector<double> ItemLogProbCache(const ItemTable& items,
-                                       exec::Backend* backend) const;
+                                       exec::Backend* backend = nullptr) const;
 
   /// Serializes all component parameters as CSV.
   Status Save(const std::string& path) const;
@@ -205,13 +204,9 @@ class LogProbCache {
 
   /// Refreshes the cache against `model`'s current parameters. A shape
   /// change (item count, levels, or features) invalidates everything.
+  /// The block loops dispatch through `backend` (null = serial).
   void Update(const SkillModel& model, const ItemTable& items,
-              ThreadPool* pool = nullptr);
-
-  /// Backend form: the block loops below dispatch through `backend`
-  /// (null = serial). The ThreadPool overload wraps and forwards here.
-  void Update(const SkillModel& model, const ItemTable& items,
-              exec::Backend* backend);
+              exec::Backend* backend = nullptr);
 
   /// Item-major totals, valid after Update(); entry [item * S + (level-1)].
   const std::vector<double>& values() const { return totals_; }

@@ -8,13 +8,18 @@
 #include "common/stopwatch.h"
 #include "core/dp.h"
 #include "exec/backend.h"
-#include "exec/backend_registry.h"
 #include "exec/map_reduce.h"
 #include "exec/shard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace upskill {
+
+Result<std::shared_ptr<exec::Backend>> CreateTrainingBackend(
+    const SkillModelConfig& config) {
+  return exec::CreateBackend(
+      config.backend, config.parallel.any() ? config.parallel.num_threads : 1);
+}
 
 std::vector<int> SegmentUniformly(size_t length, int num_levels) {
   std::vector<int> levels(length);
@@ -61,7 +66,7 @@ namespace {
 
 // Item count below which the per-item column transforms in FitParameters
 // (clamp + log) run inline: at ~5ns per item the work only outweighs a
-// pool dispatch for catalogs of tens of thousands of items.
+// backend dispatch for catalogs of tens of thousands of items.
 constexpr size_t kMinItemsForParallelTransform = 65536;
 
 // Runs fit_cell over the (level, feature) grid with the axis fan-out
@@ -238,17 +243,8 @@ void FitCellsFromCountGrid(const ItemTable& items,
   DispatchCells(backend, parallel, num_levels, num_features, fit_cell);
 }
 
-void FitCellsFromCountGrid(const ItemTable& items,
-                           std::span<const double> level_counts,
-                           SkillModel* model, ThreadPool* pool,
-                           ParallelOptions parallel) {
-  exec::BackendChoice choice;
-  FitCellsFromCountGrid(items, level_counts, model,
-                        choice.Resolve(nullptr, pool), parallel);
-}
-
 void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
-                   SkillModel* model, ThreadPool* pool,
+                   SkillModel* model, exec::Backend* backend,
                    ParallelOptions parallel, exec::ExecContext* exec_context) {
   UPSKILL_CHECK(model != nullptr);
   const size_t levels_sz = static_cast<size_t>(model->num_levels());
@@ -259,13 +255,9 @@ void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
   exec::ExecContext local_context;
   exec::ExecContext& ctx =
       exec_context != nullptr ? *exec_context : local_context;
-  // Backend resolution: a context-installed backend wins (Trainer/EM run
-  // everything through one registry-built backend); otherwise the legacy
-  // ThreadPool* argument is wrapped for the call's duration. The
-  // accumulation pass fans out whenever the update step is parallel on
-  // either axis.
-  exec::BackendChoice choice;
-  exec::Backend* backend = exec::AxisBackend(&ctx, true, pool, choice);
+  // The accumulation pass fans out whenever the update step is parallel
+  // on either axis.
+  if (backend == nullptr) backend = exec::SerialBackend::Get();
   exec::Backend* update_backend =
       ((parallel.levels || parallel.features) && backend->concurrency() > 1)
           ? backend
@@ -293,8 +285,7 @@ void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
       total_actions += dataset.sequence(u).size();
     }
   }
-  ctx.EnsureUserShards(dataset, model->config().num_shards,
-                       static_cast<const exec::Backend*>(update_backend));
+  ctx.EnsureUserShards(dataset, model->config().num_shards, update_backend);
   const int num_shards = ctx.num_shards();
   exec::Backend* count_backend =
       total_actions >= grid_size * static_cast<size_t>(num_shards)
@@ -346,42 +337,6 @@ void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
   FitCellsFromCountGrid(items, level_counts, model, backend, parallel);
 }
 
-void FitParametersReference(const Dataset& dataset,
-                            const SkillAssignments& assignments,
-                            SkillModel* model, ThreadPool* pool,
-                            ParallelOptions parallel) {
-  UPSKILL_CHECK(model != nullptr);
-  const int num_levels = model->num_levels();
-  const int num_features = model->num_features();
-
-  // Group item occurrences by assigned level (O(|A|), as in Section IV-C).
-  std::vector<std::vector<ItemId>> by_level(
-      static_cast<size_t>(num_levels));
-  for (UserId u = 0; u < dataset.num_users(); ++u) {
-    const std::vector<int>& levels = assignments[static_cast<size_t>(u)];
-    if (levels.empty()) continue;  // user excluded (initialization)
-    std::span<const Action> seq = dataset.sequence(u);
-    UPSKILL_CHECK(levels.size() == seq.size());
-    for (size_t n = 0; n < seq.size(); ++n) {
-      by_level[static_cast<size_t>(levels[n] - 1)].push_back(seq[n].item);
-    }
-  }
-
-  const ItemTable& items = dataset.items();
-  auto fit_cell = [&](int feature, int level) {
-    const std::vector<ItemId>& members =
-        by_level[static_cast<size_t>(level - 1)];
-    if (members.empty()) return;  // keep current parameters
-    std::vector<double> values;
-    values.reserve(members.size());
-    for (ItemId item : members) values.push_back(items.value(item, feature));
-    model->mutable_component(feature, level)->Fit(values);
-  };
-  exec::BackendChoice choice;
-  DispatchCells(choice.Resolve(nullptr, pool), parallel, num_levels,
-                num_features, fit_cell);
-}
-
 AssignmentEngine::AssignmentEngine(const Dataset& dataset, int num_levels,
                                    int num_shards,
                                    exec::ExecContext* context)
@@ -425,8 +380,7 @@ AssignmentStats AssignmentEngine::RunPass(
   // decides which of its users to re-solve, so no serial step runs
   // before the shards start.
   exec::ExecContext& ctx = *context_;
-  ctx.EnsureUserShards(*dataset_, num_shards_request_,
-                       static_cast<const exec::Backend*>(user_backend));
+  ctx.EnsureUserShards(*dataset_, num_shards_request_, user_backend);
   const int num_shards = ctx.num_shards();
   exec::MapShards(user_backend, num_shards, [&](int shard_index) {
     const exec::DatasetShard& shard =
@@ -473,12 +427,8 @@ AssignmentStats AssignmentEngine::RunPass(
 
 AssignmentStats AssignmentEngine::Assign(
     const SkillModel& model, const std::vector<double>& item_log_probs,
-    const TransitionWeights* transitions, ThreadPool* pool,
-    ParallelOptions parallel, const std::vector<uint8_t>* dirty_items,
-    bool weights_changed) {
-  exec::BackendChoice choice;
-  exec::Backend* user_backend =
-      exec::AxisBackend(context_, parallel.users, pool, choice);
+    const TransitionWeights* transitions, exec::Backend* backend,
+    const std::vector<uint8_t>* dirty_items, bool weights_changed) {
   const int num_levels = num_levels_;
   const ForgettingConfig& forgetting = model.config().forgetting;
   const double log_down = std::log(forgetting.drop_probability);
@@ -489,7 +439,7 @@ AssignmentStats AssignmentEngine::Assign(
   const double log_up = transitions == nullptr ? 0.0 : transitions->log_up;
   const Dataset& dataset = *dataset_;
   return RunPass(
-      user_backend, dirty_items, weights_changed,
+      backend, dirty_items, weights_changed,
       [&](DpScratch& scratch, size_t u) {
         std::span<const Action> seq =
             dataset.sequence(static_cast<UserId>(u));
@@ -514,18 +464,14 @@ AssignmentStats AssignmentEngine::Assign(
 
 AssignmentStats AssignmentEngine::AssignWithClasses(
     const SkillModel& model, const std::vector<double>& item_log_probs,
-    std::span<const ProgressionClassWeights> classes, ThreadPool* pool,
-    ParallelOptions parallel, const std::vector<uint8_t>* dirty_items,
-    bool weights_changed) {
+    std::span<const ProgressionClassWeights> classes, exec::Backend* backend,
+    const std::vector<uint8_t>* dirty_items, bool weights_changed) {
   UPSKILL_CHECK(!classes.empty());
   (void)model;
-  exec::BackendChoice choice;
-  exec::Backend* user_backend =
-      exec::AxisBackend(context_, parallel.users, pool, choice);
   const int num_levels = num_levels_;
   const Dataset& dataset = *dataset_;
   return RunPass(
-      user_backend, dirty_items, weights_changed,
+      backend, dirty_items, weights_changed,
       [&](DpScratch& scratch, size_t u) {
         std::span<const Action> seq =
             dataset.sequence(static_cast<UserId>(u));
@@ -557,23 +503,22 @@ AssignmentStats AssignmentEngine::AssignWithClasses(
 }
 
 SkillAssignments AssignSkills(const Dataset& dataset, const SkillModel& model,
-                              ThreadPool* pool, ParallelOptions parallel,
+                              exec::Backend* backend,
                               double* total_log_likelihood,
                               const TransitionWeights* transitions,
                               const std::vector<double>* item_log_probs) {
-  ThreadPool* user_pool = (parallel.users && pool != nullptr) ? pool : nullptr;
   // The per-(item, level) log-probability cache is shared across all
   // occurrences of an item; the trainer passes its incrementally
   // maintained cache, standalone callers get a fresh one.
   std::vector<double> computed;
   if (item_log_probs == nullptr) {
-    computed = model.ItemLogProbCache(dataset.items(), user_pool);
+    computed = model.ItemLogProbCache(dataset.items(), backend);
     item_log_probs = &computed;
   }
   AssignmentEngine engine(dataset, model.num_levels(),
                           model.config().num_shards);
   const AssignmentStats stats =
-      engine.Assign(model, *item_log_probs, transitions, pool, parallel);
+      engine.Assign(model, *item_log_probs, transitions, backend);
   if (total_log_likelihood != nullptr) {
     *total_log_likelihood = stats.log_likelihood;
   }
@@ -582,20 +527,18 @@ SkillAssignments AssignSkills(const Dataset& dataset, const SkillModel& model,
 
 SkillAssignments AssignSkillsWithClasses(
     const Dataset& dataset, const SkillModel& model,
-    std::span<const ProgressionClassWeights> classes, ThreadPool* pool,
-    ParallelOptions parallel, double* total_log_likelihood,
-    std::vector<int>* user_classes,
+    std::span<const ProgressionClassWeights> classes, exec::Backend* backend,
+    double* total_log_likelihood, std::vector<int>* user_classes,
     const std::vector<double>* item_log_probs) {
-  ThreadPool* user_pool = (parallel.users && pool != nullptr) ? pool : nullptr;
   std::vector<double> computed;
   if (item_log_probs == nullptr) {
-    computed = model.ItemLogProbCache(dataset.items(), user_pool);
+    computed = model.ItemLogProbCache(dataset.items(), backend);
     item_log_probs = &computed;
   }
   AssignmentEngine engine(dataset, model.num_levels(),
                           model.config().num_shards);
-  const AssignmentStats stats = engine.AssignWithClasses(
-      model, *item_log_probs, classes, pool, parallel);
+  const AssignmentStats stats =
+      engine.AssignWithClasses(model, *item_log_probs, classes, backend);
   if (total_log_likelihood != nullptr) {
     *total_log_likelihood = stats.log_likelihood;
   }
@@ -659,14 +602,10 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
   TrainResult result;
   result.model = std::move(created).value();
 
-  // Build the execution backend from the registry: an explicit
-  // config_.backend name wins; "" / "auto" resolves to the thread pool
-  // when parallelism is requested and to serial otherwise (the old
-  // "create a pool iff parallel.any()" behavior). Backend choice only
-  // moves scheduling, never results — the determinism sweep in
-  // tests/exec enforces that bitwise.
-  Result<std::shared_ptr<exec::Backend>> backend_result = exec::CreateBackend(
-      config_.backend, config_.parallel.any() ? config_.parallel.num_threads : 1);
+  // Backend choice only moves scheduling, never results — the
+  // determinism sweep in tests/exec enforces that bitwise.
+  Result<std::shared_ptr<exec::Backend>> backend_result =
+      CreateTrainingBackend(config_);
   if (!backend_result.ok()) return backend_result.status();
   std::shared_ptr<exec::Backend> backend = std::move(backend_result).value();
 
@@ -682,11 +621,11 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
 
   // One sharded-execution context for the whole run: the assignment
   // engine and the update step's count sweep share the same user-axis
-  // shard plan and per-shard workspaces across all iterations, all
-  // dispatched through the installed backend.
+  // shard plan and per-shard workspaces across all iterations. The plan
+  // is sized here from the full backend, before any phase runs; later
+  // phases pass axis-gated backends and keep it.
   exec::ExecContext exec_context;
-  exec_context.SetBackend(backend);
-  exec_context.EnsureUserShards(dataset, config_.num_shards);
+  exec_context.EnsureUserShards(dataset, config_.num_shards, backend.get());
 
   // Phase telemetry: every phase below runs under an obs::Span, which
   // yields the wall-clock seconds for TrainResult's per-run readouts,
@@ -701,8 +640,8 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
     obs::Span span("train/init");
     const SkillAssignments init = InitializeAssignments(
         dataset, config_.num_levels, config_.min_init_actions);
-    FitParameters(dataset, init, &result.model, nullptr, config_.parallel,
-                  &exec_context);
+    FitParameters(dataset, init, &result.model, backend.get(),
+                  config_.parallel, &exec_context);
     if (use_transitions) {
       transition_weights =
           FitTransitionWeights(init, config_.num_levels, config_.smoothing);
@@ -768,12 +707,11 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
     const AssignmentStats stats =
         use_classes
             ? engine.AssignWithClasses(result.model, log_prob_cache.values(),
-                                       classes, nullptr, config_.parallel,
-                                       dirty_items, weights_changed)
+                                       classes, user_backend, dirty_items,
+                                       weights_changed)
             : engine.Assign(result.model, log_prob_cache.values(),
                             use_transitions ? &transition_weights : nullptr,
-                            nullptr, config_.parallel, dirty_items,
-                            weights_changed);
+                            user_backend, dirty_items, weights_changed);
     {
       const double seconds = assign_span.StopSeconds();
       result.assignment_seconds += seconds;
@@ -806,7 +744,7 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
 
     obs::Span update_span("train/update", -1, iteration);
     const SkillAssignments& assignments = engine.assignments();
-    FitParameters(dataset, assignments, &result.model, nullptr,
+    FitParameters(dataset, assignments, &result.model, backend.get(),
                   config_.parallel, &exec_context);
     if (use_transitions) {
       TransitionWeights next = FitTransitionWeights(

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/dp.h"
 #include "core/skill_model.h"
 #include "data/dataset.h"
@@ -85,6 +84,13 @@ class Trainer {
   SkillModelConfig config_;
 };
 
+/// The one backend a training driver (Trainer::Train, EmTrainer::Train,
+/// the CLI's online refresh and snapshot) runs on:
+/// exec::CreateBackend(config.backend, config.parallel.num_threads) when
+/// config.parallel.any(), with one thread otherwise.
+Result<std::shared_ptr<exec::Backend>> CreateTrainingBackend(
+    const SkillModelConfig& config);
+
 /// Uniform-segmentation levels for one sequence length: action n of len
 /// gets level 1 + floor(n * S / len). Shared by the initializer and the
 /// Uniform baseline.
@@ -112,13 +118,14 @@ SkillAssignments InitializeAssignments(const Dataset& dataset, int num_levels,
 /// per-cell reduction runs in fixed item order, so the fitted parameters
 /// are bitwise identical for any thread count (gamma/log-normal log-sums
 /// are reassociated relative to a flat loop, but deterministically so).
-/// Parallelizes the pass when `parallel` enables the level and/or feature
-/// axis; the count sweep shards the user axis through `exec_context` (a
-/// shared one from Trainer::Train, or a call-local one) when the dataset
-/// is large enough, merging the exact per-shard count grids in fixed
-/// shard order — bitwise identical for any thread and shard count.
+/// Dispatches through `backend` (null = serial) when `parallel` enables
+/// the level and/or feature axis; the count sweep shards the user axis
+/// through `exec_context` (a shared one from Trainer::Train, or a
+/// call-local one) when the dataset is large enough, merging the exact
+/// per-shard count grids in fixed shard order — bitwise identical for any
+/// thread and shard count.
 void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
-                   SkillModel* model, ThreadPool* pool = nullptr,
+                   SkillModel* model, exec::Backend* backend = nullptr,
                    ParallelOptions parallel = {},
                    exec::ExecContext* exec_context = nullptr);
 
@@ -128,41 +135,24 @@ void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
 /// num_levels * num_items). Because the grid holds exact integer sums, any
 /// path that produces the same grid — one full sweep or incremental
 /// subtract/add maintenance — refits to bitwise-identical parameters. This
-/// is the contract the online trainer builds on.
+/// is the contract the online trainer builds on. The per-axis cell fan-out
+/// and the large-catalog column transforms dispatch through `backend`
+/// (null = serial) as `parallel` selects.
 void FitCellsFromCountGrid(const ItemTable& items,
                            std::span<const double> level_counts,
-                           SkillModel* model, ThreadPool* pool = nullptr,
+                           SkillModel* model, exec::Backend* backend = nullptr,
                            ParallelOptions parallel = {});
-
-/// Backend form: dispatches the per-axis cell fan-out and the large-
-/// catalog column transforms through `backend` (null = serial). The
-/// ThreadPool overload above wraps its pool and forwards here.
-void FitCellsFromCountGrid(const ItemTable& items,
-                           std::span<const double> level_counts,
-                           SkillModel* model, exec::Backend* backend,
-                           ParallelOptions parallel);
-
-/// Reference implementation of the update step: groups item occurrences
-/// into per-level buckets, then copies each (feature, level) cell's values
-/// into a buffer and calls Distribution::Fit. Kept as the equivalence
-/// oracle for FitParameters and as the benchmark baseline; new code should
-/// call FitParameters.
-void FitParametersReference(const Dataset& dataset,
-                            const SkillAssignments& assignments,
-                            SkillModel* model, ThreadPool* pool = nullptr,
-                            ParallelOptions parallel = {});
 
 /// The assignment step (Equation 4): per-user DP against the item
 /// log-probability cache. Returns the new assignments and, via
 /// `total_log_likelihood`, the objective value of Equation 3 under them
-/// (including transition terms when `transitions` is non-null).
-/// Parallelizes over users per `parallel` using `pool`. When
-/// `item_log_probs` is non-null it must be a [item * S + (level-1)] cache
-/// (e.g. LogProbCache::values()) and is used as-is; otherwise the cache is
+/// (including transition terms when `transitions` is non-null). Runs the
+/// users through `backend` (null = serial). When `item_log_probs` is
+/// non-null it must be a [item * S + (level-1)] cache (e.g.
+/// LogProbCache::values()) and is used as-is; otherwise the cache is
 /// computed internally.
 SkillAssignments AssignSkills(const Dataset& dataset, const SkillModel& model,
-                              ThreadPool* pool = nullptr,
-                              ParallelOptions parallel = {},
+                              exec::Backend* backend = nullptr,
                               double* total_log_likelihood = nullptr,
                               const TransitionWeights* transitions = nullptr,
                               const std::vector<double>* item_log_probs =
@@ -208,23 +198,24 @@ struct AssignmentStats {
 /// sequences unchanged.
 class AssignmentEngine {
  public:
-  /// `num_shards` <= 0 resolves automatically from the pool of the first
-  /// pass. `context` (optional) shares one ExecContext across drivers —
-  /// e.g. Trainer::Train hands the same context to the engine and
-  /// FitParameters so they reuse one shard plan and one workspace set.
+  /// `num_shards` <= 0 resolves automatically from the backend of the
+  /// first pass. `context` (optional) shares one ExecContext across
+  /// drivers — e.g. Trainer::Train hands the same context to the engine
+  /// and FitParameters so they reuse one shard plan and one workspace set.
   explicit AssignmentEngine(const Dataset& dataset, int num_levels,
                             int num_shards = 0,
                             exec::ExecContext* context = nullptr);
 
   /// One assignment pass (Equation 4), plain or with global transition
-  /// weights (`transitions` may be null). `dirty_items` enables skipping:
-  /// when non-null and `weights_changed` is false, users none of whose
-  /// items are flagged keep their previous path. Pass null / true to
-  /// force a full pass. Forgetting is honored per `model.config()`.
+  /// weights (`transitions` may be null), its user shards run through
+  /// `backend` (null = serial). `dirty_items` enables skipping: when
+  /// non-null and `weights_changed` is false, users none of whose items
+  /// are flagged keep their previous path. Pass null / true to force a
+  /// full pass. Forgetting is honored per `model.config()`.
   AssignmentStats Assign(const SkillModel& model,
                          const std::vector<double>& item_log_probs,
                          const TransitionWeights* transitions,
-                         ThreadPool* pool, ParallelOptions parallel,
+                         exec::Backend* backend = nullptr,
                          const std::vector<uint8_t>* dirty_items = nullptr,
                          bool weights_changed = true);
 
@@ -232,8 +223,8 @@ class AssignmentEngine {
   /// chosen class is carried forward for skipped users.
   AssignmentStats AssignWithClasses(
       const SkillModel& model, const std::vector<double>& item_log_probs,
-      std::span<const ProgressionClassWeights> classes, ThreadPool* pool,
-      ParallelOptions parallel,
+      std::span<const ProgressionClassWeights> classes,
+      exec::Backend* backend = nullptr,
       const std::vector<uint8_t>* dirty_items = nullptr,
       bool weights_changed = true);
 
@@ -270,8 +261,7 @@ class AssignmentEngine {
 SkillAssignments AssignSkillsWithClasses(
     const Dataset& dataset, const SkillModel& model,
     std::span<const ProgressionClassWeights> classes,
-    ThreadPool* pool = nullptr, ParallelOptions parallel = {},
-    double* total_log_likelihood = nullptr,
+    exec::Backend* backend = nullptr, double* total_log_likelihood = nullptr,
     std::vector<int>* user_classes = nullptr,
     const std::vector<double>* item_log_probs = nullptr);
 

@@ -41,6 +41,11 @@ Result<FeatureSchema> DeserializeSchema(ByteReader* in) {
         !in->I32(&cardinality) || !in->U32(&num_labels)) {
       return Status::Corruption(StringPrintf("schema feature %d", f));
     }
+    // Each label takes at least its 4-byte length.
+    if (num_labels > in->remaining() / sizeof(uint32_t)) {
+      return Status::Corruption(
+          StringPrintf("schema labels of feature %d", f));
+    }
     std::vector<std::string> labels(num_labels);
     for (std::string& label : labels) {
       if (!in->Str(&label)) {
@@ -65,6 +70,24 @@ Result<FeatureSchema> DeserializeSchema(ByteReader* in) {
     if (!added.ok()) return added.status();
   }
   return schema;
+}
+
+bool ComponentParametersFit(const FeatureSchema& schema, int num_levels,
+                            size_t remaining) {
+  if (num_levels <= 0) return true;
+  // Bytes of one level's cells, compared as it grows so it cannot
+  // overflow.
+  size_t level_bytes = 0;
+  for (int f = 0; f < schema.num_features(); ++f) {
+    const FeatureSpec& spec = schema.feature(f);
+    level_bytes += sizeof(uint32_t);
+    if (spec.distribution == DistributionKind::kCategorical) {
+      level_bytes += static_cast<size_t>(spec.cardinality) * sizeof(double);
+    }
+    if (level_bytes > remaining) return false;
+  }
+  return level_bytes == 0 ||
+         static_cast<size_t>(num_levels) <= remaining / level_bytes;
 }
 
 }  // namespace upskill

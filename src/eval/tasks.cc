@@ -15,15 +15,6 @@ namespace eval {
 Result<ItemPredictionReport> EvaluateItemPrediction(
     const Dataset& train, const SkillAssignments& assignments,
     const SkillModel& model, const std::vector<HeldOutAction>& test, int k,
-    ThreadPool* pool) {
-  exec::BackendChoice choice;
-  return EvaluateItemPrediction(train, assignments, model, test, k,
-                                choice.Resolve(nullptr, pool));
-}
-
-Result<ItemPredictionReport> EvaluateItemPrediction(
-    const Dataset& train, const SkillAssignments& assignments,
-    const SkillModel& model, const std::vector<HeldOutAction>& test, int k,
     exec::Backend* backend) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   if (backend == nullptr) backend = exec::SerialBackend::Get();
@@ -35,8 +26,7 @@ Result<ItemPredictionReport> EvaluateItemPrediction(
   // (first error in shard order); the reciprocal ranks land per-case.
   const exec::ShardPlan plan = exec::ShardPlan::Contiguous(
       test.size(),
-      exec::ResolveShardCount(0, static_cast<const exec::Backend*>(backend),
-                              test.size()));
+      exec::ResolveShardCount(0, backend, test.size()));
   const int num_shards = plan.num_shards();
   std::vector<size_t> shard_hits(static_cast<size_t>(num_shards), 0);
   std::vector<Status> shard_errors(static_cast<size_t>(num_shards),

@@ -28,23 +28,15 @@ struct ItemPredictionReport {
 /// The item prediction protocol of Section VI-E: for each held-out action,
 /// infer the user's level from the chronologically nearest training
 /// action, rank all items by the ID-feature probability at that level, and
-/// score the true item's rank. When `pool` is given the test cases run
-/// sharded (exec::ShardPlan over the case index space); metrics are
-/// reduced per-case in index order, so the report is bitwise identical
-/// for any thread count, and a failing case reports the same
+/// score the true item's rank. The test cases run sharded through
+/// `backend` (null = serial; exec::ShardPlan over the case index space);
+/// metrics are reduced per-case in index order, so the report is bitwise
+/// identical for every backend, and a failing case reports the same
 /// (shard-order-first) error either way.
 Result<ItemPredictionReport> EvaluateItemPrediction(
     const Dataset& train, const SkillAssignments& assignments,
     const SkillModel& model, const std::vector<HeldOutAction>& test,
-    int k = 10, ThreadPool* pool = nullptr);
-
-/// Backend form: shards the test cases through `backend` (null = serial).
-/// The ThreadPool overload wraps and forwards here; the report is bitwise
-/// identical for every backend.
-Result<ItemPredictionReport> EvaluateItemPrediction(
-    const Dataset& train, const SkillAssignments& assignments,
-    const SkillModel& model, const std::vector<HeldOutAction>& test, int k,
-    exec::Backend* backend);
+    int k = 10, exec::Backend* backend = nullptr);
 
 /// Expected Acc@k and mean RR of ranking items uniformly at random (the
 /// sanity floor quoted in Section VI-E).

@@ -57,25 +57,6 @@ void Backend::RunIndices(size_t begin, size_t end,
   RunIndexLoop(begin, end, body);
 }
 
-void Backend::RunIndexLoop(size_t begin, size_t end,
-                           const std::function<void(size_t index)>& body) {
-  const size_t count = end - begin;
-  const size_t slots = static_cast<size_t>(concurrency());
-  if (slots <= 1 || count <= 1) {
-    for (size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  // Several chunks per slot, mirroring ParallelForChunked's
-  // oversubscription, so skewed per-index costs cannot serialize the
-  // tail behind one slow chunk.
-  const size_t chunks = std::min(count, slots * 8);
-  RunShards(static_cast<int>(chunks), [&](int chunk) {
-    const size_t lo = begin + count * static_cast<size_t>(chunk) / chunks;
-    const size_t hi = begin + count * (static_cast<size_t>(chunk) + 1) / chunks;
-    for (size_t i = lo; i < hi; ++i) body(i);
-  });
-}
-
 SerialBackend* SerialBackend::Get() {
   static SerialBackend instance;
   return &instance;
@@ -92,8 +73,7 @@ void SerialBackend::RunIndexLoop(size_t begin, size_t end,
 }
 
 ThreadPoolBackend::ThreadPoolBackend(int num_threads)
-    : owned_(std::make_unique<ThreadPool>(std::max(1, num_threads))),
-      pool_(owned_.get()) {}
+    : pool_(std::max(1, num_threads)) {}
 
 void ThreadPoolBackend::RunShards(int num_shards,
                                   const std::function<void(int shard)>& body) {
@@ -101,20 +81,29 @@ void ThreadPoolBackend::RunShards(int num_shards,
   // num_shards <= 8 * threads (the common case by construction of
   // ResolveShardCount), so shards are claimed one at a time off the
   // atomic counter — dynamic balancing with a per-call completion latch.
-  ParallelFor(pool_, 0, static_cast<size_t>(num_shards),
+  ParallelFor(&pool_, 0, static_cast<size_t>(num_shards),
               [&body](size_t shard) { body(static_cast<int>(shard)); });
 }
 
 void ThreadPoolBackend::RunIndexLoop(
     size_t begin, size_t end, const std::function<void(size_t index)>& body) {
-  ParallelFor(pool_, begin, end, body);
+  ParallelFor(&pool_, begin, end, body);
 }
 
-Backend* BackendChoice::Resolve(Backend* backend, ThreadPool* pool) {
-  if (backend != nullptr) return backend;
-  if (pool == nullptr) return SerialBackend::Get();
-  adapter_.emplace(pool);
-  return &*adapter_;
+Result<std::shared_ptr<Backend>> CreateBackend(const std::string& name,
+                                               int num_threads) {
+  const bool automatic = name.empty() || name == "auto";
+  if (name == "serial" || (automatic && num_threads <= 1)) {
+    // The shared stateless singleton; the no-op deleter keeps ownership
+    // uniform with the pooled backend.
+    return std::shared_ptr<Backend>(SerialBackend::Get(), [](Backend*) {});
+  }
+  if (name == "pool" || automatic) {
+    return std::shared_ptr<Backend>(
+        std::make_shared<ThreadPoolBackend>(num_threads));
+  }
+  return Status::InvalidArgument("unknown backend '" + name +
+                                 "' (expected serial or pool)");
 }
 
 }  // namespace exec

@@ -2,11 +2,11 @@
 #define UPSKILL_EXEC_BACKEND_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <string>
 
+#include "common/status.h"
 #include "common/thread_pool.h"
 
 namespace upskill {
@@ -41,22 +41,13 @@ class Backend {
   void RunIndices(size_t begin, size_t end,
                   const std::function<void(size_t index)>& body);
 
-  /// Stable identifier ("serial", "pool", "numa", ...); labels metrics
-  /// and names the factory in the BackendRegistry.
+  /// Stable identifier ("serial" or "pool"); labels metrics.
   virtual const char* name() const = 0;
 
   /// Maximum concurrent execution slots, counting the calling thread;
   /// always >= 1. ResolveShardCount sizes automatic shard counts from
-  /// this, mirroring ParallelMaxSlots on the ThreadPool path.
+  /// this.
   virtual int concurrency() const = 0;
-
-  /// NUMA nodes the backend schedules across (1 for single-node and
-  /// topology-blind backends).
-  virtual int num_nodes() const { return 1; }
-
-  /// Cumulative cross-node shard steals (0 for backends without
-  /// node-sticky scheduling).
-  virtual uint64_t steal_count() const { return 0; }
 
  protected:
   /// Scheduling core: dispatch body over [0, num_shards). Only called
@@ -64,17 +55,13 @@ class Backend {
   virtual void RunShards(int num_shards,
                          const std::function<void(int shard)>& body) = 0;
 
-  /// Index-loop core; the default splits the range into contiguous
-  /// chunks (several per slot, so skewed per-index costs cannot
-  /// serialize the tail) and dispatches them through RunShards.
-  /// ThreadPoolBackend overrides this to the existing ParallelFor
-  /// machinery. Only called with a non-empty range.
+  /// Index-loop core. Only called with a non-empty range.
   virtual void RunIndexLoop(size_t begin, size_t end,
-                            const std::function<void(size_t index)>& body);
+                            const std::function<void(size_t index)>& body) = 0;
 };
 
 /// Inline, pool-free execution: body runs on the calling thread in
-/// shard order. Replaces the `pool == nullptr` special case everywhere.
+/// shard order. Every `Backend*` parameter treats null as this backend.
 class SerialBackend : public Backend {
  public:
   /// Shared process-wide instance (stateless; safe from any thread).
@@ -90,21 +77,15 @@ class SerialBackend : public Backend {
                     const std::function<void(size_t index)>& body) override;
 };
 
-/// Wraps the existing ThreadPool / ParallelForChunked machinery
-/// unchanged. Either owns its pool (registry-constructed) or borrows a
-/// caller's (the stack-lifetime adapter behind the ThreadPool*-taking
-/// compatibility overloads). A null borrowed pool degenerates to inline
-/// execution, exactly like ParallelFor with a null pool.
+/// Runs shards and index loops on an owned ThreadPool through the
+/// ParallelFor machinery.
 class ThreadPoolBackend : public Backend {
  public:
-  /// Borrows `pool`, which must outlive the backend; null is allowed.
-  explicit ThreadPoolBackend(ThreadPool* pool) : pool_(pool) {}
   /// Owns a new pool with max(1, num_threads) workers.
   explicit ThreadPoolBackend(int num_threads);
 
   const char* name() const override { return "pool"; }
-  int concurrency() const override { return ParallelMaxSlots(pool_); }
-  ThreadPool* pool() const { return pool_; }
+  int concurrency() const override { return ParallelMaxSlots(&pool_); }
 
  protected:
   void RunShards(int num_shards,
@@ -113,22 +94,15 @@ class ThreadPoolBackend : public Backend {
                     const std::function<void(size_t index)>& body) override;
 
  private:
-  std::unique_ptr<ThreadPool> owned_;
-  ThreadPool* pool_ = nullptr;
+  ThreadPool pool_;
 };
 
-/// Scoped resolver for call sites migrating from ThreadPool* plumbing:
-/// an explicit backend wins; otherwise a non-null pool is wrapped in a
-/// borrowing ThreadPoolBackend stored inside this object (valid for its
-/// scope); otherwise the shared SerialBackend. Keeps the pre-backend
-/// overloads working with their exact old scheduling.
-class BackendChoice {
- public:
-  Backend* Resolve(Backend* backend, ThreadPool* pool);
-
- private:
-  std::optional<ThreadPoolBackend> adapter_;
-};
+/// Builds the backend behind `--backend` and SkillModelConfig::backend:
+/// "serial", or "pool" with max(1, num_threads) workers. "" and "auto"
+/// pick "pool" when num_threads > 1 and "serial" otherwise. Any other
+/// name fails with InvalidArgument.
+Result<std::shared_ptr<Backend>> CreateBackend(const std::string& name,
+                                               int num_threads);
 
 }  // namespace exec
 }  // namespace upskill

@@ -1,63 +1,9 @@
 #ifndef UPSKILL_EXEC_BACKEND_REGISTRY_H_
 #define UPSKILL_EXEC_BACKEND_REGISTRY_H_
 
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "common/status.h"
+// Forwards to exec/backend.h, which declares exec::CreateBackend. Kept
+// only because bench/e2e/bench_e2e.cc includes this header; delete it
+// once that file includes exec/backend.h.
 #include "exec/backend.h"
-
-namespace upskill {
-namespace exec {
-
-/// Everything a factory needs to build a backend.
-struct BackendSpec {
-  /// Registered backend name. CreateBackend resolves "" and "auto" to
-  /// "pool" when num_threads > 1 and "serial" otherwise.
-  std::string name;
-  /// Worker budget for pooled backends (clamped to >= 1; serial ignores
-  /// it).
-  int num_threads = 1;
-};
-
-/// name -> factory registry behind `--backend` and
-/// SkillModelConfig::backend. The builtins ("serial", "pool", "numa")
-/// are always present; a GPU (or any other) backend slots in through
-/// Register without touching a single caller.
-class BackendRegistry {
- public:
-  using Factory =
-      std::function<Result<std::shared_ptr<Backend>>(const BackendSpec&)>;
-
-  static BackendRegistry& Global();
-
-  /// Registers (or replaces) the factory under `name`.
-  void Register(const std::string& name, Factory factory);
-
-  /// Builds a backend from `spec`; an unknown name fails with
-  /// InvalidArgument listing the registered names.
-  Result<std::shared_ptr<Backend>> Create(const BackendSpec& spec) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-
- private:
-  BackendRegistry();
-
-  mutable std::mutex mutex_;
-  std::map<std::string, Factory> factories_;
-};
-
-/// Convenience wrapper: resolves "" / "auto" per BackendSpec's contract
-/// and creates through the global registry.
-Result<std::shared_ptr<Backend>> CreateBackend(const std::string& name,
-                                               int num_threads);
-
-}  // namespace exec
-}  // namespace upskill
 
 #endif  // UPSKILL_EXEC_BACKEND_REGISTRY_H_

@@ -10,16 +10,6 @@ void MapShards(Backend* backend, int num_shards,
   (backend != nullptr ? backend : SerialBackend::Get())->Run(num_shards, body);
 }
 
-void MapShards(ThreadPool* pool, int num_shards,
-               const std::function<void(int shard)>& body) {
-  if (pool == nullptr) {
-    SerialBackend::Get()->Run(num_shards, body);
-    return;
-  }
-  ThreadPoolBackend adapter(pool);
-  adapter.Run(num_shards, body);
-}
-
 namespace {
 
 double SumRange(const double* values, size_t count) {

@@ -5,8 +5,6 @@
 #include <functional>
 #include <span>
 
-#include "common/thread_pool.h"
-
 namespace upskill {
 namespace exec {
 
@@ -21,12 +19,6 @@ class Backend;
 /// order-independent sums. This is a thin forward to Backend::Run,
 /// which owns the num_shards <= 0 guard and the obs instrumentation.
 void MapShards(Backend* backend, int num_shards,
-               const std::function<void(int shard)>& body);
-
-/// ThreadPool compatibility form: wraps `pool` in a scoped
-/// ThreadPoolBackend (the SerialBackend when null), preserving the
-/// pre-backend call sites and their exact scheduling.
-void MapShards(ThreadPool* pool, int num_shards,
                const std::function<void(int shard)>& body);
 
 /// Elements folded serially (left to right) at each leaf of the ordered

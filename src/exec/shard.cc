@@ -45,20 +45,12 @@ ShardPlan ShardPlan::Balanced(std::span<const size_t> weights,
   return ShardPlan(std::move(bounds));
 }
 
-int ResolveShardCountForSlots(int requested, int slots, size_t count) {
+int ResolveShardCount(int requested, const Backend* backend, size_t count) {
   if (requested > 0) return requested;
+  const int slots = backend != nullptr ? backend->concurrency() : 1;
   const size_t automatic = static_cast<size_t>(std::max(1, slots)) *
                            static_cast<size_t>(kDefaultShardsPerSlot);
   return static_cast<int>(std::max<size_t>(1, std::min(automatic, count)));
-}
-
-int ResolveShardCount(int requested, const ThreadPool* pool, size_t count) {
-  return ResolveShardCountForSlots(requested, ParallelMaxSlots(pool), count);
-}
-
-int ResolveShardCount(int requested, const Backend* backend, size_t count) {
-  return ResolveShardCountForSlots(
-      requested, backend != nullptr ? backend->concurrency() : 1, count);
 }
 
 DatasetShard::DatasetShard(const Dataset& dataset, IndexRange users)

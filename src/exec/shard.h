@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "data/dataset.h"
 
 namespace upskill {
@@ -76,17 +75,10 @@ class Backend;
 
 /// Resolves a shard-count request: `requested > 0` is honored as-is
 /// (empty shards are harmless), otherwise kDefaultShardsPerSlot shards
-/// per execution slot, clamped to `count` (minimum 1). The resolved
-/// count never affects results — every consumer in this repository
-/// reduces at element granularity or with exact sums — only scheduling.
-int ResolveShardCountForSlots(int requested, int slots, size_t count);
-
-/// Slot count from ParallelMaxSlots(pool) (a null pool has one slot:
-/// the caller).
-int ResolveShardCount(int requested, const ThreadPool* pool, size_t count);
-
-/// Slot count from the backend's concurrency() (a null backend is
-/// serial: one slot).
+/// per slot of `backend` (its concurrency(); null is serial, one slot),
+/// clamped to `count` (minimum 1). The resolved count never affects
+/// results — every consumer in this repository reduces at element
+/// granularity or with exact sums — only scheduling.
 int ResolveShardCount(int requested, const Backend* backend, size_t count);
 
 /// Immutable zero-copy view over a contiguous run of a Dataset's users:

@@ -3,38 +3,22 @@
 namespace upskill {
 namespace exec {
 
-void ExecContext::SetBackend(std::shared_ptr<Backend> backend) {
-  if (backend_.get() == backend.get()) {
-    backend_ = std::move(backend);
-    return;
-  }
-  backend_ = std::move(backend);
-  // Workspace arenas were grown — and, under a NUMA backend, first-touch
-  // page-placed — by the previous backend's workers. A different backend
-  // (serve hot-swap after a --backend change, a registry rebuild) must
-  // start from fresh workspaces so placement follows the new topology.
-  workspaces_.clear();
-  dataset_ = nullptr;
-  built_users_ = -1;
-  built_shards_ = 0;
-  plan_ = ShardPlan();
-  shards_.clear();
-}
-
-void ExecContext::EnsureUserShardsForSlots(const Dataset& dataset,
-                                           int requested_shards, int slots,
-                                           PartitionStrategy strategy) {
+void ExecContext::EnsureUserShards(const Dataset& dataset,
+                                   int requested_shards,
+                                   const Backend* backend,
+                                   PartitionStrategy strategy) {
   const int num_users = dataset.num_users();
   const bool same_dataset =
       dataset_ == &dataset && built_users_ == num_users &&
       built_strategy_ == strategy && built_shards_ > 0;
   // An auto request (<= 0) sticks to whatever plan already exists for this
-  // dataset: a driver whose phases run under different pools (assignment
-  // vs. update axes) must not rebuild the plan every call, and since the
-  // shard count never affects results, any existing plan is as good.
+  // dataset: a driver whose phases run under different backends
+  // (assignment vs. update axes) must not rebuild the plan every call, and
+  // since the shard count never affects results, any existing plan is as
+  // good.
   if (same_dataset && requested_shards <= 0) return;
-  const int resolved = ResolveShardCountForSlots(
-      requested_shards, slots, static_cast<size_t>(num_users));
+  const int resolved = ResolveShardCount(requested_shards, backend,
+                                         static_cast<size_t>(num_users));
   if (same_dataset && built_shards_ == resolved) return;
   dataset_ = &dataset;
   built_users_ = num_users;
@@ -45,40 +29,6 @@ void ExecContext::EnsureUserShardsForSlots(const Dataset& dataset,
   while (workspaces_.size() < static_cast<size_t>(resolved)) {
     workspaces_.emplace_back();
   }
-}
-
-void ExecContext::EnsureUserShards(const Dataset& dataset,
-                                   int requested_shards,
-                                   const ThreadPool* pool,
-                                   PartitionStrategy strategy) {
-  EnsureUserShardsForSlots(dataset, requested_shards, ParallelMaxSlots(pool),
-                           strategy);
-}
-
-void ExecContext::EnsureUserShards(const Dataset& dataset,
-                                   int requested_shards,
-                                   const Backend* ensure_backend,
-                                   PartitionStrategy strategy) {
-  EnsureUserShardsForSlots(
-      dataset, requested_shards,
-      ensure_backend != nullptr ? ensure_backend->concurrency() : 1, strategy);
-}
-
-void ExecContext::EnsureUserShards(const Dataset& dataset,
-                                   int requested_shards,
-                                   PartitionStrategy strategy) {
-  EnsureUserShards(dataset, requested_shards, backend_.get(), strategy);
-}
-
-Backend* AxisBackend(const ExecContext* context, bool axis_enabled,
-                     ThreadPool* pool, BackendChoice& choice) {
-  Backend* installed = context != nullptr ? context->backend() : nullptr;
-  if (installed != nullptr) {
-    return (axis_enabled && installed->concurrency() > 1)
-               ? installed
-               : SerialBackend::Get();
-  }
-  return choice.Resolve(nullptr, axis_enabled ? pool : nullptr);
 }
 
 }  // namespace exec

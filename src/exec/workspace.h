@@ -2,12 +2,10 @@
 #define UPSKILL_EXEC_WORKSPACE_H_
 
 #include <deque>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/dp.h"
-#include "exec/backend.h"
 #include "exec/shard.h"
 
 namespace upskill {
@@ -49,42 +47,16 @@ class ExecContext {
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
 
-  /// Installs the execution backend this context's passes dispatch
-  /// through (shared so serve hot-swap and trainers can co-own it; null
-  /// resets to serial resolution). Switching to a *different* backend
-  /// instance drops all per-shard workspaces and the built plan:
-  /// arenas were sized — and, under NumaBackend, first-touch page-placed
-  /// — by the old backend's workers, so reusing them under a new
-  /// topology would silently keep every page on the wrong node.
-  /// Re-installing the same instance keeps everything (workspace
-  /// addresses stay stable across passes, as before).
-  void SetBackend(std::shared_ptr<Backend> backend);
-
-  /// The installed backend, or null when this context still resolves
-  /// through explicit ThreadPool* arguments.
-  Backend* backend() const { return backend_.get(); }
-
   /// (Re)builds the plan/shards/workspaces for `dataset`'s user axis.
-  /// `requested_shards <= 0` resolves against the pool via
-  /// ResolveShardCount — but reuses ANY existing plan for the same
-  /// (dataset, user count, strategy) first, so drivers whose phases run
-  /// under different pools never thrash the plan. An explicit request
-  /// rebuilds when it differs from the built count. Workspaces are kept
-  /// (grow-only) so arenas persist across rebuilds.
+  /// `requested_shards <= 0` resolves against `backend`'s concurrency
+  /// (null = serial) via ResolveShardCount — but reuses ANY existing plan
+  /// for the same (dataset, user count, strategy) first, so a driver
+  /// that sizes the plan once from its full backend keeps it when later
+  /// phases pass an axis-gated one. An explicit request rebuilds when it
+  /// differs from the built count. Workspaces are kept (grow-only) so
+  /// arenas persist across rebuilds.
   void EnsureUserShards(const Dataset& dataset, int requested_shards,
-                        const ThreadPool* pool,
-                        PartitionStrategy strategy =
-                            PartitionStrategy::kBalanced);
-
-  /// Same, resolving automatic shard counts against `ensure_backend`'s
-  /// concurrency (null = serial).
-  void EnsureUserShards(const Dataset& dataset, int requested_shards,
-                        const Backend* ensure_backend,
-                        PartitionStrategy strategy =
-                            PartitionStrategy::kBalanced);
-
-  /// Same, resolving against the installed backend (serial when unset).
-  void EnsureUserShards(const Dataset& dataset, int requested_shards,
+                        const Backend* backend = nullptr,
                         PartitionStrategy strategy =
                             PartitionStrategy::kBalanced);
 
@@ -97,10 +69,6 @@ class ExecContext {
   }
 
  private:
-  void EnsureUserShardsForSlots(const Dataset& dataset, int requested_shards,
-                                int slots, PartitionStrategy strategy);
-
-  std::shared_ptr<Backend> backend_;
   const Dataset* dataset_ = nullptr;
   int built_users_ = -1;
   int built_shards_ = 0;
@@ -110,15 +78,6 @@ class ExecContext {
   // deque: stable addresses while growing, no moves of live arenas.
   std::deque<ShardWorkspace> workspaces_;
 };
-
-/// Per-axis backend gating for drivers migrating off ThreadPool*: when
-/// `context` carries an installed backend, an enabled axis runs on it
-/// (serial if its concurrency is 1 — the old `threads > 1` gate);
-/// otherwise falls back to wrapping `pool` through `choice`, preserving
-/// the legacy `axis_enabled && pool` behavior. `choice` must outlive
-/// every use of the returned pointer.
-Backend* AxisBackend(const ExecContext* context, bool axis_enabled,
-                     ThreadPool* pool, BackendChoice& choice);
 
 }  // namespace exec
 }  // namespace upskill

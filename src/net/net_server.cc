@@ -95,10 +95,10 @@ struct NetServer::Worker {
   uint64_t trace_seq = 0;
 };
 
-NetServer::NetServer(serve::Server* server, ThreadPool* swap_pool,
+NetServer::NetServer(serve::Server* server, exec::Backend* swap_backend,
                      NetServerConfig config)
     : server_(server),
-      swap_pool_(swap_pool),
+      swap_backend_(swap_backend),
       config_(std::move(config)),
       accepted_(obs::MetricsRegistry::Global().GetCounter(
           "upskill_net_connections_accepted_total")),
@@ -571,7 +571,7 @@ void NetServer::ExecuteBinary(Worker* worker, Connection* conn,
     }
     case Kind::kSwap: {
       const Status swapped =
-          server_->SwapSnapshotFile(request.path, swap_pool_);
+          server_->SwapSnapshotFile(request.path, swap_backend_);
       if (swapped.ok()) {
         const std::shared_ptr<const serve::ServingModel> model =
             server_->model();

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "net/frame.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
@@ -62,10 +61,10 @@ struct NetServerConfig {
 /// straight into the connection's output buffer.
 class NetServer {
  public:
-  /// `server` must outlive this object. `swap_pool` (optional)
-  /// parallelizes snapshot rebuild/requantization on binary `swap`
-  /// requests, exactly like the stdio front end's pool.
-  NetServer(serve::Server* server, ThreadPool* swap_pool,
+  /// `server` must outlive this object. `swap_backend` (optional) runs
+  /// the snapshot rebuild/requantization of binary `swap` requests; null
+  /// defers to the server's installed backend.
+  NetServer(serve::Server* server, exec::Backend* swap_backend,
             NetServerConfig config);
   ~NetServer();
   NetServer(const NetServer&) = delete;
@@ -112,7 +111,7 @@ class NetServer {
   bool ShouldShed(Worker* worker, serve::ServeRequest::Kind kind);
 
   serve::Server* const server_;
-  ThreadPool* const swap_pool_;
+  exec::Backend* const swap_backend_;
   const NetServerConfig config_;
 
   std::vector<std::unique_ptr<Worker>> workers_;

@@ -28,12 +28,6 @@ int16_t QuantizeCost(double log_value) {
 }  // namespace
 
 std::shared_ptr<const QuantizedModel> QuantizedModel::FromServingModel(
-    const ServingModel& model, ThreadPool* pool) {
-  exec::BackendChoice choice;
-  return FromServingModel(model, choice.Resolve(nullptr, pool));
-}
-
-std::shared_ptr<const QuantizedModel> QuantizedModel::FromServingModel(
     const ServingModel& model, exec::Backend* backend) {
   if (backend == nullptr) backend = exec::SerialBackend::Get();
   std::shared_ptr<QuantizedModel> q(new QuantizedModel());
@@ -47,8 +41,7 @@ std::shared_ptr<const QuantizedModel> QuantizedModel::FromServingModel(
   const std::vector<double>& log_probs = model.item_log_probs();
   const exec::ShardPlan plan = exec::ShardPlan::Contiguous(
       num_items,
-      exec::ResolveShardCount(0, static_cast<const exec::Backend*>(backend),
-                              num_items));
+      exec::ResolveShardCount(0, backend, num_items));
   exec::MapShards(backend, plan.num_shards(), [&](int shard) {
     const exec::IndexRange range = plan.range(shard);
     for (size_t item = range.begin; item < range.end; ++item) {

@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "serve/serving_model.h"
 
 namespace upskill {
@@ -60,15 +59,11 @@ inline constexpr int16_t kQuantCostFloor = -32768;
 /// atomically publishes it next to the new double view.
 class QuantizedModel {
  public:
-  /// Quantizes `model`'s matrix and transitions. `pool` parallelizes the
-  /// per-item pass.
+  /// Quantizes `model`'s matrix and transitions. The per-item pass
+  /// dispatches through `backend` (null = serial); quantized bytes are
+  /// identical either way.
   static std::shared_ptr<const QuantizedModel> FromServingModel(
-      const ServingModel& model, ThreadPool* pool = nullptr);
-
-  /// Backend form: the per-item pass dispatches through `backend`
-  /// (null = serial); quantized bytes are identical either way.
-  static std::shared_ptr<const QuantizedModel> FromServingModel(
-      const ServingModel& model, exec::Backend* backend);
+      const ServingModel& model, exec::Backend* backend = nullptr);
 
   int num_levels() const { return num_levels_; }
   int num_items() const { return num_items_; }

@@ -188,17 +188,15 @@ Result<double> Server::ItemDifficulty(ItemId item) const {
   return model->difficulty()[static_cast<size_t>(item)];
 }
 
-exec::Backend* Server::ResolveExecBackend(ThreadPool* pool,
-                                          exec::BackendChoice& choice) const {
-  if (pool != nullptr) return choice.Resolve(nullptr, pool);
+exec::Backend* Server::ResolveExecBackend(exec::Backend* backend) const {
+  if (backend != nullptr) return backend;
   if (backend_ != nullptr) return backend_.get();
   return exec::SerialBackend::Get();
 }
 
 void Server::SwapSnapshot(std::shared_ptr<const ServingModel> next,
-                          ThreadPool* pool) {
-  exec::BackendChoice choice;
-  exec::Backend* backend = ResolveExecBackend(pool, choice);
+                          exec::Backend* backend) {
+  backend = ResolveExecBackend(backend);
   // Requantize outside the lock (it is the expensive part of the swap);
   // the two views are then published atomically together.
   std::shared_ptr<const QuantizedModel> qnext =
@@ -218,12 +216,13 @@ void Server::SwapSnapshot(std::shared_ptr<const ServingModel> next,
       installed->num_items());
 }
 
-Status Server::SwapSnapshotFile(const std::string& path, ThreadPool* pool) {
-  exec::BackendChoice choice;
+Status Server::SwapSnapshotFile(const std::string& path,
+                                exec::Backend* backend) {
+  backend = ResolveExecBackend(backend);
   Result<std::shared_ptr<const ServingModel>> next =
-      ServingModel::FromSnapshotFile(path, ResolveExecBackend(pool, choice));
+      ServingModel::FromSnapshotFile(path, backend);
   if (!next.ok()) return next.status();
-  SwapSnapshot(std::move(next).value(), pool);
+  SwapSnapshot(std::move(next).value(), backend);
   obs::ModelHealth::Global().NoteSnapshotPath(path);
   return Status::OK();
 }
@@ -369,17 +368,15 @@ std::string Server::StatsText() const {
 }
 
 std::vector<std::string> Server::ExecuteBatch(
-    std::span<const ServeRequest> requests, ThreadPool* pool) {
+    std::span<const ServeRequest> requests, exec::Backend* backend) {
   std::vector<std::string> responses(requests.size());
-  exec::BackendChoice choice;
-  exec::Backend* backend = ResolveExecBackend(pool, choice);
+  backend = ResolveExecBackend(backend);
   // Same contiguous shard plan as the rest of the stack: each shard owns
   // a disjoint run of the request/response arrays, so the only shared
   // mutable state is inside Execute (the session store's striped locks).
   const exec::ShardPlan plan = exec::ShardPlan::Contiguous(
       requests.size(),
-      exec::ResolveShardCount(0, static_cast<const exec::Backend*>(backend),
-                              requests.size()));
+      exec::ResolveShardCount(0, backend, requests.size()));
   exec::MapShards(backend, plan.num_shards(), [&](int shard) {
     const exec::IndexRange range = plan.range(shard);
     for (size_t i = range.begin; i < range.end; ++i) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "exec/backend.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
@@ -91,20 +90,21 @@ class Server {
   /// columns across the swap (levels stay monotone; the column simply
   /// continues under the new scores) unless the level count S changed, in
   /// which case every session is reset. In quantized mode the new view is
-  /// requantized first (`pool` parallelizes that) and published together
-  /// with the double view; session accumulator columns carry over under
-  /// the same rule, because accumulator units are model-independent.
+  /// requantized first (through `backend`, resolved as below) and
+  /// published together with the double view; session accumulator columns
+  /// carry over under the same rule, because accumulator units are
+  /// model-independent.
   void SwapSnapshot(std::shared_ptr<const ServingModel> next,
-                    ThreadPool* pool = nullptr);
+                    exec::Backend* backend = nullptr);
 
   /// LoadSnapshot + ServingModel::FromSnapshot + SwapSnapshot.
-  Status SwapSnapshotFile(const std::string& path, ThreadPool* pool = nullptr);
+  Status SwapSnapshotFile(const std::string& path,
+                          exec::Backend* backend = nullptr);
 
   /// Installs an execution backend for the server's parallel work
-  /// (requantization on swap, snapshot rebuilds, batch fan-out). When one
-  /// is installed, calls that pass no pool dispatch through it; an
-  /// explicit non-null pool argument still wins, so existing front ends
-  /// keep their behavior. Null uninstalls (back to inline/pool-arg).
+  /// (requantization on swap, snapshot rebuilds, batch fan-out). Each of
+  /// those calls runs on its `backend` argument, else on the installed
+  /// backend, else serially. Null uninstalls.
   void SetBackend(std::shared_ptr<exec::Backend> backend) {
     backend_ = std::move(backend);
   }
@@ -167,12 +167,13 @@ class Server {
   std::string Execute(const ServeRequest& request);
 
   /// Executes a batch, responses in request order, fanning out over
-  /// `pool` (inline when null). Requests touching the same user are safe
+  /// `backend` (resolved as for SwapSnapshot). Requests touching the same
+  /// user are safe
   /// (the session store serializes them per shard) but their relative
   /// order within a batch is unspecified; a swap inside a batch applies
   /// to whichever requests observe it.
   std::vector<std::string> ExecuteBatch(std::span<const ServeRequest> requests,
-                                        ThreadPool* pool = nullptr);
+                                        exec::Backend* backend = nullptr);
 
  private:
   /// Telemetry handles for one request kind, registered at construction
@@ -195,10 +196,9 @@ class Server {
   };
   ModelViews Views() const;
 
-  /// Resolves the backend for one parallel entry point: explicit pool
-  /// argument first, then the installed backend, then serial.
-  exec::Backend* ResolveExecBackend(ThreadPool* pool,
-                                    exec::BackendChoice& choice) const;
+  /// Resolves the backend for one parallel entry point: the argument
+  /// first, then the installed backend, then serial.
+  exec::Backend* ResolveExecBackend(exec::Backend* backend) const;
 
   const bool quantized_;
   std::shared_ptr<exec::Backend> backend_;

@@ -71,12 +71,6 @@ void RankDescending(const double* scores, size_t stride, size_t count,
 }
 
 Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
-    ModelSnapshot snapshot, ThreadPool* pool) {
-  exec::BackendChoice choice;
-  return FromSnapshot(std::move(snapshot), choice.Resolve(nullptr, pool));
-}
-
-Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
     ModelSnapshot snapshot, exec::Backend* backend) {
   if (backend == nullptr) backend = exec::SerialBackend::Get();
   const int levels = snapshot.config.num_levels;
@@ -113,8 +107,7 @@ Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
   // uses; each shard writes a disjoint slice of ranked_.
   const exec::ShardPlan plan = exec::ShardPlan::Contiguous(
       static_cast<size_t>(levels),
-      exec::ResolveShardCount(0, static_cast<const exec::Backend*>(backend),
-                              static_cast<size_t>(levels)));
+      exec::ResolveShardCount(0, backend, static_cast<size_t>(levels)));
   exec::MapShards(backend, plan.num_shards(), [&](int shard) {
     const exec::IndexRange range = plan.range(shard);
     for (size_t s = range.begin; s < range.end; ++s) {
@@ -123,13 +116,6 @@ Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
     }
   });
   return std::shared_ptr<const ServingModel>(std::move(model));
-}
-
-Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshotFile(
-    const std::string& path, ThreadPool* pool) {
-  Result<ModelSnapshot> snapshot = LoadSnapshot(path);
-  if (!snapshot.ok()) return snapshot.status();
-  return FromSnapshot(std::move(snapshot).value(), pool);
 }
 
 Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshotFile(

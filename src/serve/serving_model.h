@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/recommend.h"
 #include "core/trainer.h"
 #include "serve/snapshot.h"
@@ -37,23 +36,15 @@ void RankDescending(const double* scores, size_t stride, size_t count,
 /// new requests pick up the new one, nothing blocks.
 class ServingModel {
  public:
-  /// Builds the serving view. `pool` parallelizes the log-prob matrix and
-  /// per-level ranking precomputation.
+  /// Builds the serving view. The log-prob matrix and per-level ranking
+  /// precomputation dispatch through `backend` (null = serial); the
+  /// resulting view is bitwise identical either way.
   static Result<std::shared_ptr<const ServingModel>> FromSnapshot(
-      ModelSnapshot snapshot, ThreadPool* pool = nullptr);
-
-  /// Backend form: precomputation dispatches through `backend` (null =
-  /// serial); the resulting view is bitwise identical either way.
-  static Result<std::shared_ptr<const ServingModel>> FromSnapshot(
-      ModelSnapshot snapshot, exec::Backend* backend);
+      ModelSnapshot snapshot, exec::Backend* backend = nullptr);
 
   /// Convenience: LoadSnapshot + FromSnapshot.
   static Result<std::shared_ptr<const ServingModel>> FromSnapshotFile(
-      const std::string& path, ThreadPool* pool = nullptr);
-
-  /// Backend form of FromSnapshotFile.
-  static Result<std::shared_ptr<const ServingModel>> FromSnapshotFile(
-      const std::string& path, exec::Backend* backend);
+      const std::string& path, exec::Backend* backend = nullptr);
 
   int num_levels() const { return snapshot_.config.num_levels; }
   int num_items() const { return snapshot_.items.num_items(); }

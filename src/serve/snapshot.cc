@@ -251,6 +251,12 @@ Result<ModelSnapshot> LoadSnapshot(const std::string& path) {
   Result<FeatureSchema> schema = ReadSchema(&reader);
   if (!schema.ok()) return schema.status();
   snapshot.schema = std::move(schema).value();
+  if (!ComponentParametersFit(snapshot.schema, snapshot.config.num_levels,
+                              reader.remaining())) {
+    return Status::Corruption(
+        "snapshot model shape exceeds the payload (level count or "
+        "cardinality)");
+  }
 
   Result<SkillModel> model =
       SkillModel::Create(snapshot.schema, snapshot.config);
@@ -287,10 +293,14 @@ Result<ModelSnapshot> LoadSnapshot(const std::string& path) {
   }
 
   int32_t num_items = 0;
-  if (!reader.I32(&num_items) || num_items < 0) {
+  const int features = snapshot.schema.num_features();
+  // Every item has one double per feature column plus its difficulty.
+  if (!reader.I32(&num_items) || num_items < 0 ||
+      static_cast<size_t>(num_items) >
+          reader.remaining() /
+              (sizeof(double) * (static_cast<size_t>(features) + 1))) {
     return Status::Corruption("snapshot item section");
   }
-  const int features = snapshot.schema.num_features();
   std::vector<std::vector<double>> columns(
       static_cast<size_t>(features),
       std::vector<double>(static_cast<size_t>(num_items)));

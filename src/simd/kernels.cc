@@ -9,20 +9,21 @@
 #include "common/logging.h"
 #include "simd/kernels_impl.h"
 
-// Dispatchers + scalar reference bodies. Backend coverage:
+// Dispatchers + scalar reference bodies. Backend coverage (every other
+// architecture, aarch64 included, runs the scalar reference):
 //
-//   kernel                  avx2  neon  (everything else: scalar)
-//   LookupLogProbBatch       x          (needs gather)
-//   GammaLogProbBatch        x     x
-//   LogNormalLogProbBatch    x     x
-//   DpRowInterior            x     x
-//   DpRowInteriorWithDown    x     x
-//   DpForward                x          (levels <= 8: row in registers)
-//   QuantizedForwardStep     x          (the per-action serve hot path)
-//   QuantizedForwardInit               (once per session — not hot)
-//   QuantizedForwardLevel              (S-element argmax — not hot)
-//   Crc32Update              x          (PCLMULQDQ folding; scalar is
-//                                        slicing-by-8)
+//   kernel                  avx2
+//   LookupLogProbBatch       x    (needs gather)
+//   GammaLogProbBatch        x
+//   LogNormalLogProbBatch    x
+//   DpRowInterior            x
+//   DpRowInteriorWithDown    x
+//   DpForward                x    (levels <= 8: row in registers)
+//   QuantizedForwardStep     x    (the per-action serve hot path)
+//   QuantizedForwardInit          (once per session — not hot)
+//   QuantizedForwardLevel         (S-element argmax — not hot)
+//   Crc32Update              x    (PCLMULQDQ folding; scalar is
+//                                  slicing-by-8)
 //
 // The dispatch check is one predictable branch per kernel call; every
 // call amortizes it over a whole batch / DP row / buffer.
@@ -291,14 +292,6 @@ uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
   do {                                                \
     if (ActiveBackend() == Backend::kAvx2) {          \
       avx2::ns_fn(__VA_ARGS__);                       \
-      return;                                         \
-    }                                                 \
-  } while (0)
-#elif defined(__aarch64__)
-#define UPSKILL_DISPATCH_VECTOR(ns_fn, ...)           \
-  do {                                                \
-    if (ActiveBackend() == Backend::kNeon) {          \
-      neon::ns_fn(__VA_ARGS__);                       \
       return;                                         \
     }                                                 \
   } while (0)

@@ -2,11 +2,10 @@
 #define UPSKILL_SIMD_KERNELS_IMPL_H_
 
 // Internal: per-backend kernel bodies, shared between the dispatchers in
-// kernels.cc and the backend translation units (kernels_avx2.cc is built
-// with -mavx2 -mpclmul; kernels_neon.cc only has bodies on aarch64). Not
-// every backend implements every kernel — the dispatcher falls back to
-// the scalar reference for the rest (see kernels.cc for the per-function
-// coverage table).
+// kernels.cc and the AVX2 translation unit (kernels_avx2.cc, built with
+// -mavx2 -mpclmul). Not every kernel has an AVX2 body — the dispatcher
+// falls back to the scalar reference for the rest (see kernels.cc for the
+// per-function coverage table).
 
 #include <algorithm>
 #include <cstddef>
@@ -75,27 +74,6 @@ uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
 
 }  // namespace avx2
 #endif  // x86-64
-
-#if defined(__aarch64__)
-namespace neon {
-
-void GammaLogProbBatch(std::span<const double> xs,
-                       std::span<const double> log_xs, double shape_minus_one,
-                       double scale, double log_gamma_shape,
-                       double shape_log_scale, std::span<double> out);
-void LogNormalLogProbBatch(std::span<const double> xs,
-                           std::span<const double> log_xs, double mu,
-                           double sigma, double log_sigma,
-                           double half_log_two_pi, std::span<double> out);
-void DpRowInterior(const double* prev, const double* row, size_t levels,
-                   double log_stay, double log_up, double* curr,
-                   uint8_t* from);
-void DpRowInteriorWithDown(const double* prev, const double* row,
-                           size_t levels, double log_stay, double log_up,
-                           double log_down, double* curr, uint8_t* from);
-
-}  // namespace neon
-#endif  // aarch64
 
 }  // namespace simd
 }  // namespace upskill

@@ -15,8 +15,6 @@ namespace {
 constexpr Backend CompiledBackend() {
 #if defined(__x86_64__) || defined(_M_X64)
   return Backend::kAvx2;
-#elif defined(__aarch64__)
-  return Backend::kNeon;
 #else
   return Backend::kScalar;
 #endif
@@ -34,7 +32,7 @@ bool CpuSupportsCompiledBackend() {
   return __builtin_cpu_supports("avx2") != 0 &&
          __builtin_cpu_supports("pclmul") != 0;
 #else
-  // NEON is baseline on aarch64; the scalar backend needs nothing.
+  // The scalar backend needs nothing.
   return true;
 #endif
 }
@@ -64,7 +62,6 @@ const char* BackendName() {
   switch (ActiveBackend()) {
     case Backend::kScalar: return "scalar";
     case Backend::kAvx2: return "avx2";
-    case Backend::kNeon: return "neon";
   }
   return "unknown";
 }

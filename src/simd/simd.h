@@ -11,8 +11,8 @@ namespace simd {
 ///
 ///   compile time  — kAvx2 on x86-64 (the AVX2 bodies live in a dedicated
 ///                   translation unit built with -mavx2 -mpclmul; the CPU
-///                   must report both), kNeon on
-///                   aarch64, kScalar everywhere else;
+///                   must report both), kScalar everywhere else (aarch64
+///                   included);
 ///   run time      — demoted to kScalar when the CPU lacks the compiled
 ///                   instruction set (cpuid / baseline check) or when the
 ///                   UPSKILL_FORCE_SCALAR environment variable is set to
@@ -27,13 +27,12 @@ namespace simd {
 enum class Backend {
   kScalar,
   kAvx2,
-  kNeon,
 };
 
 /// The backend every dispatched kernel uses right now.
 Backend ActiveBackend();
 
-/// Stable lowercase name of ActiveBackend(): "scalar", "avx2", "neon".
+/// Stable lowercase name of ActiveBackend(): "scalar" or "avx2".
 const char* BackendName();
 
 /// True when ActiveBackend() != kScalar.

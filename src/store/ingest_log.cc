@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -23,6 +24,9 @@ constexpr size_t kFrameHeaderBytes = 16;
 // name-length field means we are reading garbage, not a record.
 constexpr uint32_t kMaxUserNameBytes = 4096;
 constexpr uint32_t kMaxFramePayloadBytes = 64u << 20;
+// The smallest record: name length (4), a name of at least one byte,
+// time (8), item (4), rating (8).
+constexpr size_t kMinRecordBytes = 25;
 
 obs::Counter& AppendCounter() {
   static obs::Counter& counter =
@@ -246,7 +250,11 @@ Result<IngestScan> ReplayIngestLog(
     // prefix up to the last good frame.
     ByteReader in(payload.data(), payload.size());
     std::vector<IngestRecord> records;
-    records.reserve(record_count);
+    // The CRC covers the payload, not the header's count: never reserve
+    // more records than the payload can hold, so a corrupt count fails to
+    // decode below instead of sizing the allocation.
+    records.reserve(
+        std::min<size_t>(record_count, payload_bytes / kMinRecordBytes));
     bool frame_ok = true;
     for (uint32_t r = 0; r < record_count; ++r) {
       if (!in.Str(&record.user) || record.user.empty() ||

@@ -12,9 +12,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
+#include "exec/backend.h"
 
 namespace upskill {
 namespace {
@@ -171,18 +171,12 @@ Dataset WithUnplayedItemAndEmptyUser(const Dataset& source, ItemId unplayed) {
 // fresh full pass over the perturbed cache.
 void ExpectPartialPass(const Dataset& dataset, const SkillModel& model,
                        std::vector<double> cache,
-                       const std::vector<uint8_t>& dirty, ThreadPool* pool,
-                       int num_shards) {
+                       const std::vector<uint8_t>& dirty,
+                       exec::Backend* backend, int num_shards) {
   const int levels = model.num_levels();
   const size_t num_users = static_cast<size_t>(dataset.num_users());
-  ParallelOptions parallel;
-  if (pool != nullptr) {
-    parallel.num_threads = pool->num_threads();
-    parallel.users = true;
-  }
   AssignmentEngine engine(dataset, levels, num_shards);
-  const AssignmentStats full =
-      engine.Assign(model, cache, nullptr, pool, parallel);
+  const AssignmentStats full = engine.Assign(model, cache, nullptr, backend);
   EXPECT_EQ(full.reassigned_users, num_users);
 
   for (size_t item = 0; item < dirty.size(); ++item) {
@@ -202,13 +196,12 @@ void ExpectPartialPass(const Dataset& dataset, const SkillModel& model,
     }
   }
   const AssignmentStats partial = engine.Assign(
-      model, cache, nullptr, pool, parallel, &dirty, /*weights_changed=*/false);
+      model, cache, nullptr, backend, &dirty, /*weights_changed=*/false);
   EXPECT_EQ(partial.reassigned_users, players);
   EXPECT_EQ(partial.skipped_users, num_users - players);
 
   AssignmentEngine fresh(dataset, levels);
-  const AssignmentStats oracle =
-      fresh.Assign(model, cache, nullptr, nullptr, {});
+  const AssignmentStats oracle = fresh.Assign(model, cache, nullptr);
   EXPECT_EQ(engine.assignments(), fresh.assignments());
   EXPECT_EQ(partial.log_likelihood, oracle.log_likelihood);
 }
@@ -237,12 +230,11 @@ TEST(AssignmentSkipTest, EnginePartialDirtyPass) {
   {
     // All-clean pass: every user skipped, results carried forward bitwise.
     AssignmentEngine engine(dataset, config.num_levels);
-    const AssignmentStats full =
-        engine.Assign(model, cache, nullptr, nullptr, {});
+    const AssignmentStats full = engine.Assign(model, cache, nullptr);
     const SkillAssignments baseline = engine.assignments();
     const std::vector<uint8_t> clean(num_items, 0);
     const AssignmentStats skipped = engine.Assign(
-        model, cache, nullptr, nullptr, {}, &clean, /*weights_changed=*/false);
+        model, cache, nullptr, nullptr, &clean, /*weights_changed=*/false);
     EXPECT_EQ(skipped.skipped_users, num_users);
     EXPECT_EQ(skipped.reassigned_users, 0u);
     EXPECT_FALSE(skipped.changed);
@@ -259,7 +251,7 @@ TEST(AssignmentSkipTest, EnginePartialDirtyPass) {
       {"every item", std::vector<uint8_t>(num_items, 1)},
       {"an unplayed item", nobody},
   };
-  ThreadPool pool(4);
+  exec::ThreadPoolBackend pool(4);
   for (const auto& [label, dirty] : cases) {
     SCOPED_TRACE(label);
     ExpectPartialPass(dataset, model, cache, dirty, nullptr, 0);

@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "dist/categorical.h"
+#include "exec/backend.h"
 #include "dist/gamma.h"
 #include "dist/poisson.h"
 
@@ -102,7 +103,7 @@ TEST(SkillModelTest, CacheParallelMatchesSequential) {
   ASSERT_TRUE(created.ok());
   SkillModel model = std::move(created).value();
   const ItemTable items = MakeItems();
-  ThreadPool pool(4);
+  exec::ThreadPoolBackend pool(4);
   EXPECT_EQ(model.ItemLogProbCache(items),
             model.ItemLogProbCache(items, &pool));
 }

@@ -14,15 +14,51 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/skill_model.h"
 #include "data/dataset.h"
 #include "datagen/synthetic.h"
 #include "dist/distribution.h"
+#include "exec/backend.h"
 
 namespace upskill {
 namespace {
+
+// Reference implementation of the update step, the oracle FitParameters
+// is checked against: groups item occurrences into per-level buckets,
+// then copies each (feature, level) cell's values into a buffer and calls
+// Distribution::Fit. Levels with no assigned actions keep their current
+// parameters.
+void FitParametersReference(const Dataset& dataset,
+                            const SkillAssignments& assignments,
+                            SkillModel* model) {
+  const int num_levels = model->num_levels();
+  // Group item occurrences by assigned level (O(|A|), as in Section IV-C).
+  std::vector<std::vector<ItemId>> by_level(static_cast<size_t>(num_levels));
+  for (UserId u = 0; u < dataset.num_users(); ++u) {
+    const std::vector<int>& levels = assignments[static_cast<size_t>(u)];
+    if (levels.empty()) continue;  // user excluded (initialization)
+    std::span<const Action> seq = dataset.sequence(u);
+    ASSERT_EQ(levels.size(), seq.size());
+    for (size_t n = 0; n < seq.size(); ++n) {
+      by_level[static_cast<size_t>(levels[n] - 1)].push_back(seq[n].item);
+    }
+  }
+  const ItemTable& items = dataset.items();
+  for (int level = 1; level <= num_levels; ++level) {
+    const std::vector<ItemId>& members =
+        by_level[static_cast<size_t>(level - 1)];
+    if (members.empty()) continue;
+    for (int feature = 0; feature < model->num_features(); ++feature) {
+      std::vector<double> values;
+      values.reserve(members.size());
+      for (ItemId item : members) values.push_back(items.value(item, feature));
+      model->mutable_component(feature, level)->Fit(values);
+    }
+  }
+}
 
 const Dataset& TestData() {
   static const Dataset* dataset = [] {
@@ -94,7 +130,7 @@ TEST(FitParametersEquivalenceTest, ParallelIsBitwiseIdenticalToSerial) {
   SkillModel serial = SkillModel::Create(dataset.schema(), config).value();
   FitParameters(dataset, assignments, &serial);
 
-  ThreadPool pool(8);
+  exec::ThreadPoolBackend pool(8);
   for (const bool levels : {false, true}) {
     for (const bool features : {false, true}) {
       ParallelOptions parallel;
@@ -151,7 +187,7 @@ TrainResult ReferenceTrain(const Dataset& dataset,
   for (int iteration = 0; iteration < config.max_iterations; ++iteration) {
     double ll = 0.0;
     SkillAssignments assignments =
-        AssignSkills(dataset, result.model, nullptr, {}, &ll);
+        AssignSkills(dataset, result.model, nullptr, &ll);
     const bool unchanged = iteration > 0 && assignments == result.assignments;
     result.assignments = std::move(assignments);
     result.log_likelihood_trace.push_back(ll);

@@ -7,6 +7,7 @@
 #include "datagen/synthetic.h"
 #include "dist/poisson.h"
 #include "eval/metrics.h"
+#include "exec/backend.h"
 
 namespace upskill {
 namespace {
@@ -103,15 +104,15 @@ TEST(FitParametersTest, ParallelModesMatchSequential) {
   config.num_levels = 5;
   const SkillAssignments init = InitializeAssignments(data.dataset, 5, 10);
 
-  auto fit = [&](ParallelOptions parallel, ThreadPool* pool) {
+  auto fit = [&](ParallelOptions parallel, exec::Backend* backend) {
     auto model = SkillModel::Create(data.dataset.schema(), config);
     EXPECT_TRUE(model.ok());
-    FitParameters(data.dataset, init, &model.value(), pool, parallel);
+    FitParameters(data.dataset, init, &model.value(), backend, parallel);
     return std::move(model).value();
   };
 
   const SkillModel sequential = fit({}, nullptr);
-  ThreadPool pool(4);
+  exec::ThreadPoolBackend pool(4);
   for (const auto& [levels, features] :
        {std::pair{true, false}, {false, true}, {true, true}}) {
     ParallelOptions parallel;

@@ -1,28 +1,20 @@
-// Unit tests for the pluggable execution backends: the Run() degenerate-
-// count guard, serial/pool/numa scheduling (exactly-once visitation,
-// nested-Run reentrancy, steal counting), cpulist/sysfs topology
-// discovery and its single-node fallback, the name -> factory registry,
-// ThreadPoolBackend parity with the direct MapShards path, and the
-// ExecContext workspace reset on backend switches.
+// Unit tests for the execution backends: the Run() degenerate-count
+// guard, serial/pool scheduling (exactly-once visitation, nested-Run
+// reentrancy), pool/serial parity shard by shard, and CreateBackend's
+// name resolution.
 
 #include "exec/backend.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "data/dataset.h"
-#include "exec/backend_registry.h"
 #include "exec/map_reduce.h"
-#include "exec/numa.h"
 #include "exec/shard.h"
 #include "exec/workspace.h"
 #include "store/store_reader.h"
@@ -59,7 +51,6 @@ std::vector<std::shared_ptr<Backend>> AllBackends() {
   backends.push_back(
       std::shared_ptr<Backend>(SerialBackend::Get(), [](Backend*) {}));
   backends.push_back(std::make_shared<ThreadPoolBackend>(3));
-  backends.push_back(std::make_shared<NumaBackend>(3));
   return backends;
 }
 
@@ -73,12 +64,10 @@ TEST(BackendRunTest, DegenerateShardCountsNeverDispatch) {
     backend->RunIndices(0, 0, [&](size_t) { calls.fetch_add(1); });
     EXPECT_EQ(calls.load(), 0) << backend->name();
   }
-  // The compatibility MapShards overloads funnel through the same guard.
-  ThreadPool pool(2);
+  // MapShards funnels through the same guard, null backend included.
   std::atomic<int> calls{0};
-  MapShards(static_cast<ThreadPool*>(nullptr), 0,
-            [&](int) { calls.fetch_add(1); });
-  MapShards(&pool, -3, [&](int) { calls.fetch_add(1); });
+  MapShards(nullptr, 0, [&](int) { calls.fetch_add(1); });
+  MapShards(nullptr, -3, [&](int) { calls.fetch_add(1); });
   MapShards(SerialBackend::Get(), 0, [&](int) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
 }
@@ -141,8 +130,8 @@ TEST(BackendRunTest, RunIndicesCoversEveryIndexExactlyOnce) {
 
 TEST(BackendRunTest, NestedRunExecutesInline) {
   // A shard body that dispatches through its own backend must not
-  // deadlock (the numa backend runs nested bodies inline; the pool
-  // backend's ParallelFor already supports reentrancy).
+  // deadlock (the pool backend's ParallelFor supports reentrancy: the
+  // calling thread always participates).
   for (const auto& backend : AllBackends()) {
     std::atomic<int> inner{0};
     backend->Run(4, [&](int) {
@@ -152,26 +141,16 @@ TEST(BackendRunTest, NestedRunExecutesInline) {
   }
 }
 
-TEST(ThreadPoolBackendTest, NullPoolDegeneratesToInlineSerialOrder) {
-  ThreadPoolBackend backend(static_cast<ThreadPool*>(nullptr));
-  EXPECT_EQ(backend.concurrency(), 1);
-  std::vector<int> order;
-  backend.Run(5, [&](int shard) { order.push_back(shard); });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPoolBackendTest, ConcurrencyMatchesParallelMaxSlots) {
-  ThreadPool pool(3);
-  ThreadPoolBackend borrowed(&pool);
-  EXPECT_EQ(borrowed.concurrency(), ParallelMaxSlots(&pool));
+TEST(ThreadPoolBackendTest, ConcurrencyCountsWorkersAndCaller) {
   ThreadPoolBackend owned(3);
   EXPECT_EQ(owned.concurrency(), 4);  // 3 workers + the calling thread
+  ThreadPoolBackend clamped(0);
+  EXPECT_EQ(clamped.concurrency(), 2);  // at least one worker
 }
 
-TEST(ThreadPoolBackendTest, RegistryBackendMatchesDirectMapShards) {
-  // Satellite parity check: the registry-constructed pool backend must
-  // produce bitwise-identical reductions to the direct ThreadPool*
-  // MapShards path, shard by shard.
+TEST(ThreadPoolBackendTest, MatchesSerialShardByShard) {
+  // The pool backend must produce bitwise-identical per-shard reductions
+  // to the serial backend, shard by shard.
   const std::vector<double> values = [] {
     std::vector<double> v(1000);
     for (size_t i = 0; i < v.size(); ++i) {
@@ -179,160 +158,32 @@ TEST(ThreadPoolBackendTest, RegistryBackendMatchesDirectMapShards) {
     }
     return v;
   }();
+  const auto reduce_shards = [&](Backend* backend, const ShardPlan& plan) {
+    std::vector<double> sums(static_cast<size_t>(plan.num_shards()), 0.0);
+    MapShards(backend, plan.num_shards(), [&](int shard) {
+      const IndexRange range = plan.range(shard);
+      sums[static_cast<size_t>(shard)] =
+          ReduceOrderedSum(std::span<const double>(
+              values.data() + range.begin, range.end - range.begin));
+    });
+    return sums;
+  };
   for (const int threads : {1, 2, 8}) {
     for (const int shards : {1, 3, 7}) {
       const ShardPlan plan = ShardPlan::Contiguous(values.size(), shards);
-
-      ThreadPool pool(threads);
-      std::vector<double> direct(static_cast<size_t>(shards), 0.0);
-      MapShards(&pool, shards, [&](int shard) {
-        const IndexRange range = plan.range(shard);
-        direct[static_cast<size_t>(shard)] =
-            ReduceOrderedSum(std::span<const double>(
-                values.data() + range.begin, range.end - range.begin));
-      });
-
-      auto backend = CreateBackend("pool", threads);
-      ASSERT_TRUE(backend.ok());
-      std::vector<double> via_registry(static_cast<size_t>(shards), 0.0);
-      MapShards(backend.value().get(), shards, [&](int shard) {
-        const IndexRange range = plan.range(shard);
-        via_registry[static_cast<size_t>(shard)] =
-            ReduceOrderedSum(std::span<const double>(
-                values.data() + range.begin, range.end - range.begin));
-      });
-      EXPECT_EQ(direct, via_registry)
-          << "threads=" << threads << " shards=" << shards;
-
-      auto numa = CreateBackend("numa", threads);
-      ASSERT_TRUE(numa.ok());
-      std::vector<double> via_numa(static_cast<size_t>(shards), 0.0);
-      MapShards(numa.value().get(), shards, [&](int shard) {
-        const IndexRange range = plan.range(shard);
-        via_numa[static_cast<size_t>(shard)] =
-            ReduceOrderedSum(std::span<const double>(
-                values.data() + range.begin, range.end - range.begin));
-      });
-      EXPECT_EQ(direct, via_numa)
+      auto pool = CreateBackend("pool", threads);
+      ASSERT_TRUE(pool.ok());
+      EXPECT_EQ(reduce_shards(nullptr, plan),
+                reduce_shards(pool.value().get(), plan))
           << "threads=" << threads << " shards=" << shards;
     }
   }
 }
 
-TEST(ParseCpuListTest, ParsesRangesSinglesAndJunk) {
-  EXPECT_EQ(ParseCpuList("0-3,8,10-11"),
-            (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
-  EXPECT_EQ(ParseCpuList("5"), (std::vector<int>{5}));
-  EXPECT_EQ(ParseCpuList("3,1,2,1"), (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(ParseCpuList(""), (std::vector<int>{}));
-  EXPECT_EQ(ParseCpuList("  7-9 \n"), (std::vector<int>{7, 8, 9}));
-  EXPECT_EQ(ParseCpuList("x,foo,-"), (std::vector<int>{}));
-  // Inverted and absurd ranges are skipped, not expanded.
-  EXPECT_EQ(ParseCpuList("9-3"), (std::vector<int>{}));
-  EXPECT_EQ(ParseCpuList("0-99999999"), (std::vector<int>{}));
-}
-
-TEST(NumaTopologyTest, FromSysfsReadsSyntheticTreeAndFallsBack) {
-  namespace fs = std::filesystem;
-  const fs::path root = fs::path(testing::TempDir()) / "fake_numa";
-  fs::remove_all(root);
-  ASSERT_TRUE(fs::create_directories(root / "node0"));
-  ASSERT_TRUE(fs::create_directories(root / "node1"));
-  { std::ofstream(root / "node0" / "cpulist") << "0-1\n"; }
-  { std::ofstream(root / "node1" / "cpulist") << "2-3\n"; }
-
-  const NumaTopology topology = NumaTopology::FromSysfs(root.string());
-  ASSERT_EQ(topology.num_nodes(), 2);
-  EXPECT_EQ(topology.node_cpus[0], (std::vector<int>{0, 1}));
-  EXPECT_EQ(topology.node_cpus[1], (std::vector<int>{2, 3}));
-
-  // A missing tree degrades to the single-node fallback.
-  const NumaTopology missing =
-      NumaTopology::FromSysfs((root / "does_not_exist").string());
-  EXPECT_EQ(missing.num_nodes(), 1);
-}
-
-TEST(NumaTopologyTest, ForceSingleNodeOverridesDetection) {
-  ASSERT_EQ(setenv("UPSKILL_FORCE_SINGLE_NODE", "1", 1), 0);
-  const NumaTopology forced = NumaTopology::Detect();
-  EXPECT_EQ(forced.num_nodes(), 1);
-  EXPECT_TRUE(forced.node_cpus.empty() || forced.node_cpus[0].empty());
-  ASSERT_EQ(unsetenv("UPSKILL_FORCE_SINGLE_NODE"), 0);
-}
-
-NumaTopology TwoFakeNodes() {
-  // Two nodes with empty cpu sets: node-sticky scheduling without any
-  // pinning, so the test behaves identically in sandboxes.
-  NumaTopology topology;
-  topology.node_cpus = {{}, {}};
-  return topology;
-}
-
-TEST(NumaBackendTest, HomeNodeRangesAreContiguousAndCoverAllNodes) {
-  NumaBackend backend(2, TwoFakeNodes());
-  ASSERT_EQ(backend.num_nodes(), 2);
-  EXPECT_EQ(backend.HomeNode(0, 10), 0);
-  EXPECT_EQ(backend.HomeNode(4, 10), 0);
-  EXPECT_EQ(backend.HomeNode(5, 10), 1);
-  EXPECT_EQ(backend.HomeNode(9, 10), 1);
-  // Monotone non-decreasing over the shard axis, and every node owns at
-  // least one shard once num_shards >= num_nodes.
-  for (const int shards : {2, 3, 7, 64}) {
-    int previous = 0;
-    std::vector<int> owned(2, 0);
-    for (int shard = 0; shard < shards; ++shard) {
-      const int node = backend.HomeNode(shard, shards);
-      EXPECT_GE(node, previous);
-      EXPECT_LT(node, 2);
-      previous = node;
-      ++owned[static_cast<size_t>(node)];
-    }
-    EXPECT_GT(owned[0], 0) << shards;
-    EXPECT_GT(owned[1], 0) << shards;
-  }
-}
-
-TEST(NumaBackendTest, SingleWorkerStealsTheRemoteNodesShards) {
-  // One worker => both the worker and the calling thread drain node 0;
-  // every node-1 shard they execute is by definition a steal.
-  NumaBackend backend(1, TwoFakeNodes());
-  std::vector<std::atomic<int>> visits(10);
-  for (auto& v : visits) v.store(0);
-  backend.Run(10, [&](int shard) {
-    visits[static_cast<size_t>(shard)].fetch_add(1);
-  });
-  for (int k = 0; k < 10; ++k) {
-    EXPECT_EQ(visits[static_cast<size_t>(k)].load(), 1) << k;
-  }
-  EXPECT_GE(backend.steal_count(), 5u);
-}
-
-TEST(NumaBackendTest, ManyRunsStayExactlyOnce) {
-  // Reuse across generations: the same backend must keep the
-  // exactly-once contract over many Run calls of varying sizes.
-  NumaBackend backend(4, TwoFakeNodes());
-  for (const int shards : {1, 2, 7, 64, 5, 128}) {
-    std::vector<std::atomic<int>> visits(static_cast<size_t>(shards));
-    for (auto& v : visits) v.store(0);
-    backend.Run(shards, [&](int shard) {
-      visits[static_cast<size_t>(shard)].fetch_add(1);
-    });
-    for (int k = 0; k < shards; ++k) {
-      ASSERT_EQ(visits[static_cast<size_t>(k)].load(), 1)
-          << "shards=" << shards << " k=" << k;
-    }
-  }
-}
-
-TEST(BackendRegistryTest, BuiltinsResolveAndUnknownNamesFail) {
-  const std::vector<std::string> names = BackendRegistry::Global().Names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "serial"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "pool"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "numa"), names.end());
-
+TEST(CreateBackendTest, KnownNamesResolveAndOthersFail) {
   auto serial = CreateBackend("serial", 8);
   ASSERT_TRUE(serial.ok());
-  EXPECT_STREQ(serial.value()->name(), "serial");
+  EXPECT_EQ(serial.value().get(), SerialBackend::Get());
   EXPECT_EQ(serial.value()->concurrency(), 1);
 
   auto pool = CreateBackend("pool", 3);
@@ -340,19 +191,19 @@ TEST(BackendRegistryTest, BuiltinsResolveAndUnknownNamesFail) {
   EXPECT_STREQ(pool.value()->name(), "pool");
   EXPECT_EQ(pool.value()->concurrency(), 4);
 
-  auto numa = CreateBackend("numa", 2);
-  ASSERT_TRUE(numa.ok());
-  EXPECT_STREQ(numa.value()->name(), "numa");
-  EXPECT_GE(numa.value()->num_nodes(), 1);
-
-  auto unknown = CreateBackend("gpu", 2);
-  ASSERT_FALSE(unknown.ok());
-  // The error names the registered backends so a CLI typo is
-  // self-explaining.
-  EXPECT_NE(unknown.status().message().find("serial"), std::string::npos);
+  for (const char* unknown : {"numa", "gpu", "Pool"}) {
+    auto created = CreateBackend(unknown, 2);
+    ASSERT_FALSE(created.ok()) << unknown;
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+    // The error names the known backends so a CLI typo is
+    // self-explaining.
+    const std::string& message = created.status().message();
+    EXPECT_NE(message.find("serial"), std::string::npos) << message;
+    EXPECT_NE(message.find("pool"), std::string::npos) << message;
+  }
 }
 
-TEST(BackendRegistryTest, EmptyAndAutoFollowTheThreadCount) {
+TEST(CreateBackendTest, EmptyAndAutoFollowTheThreadCount) {
   auto inline_default = CreateBackend("", 1);
   ASSERT_TRUE(inline_default.ok());
   EXPECT_STREQ(inline_default.value()->name(), "serial");
@@ -364,88 +215,6 @@ TEST(BackendRegistryTest, EmptyAndAutoFollowTheThreadCount) {
   auto auto_default = CreateBackend("auto", 4);
   ASSERT_TRUE(auto_default.ok());
   EXPECT_STREQ(auto_default.value()->name(), "pool");
-}
-
-TEST(BackendRegistryTest, CustomFactoriesSlotIn) {
-  BackendRegistry::Global().Register(
-      "test-inline", [](const BackendSpec&) -> Result<std::shared_ptr<Backend>> {
-        return std::shared_ptr<Backend>(SerialBackend::Get(), [](Backend*) {});
-      });
-  auto created = CreateBackend("test-inline", 2);
-  ASSERT_TRUE(created.ok());
-  std::vector<int> order;
-  created.value()->Run(3, [&](int shard) { order.push_back(shard); });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(ExecContextBackendTest, SwitchingBackendsResetsWorkspaces) {
-  const Dataset dataset = MakeDataset({4, 6, 2, 8, 3});
-  ExecContext context;
-  auto first = CreateBackend("pool", 2);
-  ASSERT_TRUE(first.ok());
-  context.SetBackend(first.value());
-  context.EnsureUserShards(dataset, 3);
-  ASSERT_EQ(context.num_shards(), 3);
-  context.workspace(0).dp.items.resize(64);
-  context.workspace(1).grid.assign(128, 1.0);
-
-  // Re-installing the SAME instance keeps workspaces (and their grown
-  // arenas) intact — the steady-state path.
-  ShardWorkspace* stable = &context.workspace(0);
-  context.SetBackend(first.value());
-  context.EnsureUserShards(dataset, 3);
-  EXPECT_EQ(&context.workspace(0), stable);
-  EXPECT_EQ(context.workspace(0).dp.items.size(), 64u);
-
-  // Switching to a DIFFERENT instance must drop every workspace: the
-  // arenas were sized/page-placed under the old backend's workers and
-  // must not leak into the new topology.
-  auto second = CreateBackend("numa", 2);
-  ASSERT_TRUE(second.ok());
-  context.SetBackend(second.value());
-  context.EnsureUserShards(dataset, 3);
-  ASSERT_EQ(context.num_shards(), 3);
-  EXPECT_EQ(context.workspace(0).dp.items.size(), 0u);
-  EXPECT_EQ(context.workspace(1).grid.size(), 0u);
-
-  // Uninstalling (null) is also a switch.
-  context.workspace(0).dp.items.resize(32);
-  context.SetBackend(nullptr);
-  context.EnsureUserShards(dataset, 3);
-  EXPECT_EQ(context.workspace(0).dp.items.size(), 0u);
-}
-
-TEST(AxisBackendTest, PreservesLegacyAxisGating) {
-  BackendChoice choice_a;
-  ThreadPool pool(2);
-  // No installed backend: enabled axis + pool -> pool-backed; disabled
-  // axis -> serial even with a pool (the old `axis && pool` gate).
-  EXPECT_STREQ(AxisBackend(nullptr, true, &pool, choice_a)->name(), "pool");
-  BackendChoice choice_b;
-  EXPECT_EQ(AxisBackend(nullptr, false, &pool, choice_b),
-            SerialBackend::Get());
-  BackendChoice choice_c;
-  EXPECT_EQ(AxisBackend(nullptr, true, nullptr, choice_c),
-            SerialBackend::Get());
-
-  // Installed backend: enabled axis runs on it; disabled axis is serial;
-  // a concurrency-1 backend is serial either way.
-  ExecContext context;
-  auto numa = CreateBackend("numa", 2);
-  ASSERT_TRUE(numa.ok());
-  context.SetBackend(numa.value());
-  BackendChoice choice_d;
-  EXPECT_EQ(AxisBackend(&context, true, nullptr, choice_d),
-            numa.value().get());
-  BackendChoice choice_e;
-  EXPECT_EQ(AxisBackend(&context, false, nullptr, choice_e),
-            SerialBackend::Get());
-  auto serial = CreateBackend("serial", 1);
-  ASSERT_TRUE(serial.ok());
-  context.SetBackend(serial.value());
-  BackendChoice choice_f;
-  EXPECT_EQ(AxisBackend(&context, true, nullptr, choice_f),
-            SerialBackend::Get());
 }
 
 }  // namespace

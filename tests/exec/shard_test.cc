@@ -10,8 +10,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "data/dataset.h"
+#include "exec/backend.h"
 #include "exec/map_reduce.h"
 #include "exec/workspace.h"
 
@@ -112,16 +112,18 @@ TEST(ShardPlanTest, BalancedAllZeroWeightsDegeneratesToContiguous) {
 }
 
 TEST(ResolveShardCountTest, HonorsExplicitRequest) {
-  EXPECT_EQ(ResolveShardCount(7, static_cast<const ThreadPool*>(nullptr), 3), 7);
-  EXPECT_EQ(ResolveShardCount(1, static_cast<const ThreadPool*>(nullptr), 1000), 1);
+  EXPECT_EQ(ResolveShardCount(7, nullptr, 3), 7);
+  EXPECT_EQ(ResolveShardCount(1, nullptr, 1000), 1);
 }
 
 TEST(ResolveShardCountTest, AutoScalesWithPoolAndClampsToCount) {
-  // No pool still gets kDefaultShardsPerSlot shards (one slot): shard
-  // count only affects scheduling granularity, never results.
-  EXPECT_EQ(ResolveShardCount(0, static_cast<const ThreadPool*>(nullptr), 100), kDefaultShardsPerSlot);
-  EXPECT_EQ(ResolveShardCount(0, static_cast<const ThreadPool*>(nullptr), 0), 1);
-  ThreadPool pool(3);  // 4 slots (workers + caller)
+  // A serial backend still gets kDefaultShardsPerSlot shards (one slot):
+  // shard count only affects scheduling granularity, never results.
+  EXPECT_EQ(ResolveShardCount(0, nullptr, 100), kDefaultShardsPerSlot);
+  EXPECT_EQ(ResolveShardCount(0, SerialBackend::Get(), 100),
+            kDefaultShardsPerSlot);
+  EXPECT_EQ(ResolveShardCount(0, nullptr, 0), 1);
+  ThreadPoolBackend pool(3);  // 4 slots (workers + caller)
   EXPECT_EQ(ResolveShardCount(0, &pool, 1000), 4 * kDefaultShardsPerSlot);
   EXPECT_EQ(ResolveShardCount(0, &pool, 5), 5);
   EXPECT_EQ(ResolveShardCount(-1, &pool, 0), 1);
@@ -185,7 +187,7 @@ TEST(ReduceOrderedTest, FoldsEverythingIntoFirstElement) {
 
 TEST(MapShardsTest, VisitsEveryShardExactlyOnce) {
   for (const bool threaded : {false, true}) {
-    ThreadPool pool(4);
+    ThreadPoolBackend pool(4);
     constexpr int kShards = 23;
     std::vector<std::atomic<int>> visits(kShards);
     MapShards(threaded ? &pool : nullptr, kShards, [&](int shard) {
@@ -200,19 +202,20 @@ TEST(MapShardsTest, VisitsEveryShardExactlyOnce) {
 TEST(ExecContextTest, EnsureIsIdempotentAndWorkspacesAreStable) {
   const Dataset dataset = MakeDataset({4, 6, 2, 8, 3});
   ExecContext context;
-  context.EnsureUserShards(dataset, 3, static_cast<const ThreadPool*>(nullptr));
+  context.EnsureUserShards(dataset, 3);
   ASSERT_EQ(context.num_shards(), 3);
   ShardWorkspace* first = &context.workspace(0);
   first->dp.items.resize(64);  // grow an arena; it must survive re-Ensure
 
-  context.EnsureUserShards(dataset, 3, static_cast<const ThreadPool*>(nullptr));
+  context.EnsureUserShards(dataset, 3);
   EXPECT_EQ(context.num_shards(), 3);
   EXPECT_EQ(&context.workspace(0), first);
   EXPECT_EQ(context.workspace(0).dp.items.size(), 64u);
 
   // An auto request sticks to the existing plan even under a different
-  // pool (drivers whose phases use different pools must not thrash).
-  ThreadPool pool(4);
+  // backend (drivers whose phases use different backends must not
+  // thrash).
+  ThreadPoolBackend pool(4);
   context.EnsureUserShards(dataset, 0, &pool);
   EXPECT_EQ(context.num_shards(), 3);
   EXPECT_EQ(&context.workspace(0), first);
@@ -222,6 +225,22 @@ TEST(ExecContextTest, EnsureIsIdempotentAndWorkspacesAreStable) {
   EXPECT_EQ(context.num_shards(), 5);
   EXPECT_EQ(&context.workspace(0), first);
   EXPECT_EQ(context.workspace(0).dp.items.size(), 64u);
+}
+
+TEST(ExecContextTest, AutoPlanIsSizedFromTheFirstBackend) {
+  // The training drivers size the plan once from their full backend;
+  // the axis-gated (serial) backends later phases pass must keep it.
+  const Dataset dataset = MakeDataset(std::vector<int>(100, 3));
+  ExecContext context;
+  ThreadPoolBackend pool(4);  // 5 slots
+  context.EnsureUserShards(dataset, 0, &pool);
+  EXPECT_EQ(context.num_shards(), 5 * kDefaultShardsPerSlot);
+  context.EnsureUserShards(dataset, 0, SerialBackend::Get());
+  EXPECT_EQ(context.num_shards(), 5 * kDefaultShardsPerSlot);
+
+  ExecContext serial_first;
+  serial_first.EnsureUserShards(dataset, 0);
+  EXPECT_EQ(serial_first.num_shards(), kDefaultShardsPerSlot);
 }
 
 }  // namespace

@@ -144,9 +144,9 @@ TEST_F(EndToEndTest, ModelSurvivesSaveLoadWithIdenticalAssignments) {
   double ll_original = 0.0;
   double ll_loaded = 0.0;
   const SkillAssignments a = AssignSkills(data_->dataset, trained_->model,
-                                          nullptr, {}, &ll_original);
+                                          nullptr, &ll_original);
   const SkillAssignments b = AssignSkills(data_->dataset, loaded.value(),
-                                          nullptr, {}, &ll_loaded);
+                                          nullptr, &ll_loaded);
   EXPECT_EQ(a, b);
   EXPECT_NEAR(ll_original, ll_loaded, 1e-9);
   std::filesystem::remove(path);

@@ -1,8 +1,9 @@
 // End-to-end integration test of the serving pipeline through the real
 // binary: generate -> train -> snapshot -> `upskill_cli serve` over a
 // scripted stdin session, including a mid-session snapshot swap (same-S
-// swap keeps the session; an S-changing swap resets it). The binary path
-// is injected by CMake as UPSKILL_CLI_PATH.
+// swap keeps the session; an S-changing swap resets it), plus the
+// `--backend` flag of train, the online refresh and snapshot. The binary
+// path is injected by CMake as UPSKILL_CLI_PATH.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -10,6 +11,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -37,6 +39,20 @@ class ServeCliTest : public ::testing::Test {
                                 argv_tail + " > " + log + " 2>&1";
     const int status = std::system(command.c_str());
     ASSERT_EQ(status, 0) << command << "\n" << Slurp(log);
+  }
+
+  // Runs the CLI with `argv_tail` and expects exit status 1 with an
+  // error that names both known backends.
+  void ExpectUnknownBackend(const std::string& argv_tail) {
+    const std::string log = dir_ + "/unknown_backend.log";
+    const std::string command = std::string(UPSKILL_CLI_PATH) + " " +
+                                argv_tail + " > " + log + " 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << command;
+    const std::string message = Slurp(log);
+    EXPECT_NE(message.find("serial"), std::string::npos) << message;
+    EXPECT_NE(message.find("pool"), std::string::npos) << message;
   }
 
   static std::string Slurp(const std::string& path) {
@@ -229,6 +245,64 @@ TEST_F(ServeCliTest, TrainWritesTraceAndMetricsDumps) {
   EXPECT_NE(metrics.find("upskill_train_iterations_total"),
             std::string::npos);
   EXPECT_NE(metrics.rfind("# EOF\n"), std::string::npos);
+}
+
+// --backend only moves scheduling: at 4 threads, serial, pool and the
+// default all write the same model bytes; any other name is an error.
+TEST_F(ServeCliTest, TrainWritesIdenticalModelsUnderEveryBackend) {
+  Run("generate synthetic " + dir_ + "/data --users 60 --seed 7");
+  const std::string flags[] = {"", "--backend serial", "--backend pool"};
+  for (size_t i = 0; i < std::size(flags); ++i) {
+    Run("train " + dir_ + "/data " + dir_ + "/model" + std::to_string(i) +
+        ".csv --levels 4 --threads 4 " + flags[i]);
+  }
+  const std::string reference = Slurp(dir_ + "/model0.csv");
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(Slurp(dir_ + "/model1.csv"), reference);
+  EXPECT_EQ(Slurp(dir_ + "/model2.csv"), reference);
+  ExpectUnknownBackend("train " + dir_ + "/data " + dir_ +
+                       "/numa.csv --levels 4 --threads 4 --backend numa");
+}
+
+// The online refresh and snapshot build their backend from --backend and
+// --threads: a serial refresh at 4 threads writes the same checkpoint as
+// a 1-thread one, and an unknown backend fails both commands.
+TEST_F(ServeCliTest, OnlineRefreshAndSnapshotHonourBackend) {
+  Run("generate synthetic " + dir_ + "/data --users 60 --seed 7");
+  Run("dataset pack " + dir_ + "/data " + dir_ + "/base.store");
+  Run("train " + dir_ + "/data " + dir_ + "/model.csv --levels 4");
+  Run("snapshot " + dir_ + "/data " + dir_ + "/model.csv " + dir_ +
+      "/base.snap --levels 4 --threads 4 --backend serial");
+  {
+    std::ofstream script(dir_ + "/observe.txt");
+    script << "observe u1 3 1\nobserve u1 7 2\nobserve u2 5 1\nquit\n";
+  }
+  Run("serve " + dir_ + "/base.snap --ingest-log " + dir_ +
+      "/delta.ingest < " + dir_ + "/observe.txt");
+  Run("dataset compact " + dir_ + "/base.store " + dir_ + "/delta.ingest " +
+      dir_ + "/merged.store");
+  Run("train " + dir_ + "/base.store " + dir_ +
+      "/seed.csv --levels 4 --from-store --online --checkpoint " + dir_ +
+      "/ck.bin");
+  const std::string refresh = "train " + dir_ + "/merged.store " + dir_ +
+                              "/refreshed.csv --levels 4 --from-store " +
+                              "--online --previous " + dir_ + "/base.store ";
+  for (const char* name : {"one", "serial"}) {
+    std::filesystem::copy_file(dir_ + "/ck.bin",
+                               dir_ + "/ck_" + name + ".bin");
+  }
+  Run(refresh + "--checkpoint " + dir_ + "/ck_one.bin --threads 1");
+  Run(refresh + "--checkpoint " + dir_ +
+      "/ck_serial.bin --threads 4 --backend serial");
+  const std::string one = Slurp(dir_ + "/ck_one.bin");
+  ASSERT_FALSE(one.empty());
+  EXPECT_NE(one, Slurp(dir_ + "/ck.bin"));  // the refresh moved the state
+  EXPECT_EQ(Slurp(dir_ + "/ck_serial.bin"), one);
+
+  ExpectUnknownBackend(refresh + "--checkpoint " + dir_ +
+                       "/ck.bin --threads 4 --backend numa");
+  ExpectUnknownBackend("snapshot " + dir_ + "/data " + dir_ + "/model.csv " +
+                       dir_ + "/numa.snap --levels 4 --backend numa");
 }
 
 TEST_F(ServeCliTest, ServeRejectsMissingSnapshot) {

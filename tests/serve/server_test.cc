@@ -309,7 +309,7 @@ TEST_F(ServerTest, EvictCommandDropsIdleSessionsOnly) {
 
 TEST_F(ServerTest, ExecuteBatchPreservesRequestOrder) {
   Server server(serving_);
-  ThreadPool pool(4);
+  exec::ThreadPoolBackend pool(4);
   std::vector<ServeRequest> requests;
   for (int i = 0; i < 64; ++i) {
     requests.push_back(
@@ -333,7 +333,7 @@ TEST_F(ServerTest, ConcurrentObserveMatchesBatchUnderThePool) {
   // parallel via ExecuteBatch (interleaving all sessions), then check
   // every final level against the batch DP tails.
   Server server(serving_);
-  ThreadPool pool(4);
+  exec::ThreadPoolBackend pool(4);
   // Round-robin the users' actions so same-user requests stay ordered
   // across batches while different users interleave within one batch.
   size_t max_len = 0;

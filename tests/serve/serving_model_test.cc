@@ -14,7 +14,7 @@
 #include "core/difficulty.h"
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
-#include "exec/backend_registry.h"
+#include "exec/backend.h"
 #include "serve/snapshot.h"
 
 namespace upskill {

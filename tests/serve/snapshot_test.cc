@@ -14,7 +14,9 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <utility>
 
+#include "common/crc32.h"
 #include "core/difficulty.h"
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
@@ -143,9 +145,9 @@ TEST_F(SnapshotTest, SnapshotModelAssignsIdenticallyToCsvModel) {
   double ll_csv = 0.0;
   double ll_snap = 0.0;
   const SkillAssignments from_csv =
-      AssignSkills(*dataset_, csv_model.value(), nullptr, {}, &ll_csv);
+      AssignSkills(*dataset_, csv_model.value(), nullptr, &ll_csv);
   const SkillAssignments from_snap =
-      AssignSkills(*dataset_, snap.value().model, nullptr, {}, &ll_snap);
+      AssignSkills(*dataset_, snap.value().model, nullptr, &ll_snap);
   EXPECT_EQ(from_csv, from_snap);
   EXPECT_EQ(ll_csv, ll_snap);
   std::filesystem::remove(csv);
@@ -160,6 +162,94 @@ TEST_F(SnapshotTest, RejectsCorruptedPayload) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().ToString().find("checksum"), std::string::npos)
       << loaded.status().ToString();
+}
+
+// Payload offsets (after the 28-byte header) of the counts LoadSnapshot
+// sizes allocations from, found by walking the format: the config section
+// (level count first), the schema, one length-prefixed parameter vector
+// per (feature, level) cell, the transitions, then the item count.
+struct CountOffsets {
+  size_t levels = 0;
+  size_t id_cardinality = 0;
+  size_t id_labels = 0;
+  size_t items = 0;
+};
+
+CountOffsets FindCountOffsets(const ModelSnapshot& snapshot) {
+  constexpr size_t kConfigBytes = 4 + 8 + 4 + 4 + 1 + 8 + 8;
+  const FeatureSchema& schema = snapshot.schema;
+  CountOffsets offsets;
+  size_t at = kConfigBytes + 2 * sizeof(int32_t);
+  for (int f = 0; f < schema.num_features(); ++f) {
+    const FeatureSpec& spec = schema.feature(f);
+    at += sizeof(uint32_t) + spec.name.size() + 2;  // name, type, dist
+    if (f == schema.id_feature()) {
+      offsets.id_cardinality = at;
+      offsets.id_labels = at + sizeof(int32_t);
+    }
+    at += sizeof(int32_t) + sizeof(uint32_t);
+    for (const std::string& label : spec.labels) {
+      at += sizeof(uint32_t) + label.size();
+    }
+  }
+  for (int f = 0; f < schema.num_features(); ++f) {
+    for (int s = 1; s <= snapshot.config.num_levels; ++s) {
+      at += sizeof(uint32_t) +
+            snapshot.model.component(f, s).Parameters().size() *
+                sizeof(double);
+    }
+  }
+  at += 1;  // has_transitions
+  if (snapshot.has_transitions) {
+    at += sizeof(uint32_t) +
+          snapshot.transitions.log_initial.size() * sizeof(double) +
+          2 * sizeof(double);
+  }
+  offsets.items = at;
+  return offsets;
+}
+
+// Counts from which an unchecked decoder would size a huge allocation,
+// each written behind a re-sealed payload CRC so only the decoder's own
+// checks can reject them: the level count, the item-ID cardinality, the
+// item count, and a schema label count.
+TEST_F(SnapshotTest, RejectsCountsTheFileCannotBack) {
+  constexpr size_t kHeaderSize = 28;
+  constexpr size_t kCrcOffset = 24;
+  const std::string bytes = ReadBytes();
+  const auto original = LoadSnapshot(path_);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  ASSERT_GE(original.value().schema.id_feature(), 0);
+  const CountOffsets offsets = FindCountOffsets(original.value());
+  const auto read_i32 = [&](size_t offset) {
+    int32_t value = 0;
+    std::memcpy(&value, bytes.data() + kHeaderSize + offset, sizeof value);
+    return value;
+  };
+  ASSERT_EQ(read_i32(offsets.levels), original.value().config.num_levels);
+  ASSERT_EQ(read_i32(offsets.id_cardinality),
+            original.value().items.num_items());
+  ASSERT_EQ(read_i32(offsets.id_labels), 0);
+  ASSERT_EQ(read_i32(offsets.items), original.value().items.num_items());
+
+  const std::pair<size_t, uint32_t> cases[] = {
+      {offsets.levels, 0x7ffffff0u},
+      {offsets.id_cardinality, 0x7ffffff0u},
+      {offsets.items, 0x7ffffff0u},
+      {offsets.id_labels, 0xfffffff0u},
+  };
+  for (const auto& [offset, value] : cases) {
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + kHeaderSize + offset, &value, sizeof value);
+    const uint32_t crc = Crc32(corrupt.data() + kHeaderSize,
+                               corrupt.size() - kHeaderSize);
+    std::memcpy(corrupt.data() + kCrcOffset, &crc, sizeof crc);
+    WriteBytes(corrupt);
+    const auto loaded = LoadSnapshot(path_);
+    ASSERT_FALSE(loaded.ok()) << "offset " << offset;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+        << "offset " << offset << ": " << loaded.status().ToString();
+  }
 }
 
 TEST_F(SnapshotTest, RejectsTruncatedFile) {

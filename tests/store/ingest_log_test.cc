@@ -19,6 +19,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -199,13 +200,26 @@ TEST(IngestLogTest, CorruptMiddleFrameEndsThePrefix) {
   }
   const std::string bytes = ReadFile(path);
   const std::string corrupt_path = TempPath("bitflip_cut.ingest");
+  // (byte, bit) flips: 25 random ones, plus the top bit of the middle
+  // frame's record count, which they never hit. The count sits outside
+  // the frame CRC.
+  std::vector<std::pair<size_t, int>> flips;
   std::mt19937 rng(123u);
   for (int trial = 0; trial < 25; ++trial) {
-    std::string corrupt = bytes;
     const size_t at =
-        std::uniform_int_distribution<size_t>(0, corrupt.size() - 1)(rng);
-    corrupt[at] ^= static_cast<char>(
-        1 << std::uniform_int_distribution<int>(0, 7)(rng));
+        std::uniform_int_distribution<size_t>(0, bytes.size() - 1)(rng);
+    flips.emplace_back(at, std::uniform_int_distribution<int>(0, 7)(rng));
+  }
+  size_t middle_frame = 0;  // frame 2 of 5: skip two 16-byte headers
+  for (int frame = 0; frame < 2; ++frame) {
+    uint32_t payload_bytes = 0;
+    std::memcpy(&payload_bytes, bytes.data() + middle_frame + 4, 4);
+    middle_frame += 16 + payload_bytes;
+  }
+  flips.emplace_back(middle_frame + 11, 7);  // count is bytes 8..11
+  for (const auto& [at, bit] : flips) {
+    std::string corrupt = bytes;
+    corrupt[at] ^= static_cast<char>(1 << bit);
     WriteFile(corrupt_path, corrupt);
     Result<IngestRecovery> recovered = RecoverIngestLog(corrupt_path);
     ASSERT_TRUE(recovered.ok());

@@ -10,13 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/crc32.h"
 #include "core/trainer.h"
 #include "data/dataset.h"
+#include "data/schema_io.h"
 #include "datagen/synthetic.h"
 
 namespace upskill {
@@ -211,6 +215,34 @@ TEST_P(OnlineTrainerTest, CheckpointRoundTripIsBitwise) {
                                 resumed.value().level_counts().end()));
 }
 
+// Byte offset of a checkpoint's user count: the magic, four u32 header
+// fields, the schema, the u64 item count, then one length-prefixed
+// parameter vector per (feature, level) cell.
+size_t UserCountOffset(const OnlineTrainer& trainer) {
+  ByteWriter schema;
+  SerializeSchema(trainer.model().schema(), &schema);
+  size_t offset = 8 + 4 * sizeof(uint32_t) + schema.buffer().size() +
+                  sizeof(uint64_t);
+  for (int f = 0; f < trainer.model().num_features(); ++f) {
+    for (int s = 1; s <= trainer.model().num_levels(); ++s) {
+      offset += sizeof(uint32_t) +
+                trainer.model().component(f, s).Parameters().size() *
+                    sizeof(double);
+    }
+  }
+  return offset;
+}
+
+// `bytes` with `value` stored at `offset` and the trailing CRC re-sealed,
+// so only the decoder's own checks can reject it.
+template <typename T>
+std::string Resealed(std::string bytes, size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+  const uint32_t crc = Crc32(bytes.data(), bytes.size() - sizeof crc);
+  std::memcpy(bytes.data() + bytes.size() - sizeof crc, &crc, sizeof crc);
+  return bytes;
+}
+
 TEST_P(OnlineTrainerTest, CheckpointRejectsCorruption) {
   const auto data = MakeData();
   const SkillModelConfig config = MakeConfig(GetParam());
@@ -219,16 +251,33 @@ TEST_P(OnlineTrainerTest, CheckpointRejectsCorruption) {
 
   const std::string path = testing::TempDir() + "/online_ckpt_corrupt.bin";
   ASSERT_TRUE(online.SaveCheckpoint(path).ok());
-  std::string bytes = FileBytes(path);
+  const std::string bytes = FileBytes(path);
   ASSERT_GT(bytes.size(), 64u);
-  bytes[bytes.size() / 2] ^= 0x40;  // flip one bit mid-file
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  const size_t users_at = UserCountOffset(online);
+  uint64_t num_users = 0;
+  std::memcpy(&num_users, bytes.data() + users_at, sizeof num_users);
+  ASSERT_EQ(num_users, static_cast<uint64_t>(data.dataset.num_users()));
+
+  std::string flipped = bytes;
+  flipped[flipped.size() / 2] ^= 0x40;  // flip one bit mid-file
+  // Counts the decoder must check before sizing anything from them, each
+  // behind a valid CRC: a user count of 2^40 and a first path length of
+  // 0xFFFFFFF0.
+  const std::string corrupt[] = {
+      flipped,
+      Resealed(bytes, users_at, uint64_t{1} << 40),
+      Resealed(bytes, users_at + sizeof(uint64_t), uint32_t{0xFFFFFFF0u}),
+  };
+  for (const std::string& input : corrupt) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(input.data(), static_cast<std::streamsize>(input.size()));
+    }
+    auto resumed = OnlineTrainer::LoadCheckpoint(path, config);
+    ASSERT_FALSE(resumed.ok());
+    EXPECT_EQ(resumed.status().code(), StatusCode::kCorruption)
+        << resumed.status().ToString();
   }
-  auto resumed = OnlineTrainer::LoadCheckpoint(path, config);
-  ASSERT_FALSE(resumed.ok());
-  EXPECT_EQ(resumed.status().code(), StatusCode::kCorruption);
 }
 
 TEST_P(OnlineTrainerTest, CheckpointRejectsConfigMismatch) {
