@@ -1,11 +1,10 @@
-// Per-backend exec-layer benchmarks: the two pipeline-level sharded
-// kernels (assignment DP sweep and the parameter refit) driven through
-// each exec::Backend — serial and pool. The kernels are bitwise
-// deterministic across backends (tests/exec/determinism_test.cc), so the
-// only thing these benches measure is scheduling: dispatch overhead at
-// shards=1 and scaling at shards=4/16. Every entry records its backend in
-// the benchmark name plus `threads` / `shards` counters so the results
-// slice cleanly per backend.
+// Per-backend exec-layer benchmarks: the pipeline-level sharded kernel
+// (the assignment DP sweep) driven through each exec::Backend — serial
+// and pool. The kernel is bitwise deterministic across backends
+// (tests/exec/determinism_test.cc), so the only thing these benches
+// measure is scheduling: dispatch overhead at shards=1 and scaling at
+// shards=4/16. Every entry records its backend in the benchmark name plus
+// `threads` / `shards` counters so the results slice cleanly per backend.
 
 #include <benchmark/benchmark.h>
 
@@ -21,15 +20,13 @@
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
 #include "exec/backend.h"
-#include "exec/workspace.h"
 
 namespace upskill {
 namespace {
 
 // Same synthetic fixture as bench_micro's pipeline benches, so the
 // per-backend numbers here are directly comparable against the pool-only
-// BM_AssignSkillsSharded / BM_FitParametersSharded entries recorded in
-// BENCH_PR4.json.
+// BM_AssignSkillsSharded entries recorded in BENCH_PR4.json.
 const datagen::GeneratedData& PipelineData() {
   static const datagen::GeneratedData* data = [] {
     datagen::SyntheticConfig config;
@@ -93,34 +90,6 @@ void ExecAssignSharded(benchmark::State& state, const std::string& name) {
                           static_cast<int64_t>(data.dataset.num_actions()));
 }
 
-void ExecFitSharded(benchmark::State& state, const std::string& name) {
-  const auto& data = PipelineData();
-  const auto& trained = PipelineModel();
-  const int threads = static_cast<int>(state.range(0));
-  const int shards = static_cast<int>(state.range(1));
-  std::shared_ptr<exec::Backend> backend = MakeBackend(state, name, threads);
-  if (backend == nullptr) return;
-  ParallelOptions parallel;
-  parallel.num_threads = threads;
-  parallel.levels = true;
-  parallel.features = true;
-  SkillModelConfig config = trained.model.config();
-  config.num_shards = shards;
-  auto model = SkillModel::Create(trained.model.schema(), config);
-  if (!model.ok()) {
-    state.SkipWithError("SkillModel::Create failed");
-    return;
-  }
-  exec::ExecContext context;
-  for (auto _ : state) {
-    FitParameters(data.dataset, trained.assignments, &model.value(),
-                  backend.get(), parallel, &context);
-  }
-  RecordBackendCounters(state, threads, shards);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(data.dataset.num_actions()));
-}
-
 // Same env knob as bench_micro's sharded sweeps (scripts/bench.sh
 // --threads exports it); defaults to {1, 8}.
 std::vector<int> SweepThreadCounts() {
@@ -153,10 +122,6 @@ void RegisterExecSweeps() {
             [name](benchmark::State& state) {
               ExecAssignSharded(state, name);
             })
-            ->Args({effective_threads, shards});
-        benchmark::RegisterBenchmark(
-            ("BM_FitParametersSharded/backend:" + name).c_str(),
-            [name](benchmark::State& state) { ExecFitSharded(state, name); })
             ->Args({effective_threads, shards});
       }
     }

@@ -349,43 +349,10 @@ void BM_FitParameters(benchmark::State& state) {
                   parallel);
   }
   state.counters["threads"] = threads;
-  state.counters["shards"] = exec::ResolveShardCount(
-      0, backend.get(), static_cast<size_t>(data.dataset.num_users()));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.dataset.num_actions()));
 }
 BENCHMARK(BM_FitParameters)->Arg(1)->Arg(8);
-
-// Thread x shard sweep over the update step, sharing one ExecContext
-// across iterations like Trainer::Train does (registered in main(), same
-// grid as AssignSkillsSharded).
-void FitParametersSharded(benchmark::State& state) {
-  const auto& data = PipelineData();
-  const auto& trained = PipelineModel();
-  const int threads = static_cast<int>(state.range(0));
-  const int shards = static_cast<int>(state.range(1));
-  const std::shared_ptr<exec::Backend> backend = BackendForThreads(threads);
-  ParallelOptions parallel;
-  parallel.num_threads = threads;
-  parallel.levels = threads > 1;
-  parallel.features = threads > 1;
-  SkillModelConfig config = trained.model.config();
-  config.num_shards = shards;
-  auto model = SkillModel::Create(trained.model.schema(), config);
-  if (!model.ok()) {
-    state.SkipWithError("SkillModel::Create failed");
-    return;
-  }
-  exec::ExecContext context;
-  for (auto _ : state) {
-    FitParameters(data.dataset, trained.assignments, &model.value(),
-                  backend.get(), parallel, &context);
-  }
-  state.counters["threads"] = threads;
-  state.counters["shards"] = shards;
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(data.dataset.num_actions()));
-}
 
 void BM_DifficultyAssignment(benchmark::State& state) {
   const auto& data = PipelineData();
@@ -655,9 +622,6 @@ void RegisterShardedSweeps() {
     for (const int shards : {1, 4, 16}) {
       benchmark::RegisterBenchmark("BM_AssignSkillsSharded",
                                    AssignSkillsSharded)
-          ->Args({threads, shards});
-      benchmark::RegisterBenchmark("BM_FitParametersSharded",
-                                   FitParametersSharded)
           ->Args({threads, shards});
     }
   }

@@ -19,7 +19,7 @@
 #            rates, online refresh vs full replay, and BM_OutOfCoreScan
 #            over a store built larger than UPSKILL_STORE_BUDGET_MB
 #            (default 64; the fixture writes ~2x the budget to /tmp)
-#     exec   bench_exec: the sharded assignment/fit kernels once per
+#     exec   bench_exec: the sharded assignment kernel once per
 #            execution backend (serial | pool); every entry names its
 #            backend and records threads/shards counters
 #     obs    bench_obs: request-trace overhead on the serving hot path —
@@ -35,10 +35,10 @@
 #            builds its own Release tree in .bench_build/. For a paired
 #            A/B comparison use `bench/e2e/compare.py run` directly.
 #
-#   --threads sweeps the sharded micro benches (BM_AssignSkillsSharded,
-#   BM_FitParametersSharded) over the given thread counts; each emitted
-#   entry records its thread and shard count in the `threads` / `shards`
-#   counters. Default sweep is "1 8".
+#   --threads sweeps the sharded assignment benches
+#   (BM_AssignSkillsSharded in bench_micro and bench_exec) over the given
+#   thread counts; each emitted entry records its thread and shard count
+#   in the `threads` / `shards` counters. Default sweep is "1 8".
 #
 #   --metrics attaches a Prometheus registry dump next to the benchmark
 #   JSON (BENCH_PR<N>.metrics.prom): the binary writes the process

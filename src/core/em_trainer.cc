@@ -59,10 +59,9 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
           ? backend.get()
           : exec::SerialBackend::Get();
 
-  // One sharded-execution context for the run: the E-step, the hard
-  // readout, and the update step's count sweep share the same user-axis
-  // shard plan and per-shard workspaces (forward/backward arenas, DP
-  // arenas) across all iterations.
+  // One sharded-execution context for the run: the E-step and the hard
+  // readout share the same user-axis shard plan and per-shard workspaces
+  // (forward/backward arenas, DP arenas) across all iterations.
   exec::ExecContext exec_context;
   exec_context.EnsureUserShards(dataset, config_.model.num_shards,
                                 backend.get());
@@ -73,7 +72,7 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
     const SkillAssignments init = InitializeAssignments(
         dataset, S, config_.model.min_init_actions);
     FitParameters(dataset, init, &result.model, backend.get(),
-                  config_.model.parallel, &exec_context);
+                  config_.model.parallel);
   }
   result.initial_distribution.assign(levels, 1.0 / static_cast<double>(S));
   result.level_up_probability = config_.initial_level_up_probability;

@@ -97,22 +97,11 @@ Result<TrainResult> OnlineTrainer::TrainFullReplay(const Dataset& dataset) {
   model_ = trained.value().model;  // deep copy; the result stays intact
   assignments_ = trained.value().assignments;
 
-  // Rebuild the count grid from the final assignments with one serial
-  // sweep. The entries are exact integer sums in doubles, so this grid is
-  // bitwise identical to the one any sharded/parallel build would
-  // produce, and incremental subtract/add maintenance keeps it that way.
-  const size_t num_items = static_cast<size_t>(dataset.items().num_items());
-  const size_t levels = static_cast<size_t>(config_.num_levels);
-  level_counts_.assign(levels * num_items, 0.0);
-  for (UserId u = 0; u < dataset.num_users(); ++u) {
-    const std::vector<int>& path = assignments_[static_cast<size_t>(u)];
-    const std::span<const Action> seq = dataset.sequence(u);
-    UPSKILL_CHECK(path.size() == seq.size());
-    for (size_t n = 0; n < seq.size(); ++n) {
-      level_counts_[static_cast<size_t>(path[n] - 1) * num_items +
-                    static_cast<size_t>(seq[n].item)] += 1.0;
-    }
-  }
+  // Rebuild the count grid from the final assignments. The entries are
+  // exact integer sums in doubles, so incremental subtract/add
+  // maintenance keeps it equal to a fresh sweep.
+  level_counts_ =
+      CountAssignedActions(dataset, assignments_, config_.num_levels);
 
   // Self-consistent transition weights: refit from the adopted (final)
   // assignments — a pure function of checkpointed state, so a resumed

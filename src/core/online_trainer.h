@@ -76,8 +76,7 @@ class OnlineTrainer {
 
   /// Full-batch training over `dataset` via Trainer::Train; adopts the
   /// fitted model, assignments, and transition weights, and rebuilds the
-  /// count grid from the final assignments (a serial sweep of exact
-  /// integer sums — bitwise equal to any sharded build).
+  /// count grid from the final assignments (CountAssignedActions).
   Result<TrainResult> TrainFullReplay(const Dataset& dataset);
 
   /// One incremental EM step moving the state from `previous` to

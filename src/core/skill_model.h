@@ -25,7 +25,8 @@ class Backend;
 /// This is an ablation knob, not a way to request threads: the training
 /// drivers build one exec::Backend with `num_threads` workers when any()
 /// holds and hand the assignment step a serial one when `users` is off;
-/// FitParameters reads `levels` and `features` to shape its cell fan-out.
+/// FitCellsFromCountGrid reads `levels` and `features` to shape its cell
+/// fan-out.
 struct ParallelOptions {
   int num_threads = 1;
   bool users = false;

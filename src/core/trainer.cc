@@ -243,98 +243,33 @@ void FitCellsFromCountGrid(const ItemTable& items,
   DispatchCells(backend, parallel, num_levels, num_features, fit_cell);
 }
 
+std::vector<double> CountAssignedActions(const Dataset& dataset,
+                                         const SkillAssignments& assignments,
+                                         int num_levels) {
+  const size_t num_items = static_cast<size_t>(dataset.items().num_items());
+  std::vector<double> level_counts(static_cast<size_t>(num_levels) * num_items,
+                                   0.0);
+  for (UserId user = 0; user < dataset.num_users(); ++user) {
+    const std::vector<int>& levels = assignments[static_cast<size_t>(user)];
+    if (levels.empty()) continue;  // excluded (initialization)
+    std::span<const Action> seq = dataset.sequence(user);
+    UPSKILL_CHECK(levels.size() == seq.size());
+    for (size_t n = 0; n < seq.size(); ++n) {
+      level_counts[static_cast<size_t>(levels[n] - 1) * num_items +
+                   static_cast<size_t>(seq[n].item)] += 1.0;
+    }
+  }
+  return level_counts;
+}
+
 void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
                    SkillModel* model, exec::Backend* backend,
-                   ParallelOptions parallel, exec::ExecContext* exec_context) {
+                   ParallelOptions parallel) {
   UPSKILL_CHECK(model != nullptr);
-  const size_t levels_sz = static_cast<size_t>(model->num_levels());
-
-  const ItemTable& items = dataset.items();
-  const size_t num_items = static_cast<size_t>(items.num_items());
-
-  exec::ExecContext local_context;
-  exec::ExecContext& ctx =
-      exec_context != nullptr ? *exec_context : local_context;
-  // The accumulation pass fans out whenever the update step is parallel
-  // on either axis.
-  if (backend == nullptr) backend = exec::SerialBackend::Get();
-  exec::Backend* update_backend =
-      ((parallel.levels || parallel.features) && backend->concurrency() > 1)
-          ? backend
-          : exec::SerialBackend::Get();
-
-  // Hard assignments weight every action equally, so the only thing the
-  // statistics need from the action stream is how many actions each
-  // (level, item) pair received: the cell statistic for feature f at level
-  // s is the count-weighted sum of f's per-item transforms. Pass 1 builds
-  // that count grid in one sweep over the actions, sharded on the user
-  // axis through the ExecContext (the caller's, so one training run keeps
-  // a single plan and workspace set, or a call-local one). Per-shard grids
-  // are safe because the counts are exact integer sums in doubles —
-  // order-independent — so the merged grid (and everything derived from
-  // it) is bitwise identical for any thread count and any shard count.
-  // Shard 0 writes the final grid directly; other shards fill their
-  // workspace grid, merged in fixed shard order afterwards. Fanning out
-  // costs one zeroed plus one merged grid per extra shard — O(grid) each —
-  // so it only pays when every shard's share of the action stream exceeds
-  // the grid itself; otherwise a plain serial sweep runs.
-  const size_t grid_size = levels_sz * num_items;
-  size_t total_actions = 0;
-  for (UserId u = 0; u < dataset.num_users(); ++u) {
-    if (!assignments[static_cast<size_t>(u)].empty()) {
-      total_actions += dataset.sequence(u).size();
-    }
-  }
-  ctx.EnsureUserShards(dataset, model->config().num_shards, update_backend);
-  const int num_shards = ctx.num_shards();
-  exec::Backend* count_backend =
-      total_actions >= grid_size * static_cast<size_t>(num_shards)
-          ? update_backend
-          : exec::SerialBackend::Get();
-  std::vector<double> level_counts(grid_size, 0.0);
-  const auto accumulate_users = [&](double* counts, UserId begin, UserId end) {
-    for (UserId user = begin; user < end; ++user) {
-      const std::vector<int>& levels = assignments[static_cast<size_t>(user)];
-      if (levels.empty()) continue;  // excluded (initialization)
-      std::span<const Action> seq = dataset.sequence(user);
-      UPSKILL_CHECK(levels.size() == seq.size());
-      for (size_t n = 0; n < seq.size(); ++n) {
-        counts[static_cast<size_t>(levels[n] - 1) * num_items +
-               static_cast<size_t>(seq[n].item)] += 1.0;
-      }
-    }
-  };
-  if (count_backend->concurrency() <= 1) {
-    accumulate_users(level_counts.data(), 0, dataset.num_users());
-  } else {
-    exec::MapShards(count_backend, num_shards, [&](int shard_index) {
-      const exec::DatasetShard& shard =
-          ctx.shards()[static_cast<size_t>(shard_index)];
-      double* counts = level_counts.data();
-      if (shard_index != 0) {
-        exec::ShardWorkspace& ws = ctx.workspace(shard_index);
-        ws.grid.assign(grid_size, 0.0);
-        counts = ws.grid.data();
-      }
-      accumulate_users(counts, shard.user_begin(), shard.user_end());
-    });
-    // Merge the shard partials in fixed shard order, one level row per
-    // task (RunIndices on purpose: level-indexed, disjoint rows, exact
-    // integer sums — order-independent either way).
-    update_backend->RunIndices(0, levels_sz, [&](size_t s) {
-      double* row = level_counts.data() + s * num_items;
-      for (int k = 1; k < num_shards; ++k) {
-        const double* shard_row = ctx.workspace(k).grid.data() + s * num_items;
-        for (size_t item = 0; item < num_items; ++item) {
-          row[item] += shard_row[item];
-        }
-      }
-    });
-  }
-
-  // Pass 2 lives in FitCellsFromCountGrid so the online trainer can refit
-  // from an incrementally maintained grid through the exact same code.
-  FitCellsFromCountGrid(items, level_counts, model, backend, parallel);
+  FitCellsFromCountGrid(
+      dataset.items(),
+      CountAssignedActions(dataset, assignments, model->num_levels()), model,
+      backend, parallel);
 }
 
 AssignmentEngine::AssignmentEngine(const Dataset& dataset, int num_levels,
@@ -351,6 +286,17 @@ AssignmentEngine::AssignmentEngine(const Dataset& dataset, int num_levels,
     owned_context_ = std::make_unique<exec::ExecContext>();
     context_ = owned_context_.get();
   }
+}
+
+void AssignmentEngine::TrackCounts(SkillAssignments initial) {
+  UPSKILL_CHECK(!have_previous_ && level_counts_.empty());
+  UPSKILL_CHECK(initial.size() == assignments_.size());
+  // Move lists carry cell offsets as uint32_t.
+  UPSKILL_CHECK(static_cast<uint64_t>(num_levels_) *
+                    static_cast<uint64_t>(dataset_->items().num_items()) <=
+                std::numeric_limits<uint32_t>::max());
+  level_counts_ = CountAssignedActions(*dataset_, initial, num_levels_);
+  assignments_ = std::move(initial);
 }
 
 template <typename SolveUser>
@@ -374,11 +320,35 @@ AssignmentStats AssignmentEngine::RunPass(
     return false;
   };
 
+  // With a tracked grid, a user whose path moved lists the cells it left
+  // and entered: the moved positions, or the whole old and new path when
+  // the length changed (an empty initial path, or a path AssignWithClasses
+  // cleared). Offsets fit uint32_t (TrackCounts).
+  const bool track_counts = !level_counts_.empty();
+  const size_t num_items = static_cast<size_t>(dataset_->items().num_items());
+  auto record_moves = [&](std::span<const Action> seq,
+                          const std::vector<int>& old_path,
+                          const std::vector<int>& new_path,
+                          exec::ShardWorkspace& ws) {
+    const bool same_length = old_path.size() == new_path.size();
+    auto list = [&](const std::vector<int>& path, const std::vector<int>& other,
+                    std::vector<uint32_t>& cells) {
+      for (size_t n = 0; n < path.size(); ++n) {
+        if (same_length && path[n] == other[n]) continue;
+        cells.push_back(static_cast<uint32_t>(
+            static_cast<size_t>(path[n] - 1) * num_items +
+            static_cast<size_t>(seq[n].item)));
+      }
+    };
+    list(old_path, new_path, ws.removed_cells);
+    list(new_path, old_path, ws.added_cells);
+  };
+
   // One MapShards task per balanced user shard; each task owns its
-  // shard's persistent workspace (DP arena + counters), so the loop body
-  // is lock-free and allocation-free in the steady state. The task also
-  // decides which of its users to re-solve, so no serial step runs
-  // before the shards start.
+  // shard's persistent workspace (DP arena, move lists, counters), so the
+  // loop body is lock-free and allocation-free in the steady state. The
+  // task also decides which of its users to re-solve, so no serial step
+  // runs before the shards start.
   exec::ExecContext& ctx = *context_;
   ctx.EnsureUserShards(*dataset_, num_shards_request_, user_backend);
   const int num_shards = ctx.num_shards();
@@ -389,6 +359,8 @@ AssignmentStats AssignmentEngine::RunPass(
     ws.skipped = 0;
     ws.reassigned = 0;
     ws.changed = false;
+    ws.removed_cells.clear();
+    ws.added_cells.clear();
     for (UserId user = shard.user_begin(); user < shard.user_end(); ++user) {
       const size_t u = static_cast<size_t>(user);
       if (incremental && !is_dirty(user)) {
@@ -400,6 +372,9 @@ AssignmentStats AssignmentEngine::RunPass(
       std::vector<int>& current = assignments_[u];
       if (!have_previous_ || ws.dp.levels != current) {
         ws.changed = true;
+        if (track_counts) {
+          record_moves(dataset_->sequence(user), current, ws.dp.levels, ws);
+        }
         current.assign(ws.dp.levels.begin(), ws.dp.levels.end());
       }
       user_ll_[u] = ll;
@@ -410,12 +385,16 @@ AssignmentStats AssignmentEngine::RunPass(
   stats.changed = !have_previous_;
   stats.skipped_users = 0;
   stats.reassigned_users = 0;
-  // Exact integer counters, gathered in fixed shard order.
+  // Exact integer counters and grid moves, applied in fixed shard order.
+  // Cells stay integers in [0, 2^53) and x - x is +0.0, so the patched
+  // grid is bitwise what CountAssignedActions gives for the new paths.
   for (int k = 0; k < num_shards; ++k) {
     const exec::ShardWorkspace& ws = ctx.workspace(k);
     stats.skipped_users += ws.skipped;
     stats.reassigned_users += ws.reassigned;
     stats.changed = stats.changed || ws.changed;
+    for (const uint32_t cell : ws.removed_cells) level_counts_[cell] -= 1.0;
+    for (const uint32_t cell : ws.added_cells) level_counts_[cell] += 1.0;
   }
   // Per-user fixed-shape tree reduction: the objective is a pure function
   // of user_ll_ in index order — bitwise identical for any thread count
@@ -596,6 +575,11 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
   if (dataset.num_actions() == 0) {
     return Status::InvalidArgument("cannot train on an empty dataset");
   }
+  // Without one assignment pass the result would carry the
+  // initialization's paths, empty for users below min_init_actions.
+  if (config_.max_iterations < 1) {
+    return Status::InvalidArgument("max_iterations must be >= 1");
+  }
   Result<SkillModel> created = SkillModel::Create(dataset.schema(), config_);
   if (!created.ok()) return created.status();
 
@@ -619,13 +603,18 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
   TransitionWeights transition_weights;
   std::vector<ProgressionClassWeights> classes;
 
-  // One sharded-execution context for the whole run: the assignment
-  // engine and the update step's count sweep share the same user-axis
-  // shard plan and per-shard workspaces across all iterations. The plan
-  // is sized here from the full backend, before any phase runs; later
-  // phases pass axis-gated backends and keep it.
+  // One sharded-execution context for the whole run. The plan is sized
+  // here from the full backend, before any phase runs; the axis-gated
+  // user backend keeps it. The assignment engine carries the previous
+  // iteration's paths, per-user likelihoods and per-shard DP arenas, and
+  // — fed the cache's per-item dirty flags — skips the DP for users whose
+  // lattice is provably unchanged. It also keeps the count grid of its
+  // paths that every update step refits from: counted from the
+  // initialization, then patched from the paths each pass moved.
   exec::ExecContext exec_context;
   exec_context.EnsureUserShards(dataset, config_.num_shards, backend.get());
+  AssignmentEngine engine(dataset, config_.num_levels, config_.num_shards,
+                          &exec_context);
 
   // Phase telemetry: every phase below runs under an obs::Span, which
   // yields the wall-clock seconds for TrainResult's per-run readouts,
@@ -638,10 +627,8 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
   // Initialization (Section IV-B): uniform segmentation of long sequences.
   {
     obs::Span span("train/init");
-    const SkillAssignments init = InitializeAssignments(
+    SkillAssignments init = InitializeAssignments(
         dataset, config_.num_levels, config_.min_init_actions);
-    FitParameters(dataset, init, &result.model, backend.get(),
-                  config_.parallel, &exec_context);
     if (use_transitions) {
       transition_weights =
           FitTransitionWeights(init, config_.num_levels, config_.smoothing);
@@ -666,19 +653,17 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
             -std::log(static_cast<double>(k));
       }
     }
+    engine.TrackCounts(std::move(init));
+    FitCellsFromCountGrid(dataset.items(), engine.level_counts(),
+                          &result.model, backend.get(), config_.parallel);
     result.init_seconds = span.StopSeconds();
     instruments.init_seconds.Observe(result.init_seconds);
   }
 
   // The item log-prob cache lives across iterations: only the
   // (feature, level) cells whose parameters changed in the last update
-  // step are recomputed (LogProbCache dirty tracking). The assignment
-  // engine carries the previous iteration's paths, per-user likelihoods
-  // and per-shard DP arenas, and — fed the cache's per-item dirty flags —
-  // skips the DP for users whose lattice is provably unchanged.
+  // step are recomputed (LogProbCache dirty tracking).
   LogProbCache log_prob_cache;
-  AssignmentEngine engine(dataset, config_.num_levels, config_.num_shards,
-                          &exec_context);
   exec::Backend* user_backend =
       (config_.parallel.users && backend->concurrency() > 1)
           ? backend.get()
@@ -744,8 +729,8 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
 
     obs::Span update_span("train/update", -1, iteration);
     const SkillAssignments& assignments = engine.assignments();
-    FitParameters(dataset, assignments, &result.model, backend.get(),
-                  config_.parallel, &exec_context);
+    FitCellsFromCountGrid(dataset.items(), engine.level_counts(),
+                          &result.model, backend.get(), config_.parallel);
     if (use_transitions) {
       TransitionWeights next = FitTransitionWeights(
           assignments, config_.num_levels, config_.smoothing);

@@ -103,41 +103,34 @@ std::vector<int> SegmentUniformly(size_t length, int num_levels);
 SkillAssignments InitializeAssignments(const Dataset& dataset, int num_levels,
                                        int min_init_actions);
 
-/// The update step (Equations 5-7): refits every component of `model` from
-/// the actions assigned to its level. Users with empty assignment vectors
-/// are skipped; levels with no assigned actions keep their current
-/// parameters.
-///
-/// Implemented in two passes with no per-level value buffers: one sweep
-/// over the action sequences builds a per-(level, item) action-count grid
-/// (hard assignments weight every action equally, so the counts are the
-/// only thing the statistics need from the stream), then every (feature,
-/// level) cell reduces its count row against the feature's item column
-/// into sufficient statistics (Distribution::MakeStats / FitFromStats) and
-/// refits. The counts are exact integer sums — order-independent — and the
-/// per-cell reduction runs in fixed item order, so the fitted parameters
-/// are bitwise identical for any thread count (gamma/log-normal log-sums
-/// are reassociated relative to a flat loop, but deterministically so).
-/// Dispatches through `backend` (null = serial) when `parallel` enables
-/// the level and/or feature axis; the count sweep shards the user axis
-/// through `exec_context` (a shared one from Trainer::Train, or a
-/// call-local one) when the dataset is large enough, merging the exact
-/// per-shard count grids in fixed shard order — bitwise identical for any
-/// thread and shard count.
+/// The per-(level, item) action counts of `assignments` in one serial
+/// sweep: [(level-1) * num_items + item], size num_levels * num_items.
+/// Users with empty assignment vectors are skipped.
+std::vector<double> CountAssignedActions(const Dataset& dataset,
+                                         const SkillAssignments& assignments,
+                                         int num_levels);
+
+/// The update step (Equations 5-7) for one-shot callers:
+/// FitCellsFromCountGrid over CountAssignedActions. Users with empty
+/// assignment vectors are skipped; levels with no assigned actions keep
+/// their current parameters. Trainer::Train refits from its
+/// AssignmentEngine's grid instead (AssignmentEngine::TrackCounts).
 void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
                    SkillModel* model, exec::Backend* backend = nullptr,
-                   ParallelOptions parallel = {},
-                   exec::ExecContext* exec_context = nullptr);
+                   ParallelOptions parallel = {});
 
-/// Pass 2 of FitParameters on its own: refits every (feature, level) cell
-/// of `model` from an externally maintained per-(level, item) action-count
-/// grid (`level_counts` is [(level-1) * num_items + item], size
-/// num_levels * num_items). Because the grid holds exact integer sums, any
-/// path that produces the same grid — one full sweep or incremental
-/// subtract/add maintenance — refits to bitwise-identical parameters. This
-/// is the contract the online trainer builds on. The per-axis cell fan-out
-/// and the large-catalog column transforms dispatch through `backend`
-/// (null = serial) as `parallel` selects.
+/// The refit half of the update step. Hard assignments weight every
+/// action equally, so the per-(level, item) action counts are all the
+/// statistics need: every (feature, level) cell of `model` reduces its row
+/// of `level_counts` ([(level-1) * num_items + item]) against the
+/// feature's item column in fixed item order into sufficient statistics
+/// and refits (gamma/log-normal log-sums reassociate relative to a flat
+/// loop, but deterministically so). The counts are exact integer sums, so
+/// any path to the same grid — one sweep, the assignment engine's patched
+/// grid, the online trainer's subtract/add — refits to bitwise-identical
+/// parameters. The per-axis cell fan-out and the large-catalog column
+/// transforms dispatch through `backend` (null = serial) as `parallel`
+/// selects.
 void FitCellsFromCountGrid(const ItemTable& items,
                            std::span<const double> level_counts,
                            SkillModel* model, exec::Backend* backend = nullptr,
@@ -190,7 +183,10 @@ struct AssignmentStats {
 ///    previous pass, so users untouched by the last update step carry
 ///    their path forward without re-running the DP. Each shard task
 ///    decides this per user: a user is re-solved iff one of its items is
-///    flagged in LogProbCache::dirty_items().
+///    flagged in LogProbCache::dirty_items();
+///  - optionally (TrackCounts), the count grid of those paths: shard
+///    tasks list the cells their re-solved users' paths moved, and the
+///    caller applies the lists after the join.
 /// Results are bitwise identical to the one-shot AssignSkills* functions
 /// for any thread count, any shard count, and any skipping pattern: the
 /// objective is reduced per-user by exec::ReduceOrderedSum, never from
@@ -200,11 +196,21 @@ class AssignmentEngine {
  public:
   /// `num_shards` <= 0 resolves automatically from the backend of the
   /// first pass. `context` (optional) shares one ExecContext across
-  /// drivers — e.g. Trainer::Train hands the same context to the engine
-  /// and FitParameters so they reuse one shard plan and one workspace set.
+  /// drivers — e.g. Trainer::Train builds the plan from its full backend
+  /// before the engine's first pass.
   explicit AssignmentEngine(const Dataset& dataset, int num_levels,
                             int num_shards = 0,
                             exec::ExecContext* context = nullptr);
+
+  /// Adopts `initial` (empty path = not counted) as the paths the first
+  /// pass starts from and counts them into level_counts(), which every
+  /// later pass keeps equal to the counts of assignments(). Call once,
+  /// before the first pass; the first pass still solves every user.
+  void TrackCounts(SkillAssignments initial);
+
+  /// Per-(level, item) action counts of assignments(), in the layout
+  /// FitCellsFromCountGrid reads; empty unless TrackCounts was called.
+  std::span<const double> level_counts() const { return level_counts_; }
 
   /// One assignment pass (Equation 4), plain or with global transition
   /// weights (`transitions` may be null), its user shards run through
@@ -246,6 +252,7 @@ class AssignmentEngine {
   int num_levels_;
   int num_shards_request_;
   SkillAssignments assignments_;
+  std::vector<double> level_counts_;
   std::vector<double> user_ll_;
   std::vector<int> user_classes_;
   bool have_previous_ = false;

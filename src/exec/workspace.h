@@ -1,6 +1,7 @@
 #ifndef UPSKILL_EXEC_WORKSPACE_H_
 #define UPSKILL_EXEC_WORKSPACE_H_
 
+#include <cstdint>
 #include <deque>
 #include <span>
 #include <vector>
@@ -20,11 +21,12 @@ namespace exec {
 struct ShardWorkspace {
   /// Assignment-step / readout DP arena (core/dp.h).
   DpScratch dp;
-  /// Update-step (level, item) count-grid partial; sized lazily by
-  /// FitParameters, zeroed per pass. Sums are exact integer counts in
-  /// doubles, so merging partials in fixed shard order is bitwise
-  /// shard-count-invariant.
-  std::vector<double> grid;
+  /// Count-grid moves of the shard's users in the last assignment pass:
+  /// the (level, item) cell offsets their old paths left and their new
+  /// paths entered. Filled by the shard task, applied as exact -1 / +1
+  /// by the caller in shard order after the join.
+  std::vector<uint32_t> removed_cells;
+  std::vector<uint32_t> added_cells;
   /// EM forward/backward arenas (n x S per user, resized per sequence).
   std::vector<double> alpha;
   std::vector<double> beta;

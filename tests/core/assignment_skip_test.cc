@@ -3,12 +3,15 @@
 // exact assignments, likelihood trace, and model of a run that re-solves
 // every user's DP each iteration. These tests pin that invariant across
 // transition models and the forgetting extension, and exercise the
-// AssignmentEngine's skip machinery directly.
+// AssignmentEngine's skip machinery and its patched count grid directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -256,6 +259,164 @@ TEST(AssignmentSkipTest, EnginePartialDirtyPass) {
     SCOPED_TRACE(label);
     ExpectPartialPass(dataset, model, cache, dirty, nullptr, 0);
     ExpectPartialPass(dataset, model, cache, dirty, &pool, 7);
+  }
+}
+
+// Bit patterns of a count grid: +0.0 and -0.0 compare equal as doubles,
+// but a patched grid must match a fresh sweep bit for bit.
+std::vector<uint64_t> GridBits(std::span<const double> grid) {
+  std::vector<uint64_t> bits(grid.size());
+  for (size_t i = 0; i < grid.size(); ++i) {
+    bits[i] = std::bit_cast<uint64_t>(grid[i]);
+  }
+  return bits;
+}
+
+void ExpectGridMatchesSweep(const AssignmentEngine& engine,
+                            const Dataset& dataset, int num_levels) {
+  EXPECT_EQ(GridBits(engine.level_counts()),
+            GridBits(CountAssignedActions(dataset, engine.assignments(),
+                                          num_levels)));
+}
+
+enum class PassKind { kPlain, kForgetting, kClasses };
+
+// Drives a count-tracking engine through coordinate-ascent passes that
+// refit from its own grid, then through a partial pass whose dirty items
+// are pulled to the top level (skipped users keep their path, the rest
+// move), and requires after every pass that the patched grid equals a
+// fresh sweep of the engine's paths. The dataset has an empty-sequence
+// user, and min_init_actions leaves some users with an empty initial path.
+void ExpectGridTracksPaths(PassKind kind, exec::Backend* backend,
+                           int num_shards) {
+  constexpr int kLevels = 4;
+  const datagen::GeneratedData data = MakeData(6);
+  const ItemId unplayed =
+      static_cast<ItemId>(data.dataset.items().num_items() - 1);
+  const Dataset dataset = WithUnplayedItemAndEmptyUser(data.dataset, unplayed);
+  SkillModelConfig config;
+  config.num_levels = kLevels;
+  config.min_init_actions = 25;
+  if (kind == PassKind::kForgetting) {
+    config.forgetting.enabled = true;
+    config.forgetting.gap_threshold = 50;
+    config.forgetting.drop_probability = 0.1;
+  }
+  SkillModel model = SkillModel::Create(dataset.schema(), config).value();
+  const SkillAssignments init = InitializeAssignments(
+      dataset, kLevels, config.min_init_actions);
+  size_t empty_initial = 0;
+  for (UserId u = 0; u < dataset.num_users(); ++u) {
+    if (!dataset.sequence(u).empty() && init[static_cast<size_t>(u)].empty()) {
+      ++empty_initial;
+    }
+  }
+  ASSERT_GT(empty_initial, 0u);
+
+  std::vector<ProgressionClassWeights> classes(2);
+  for (size_t c = 0; c < classes.size(); ++c) {
+    const double p_up = c == 0 ? 0.05 : 0.3;
+    classes[c].weights.log_up = std::log(p_up);
+    classes[c].weights.log_stay = std::log(1.0 - p_up);
+    classes[c].log_prior = std::log(0.5);
+  }
+  AssignmentEngine engine(dataset, kLevels, num_shards);
+  engine.TrackCounts(init);
+  ExpectGridMatchesSweep(engine, dataset, kLevels);
+  FitCellsFromCountGrid(dataset.items(), engine.level_counts(), &model);
+  auto run_pass = [&](const std::vector<double>& cache,
+                      const std::vector<uint8_t>* dirty) {
+    return kind == PassKind::kClasses
+               ? engine.AssignWithClasses(model, cache, classes, backend,
+                                          dirty, /*weights_changed=*/false)
+               : engine.Assign(model, cache, nullptr, backend, dirty,
+                               /*weights_changed=*/false);
+  };
+
+  LogProbCache cache;
+  for (int pass = 0; pass < 4; ++pass) {
+    SCOPED_TRACE(pass);
+    cache.Update(model, dataset.items(), backend);
+    run_pass(cache.values(), pass > 0 ? &cache.dirty_items() : nullptr);
+    ExpectGridMatchesSweep(engine, dataset, kLevels);
+    FitCellsFromCountGrid(dataset.items(), engine.level_counts(), &model);
+  }
+
+  // Partial pass: every seventh item turns dirty and strongly prefers the
+  // top level.
+  cache.Update(model, dataset.items(), backend);
+  std::vector<double> pulled = cache.values();
+  std::vector<uint8_t> dirty(static_cast<size_t>(dataset.items().num_items()),
+                             0);
+  for (size_t item = 0; item < dirty.size(); item += 7) {
+    dirty[item] = 1;
+    pulled[item * kLevels + (kLevels - 1)] += 20.0;
+  }
+  const AssignmentStats partial = run_pass(pulled, &dirty);
+  EXPECT_GT(partial.skipped_users, 0u);
+  EXPECT_GT(partial.reassigned_users, 0u);
+  EXPECT_TRUE(partial.changed);
+  ExpectGridMatchesSweep(engine, dataset, kLevels);
+}
+
+TEST(AssignmentEngineCountsTest, PatchedGridMatchesSweepAfterEveryPass) {
+  exec::ThreadPoolBackend pool(4);
+  for (const PassKind kind :
+       {PassKind::kPlain, PassKind::kForgetting, PassKind::kClasses}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    {
+      SCOPED_TRACE("serial");
+      ExpectGridTracksPaths(kind, nullptr, 0);
+    }
+    {
+      SCOPED_TRACE("pool(4), 7 shards");
+      ExpectGridTracksPaths(kind, &pool, 7);
+    }
+  }
+}
+
+// A pass where every class log-prior is -inf leaves no winning class, so
+// AssignWithClasses clears every path: the grid must drop to all +0.0.
+// The next pass re-adds every path from empty.
+TEST(AssignmentEngineCountsTest, ClearedPathsLeaveAPositiveZeroGrid) {
+  constexpr int kLevels = 3;
+  const datagen::GeneratedData data = MakeData(7);
+  const Dataset dataset = WithUnplayedItemAndEmptyUser(
+      data.dataset, static_cast<ItemId>(data.dataset.items().num_items() - 1));
+  SkillModelConfig config;
+  config.num_levels = kLevels;
+  const SkillModel model =
+      SkillModel::Create(dataset.schema(), config).value();
+  const std::vector<double> cache = model.ItemLogProbCache(dataset.items());
+  std::vector<ProgressionClassWeights> classes(2);
+  classes[1].weights.log_up = std::log(0.2);
+  classes[1].weights.log_stay = std::log(0.8);
+  std::vector<ProgressionClassWeights> hopeless = classes;
+  for (ProgressionClassWeights& c : hopeless) {
+    c.log_prior = -std::numeric_limits<double>::infinity();
+  }
+
+  exec::ThreadPoolBackend pool(4);
+  const std::pair<exec::Backend*, int> runs[] = {{nullptr, 0}, {&pool, 7}};
+  for (const auto& [backend, shards] : runs) {
+    SCOPED_TRACE(shards);
+    AssignmentEngine engine(dataset, kLevels, shards);
+    engine.TrackCounts(
+        InitializeAssignments(dataset, kLevels, /*min_init_actions=*/20));
+    engine.AssignWithClasses(model, cache, classes, backend);
+    ExpectGridMatchesSweep(engine, dataset, kLevels);
+
+    engine.AssignWithClasses(model, cache, hopeless, backend);
+    for (const std::vector<int>& path : engine.assignments()) {
+      EXPECT_TRUE(path.empty());
+    }
+    EXPECT_EQ(GridBits(engine.level_counts()),
+              std::vector<uint64_t>(engine.level_counts().size(), 0));
+
+    engine.AssignWithClasses(model, cache, classes, backend);
+    ExpectGridMatchesSweep(engine, dataset, kLevels);
+    EXPECT_EQ(engine.assignments().front().size(),
+              dataset.sequence(0).size());
   }
 }
 

@@ -6,6 +6,9 @@
 //    structure depends only on the data);
 //  - Trainer::Train vs a hand-rolled reference loop built from
 //    FitParametersReference + AssignSkills;
+//  - Trainer::Train, which refits from the assignment engine's patched
+//    count grid, vs a loop that re-sweeps every path through
+//    FitParameters each iteration (bitwise);
 //  - LogProbCache dirty-cell tracking.
 
 #include "core/trainer.h"
@@ -14,7 +17,10 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/skill_model.h"
@@ -230,6 +236,115 @@ TEST(TrainerEquivalenceTest, MatchesReferenceTrainingLoop) {
         << "iteration " << i;
   }
   ExpectModelsMatch(fast.model, reference.model, 1e-12);
+}
+
+// Trainer::Train's loop with an update step that sweeps every path
+// through FitParameters each iteration: the oracle for the engine's
+// patched count grid. Covers kNone and kGlobal (the engine honors
+// forgetting from the model config).
+TrainResult SweepingTrain(const Dataset& dataset,
+                          const SkillModelConfig& config) {
+  const std::shared_ptr<exec::Backend> backend =
+      CreateTrainingBackend(config).value();
+  exec::Backend* user_backend =
+      config.parallel.users && backend->concurrency() > 1 ? backend.get()
+                                                          : nullptr;
+  const bool use_transitions = config.transitions == TransitionModel::kGlobal;
+  TrainResult result;
+  result.model = SkillModel::Create(dataset.schema(), config).value();
+  const SkillAssignments init = InitializeAssignments(
+      dataset, config.num_levels, config.min_init_actions);
+  FitParameters(dataset, init, &result.model, backend.get(), config.parallel);
+  TransitionWeights weights;
+  if (use_transitions) {
+    weights = FitTransitionWeights(init, config.num_levels, config.smoothing);
+  }
+
+  LogProbCache cache;
+  AssignmentEngine engine(dataset, config.num_levels, config.num_shards);
+  bool weights_changed = true;
+  double previous_ll = -std::numeric_limits<double>::infinity();
+  for (int iteration = 0; iteration < config.max_iterations; ++iteration) {
+    cache.Update(result.model, dataset.items(), user_backend);
+    const AssignmentStats stats = engine.Assign(
+        result.model, cache.values(), use_transitions ? &weights : nullptr,
+        user_backend,
+        config.incremental_assignment ? &cache.dirty_items() : nullptr,
+        weights_changed);
+    weights_changed = false;
+    const double ll = stats.log_likelihood;
+    result.log_likelihood_trace.push_back(ll);
+    result.iterations = iteration + 1;
+    const bool small_gain =
+        std::isfinite(previous_ll) &&
+        ll - previous_ll <= config.relative_tolerance * std::abs(previous_ll);
+    if ((iteration > 0 && !stats.changed) || small_gain) {
+      result.converged = true;
+      result.final_log_likelihood = ll;
+      break;
+    }
+    previous_ll = ll;
+    FitParameters(dataset, engine.assignments(), &result.model, backend.get(),
+                  config.parallel);
+    if (use_transitions) {
+      TransitionWeights next = FitTransitionWeights(
+          engine.assignments(), config.num_levels, config.smoothing);
+      weights_changed = next.log_stay != weights.log_stay ||
+                        next.log_up != weights.log_up ||
+                        next.log_initial != weights.log_initial;
+      weights = std::move(next);
+    }
+    result.final_log_likelihood = ll;
+  }
+  result.assignments = engine.assignments();
+  return result;
+}
+
+TEST(TrainerEquivalenceTest, PatchedCountGridMatchesFullSweeps) {
+  const Dataset& dataset = TestData();
+  // About half the users fall below the bar and start from an empty path,
+  // so the first pass adds their whole path to the grid.
+  SkillModelConfig base = TestConfig();
+  base.min_init_actions = 35;
+  struct Case {
+    const char* label;
+    SkillModelConfig config;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"kNone", base});
+  Case global{"kGlobal + forgetting", base};
+  global.config.transitions = TransitionModel::kGlobal;
+  global.config.forgetting.enabled = true;
+  global.config.forgetting.gap_threshold = 30;
+  global.config.forgetting.drop_probability = 0.1;
+  cases.push_back(global);
+  Case full_passes{"incremental_assignment off", base};
+  full_passes.config.incremental_assignment = false;
+  cases.push_back(full_passes);
+
+  for (const Case& c : cases) {
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(std::string(c.label) + " threads=" +
+                   std::to_string(threads));
+      SkillModelConfig config = c.config;
+      if (threads > 1) {
+        config.parallel.num_threads = threads;
+        config.parallel.users = true;
+        config.parallel.levels = true;
+        config.parallel.features = true;
+        config.num_shards = 7;
+      }
+      const TrainResult patched = Trainer(config).Train(dataset).value();
+      const TrainResult swept = SweepingTrain(dataset, config);
+      EXPECT_GT(patched.iterations, 2);
+      EXPECT_EQ(patched.iterations, swept.iterations);
+      EXPECT_EQ(patched.converged, swept.converged);
+      EXPECT_EQ(patched.assignments, swept.assignments);
+      EXPECT_EQ(patched.log_likelihood_trace, swept.log_likelihood_trace);
+      EXPECT_EQ(patched.final_log_likelihood, swept.final_log_likelihood);
+      ExpectModelsMatch(patched.model, swept.model, 0.0);
+    }
+  }
 }
 
 TEST(LogProbCacheTest, TracksDirtyCellsAndMatchesFullRecompute) {

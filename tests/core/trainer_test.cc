@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "datagen/synthetic.h"
 #include "dist/poisson.h"
@@ -136,6 +137,24 @@ TEST(TrainerTest, RejectsEmptyDataset) {
   Dataset dataset((ItemTable(std::move(schema))));
   Trainer trainer(SkillModelConfig{});
   EXPECT_FALSE(trainer.Train(dataset).ok());
+}
+
+// With no assignment pass, users below min_init_actions would come back
+// with empty paths that every consumer of TrainResult rejects.
+TEST(TrainerTest, RejectsNonPositiveMaxIterations) {
+  const datagen::GeneratedData data = MakeData(30, 100);
+  for (const int max_iterations : {0, -1}) {
+    SkillModelConfig config;
+    config.num_levels = 4;
+    config.min_init_actions = 40;
+    config.max_iterations = max_iterations;
+    const auto result = Trainer(config).Train(data.dataset);
+    ASSERT_FALSE(result.ok()) << "max_iterations=" << max_iterations;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("max_iterations"),
+              std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(TrainerTest, LogLikelihoodTraceIsNonDecreasing) {

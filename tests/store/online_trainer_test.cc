@@ -314,6 +314,17 @@ TEST(OnlineTrainerErrorsTest, RejectsPerClassTransitions) {
   EXPECT_EQ(replay.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(OnlineTrainerErrorsTest, FullReplayRejectsNonPositiveMaxIterations) {
+  const auto data = MakeData();
+  SkillModelConfig config = MakeConfig(TransitionModel::kNone);
+  config.max_iterations = 0;
+  OnlineTrainer online(config);
+  auto replay = online.TrainFullReplay(data.dataset);
+  ASSERT_FALSE(replay.ok());
+  EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(online.trained());
+}
+
 TEST(OnlineTrainerErrorsTest, RefreshRequiresTraining) {
   const auto data = MakeData();
   OnlineTrainer online(MakeConfig(TransitionModel::kNone));
