@@ -1,14 +1,17 @@
 // Observability-overhead benchmarks (google-benchmark): what request
-// tracing costs on the serving hot path. BM_RequestTraceOverhead runs
-// the same observe/recommend mix through Server::Execute with the flight
-// recorder detached (arg 0), attached with 1-in-16 tail sampling
-// (arg 1), and attached recording every completion (arg 2). The
-// acceptance bar — <= 2% overhead for the sampling configuration
-// (BENCH_PR10.json) — is read from the *Paired benches below, which
-// resolve the few-ns delta that separate mode-vs-mode runs bury in
-// run-to-run drift. BM_FlightRecorderRecord isolates the raw Record()
-// cost, and BM_FlightRecorderContended measures it under 8 recording
-// threads (the lock-striping story).
+// tracing into the global span store (obs::TraceRecorder) costs on the
+// serving hot path. BM_RequestTraceOverhead runs the same
+// observe/recommend mix through Server::Execute with the store disabled
+// (arg 0), enabled with 1-in-16 request thinning (arg 1), and enabled
+// recording every request (arg 2). The acceptance bar — <= 2% overhead
+// for the thinning configuration — is read from the *Paired benches
+// below, which resolve the few-ns delta that separate mode-vs-mode runs
+// bury in run-to-run drift; each paired toggle is Disable() /
+// Enable(4096, 16), so the traced side also pays for refilling the
+// store's slowest-per-kind tables after every Enable. BM_FlightRecorderRecord
+// isolates the raw cost of a request the store keeps (RecordRequest on
+// the cadence), and BM_FlightRecorderContended measures it under 8
+// recording threads sharing the store's one mutex.
 
 #include <benchmark/benchmark.h>
 #include <sys/socket.h>
@@ -27,7 +30,7 @@
 #include "net/frame.h"
 #include "net/net_server.h"
 #include "obs/metrics.h"
-#include "obs/request_trace.h"
+#include "obs/trace.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/serving_model.h"
@@ -93,19 +96,16 @@ std::vector<serve::ServeRequest> BenchRequests(size_t count) {
   return requests;
 }
 
-// Arg 0: recorder detached. Arg 1: attached, sample_every=16 (the
-// tail-sampling serve default worth shipping). Arg 2: attached,
-// recording every completion.
+// Arg 0: store disabled. Arg 1: enabled, sample_every=16 (the serve
+// CLI default). Arg 2: enabled, recording every request.
 void BM_RequestTraceOverhead(benchmark::State& state) {
   const auto serving = BenchServingModel();
   serve::Server server(serving);
-  std::unique_ptr<FlightRecorder> recorder;
+  TraceRecorder& recorder = TraceRecorder::Global();
   if (state.range(0) > 0) {
-    FlightRecorderOptions options;
-    options.capacity = 4096;
-    options.sample_every = state.range(0) == 1 ? 16 : 1;
-    recorder = std::make_unique<FlightRecorder>(options);
-    server.SetFlightRecorder(recorder.get());
+    recorder.Enable(4096, state.range(0) == 1 ? 16 : 1);
+  } else {
+    recorder.Disable();
   }
   const std::vector<serve::ServeRequest> requests = BenchRequests(1024);
   size_t index = 0;
@@ -114,13 +114,12 @@ void BM_RequestTraceOverhead(benchmark::State& state) {
     index = (index + 1) & 1023;
   }
   state.SetItemsProcessed(state.iterations());
-  if (recorder != nullptr) {
-    const FlightRecorderStats stats = recorder->Stats();
-    state.counters["recorded"] =
-        static_cast<double>(stats.recorded);
-    state.counters["sampled_out"] =
-        static_cast<double>(stats.sampled_out);
+  if (recorder.enabled()) {
+    const TraceStats stats = recorder.Stats();
+    state.counters["recorded"] = static_cast<double>(stats.recorded);
+    state.counters["sampled_out"] = static_cast<double>(stats.sampled_out);
   }
+  recorder.Disable();
 }
 // Repetitions with median reporting: the per-request delta being
 // measured (a few ns on a sub-microsecond request) is below
@@ -137,20 +136,16 @@ BENCHMARK(BM_RequestTraceOverhead)
 // mode-vs-mode runs (above) put minutes between the two sides, so
 // thermal/frequency drift (~10% run-to-run on a shared box) swamps the
 // tens-of-ns delta, and even two server objects in one binary disagree
-// by a couple of percent from heap-placement luck. So: ONE server,
-// with the recorder attached and detached between batches, in the
-// palindromic order off,on,on,off per iteration — identical code,
-// identical heap state, and linear drift cancels exactly in the
-// off/on sums. `overhead_pct` is the acceptance-bar readout: the
-// tail-sampling (sample_every=16) overhead on the serve hot path,
-// measured at ~1.5% (single-digit ns on a ~650ns request).
+// by a couple of percent from heap-placement luck. So: ONE server, with
+// the store enabled and disabled between batches, in the palindromic
+// order off,on,on,off per iteration — identical code, identical heap
+// state, and linear drift cancels exactly in the off/on sums.
+// `overhead_pct` is the acceptance-bar readout: the thinned
+// (sample_every=16) overhead on the serve hot path.
 void BM_RequestTraceOverheadPaired(benchmark::State& state) {
   const auto serving = BenchServingModel();
   serve::Server server(serving);
-  FlightRecorderOptions options;
-  options.capacity = 4096;
-  options.sample_every = 16;
-  FlightRecorder recorder(options);
+  TraceRecorder& recorder = TraceRecorder::Global();
   const std::vector<serve::ServeRequest> requests = BenchRequests(1024);
   const auto run = [&requests, &server]() {
     const auto start = std::chrono::steady_clock::now();
@@ -163,13 +158,15 @@ void BM_RequestTraceOverheadPaired(benchmark::State& state) {
   };
   double plain_ns = 0.0;
   double traced_ns = 0.0;
+  uint64_t errors_retained = 0;
   for (auto _ : state) {
-    server.SetFlightRecorder(nullptr);
+    recorder.Disable();
     plain_ns += static_cast<double>(run());
-    server.SetFlightRecorder(&recorder);
+    recorder.Enable(4096, 16);
     traced_ns += static_cast<double>(run());
     traced_ns += static_cast<double>(run());
-    server.SetFlightRecorder(nullptr);
+    errors_retained += recorder.Stats().errors_retained;
+    recorder.Disable();
     plain_ns += static_cast<double>(run());
   }
   state.SetItemsProcessed(state.iterations() * 4 *
@@ -184,8 +181,7 @@ void BM_RequestTraceOverheadPaired(benchmark::State& state) {
   }
   // Errors bypass sampling and take the admitted slow path; any
   // nonzero count here means the bench is measuring the wrong thing.
-  state.counters["errors_retained"] =
-      static_cast<double>(recorder.Stats().errors_retained);
+  state.counters["errors_retained"] = static_cast<double>(errors_retained);
 }
 // 15 repetitions: each rep constructs a fresh server, and heap/page
 // placement moves the measured delta by a point or two; the median
@@ -194,15 +190,15 @@ BENCHMARK(BM_RequestTraceOverheadPaired)
     ->Repetitions(15)
     ->ReportAggregatesOnly(true);
 
-// The same paired attach/detach measurement over the shipped serving
+// The same paired enable/disable measurement over the shipped serving
 // stack: the epoll TCP front end on a real loopback socket, binary
 // protocol, pipelined waves (bench_net's serving setup). This is the
 // deployment-relevant overhead number. Pipelining amortizes syscalls
 // hard enough that a binary-protocol request costs only ~370ns — it
-// skips Execute's response rendering — so the recorder's few ns per
-// request read as ~1.6%, the tightest point against the ≤2% bar.
-// SetFlightRecorder between drained waves is safe: the pointer is
-// atomic and the worker is idle in epoll_wait.
+// skips Execute's response rendering — so the store's few ns per
+// request are the tightest point against the ≤2% bar. Toggling the
+// store between drained waves is safe: the worker is idle in
+// epoll_wait, and the store's settings are atomics or mutex-guarded.
 bool RunObsBinaryWave(int fd, const std::string& bytes, size_t responses) {
   size_t sent = 0;
   size_t seen = 0;
@@ -257,10 +253,7 @@ void BM_NetTraceOverheadPaired(benchmark::State& state) {
     state.SkipWithError("client connect failed");
     return;
   }
-  FlightRecorderOptions options;
-  options.capacity = 4096;
-  options.sample_every = 16;
-  FlightRecorder recorder(options);
+  TraceRecorder& recorder = TraceRecorder::Global();
   const std::vector<serve::ServeRequest> requests = BenchRequests(2048);
   std::string wave;
   for (const auto& request : requests) net::EncodeRequest(request, &wave);
@@ -276,16 +269,17 @@ void BM_NetTraceOverheadPaired(benchmark::State& state) {
   run();  // warm-up: creates sessions, faults buffers
   double plain_ns = 0.0;
   double traced_ns = 0.0;
+  uint64_t errors_retained = 0;
   for (auto _ : state) {
-    server.SetFlightRecorder(nullptr);
+    recorder.Disable();
     plain_ns += static_cast<double>(run());
-    server.SetFlightRecorder(&recorder);
+    recorder.Enable(4096, 16);
     traced_ns += static_cast<double>(run());
     traced_ns += static_cast<double>(run());
-    server.SetFlightRecorder(nullptr);
+    errors_retained += recorder.Stats().errors_retained;
+    recorder.Disable();
     plain_ns += static_cast<double>(run());
   }
-  server.SetFlightRecorder(nullptr);
   state.SetItemsProcessed(state.iterations() * 4 *
                           static_cast<int64_t>(requests.size()));
   const double per_request =
@@ -298,8 +292,7 @@ void BM_NetTraceOverheadPaired(benchmark::State& state) {
   }
   // Nonzero means the wave replay produced errors and the bench
   // measured the always-admitted error path, not the sampled one.
-  state.counters["errors_retained"] =
-      static_cast<double>(recorder.Stats().errors_retained);
+  state.counters["errors_retained"] = static_cast<double>(errors_retained);
   client.Close();
   net.Stop();
 }
@@ -307,32 +300,37 @@ BENCHMARK(BM_NetTraceOverheadPaired)
     ->Repetitions(15)
     ->ReportAggregatesOnly(true);
 
-// Raw Record() cost, single thread: one stripe lock, no contention.
+// Raw cost of a request the store keeps: every request is on the
+// cadence, so each one materializes its event and takes the mutex.
 void BM_FlightRecorderRecord(benchmark::State& state) {
-  FlightRecorder recorder;
+  TraceRecorder recorder;
+  recorder.Enable(4096, 1);
   const auto start = std::chrono::steady_clock::now();
   const auto end = start + std::chrono::microseconds(3);
+  uint64_t seq = 0;
   for (auto _ : state) {
-    recorder.Record(0, "serve/observe", start, end, false, false);
+    recorder.RecordRequest(seq++, 0, "serve/observe", start, end, false,
+                           false);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FlightRecorderRecord);
 
-// Record() under 8 concurrent threads: stripes keep writers apart.
+// The same under 8 concurrent threads, each with its own sequence (as
+// the TCP workers have), all sharing the store's one mutex.
 void BM_FlightRecorderContended(benchmark::State& state) {
-  static FlightRecorder* recorder = nullptr;
+  static TraceRecorder* recorder = nullptr;
   if (state.thread_index() == 0) {
-    FlightRecorderOptions options;
-    options.capacity = 8192;
-    options.num_stripes = 8;
-    recorder = new FlightRecorder(options);
+    recorder = new TraceRecorder;
+    recorder->Enable(8192, 1);
   }
   const auto start = std::chrono::steady_clock::now();
   const auto end = start + std::chrono::microseconds(3);
+  uint64_t seq = 0;
   for (auto _ : state) {
-    recorder->Record(state.thread_index() % FlightRecorder::kMaxKinds,
-                     "serve/observe", start, end, false, false);
+    recorder->RecordRequest(seq++,
+                            state.thread_index() % TraceRecorder::kMaxKinds,
+                            "serve/observe", start, end, false, false);
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {

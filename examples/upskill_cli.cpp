@@ -60,7 +60,6 @@
 #include "exec/backend.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
-#include "obs/request_trace.h"
 #include "obs/trace.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -114,6 +113,12 @@ const std::set<std::string> kIntFlags = {
     "shards", "net-workers", "deadline-ms", "max-conns",
     "flight-recorder-size", "flight-recorder-sample",
 };
+// Integer flags with a lower bound; a value below it is a usage error
+// naming the flag, not a silent clamp.
+const std::map<std::string, long long> kIntFlagMinimums = {
+    {"threads", 1}, {"shards", 1},
+    {"flight-recorder-size", 0}, {"flight-recorder-sample", 1},
+};
 const std::set<std::string> kSwitchFlags = {
     "em", "verbose", "transitions", "detail", "quantized", "binary",
     "from-store", "online",
@@ -138,8 +143,12 @@ Result<Args> ParseArgs(int argc, char** argv, int first) {
                                            " requires an integer, got '" +
                                            value + "'");
           }
-          if (name == "threads" && parsed.value() < 1) {
-            return Status::InvalidArgument("flag --threads must be at least 1");
+          const auto minimum = kIntFlagMinimums.find(name);
+          if (minimum != kIntFlagMinimums.end() &&
+              parsed.value() < minimum->second) {
+            return Status::InvalidArgument(
+                "flag --" + name + " must be at least " +
+                std::to_string(minimum->second));
           }
         }
         args.flags[name] = value;
@@ -215,12 +224,13 @@ int Usage() {
       "        [--admin-listen host:port]   (HTTP admin plane on its own\n"
       "        port: /metrics /healthz /statusz /tracez; works with both\n"
       "        the stdio and --listen front ends)\n"
-      "        [--flight-recorder-size K]   (ring of the last K completed\n"
-      "        requests + tail-sampled errors/sheds/slowest, dumped by\n"
-      "        /tracez; default 4096, 0 disables)\n"
-      "        [--flight-recorder-sample N] (keep one in N completions in\n"
-      "        the ring; errors/sheds/slowest always kept; default 16,\n"
-      "        1 records everything)\n"
+      "        [--flight-recorder-size K]   (span store ring of the last\n"
+      "        K completed requests and phase spans, plus tail-sampled\n"
+      "        errors/sheds/slowest, dumped by /tracez; default 4096,\n"
+      "        0 disables)\n"
+      "        [--flight-recorder-sample N] (keep one in N completed\n"
+      "        requests in the ring; errors/sheds/slowest always kept;\n"
+      "        default 16, 1 records everything)\n"
       "  client <host:port> [--binary]\n"
       "        (forward stdin request lines to a serve --listen process;\n"
       "        --binary re-encodes them as binary frames)\n");
@@ -787,25 +797,15 @@ int CmdServe(const Args& args) {
     }
   };
 
-  // Flight recorder: ring of the last K completed requests plus
-  // tail-sampled retention, shared by every front end through the
-  // server. K=0 turns it off (and /tracez reports an empty trace).
-  std::unique_ptr<obs::FlightRecorder> flight_recorder;
+  // Flight recorder: the global span store, sized to the last K events
+  // and thinning requests to one in N (errors, sheds and the slowest
+  // requests per kind are always retained). Every front end records
+  // into it; K=0 leaves it off and /tracez reports an empty trace.
   const long long recorder_size = args.IntFlag("flight-recorder-size", 4096);
   if (recorder_size > 0) {
-    obs::FlightRecorderOptions recorder_options;
-    recorder_options.capacity = static_cast<size_t>(recorder_size);
-    // Thin the main ring to one record in N by default: errors, sheds,
-    // and the slowest requests per kind are always retained regardless,
-    // and the sampled-out path costs a single atomic increment.
-    // --flight-recorder-sample 1 records every completion.
-    const long long sample =
-        args.IntFlag("flight-recorder-sample", 16);
-    recorder_options.sample_every =
-        sample > 0 ? static_cast<uint64_t>(sample) : 1;
-    flight_recorder =
-        std::make_unique<obs::FlightRecorder>(recorder_options);
-    server.SetFlightRecorder(flight_recorder.get());
+    obs::TraceRecorder::Global().Enable(
+        static_cast<size_t>(recorder_size),
+        static_cast<uint64_t>(args.IntFlag("flight-recorder-sample", 16)));
   }
 
   // Admin plane: its own port, its own thread, never sharing fate with
@@ -823,8 +823,7 @@ int CmdServe(const Args& args) {
     if (ingest != nullptr) {
       health = [log = ingest.get()] { return log->status(); };
     }
-    net::InstallAdminEndpoints(admin.get(), &server, flight_recorder.get(),
-                               std::move(health));
+    net::InstallAdminEndpoints(admin.get(), &server, std::move(health));
     const Status started = admin->Start();
     if (!started.ok()) return Fail(started);
     // Tests parse this line for the actual port (host:0 binds ephemeral).

@@ -23,9 +23,9 @@
 #            execution backend (serial | pool); every entry names its
 #            backend and records threads/shards counters
 #     obs    bench_obs: request-trace overhead on the serving hot path —
-#            BM_RequestTraceOverhead with the flight recorder detached /
-#            tail-sampling / recording everything (the <= 2% overhead
-#            acceptance bar), plus raw and contended Record() cost
+#            BM_RequestTraceOverhead with the span store disabled /
+#            thinning 1 in 16 / recording everything (the <= 2% overhead
+#            acceptance bar), plus raw and contended RecordRequest() cost
 #     e2e    the end-to-end benchmark BENCHMARK.json declares: delegates
 #            to `python3 bench/e2e/run.py` once per workload (seed 1;
 #            BENCHMARK_FILTER narrows it to a space-separated workload
@@ -201,7 +201,7 @@ for RUN in "${RUNS[@]}"; do
     # The obs overhead suite compares medians of repeated runs whose
     # deltas (~tens of ns) sit below slow thermal/frequency drift;
     # interleaving the repetitions decorrelates that drift from the
-    # recorder mode being measured.
+    # store mode being measured.
     ARGS+=(--benchmark_enable_random_interleaving=true)
   fi
   "./$BUILD_DIR/bench/$BINARY" "${ARGS[@]}"

@@ -15,7 +15,6 @@
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/model_health.h"
-#include "obs/request_trace.h"
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
@@ -301,7 +300,6 @@ void HttpAdminServer::CloseConnection(Connection* conn) {
 }
 
 void InstallAdminEndpoints(HttpAdminServer* http, serve::Server* server,
-                           obs::FlightRecorder* flight_recorder,
                            std::function<Status()> health) {
   http->Handle("/metrics", [] {
     obs::ModelHealth::Global().Sample();
@@ -324,7 +322,7 @@ void InstallAdminEndpoints(HttpAdminServer* http, serve::Server* server,
   });
 
   const auto start = std::chrono::steady_clock::now();
-  http->Handle("/statusz", [server, flight_recorder, start] {
+  http->Handle("/statusz", [server, start] {
     obs::ModelHealth::Global().Sample();
     const std::shared_ptr<const serve::ServingModel> model = server->model();
     const double uptime = std::chrono::duration<double>(
@@ -350,17 +348,17 @@ void InstallAdminEndpoints(HttpAdminServer* http, serve::Server* server,
     body += StringPrintf("requests: %llu\n",
                          static_cast<unsigned long long>(
                              server->requests_served()));
+    const obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
     body += StringPrintf("trace_dropped: %llu\n",
-                         static_cast<unsigned long long>(
-                             obs::TraceRecorder::Global().dropped()));
-    if (flight_recorder != nullptr) {
-      const obs::FlightRecorderStats stats = flight_recorder->Stats();
+                         static_cast<unsigned long long>(recorder.dropped()));
+    if (recorder.enabled()) {
+      const obs::TraceStats stats = recorder.Stats();
       body += StringPrintf(
           "flight_recorder: capacity=%zu recorded=%llu ring=%zu "
           "errors_retained=%llu sheds_retained=%llu slowest=%zu "
           "sampled_out=%llu\n",
-          flight_recorder->options().capacity,
-          static_cast<unsigned long long>(stats.recorded), stats.ring_size,
+          stats.capacity, static_cast<unsigned long long>(stats.recorded),
+          stats.ring_size,
           static_cast<unsigned long long>(stats.errors_retained),
           static_cast<unsigned long long>(stats.sheds_retained),
           stats.slowest_size,
@@ -376,12 +374,10 @@ void InstallAdminEndpoints(HttpAdminServer* http, serve::Server* server,
     return response;
   });
 
-  http->Handle("/tracez", [flight_recorder] {
+  http->Handle("/tracez", [] {
     HttpResponse response;
     response.content_type = "application/json";
-    response.body = flight_recorder != nullptr
-                        ? obs::RenderFlightRecorderJson(*flight_recorder)
-                        : std::string("{\"traceEvents\":[]}\n");
+    response.body = obs::RenderChromeTrace(obs::TraceRecorder::Global());
     return response;
   });
 }

@@ -17,9 +17,6 @@ namespace upskill {
 namespace serve {
 class Server;
 }
-namespace obs {
-class FlightRecorder;
-}
 
 namespace net {
 
@@ -96,12 +93,11 @@ class HttpAdminServer {
 ///             reports one, e.g. a sticky ingest-log failure
 ///   /statusz  human-readable status: build info, snapshot version/age,
 ///             backend, sessions, uptime, per-kind latency quantiles,
-///             trace drops, flight-recorder occupancy
-///   /tracez   flight-recorder dump as Chrome-tracing JSON
-/// `server` must outlive `http`; `flight_recorder` may be null (then
-/// /tracez reports an empty trace).
+///             trace drops, span-store occupancy
+///   /tracez   the global span store as Chrome-tracing JSON (empty
+///             `traceEvents` until the store is enabled)
+/// `server` must outlive `http`.
 void InstallAdminEndpoints(HttpAdminServer* http, serve::Server* server,
-                           obs::FlightRecorder* flight_recorder,
                            std::function<Status()> health = {});
 
 /// Parses "host:port" ( ":9000" = all interfaces, port 0 = ephemeral).

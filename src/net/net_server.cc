@@ -15,6 +15,7 @@
 
 #include "common/string_util.h"
 #include "net/epoll_loop.h"
+#include "obs/trace.h"
 
 namespace upskill {
 namespace net {
@@ -89,8 +90,8 @@ struct NetServer::Worker {
   std::chrono::steady_clock::time_point drain_start;
   double mean_cost[serve::kNumServeRequestKinds] = {};
   uint64_t executed_since_refresh = kShedRefreshPeriod;  // refresh on first
-  /// Per-core request sequence, the flight recorder's sampling clock
-  /// (RecordSampled): worker-private, so bumping it touches no shared
+  /// Per-core request sequence, the span store's sampling clock
+  /// (RecordRequest): worker-private, so bumping it touches no shared
   /// cache line on the hot path.
   uint64_t trace_seq = 0;
 };
@@ -502,15 +503,16 @@ void NetServer::ExecuteBinary(Worker* worker, Connection* conn,
   requests_binary_.Increment();
   kind_requests_[kind]->Increment();
   server_->NoteRequestServed();
-  obs::FlightRecorder* recorder = server_->flight_recorder();
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  const bool tracing = recorder.enabled();
   if (ShouldShed(worker, request.kind)) {
     shed_.Increment();
     kind_errors_[kind]->Increment();
-    if (recorder != nullptr) {
+    if (tracing) {
       const auto now = std::chrono::steady_clock::now();
-      recorder->RecordSampled(worker->trace_seq++, static_cast<int>(kind),
-                              serve::ServeRequestKindSpanName(request.kind),
-                              now, now, /*error=*/true, /*shed=*/true);
+      recorder.RecordRequest(worker->trace_seq++, static_cast<int>(kind),
+                             serve::ServeRequestKindSpanName(request.kind),
+                             now, now, /*error=*/true, /*shed=*/true);
     }
     EncodeErrorResponse(
         Status::Unavailable(StringPrintf("shed deadline=%.6fs",
@@ -518,7 +520,7 @@ void NetServer::ExecuteBinary(Worker* worker, Connection* conn,
         &conn->out);
     return;
   }
-  const bool timed = obs::MetricsEnabled() || recorder != nullptr;
+  const bool timed = obs::MetricsEnabled() || tracing;
   const auto start = timed ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
   bool is_error = false;
@@ -605,10 +607,10 @@ void NetServer::ExecuteBinary(Worker* worker, Connection* conn,
     const auto end = std::chrono::steady_clock::now();
     latency_[kind]->Observe(
         std::chrono::duration<double>(end - start).count());
-    if (recorder != nullptr) {
-      recorder->RecordSampled(worker->trace_seq++, static_cast<int>(kind),
-                              serve::ServeRequestKindSpanName(request.kind),
-                              start, end, is_error, /*shed=*/false);
+    if (tracing) {
+      recorder.RecordRequest(worker->trace_seq++, static_cast<int>(kind),
+                             serve::ServeRequestKindSpanName(request.kind),
+                             start, end, is_error, /*shed=*/false);
     }
   }
 }
@@ -673,11 +675,13 @@ void NetServer::ExecuteTextLine(Worker* worker, Connection* conn,
     shed_.Increment();
     kind_requests_[static_cast<size_t>(request.value().kind)]->Increment();
     kind_errors_[static_cast<size_t>(request.value().kind)]->Increment();
-    if (obs::FlightRecorder* recorder = server_->flight_recorder()) {
+    obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+    if (recorder.enabled()) {
       const auto now = std::chrono::steady_clock::now();
-      recorder->Record(static_cast<int>(request.value().kind),
-                       serve::ServeRequestKindSpanName(request.value().kind),
-                       now, now, /*error=*/true, /*shed=*/true);
+      recorder.RecordRequest(
+          worker->trace_seq++, static_cast<int>(request.value().kind),
+          serve::ServeRequestKindSpanName(request.value().kind), now, now,
+          /*error=*/true, /*shed=*/true);
     }
     conn->out += serve::FormatErrorResponse(Status::Unavailable(
         StringPrintf("shed deadline=%.6fs", config_.deadline_seconds)));

@@ -1,6 +1,7 @@
 #ifndef UPSKILL_OBS_TRACE_H_
 #define UPSKILL_OBS_TRACE_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -11,10 +12,11 @@
 namespace upskill {
 namespace obs {
 
-/// One completed span. `name` must be a string with static storage
-/// duration (span call sites use literals) so recording never copies or
-/// allocates per-character. Times are nanoseconds on the steady clock,
-/// relative to the recorder's Enable() epoch.
+/// One completed span: a phase span (trainer phase, shard task) or a
+/// served request. `name` must be a string with static storage duration
+/// (call sites use literals) so recording never copies or allocates
+/// per-character. Times are nanoseconds on the steady clock, relative to
+/// the recorder's Enable() epoch.
 struct TraceEvent {
   const char* name = "";
   int64_t start_ns = 0;
@@ -25,13 +27,17 @@ struct TraceEvent {
   int shard = -1;
   /// Training iteration for trainer-phase spans, -1 otherwise.
   int64_t iteration = -1;
+  /// Request events only: the process-unique id (NextRequestId), which
+  /// is 0 for phase spans, the request kind index, and the outcome.
+  uint64_t request_id = 0;
+  int kind = -1;
+  bool error = false;
+  bool shed = false;
 };
 
 /// Dense small id for the calling thread, assigned on first use. Shared
 /// with nothing else; used so trace rows group by worker rather than by
-/// an opaque pthread handle. Inline: the flight recorder's sampled-out
-/// fast path calls this once per request, so it must cost a TLS load
-/// and an init-guard test, not an out-of-line call.
+/// an opaque pthread handle.
 inline int CurrentThreadId() {
   static std::atomic<int> next_thread_id{0};
   thread_local const int id =
@@ -39,57 +45,156 @@ inline int CurrentThreadId() {
   return id;
 }
 
-/// Collects phase-scoped spans while enabled. Spans are coarse by design
-/// (trainer phases, per-shard map tasks — not per-request), so a mutex
-/// push per completed span is cheap; the recorder is disabled by default
-/// and every span call site checks the flag with one relaxed load before
-/// touching the clock. Capacity is bounded: past kMaxEvents spans are
-/// counted but dropped, so a forgotten-enabled recorder cannot eat the
-/// heap.
+/// Process-unique request id: the high 16 bits derive from the process
+/// epoch so ids from successive runs of the same binary don't collide in
+/// aggregated traces, the low 48 bits are a monotone counter. Never zero.
+uint64_t NextRequestId();
+
+/// Point-in-time occupancy for /statusz.
+struct TraceStats {
+  size_t capacity = 0;        ///< ring capacity set by Enable
+  /// Requests offered through RecordRequest, thinned ones included.
+  uint64_t recorded = 0;
+  uint64_t sampled_out = 0;   ///< requests thinned out of the ring
+  uint64_t errors_retained = 0;
+  uint64_t sheds_retained = 0;
+  size_t ring_size = 0;       ///< events (phase and request) in the ring
+  size_t slowest_size = 0;    ///< events in the slowest-per-kind tables
+};
+
+/// The process's one span store. A ring keeps the last `capacity`
+/// admitted events, phase spans and requests alike; request events also
+/// get tail retention that survives ring overwrite: a ring of the last
+/// kErrorCapacity errors and sheds, and the kSlowestPerKind slowest
+/// requests of each kind. One mutex guards all of it, so the ring is
+/// exact however many threads record. (Striping the ring by a shared
+/// admission ticket measured slower for one writer and only ~20% faster
+/// for eight: the ticket counter is itself a shared cache line.) Memory
+/// grows with use up to the largest capacity enabled; nothing is
+/// allocated before Enable.
+///
+/// Disabled by default, and every call site checks enabled() — one
+/// relaxed load — before it reads the clock. Observation-only: nothing
+/// here is read back by training or serving, so outputs are bitwise
+/// identical with the store on or off (tests/obs/determinism_test.cc).
 class TraceRecorder {
  public:
-  static constexpr size_t kMaxEvents = 1 << 20;
+  static constexpr size_t kDefaultCapacity = size_t{1} << 20;
+  static constexpr size_t kErrorCapacity = 256;
+  static constexpr size_t kSlowestPerKind = 8;
+  /// Kinds at or above this index get no slowest table. Serve has 9.
+  static constexpr int kMaxKinds = 16;
 
-  TraceRecorder() = default;
+  TraceRecorder();
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// Process-wide recorder used by UPSKILL_SPAN.
+  /// Process-wide store used by obs::Span and the serve front ends.
   static TraceRecorder& Global();
 
-  /// Clears previous events, stamps the epoch, starts recording.
-  void Enable();
+  /// Clears previous events, stamps the epoch, starts recording. The
+  /// ring keeps the last `capacity` events (at least 1); requests are
+  /// thinned to one in `sample_every` (at least 1).
+  void Enable(size_t capacity = kDefaultCapacity, uint64_t sample_every = 1);
   /// Stops recording; collected events remain readable.
   void Disable();
   bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
   }
 
+  /// Records a phase span. Never thinned.
   void Record(const char* name,
               std::chrono::steady_clock::time_point start,
               std::chrono::steady_clock::time_point end, int shard,
               int64_t iteration);
 
-  /// Copy of the collected events (chronological by completion).
-  std::vector<TraceEvent> Events() const;
-  /// Spans rejected because the buffer was full. Also exported as the
-  /// `upskill_trace_dropped_total` counter.
-  uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
+  /// Records a completed request. `seq` is the caller's request sequence
+  /// number and the sampling clock: a request whose `seq` is a multiple
+  /// of sample_every goes to the ring and accounts for its whole block in
+  /// Stats().recorded. Errors, sheds and slowest-table candidates are
+  /// always admitted; off the cadence they go to tail retention only.
+  ///
+  /// Inline on purpose: the steady state under thinning — no error or
+  /// shed, under the kind's slowest-table floor, off the cadence —
+  /// returns right here after a mask test and two relaxed loads, without
+  /// materializing the event or taking the mutex.
+  void RecordRequest(uint64_t seq, int kind, const char* name,
+                     std::chrono::steady_clock::time_point start,
+                     std::chrono::steady_clock::time_point end, bool error,
+                     bool shed) {
+    const int64_t duration_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+            .count();
+    // The floor is -1 until the kind's table fills, so every request is
+    // a candidate while it fills; a stale floor only admits more.
+    const bool slow_candidate =
+        kind >= 0 && kind < kMaxKinds &&
+        duration_ns > floor_ns_[kind].load(std::memory_order_relaxed);
+    const uint64_t every = sample_every_.load(std::memory_order_relaxed);
+    const bool cadence = (every & (every - 1)) == 0
+                             ? (seq & (every - 1)) == 0
+                             : seq % every == 0;
+    if (!cadence && !error && !shed && !slow_candidate) return;
+    AdmitRequest(cadence, kind, name, start, duration_ns, error, shed,
+                 slow_candidate);
   }
 
-  /// Shrinks the event capacity so tests can exercise the overflow path
-  /// without recording a million spans. Clamped to at least 1; resets to
-  /// kMaxEvents by passing kMaxEvents.
-  void SetCapacityForTest(size_t capacity);
+  /// The ring's events, oldest first.
+  std::vector<TraceEvent> Events() const;
+  /// Tail-retained request events — the error/shed ring and the
+  /// slowest-per-kind tables — chronological by start time. An event can
+  /// also be in the ring, or in both retention tiers.
+  std::vector<TraceEvent> Retained() const;
+  TraceStats Stats() const;
+  /// Events the ring overwrote since Enable. Also exported as the
+  /// `upskill_trace_dropped_total` counter.
+  uint64_t dropped() const;
 
  private:
+  /// One fixed-capacity ring: grows by push_back, then overwrites the
+  /// oldest slot.
+  struct Ring {
+    std::vector<TraceEvent> events;
+    uint64_t head = 0;  // events ever pushed
+    /// Returns true when the push overwrote an older event.
+    bool Push(const TraceEvent& event, size_t capacity);
+    std::vector<TraceEvent> Ordered() const;  // oldest first
+  };
+
+  /// Everything Enable resets, guarded by mutex_.
+  struct State {
+    size_t capacity = kDefaultCapacity;
+    std::chrono::steady_clock::time_point epoch{};
+    Ring ring;
+    Ring errors;  // errors and sheds, kErrorCapacity
+    std::array<std::vector<TraceEvent>, kMaxKinds> slowest;
+    uint64_t offered = 0;  // requests, cadence blocks included
+    uint64_t kept = 0;     // requests the cadence put in the ring
+    uint64_t errors_retained = 0;
+    uint64_t sheds_retained = 0;
+    /// Empties the store but keeps its buffers: re-enabling then
+    /// allocates nothing, which the paired benches' toggling measures.
+    void Clear();
+  };
+
+  /// RecordRequest's continuation for every admitted request.
+  void AdmitRequest(bool cadence, int kind, const char* name,
+                    std::chrono::steady_clock::time_point start,
+                    int64_t duration_ns, bool error, bool shed,
+                    bool slow_candidate);
+  void PushLocked(const TraceEvent& event);
+  void InsertSlowestLocked(const TraceEvent& event);
+
+  // The request fast path reads these lock-free; Enable and the slowest
+  // tables write them under mutex_.
   std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> dropped_{0};
-  size_t capacity_ = kMaxEvents;  // guarded by mutex_
-  std::chrono::steady_clock::time_point epoch_{};
+  std::atomic<uint64_t> sample_every_{1};
+  /// Per-kind slowest-table admission floor in ns: the table's shortest
+  /// duration once full, -1 until then.
+  std::array<std::atomic<int64_t>, kMaxKinds> floor_ns_;
+
   mutable std::mutex mutex_;
-  std::vector<TraceEvent> events_;
+  State state_;  // guarded by mutex_
 };
 
 /// RAII phase span. Always measures (two steady-clock reads bracketing
@@ -116,43 +221,25 @@ class Span {
   /// elapsed seconds. Idempotent: later calls return the first elapsed.
   double StopSeconds();
 
-  /// Steady-clock instant the span opened (for callers that also feed a
-  /// flight recorder from the same clock reads).
-  std::chrono::steady_clock::time_point start_time() const { return start_; }
-  /// Steady-clock instant StopSeconds() first ran (the span's end); the
-  /// epoch until then. Lets flight-recorder callers reuse the span's own
-  /// clock reads instead of reconstructing the end from elapsed seconds.
-  std::chrono::steady_clock::time_point stop_time() const { return end_; }
-
  private:
   const char* name_;
   int shard_;
   int64_t iteration_;
   std::chrono::steady_clock::time_point start_;
-  std::chrono::steady_clock::time_point end_{};
   bool stopped_ = false;
   double elapsed_seconds_ = 0.0;
 };
 
-/// Chrome about://tracing JSON for the recorder's events: one complete
-/// ("ph":"X") event per span, microsecond timestamps, thread ids as tids,
-/// shard/iteration in args. Load via chrome://tracing or Perfetto.
+/// Chrome about://tracing JSON for the recorder: one complete ("ph":"X")
+/// event per span, microsecond timestamps, thread ids as tids. Phase
+/// spans carry shard/iteration in args; request events carry request id,
+/// kind, error, shed and `retained`. Tail-retained requests the ring no
+/// longer holds come first with retained=true, each id once; then the
+/// ring, oldest first. Load via chrome://tracing or Perfetto; also the
+/// /tracez payload.
 std::string RenderChromeTrace(const TraceRecorder& recorder);
 
 }  // namespace obs
 }  // namespace upskill
-
-/// Scoped span over the rest of the enclosing block:
-///   UPSKILL_SPAN("assignment");
-/// Shard- and iteration-scoped variants thread the extra ids into the
-/// trace event. The variable name embeds the line number so two spans can
-/// coexist in one scope.
-#define UPSKILL_SPAN(name) \
-  ::upskill::obs::Span UPSKILL_SPAN_CONCAT_(upskill_span_, __LINE__)(name)
-#define UPSKILL_SPAN_SHARD(name, shard)                                 \
-  ::upskill::obs::Span UPSKILL_SPAN_CONCAT_(upskill_span_, __LINE__)(   \
-      name, (shard))
-#define UPSKILL_SPAN_CONCAT_(a, b) UPSKILL_SPAN_CONCAT_IMPL_(a, b)
-#define UPSKILL_SPAN_CONCAT_IMPL_(a, b) a##b
 
 #endif  // UPSKILL_OBS_TRACE_H_

@@ -55,9 +55,8 @@ inline constexpr int kNumServeRequestKinds = 9;
 /// documentation strings and as the `kind` label on per-request metrics.
 const char* ServeRequestKindName(ServeRequest::Kind kind);
 
-/// Trace span name for `kind` ("serve/observe", ...): the name both
-/// Server::Execute's spans and the flight recorder's request records
-/// carry, so phase traces and /tracez dumps line up.
+/// Trace event name for `kind` ("serve/observe", ...): the name request
+/// events carry in the span store, the Chrome trace and /tracez.
 const char* ServeRequestKindSpanName(ServeRequest::Kind kind);
 
 /// Parses one protocol line (leading/trailing whitespace ignored).

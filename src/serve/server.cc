@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -228,28 +229,26 @@ Status Server::SwapSnapshotFile(const std::string& path,
 }
 
 std::string Server::Execute(const ServeRequest& request) {
-  // The served-requests counter doubles as the flight recorder's
-  // sampling clock (RecordSampled below), so the steady-state trace
-  // decision costs no extra shared-counter traffic.
+  // The served-requests counter doubles as the span store's sampling
+  // clock (RecordRequest below), so the steady-state trace decision
+  // costs no extra shared-counter traffic.
   const uint64_t seq = requests_.fetch_add(1, std::memory_order_relaxed);
   const size_t kind = static_cast<size_t>(request.kind);
   instruments_[kind].requests->Increment();
-  obs::FlightRecorder* const recorder = flight_recorder();
-  if (!obs::MetricsEnabled() && !obs::TraceRecorder::Global().enabled() &&
-      recorder == nullptr) {
-    return ExecuteInternal(request);
-  }
-  const char* span_name = ServeRequestKindSpanName(request.kind);
-  obs::Span span(span_name);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  const bool tracing = recorder.enabled();
+  if (!obs::MetricsEnabled() && !tracing) return ExecuteInternal(request);
+  const auto start = std::chrono::steady_clock::now();
   std::string response = ExecuteInternal(request);
-  const double elapsed_seconds = span.StopSeconds();
-  instruments_[kind].latency->Observe(elapsed_seconds);
+  const auto end = std::chrono::steady_clock::now();
+  instruments_[kind].latency->Observe(
+      std::chrono::duration<double>(end - start).count());
   const bool is_error = response.compare(0, 4, "ERR ") == 0;
   if (is_error) instruments_[kind].errors->Increment();
-  if (recorder != nullptr) {
-    recorder->RecordSampled(seq, static_cast<int>(kind), span_name,
-                            span.start_time(), span.stop_time(), is_error,
-                            /*shed=*/false);
+  if (tracing) {
+    recorder.RecordRequest(seq, static_cast<int>(kind),
+                           ServeRequestKindSpanName(request.kind), start, end,
+                           is_error, /*shed=*/false);
   }
   return response;
 }

@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "exec/backend.h"
 #include "obs/metrics.h"
-#include "obs/request_trace.h"
 #include "serve/protocol.h"
 #include "serve/quantized_model.h"
 #include "serve/serving_model.h"
@@ -127,20 +126,6 @@ class Server {
     requests_.fetch_add(count, std::memory_order_relaxed);
   }
 
-  /// Attaches a flight recorder: every Execute (and the binary TCP
-  /// front end's typed calls, via the same pointer) records its
-  /// completion. The pointer is atomic, so attaching or detaching while
-  /// requests are in flight is safe — though the recorder itself must
-  /// outlive any request that might still use it; null detaches.
-  /// Purely observational — responses are byte-identical with or
-  /// without a recorder attached.
-  void SetFlightRecorder(obs::FlightRecorder* recorder) {
-    flight_recorder_.store(recorder, std::memory_order_release);
-  }
-  obs::FlightRecorder* flight_recorder() const {
-    return flight_recorder_.load(std::memory_order_acquire);
-  }
-
   /// Per-kind latency quantiles for kinds that have traffic, one
   /// "  <kind>: p50=<s> p90=<s> p99=<s> count=<n>\n" row per kind.
   /// Empty when nothing has been recorded (e.g. metrics disabled).
@@ -163,7 +148,8 @@ class Server {
   /// Prometheus exposition of the process metrics registry (terminated by
   /// "# EOF"). Each call observes its latency in the per-kind
   /// `upskill_serve_request_latency_seconds` histogram and bumps the
-  /// per-kind request/error counters.
+  /// per-kind request/error counters; while the global span store is
+  /// enabled it also records the request there.
   std::string Execute(const ServeRequest& request);
 
   /// Executes a batch, responses in request order, fanning out over
@@ -207,7 +193,6 @@ class Server {
   std::shared_ptr<const QuantizedModel> qmodel_;
   SessionStore sessions_;
   ObserveHook observe_hook_;
-  std::atomic<obs::FlightRecorder*> flight_recorder_{nullptr};
   std::atomic<uint64_t> requests_{0};
   std::array<KindInstruments, kNumServeRequestKinds> instruments_;
   obs::Counter& snapshot_swaps_;

@@ -1,8 +1,9 @@
 // The admin plane over a real TCP socket: /metrics, /healthz, /statusz,
 // and /tracez all answer well-formed HTTP/1.1 with Content-Length and
-// Connection: close, 404/405 behave, HEAD omits the body, and the
-// /metrics payload is the same Prometheus exposition `stats` embeds
-// (model-health gauges sampled at scrape time included).
+// Connection: close, 404/405 behave, HEAD omits the body, the /metrics
+// payload is the same Prometheus exposition `stats` embeds (model-health
+// gauges sampled at scrape time included), and /tracez shows requests
+// and phase spans from the one global span store.
 
 #include "net/http_admin.h"
 
@@ -25,7 +26,7 @@
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
 #include "obs/metrics.h"
-#include "obs/request_trace.h"
+#include "obs/trace.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/serving_model.h"
@@ -112,7 +113,13 @@ class HttpAdminTest : public ::testing::Test {
     serving_ = serving.value();
   }
 
-  void TearDown() override { std::filesystem::remove(path_); }
+  // Every test in this binary shares the global span store; leave it
+  // disabled and empty.
+  void TearDown() override {
+    obs::TraceRecorder::Global().Enable();
+    obs::TraceRecorder::Global().Disable();
+    std::filesystem::remove(path_);
+  }
 
   // Drives a few requests through the server so every scrape target has
   // data: sessions, latency histograms, a recommend, an error.
@@ -134,14 +141,12 @@ class HttpAdminTest : public ::testing::Test {
 
 TEST_F(HttpAdminTest, AllFourEndpointsAnswerOverRealTcp) {
   serve::Server server(serving_);
-  obs::FlightRecorderOptions recorder_options;
-  obs::FlightRecorder recorder(recorder_options);
-  server.SetFlightRecorder(&recorder);
+  obs::TraceRecorder::Global().Enable(/*capacity=*/4096, /*sample_every=*/1);
   DriveTraffic(&server);
 
   HttpAdminConfig config;  // 127.0.0.1, ephemeral port
   HttpAdminServer admin(config);
-  InstallAdminEndpoints(&admin, &server, &recorder);
+  InstallAdminEndpoints(&admin, &server);
   ASSERT_TRUE(admin.Start().ok());
   ASSERT_NE(admin.port(), 0);
 
@@ -180,7 +185,10 @@ TEST_F(HttpAdminTest, AllFourEndpointsAnswerOverRealTcp) {
   EXPECT_NE(statusz_body.find("sessions: 1"), std::string::npos)
       << statusz_body;
   EXPECT_NE(statusz_body.find("trace_dropped:"), std::string::npos);
-  EXPECT_NE(statusz_body.find("flight_recorder:"), std::string::npos);
+  EXPECT_NE(statusz_body.find("flight_recorder: capacity=4096 recorded=5 "
+                              "ring=5 errors_retained=1 sheds_retained=0"),
+            std::string::npos)
+      << statusz_body;
   EXPECT_NE(statusz_body.find("p99="), std::string::npos) << statusz_body;
 
   // /tracez: Chrome-trace JSON with the driven requests in it.
@@ -201,7 +209,7 @@ TEST_F(HttpAdminTest, UnknownPathMethodAndHeadSemantics) {
   serve::Server server(serving_);
   HttpAdminConfig config;
   HttpAdminServer admin(config);
-  InstallAdminEndpoints(&admin, &server, nullptr);
+  InstallAdminEndpoints(&admin, &server);
   ASSERT_TRUE(admin.Start().ok());
 
   const std::string missing = HttpGet(admin.port(), "/nope");
@@ -223,22 +231,24 @@ TEST_F(HttpAdminTest, UnknownPathMethodAndHeadSemantics) {
   const std::string with_query = HttpGet(admin.port(), "/healthz?verbose=1");
   EXPECT_EQ(with_query.rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
 
-  // /tracez with no flight recorder attached: valid empty trace.
+  // The span store disabled and empty: a valid empty trace.
   EXPECT_EQ(BodyOf(HttpGet(admin.port(), "/tracez")),
             "{\"traceEvents\":[]}\n");
+  EXPECT_NE(BodyOf(HttpGet(admin.port(), "/statusz"))
+                .find("flight_recorder: disabled\n"),
+            std::string::npos);
   admin.Stop();
   admin.Stop();  // idempotent
 }
 
 TEST_F(HttpAdminTest, ConcurrentScrapersAllGetCompleteResponses) {
   serve::Server server(serving_);
-  obs::FlightRecorder recorder;
-  server.SetFlightRecorder(&recorder);
+  obs::TraceRecorder::Global().Enable(/*capacity=*/4096, /*sample_every=*/1);
   DriveTraffic(&server);
 
   HttpAdminConfig config;
   HttpAdminServer admin(config);
-  InstallAdminEndpoints(&admin, &server, &recorder);
+  InstallAdminEndpoints(&admin, &server);
   ASSERT_TRUE(admin.Start().ok());
 
   constexpr int kScrapers = 8;
@@ -261,6 +271,30 @@ TEST_F(HttpAdminTest, ConcurrentScrapersAllGetCompleteResponses) {
   admin.Stop();
 }
 
+// A swap's request event and the exec/shard spans of its snapshot build
+// land in one trace, in process and through /tracez.
+TEST_F(HttpAdminTest, SwapSpansAndRequestsShareOneTrace) {
+  serve::Server server(serving_);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Enable();
+  const auto swap = serve::ParseServeRequest("swap " + path_);
+  ASSERT_TRUE(swap.ok());
+  EXPECT_EQ(server.Execute(swap.value()).rfind("ok swapped", 0), 0u);
+
+  const std::string trace = obs::RenderChromeTrace(recorder);
+  EXPECT_NE(trace.find("\"name\":\"serve/swap\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"exec/shard\""), std::string::npos);
+
+  HttpAdminServer admin(HttpAdminConfig{});
+  InstallAdminEndpoints(&admin, &server);
+  ASSERT_TRUE(admin.Start().ok());
+  const std::string tracez = BodyOf(HttpGet(admin.port(), "/tracez"));
+  EXPECT_NE(tracez.find("\"name\":\"serve/swap\""), std::string::npos);
+  EXPECT_NE(tracez.find("\"name\":\"exec/shard\""), std::string::npos)
+      << tracez;
+  admin.Stop();
+}
+
 // /healthz follows the health probe the serve CLI wires to its ingest
 // log. A frame torn by the file-size limit is cut back off the file and
 // retried, so the log stays healthy; a write that cannot be cut back
@@ -277,7 +311,7 @@ TEST_F(HttpAdminTest, HealthzReportsAStickyIngestFailure) {
   ASSERT_TRUE(torn_log.ok()) << torn_log.status().ToString();
   store::IngestLogWriter* healthy = torn_log.value().get();
   HttpAdminServer torn_admin(HttpAdminConfig{});
-  InstallAdminEndpoints(&torn_admin, &server, nullptr,
+  InstallAdminEndpoints(&torn_admin, &server,
                         [healthy] { return healthy->status(); });
   ASSERT_TRUE(torn_admin.Start().ok());
   ASSERT_TRUE(healthy->Append({"u", 1, 2}).ok());
@@ -305,7 +339,7 @@ TEST_F(HttpAdminTest, HealthzReportsAStickyIngestFailure) {
   ASSERT_TRUE(full_log.ok()) << full_log.status().ToString();
   store::IngestLogWriter* failing = full_log.value().get();
   HttpAdminServer admin(HttpAdminConfig{});
-  InstallAdminEndpoints(&admin, &server, nullptr,
+  InstallAdminEndpoints(&admin, &server,
                         [failing] { return failing->status(); });
   ASSERT_TRUE(admin.Start().ok());
   EXPECT_EQ(BodyOf(HttpGet(admin.port(), "/healthz")), "ok\n");

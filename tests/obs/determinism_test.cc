@@ -14,7 +14,6 @@
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
 #include "obs/metrics.h"
-#include "obs/request_trace.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -163,9 +162,9 @@ TEST(ObsDeterminismTest, RefreshTelemetryDoesNotPerturbOnlineTraining) {
   EXPECT_EQ(baseline.assignments(), instrumented.assignments());
 }
 
-// Attaching a flight recorder to a serving stack must be bitwise
-// invisible in every response byte (the recorder is written to, never
-// read from, on the request path).
+// Enabling the global span store under a serving stack must be bitwise
+// invisible in every response byte (the store is written to, never read
+// from, on the request path).
 TEST(ObsDeterminismTest, FlightRecorderDoesNotPerturbServing) {
   const datagen::GeneratedData data = MakeData();
   SkillModelConfig config = MakeConfig(1);
@@ -202,13 +201,12 @@ TEST(ObsDeterminismTest, FlightRecorderDoesNotPerturbServing) {
   serve::Server plain(serving.value());
   const std::vector<std::string> expected = run(plain);
 
-  obs::FlightRecorderOptions options;
-  options.capacity = 8;  // small enough to exercise overwrite too
-  obs::FlightRecorder recorder(options);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Enable(/*capacity=*/8, /*sample_every=*/1);  // overwrites too
   serve::Server recorded(serving.value());
-  recorded.SetFlightRecorder(&recorder);
   EXPECT_EQ(run(recorded), expected);
-  EXPECT_GT(recorder.Stats().recorded, 0u);
+  recorder.Disable();
+  EXPECT_EQ(recorder.Stats().recorded, lines.size());
 
   // And with telemetry fully dark, the fast path answers identically.
   obs::SetMetricsEnabled(false);

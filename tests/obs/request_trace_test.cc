@@ -1,12 +1,11 @@
-// FlightRecorder: the main ring keeps exactly the last K completions,
-// tail sampling retains errors/sheds/slowest past ring overwrite,
-// sample_every thins only the main ring, the Chrome-trace dump carries
-// the request-id/kind/error args, and concurrent recorders lose nothing
-// (the TSan target for the request-trace subsystem). Also the satellite
-// regression for TraceRecorder overflow accounting:
-// upskill_trace_dropped_total must move with dropped().
-
-#include "obs/request_trace.h"
+// The span store's request path: the ring keeps exactly the last
+// `capacity` events however many threads record, tail retention keeps
+// errors/sheds and the slowest requests per kind past ring overwrite,
+// thinning by the caller's sequence number touches only the ring, the
+// Chrome trace carries the request args next to phase spans and renders
+// each request id once, and concurrent recorders lose nothing (the TSan
+// target for the span store). Also the overflow accounting:
+// upskill_trace_dropped_total moves with dropped().
 
 #include <gtest/gtest.h>
 
@@ -25,15 +24,24 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Record a completion of `duration_us` starting `start_us` after the
-// recorder's epoch, on the calling thread.
-void RecordAt(FlightRecorder& recorder, int kind, const char* name,
-              int64_t start_us, int64_t duration_us, bool error = false,
+// Records request `seq` lasting `duration_ns`, starting now; tests read
+// the duration back as a tag.
+void RecordNs(TraceRecorder& recorder, uint64_t seq, int kind,
+              const char* name, int64_t duration_ns, bool error = false,
               bool shed = false) {
-  const Clock::time_point start =
-      recorder.epoch() + std::chrono::microseconds(start_us);
-  recorder.Record(kind, name, start,
-                  start + std::chrono::microseconds(duration_us), error, shed);
+  const Clock::time_point start = Clock::now();
+  recorder.RecordRequest(seq, kind, name, start,
+                         start + std::chrono::nanoseconds(duration_ns), error,
+                         shed);
+}
+
+size_t CountOf(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    ++count;
+  }
+  return count;
 }
 
 TEST(NextRequestIdTest, UniqueNonZeroAndMonotoneWithinProcess) {
@@ -50,289 +58,297 @@ TEST(NextRequestIdTest, UniqueNonZeroAndMonotoneWithinProcess) {
   }
 }
 
-TEST(FlightRecorderTest, RingKeepsLastKAndDropsOldest) {
-  FlightRecorderOptions options;
-  options.capacity = 4;
-  options.num_stripes = 1;
-  options.slowest_per_kind = 0;  // isolate the ring from tail retention
-  FlightRecorder recorder(options);
-
+TEST(SpanStoreRequestTest, RingKeepsLastKAndDropsOldest) {
+  TraceRecorder recorder;
+  recorder.Enable(/*capacity=*/4, /*sample_every=*/1);
   for (int i = 0; i < 10; ++i) {
-    RecordAt(recorder, 0, "serve/observe", /*start_us=*/i, /*duration_us=*/1);
+    RecordNs(recorder, i, 0, "serve/observe", /*duration_ns=*/1000 + i);
   }
-  const std::vector<RequestRecord> recent = recorder.Recent();
-  ASSERT_EQ(recent.size(), 4u);
-  // Chronological, and only the last four completions survive.
-  for (size_t i = 0; i < recent.size(); ++i) {
-    EXPECT_EQ(recent[i].start_ns, static_cast<int64_t>((6 + i) * 1000));
-    EXPECT_STREQ(recent[i].kind_name, "serve/observe");
-    EXPECT_NE(recent[i].id, 0u);
+  const std::vector<TraceEvent> ring = recorder.Events();
+  ASSERT_EQ(ring.size(), 4u);
+  // Oldest first, and only the last four requests survive.
+  for (size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i].duration_ns, static_cast<int64_t>(1006 + i));
+    EXPECT_STREQ(ring[i].name, "serve/observe");
+    EXPECT_EQ(ring[i].kind, 0);
+    EXPECT_NE(ring[i].request_id, 0u);
   }
-  const FlightRecorderStats stats = recorder.Stats();
+  const TraceStats stats = recorder.Stats();
+  EXPECT_EQ(stats.capacity, 4u);
   EXPECT_EQ(stats.recorded, 10u);
   EXPECT_EQ(stats.ring_size, 4u);
   EXPECT_EQ(stats.sampled_out, 0u);
+  EXPECT_EQ(recorder.dropped(), 6u);
 }
 
-TEST(FlightRecorderTest, ErrorsAndShedsSurviveRingOverwrite) {
-  FlightRecorderOptions options;
-  options.capacity = 4;
-  options.num_stripes = 1;
-  options.slowest_per_kind = 0;
-  FlightRecorder recorder(options);
+// The ring holds `capacity` events at every thread count. The flight
+// recorder this store replaced split its ring into 8 stripes chosen by
+// thread id, so one recording thread kept capacity/8 events and four
+// kept capacity/2.
+TEST(SpanStoreRequestTest, RingHoldsCapacityOnEveryThreadCount) {
+  constexpr size_t kCapacity = 64;
+  constexpr int kPerThread = 200;
+  for (const int threads : {1, 4}) {
+    TraceRecorder recorder;
+    recorder.Enable(kCapacity, /*sample_every=*/1);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&recorder, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          RecordNs(recorder, static_cast<uint64_t>(i), 0, "serve/observe",
+                   /*duration_ns=*/int64_t{t} * kPerThread + i + 1);
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
 
+    const uint64_t total = static_cast<uint64_t>(threads) * kPerThread;
+    const std::vector<TraceEvent> ring = recorder.Events();
+    ASSERT_EQ(ring.size(), kCapacity) << "threads=" << threads;
+    const TraceStats stats = recorder.Stats();
+    EXPECT_EQ(stats.ring_size, kCapacity) << "threads=" << threads;
+    EXPECT_EQ(stats.recorded, total);
+    EXPECT_EQ(recorder.dropped(), total - kCapacity);
+    // Whatever the interleaving, each thread's surviving requests are its
+    // newest ones, in order: the ring dropped only the oldest.
+    std::vector<std::vector<int>> kept(static_cast<size_t>(threads));
+    for (const TraceEvent& event : ring) {
+      const int tag = static_cast<int>(event.duration_ns - 1);
+      kept[static_cast<size_t>(tag / kPerThread)].push_back(tag % kPerThread);
+    }
+    for (const std::vector<int>& indices : kept) {
+      for (size_t k = 0; k < indices.size(); ++k) {
+        EXPECT_EQ(indices[k],
+                  kPerThread - static_cast<int>(indices.size()) +
+                      static_cast<int>(k))
+            << "threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(SpanStoreRequestTest, CapacityAndSampleRateAreAtLeastOne) {
+  TraceRecorder recorder;
+  recorder.Enable(/*capacity=*/0, /*sample_every=*/0);
+  for (int i = 0; i < 8; ++i) RecordNs(recorder, i, 0, "serve/observe", 1);
+  EXPECT_EQ(recorder.Events().size(), 1u);
+  const TraceStats stats = recorder.Stats();
+  EXPECT_EQ(stats.capacity, 1u);
+  EXPECT_EQ(stats.recorded, 8u);
+  EXPECT_EQ(stats.sampled_out, 0u);
+}
+
+TEST(SpanStoreRequestTest, ErrorsAndShedsSurviveRingOverwrite) {
+  TraceRecorder recorder;
+  recorder.Enable(/*capacity=*/4, /*sample_every=*/1);
   // One error and one shed early, then enough traffic to overwrite the
   // ring many times over.
-  RecordAt(recorder, 0, "serve/observe", 0, 1, /*error=*/true);
-  RecordAt(recorder, 1, "serve/level", 1, 1, /*error=*/true, /*shed=*/true);
+  RecordNs(recorder, 0, 0, "serve/observe", 1, /*error=*/true);
+  RecordNs(recorder, 1, 1, "serve/level", 1, /*error=*/true, /*shed=*/true);
   for (int i = 0; i < 100; ++i) {
-    RecordAt(recorder, 0, "serve/observe", 10 + i, 1);
+    RecordNs(recorder, 2 + i, 0, "serve/observe", 1);
   }
 
-  const std::vector<RequestRecord> recent = recorder.Recent();
-  for (const RequestRecord& record : recent) EXPECT_FALSE(record.error);
+  for (const TraceEvent& event : recorder.Events()) EXPECT_FALSE(event.error);
 
-  const std::vector<RequestRecord> retained = recorder.Retained();
-  ASSERT_EQ(retained.size(), 2u);
-  EXPECT_TRUE(retained[0].error);
-  EXPECT_FALSE(retained[0].shed);
-  EXPECT_TRUE(retained[1].error);
-  EXPECT_TRUE(retained[1].shed);
-  EXPECT_STREQ(retained[1].kind_name, "serve/level");
+  // Retained() may list an event once per retention tier; compare ids.
+  std::vector<TraceEvent> errors;
+  std::set<uint64_t> ids;
+  for (const TraceEvent& event : recorder.Retained()) {
+    if (event.error && ids.insert(event.request_id).second) {
+      errors.push_back(event);
+    }
+  }
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_FALSE(errors[0].shed);
+  EXPECT_STREQ(errors[0].name, "serve/observe");
+  EXPECT_TRUE(errors[1].shed);
+  EXPECT_STREQ(errors[1].name, "serve/level");
 
-  const FlightRecorderStats stats = recorder.Stats();
+  const TraceStats stats = recorder.Stats();
   EXPECT_EQ(stats.errors_retained, 2u);
   EXPECT_EQ(stats.sheds_retained, 1u);
 }
 
-TEST(FlightRecorderTest, SlowestPerKindSurvivesAndKeepsTrueMaxima) {
-  FlightRecorderOptions options;
-  options.capacity = 4;
-  options.num_stripes = 1;
-  options.slowest_per_kind = 2;
-  FlightRecorder recorder(options);
-
-  // Durations 1..50us for kind 0; the slow table must end up holding
-  // exactly the two largest regardless of arrival order or overwrite.
-  std::vector<int64_t> durations;
-  for (int64_t d = 1; d <= 50; ++d) durations.push_back(d);
-  // Shuffle deterministically: odd durations first, then even descending.
+TEST(SpanStoreRequestTest, SlowestPerKindSurvivesAndKeepsTrueMaxima) {
+  TraceRecorder recorder;
+  recorder.Enable(/*capacity=*/4, /*sample_every=*/1);
+  // Durations 1..50us for kind 0, odd ascending then even descending:
+  // the slowest table must end up holding exactly the largest ones
+  // regardless of arrival order or ring overwrite.
   std::vector<int64_t> order;
-  for (int64_t d : durations) {
-    if (d % 2 == 1) order.push_back(d);
-  }
-  for (auto it = durations.rbegin(); it != durations.rend(); ++it) {
-    if (*it % 2 == 0) order.push_back(*it);
-  }
-  int64_t start = 0;
-  for (int64_t d : order) {
-    RecordAt(recorder, 0, "serve/recommend", start++, d);
+  for (int64_t d = 1; d <= 50; d += 2) order.push_back(d);
+  for (int64_t d = 50; d >= 2; d -= 2) order.push_back(d);
+  uint64_t seq = 0;
+  for (const int64_t d : order) {
+    RecordNs(recorder, seq++, 0, "serve/recommend", d * 1000);
   }
 
-  std::vector<int64_t> retained_durations;
-  for (const RequestRecord& record : recorder.Retained()) {
-    EXPECT_EQ(record.kind_index, 0);
-    retained_durations.push_back(record.duration_ns / 1000);
+  std::vector<int64_t> retained_us;
+  for (const TraceEvent& event : recorder.Retained()) {
+    EXPECT_EQ(event.kind, 0);
+    retained_us.push_back(event.duration_ns / 1000);
   }
-  std::sort(retained_durations.begin(), retained_durations.end());
-  EXPECT_EQ(retained_durations, (std::vector<int64_t>{49, 50}));
-  EXPECT_EQ(recorder.Stats().slowest_size, 2u);
+  std::sort(retained_us.begin(), retained_us.end());
+  EXPECT_EQ(retained_us,
+            (std::vector<int64_t>{43, 44, 45, 46, 47, 48, 49, 50}));
+  EXPECT_EQ(recorder.Stats().slowest_size, TraceRecorder::kSlowestPerKind);
 
   // A kind index past kMaxKinds still reaches the ring without crashing.
-  RecordAt(recorder, FlightRecorder::kMaxKinds + 3, "serve/unknown", 999, 1);
-  EXPECT_EQ(recorder.Stats().slowest_size, 2u);
+  RecordNs(recorder, seq++, TraceRecorder::kMaxKinds + 3, "serve/unknown",
+           1000000);
+  EXPECT_STREQ(recorder.Events().back().name, "serve/unknown");
+  EXPECT_EQ(recorder.Stats().slowest_size, TraceRecorder::kSlowestPerKind);
 }
 
-TEST(FlightRecorderTest, SampleEveryThinsOnlyTheMainRing) {
-  FlightRecorderOptions options;
-  options.capacity = 64;
-  options.num_stripes = 1;
-  options.slowest_per_kind = 0;
-  options.sample_every = 4;
-  FlightRecorder recorder(options);
-
-  for (int i = 0; i < 40; ++i) {
-    RecordAt(recorder, 0, "serve/observe", i, 1);
+// The caller's sequence number is the sampling clock: seqs on the
+// cadence land in the ring and account for their whole block, so
+// Stats().recorded tracks the true request count although thinned
+// requests never take the mutex. Tail retention ignores the cadence.
+TEST(SpanStoreRequestTest, SampleEveryThinsOnlyTheRing) {
+  TraceRecorder recorder;
+  recorder.Enable(/*capacity=*/64, /*sample_every=*/4);
+  for (uint64_t seq = 0; seq < 40; ++seq) {
+    RecordNs(recorder, seq, 0, "serve/observe", 1);
   }
-  // One error mid-stream: always retained even while thinning.
-  RecordAt(recorder, 0, "serve/observe", 100, 1, /*error=*/true);
+  // One error off the cadence: retained, but not in the ring.
+  RecordNs(recorder, 41, 0, "serve/observe", 1, /*error=*/true);
 
-  const FlightRecorderStats stats = recorder.Stats();
-  EXPECT_EQ(stats.recorded, 41u);
-  // Of 41 offered, every 4th lands: ceil(41 / 4) = 11 kept.
-  EXPECT_EQ(stats.ring_size, 11u);
+  const TraceStats stats = recorder.Stats();
+  // Seqs 0, 4, ..., 36 are cadence events; each accounts for 4 requests.
+  EXPECT_EQ(stats.recorded, 40u);
+  EXPECT_EQ(stats.ring_size, 10u);
   EXPECT_EQ(stats.sampled_out, 30u);
   EXPECT_EQ(stats.errors_retained, 1u);
-  ASSERT_EQ(recorder.Retained().size(), 1u);
-  EXPECT_TRUE(recorder.Retained()[0].error);
-}
-
-// Caller-sequenced recording: seqs on the sampling cadence land in the
-// main ring and account for their whole block, so Stats().recorded
-// tracks the true completion count even though sampled-out requests
-// never touch the recorder's counters.
-TEST(FlightRecorderTest, RecordSampledKeepsCadenceAndBlockAccounting) {
-  FlightRecorderOptions options;
-  options.capacity = 64;
-  options.num_stripes = 1;
-  options.slowest_per_kind = 0;
-  options.sample_every = 4;
-  FlightRecorder recorder(options);
-
-  for (uint64_t seq = 0; seq < 16; ++seq) {
-    const Clock::time_point start =
-        recorder.epoch() + std::chrono::microseconds(seq);
-    recorder.RecordSampled(seq, 0, "serve/observe", start,
-                           start + std::chrono::microseconds(1), false, false);
-  }
-
-  const FlightRecorderStats stats = recorder.Stats();
-  // Seqs 0, 4, 8, 12 are cadence reps; each accounts for 4 offers.
-  EXPECT_EQ(stats.recorded, 16u);
-  EXPECT_EQ(stats.ring_size, 4u);
-  EXPECT_EQ(stats.sampled_out, 12u);
+  for (const TraceEvent& event : recorder.Events()) EXPECT_FALSE(event.error);
 }
 
 // Off-cadence errors and slowest candidates are still admitted — into
-// tail retention only, never the main ring, so cadence accounting
-// stays exact.
-TEST(FlightRecorderTest, RecordSampledAdmitsTailOffCadence) {
-  FlightRecorderOptions options;
-  options.capacity = 64;
-  options.num_stripes = 1;
-  options.slowest_per_kind = 2;
-  options.sample_every = 8;
-  FlightRecorder recorder(options);
+// tail retention only, never the ring, so cadence accounting stays
+// exact.
+TEST(SpanStoreRequestTest, RecordRequestAdmitsTailOffCadence) {
+  TraceRecorder recorder;
+  recorder.Enable(/*capacity=*/64, /*sample_every=*/8);
+  RecordNs(recorder, 1, 0, "serve/observe", 1000, /*error=*/true);
+  RecordNs(recorder, 2, 0, "serve/observe", 500000);  // slowest table only
+  RecordNs(recorder, 8, 0, "serve/observe", 1000);    // cadence: the ring
 
-  const auto at = [&](uint64_t seq, int64_t duration_us, bool error) {
-    const Clock::time_point start =
-        recorder.epoch() + std::chrono::microseconds(seq);
-    recorder.RecordSampled(seq, 0, "serve/observe", start,
-                           start + std::chrono::microseconds(duration_us),
-                           error, false);
-  };
-  at(1, 1, /*error=*/true);   // off-cadence error: error ring only
-  at(2, 500, /*error=*/false);  // off-cadence slow: slowest table only
-  at(8, 1, /*error=*/false);  // cadence rep: main ring
-
-  const FlightRecorderStats stats = recorder.Stats();
+  const TraceStats stats = recorder.Stats();
   EXPECT_EQ(stats.errors_retained, 1u);
-  EXPECT_EQ(stats.ring_size, 1u);  // only the cadence rep
+  EXPECT_EQ(stats.ring_size, 1u);  // only the cadence event
   EXPECT_EQ(stats.recorded, 8u);   // one block accounted
-  const std::vector<RequestRecord> retained = recorder.Retained();
-  // Error + both slow-table rows (the error and the 500us request are
-  // candidates while the table fills).
-  EXPECT_GE(retained.size(), 2u);
   bool saw_error = false;
   bool saw_slow = false;
-  for (const RequestRecord& record : retained) {
-    if (record.error) saw_error = true;
-    if (record.duration_ns == 500 * 1000) saw_slow = true;
+  for (const TraceEvent& event : recorder.Retained()) {
+    if (event.error) saw_error = true;
+    if (event.duration_ns == 500000) saw_slow = true;
   }
   EXPECT_TRUE(saw_error);
   EXPECT_TRUE(saw_slow);
 }
 
-TEST(FlightRecorderTest, JsonDumpCarriesArgsAndDeduplicatesRetained) {
-  FlightRecorderOptions options;
-  options.capacity = 8;
-  options.num_stripes = 1;
-  options.slowest_per_kind = 2;
-  FlightRecorder recorder(options);
+// One renderer for both kinds of event: a phase span keeps its shard
+// arg, request events carry request id, kind, error, shed and retained,
+// retained requests the ring lost come first, and a request held by
+// both the ring and tail retention renders once, from the ring.
+TEST(SpanStoreRequestTest, ChromeTraceCarriesRequestArgsAndRendersEachIdOnce) {
+  TraceRecorder recorder;
+  recorder.Enable(/*capacity=*/2, /*sample_every=*/1);
+  RecordNs(recorder, 0, 1, "serve/level", 4000, /*error=*/true,
+           /*shed=*/true);
+  const Clock::time_point start = Clock::now();
+  recorder.Record("exec/shard", start, start + std::chrono::microseconds(1),
+                  /*shard=*/3, /*iteration=*/-1);
+  RecordNs(recorder, 1, 2, "serve/recommend", 123000);
+  // The ring now holds exec/shard and the recommend; the level request
+  // lives on in the error ring and its kind's slowest table.
 
-  RecordAt(recorder, 2, "serve/recommend", 5, 123);
-  RecordAt(recorder, 1, "serve/level", 50, 4, /*error=*/true, /*shed=*/true);
-
-  const std::string json = RenderFlightRecorderJson(recorder);
+  const std::string json = RenderChromeTrace(recorder);
   EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
-  EXPECT_NE(json.find("\"name\":\"serve/recommend\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"serve/level\""), std::string::npos);
-  EXPECT_NE(json.find("\"request_id\":"), std::string::npos);
-  EXPECT_NE(json.find("\"error\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"shed\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"retained\":true"), std::string::npos);
-  // Both records sit in the ring AND the slow tables / error ring; the
-  // dump must emit each id exactly once.
-  size_t events = 0;
-  for (size_t pos = json.find("\"ph\":\"X\""); pos != std::string::npos;
-       pos = json.find("\"ph\":\"X\"", pos + 1)) {
-    ++events;
-  }
-  EXPECT_EQ(events, 2u);
-}
-
-TEST(FlightRecorderTest, CapacitySmallerThanStripesStillWorks) {
-  FlightRecorderOptions options;
-  options.capacity = 2;
-  options.num_stripes = 16;  // shrunk until each stripe holds >= 1 record
-  FlightRecorder recorder(options);
-  EXPECT_LE(recorder.options().num_stripes, 2u);
-  for (int i = 0; i < 8; ++i) {
-    RecordAt(recorder, 0, "serve/observe", i, 1);
-  }
-  EXPECT_GE(recorder.Recent().size(), 1u);
-  EXPECT_LE(recorder.Recent().size(), 2u);
+  EXPECT_EQ(json.substr(json.size() - 3), "]}\n");
+  EXPECT_EQ(CountOf(json, "\"ph\":\"X\""), 3u);
+  const size_t level = json.find("\"name\":\"serve/level\"");
+  const size_t shard = json.find("\"name\":\"exec/shard\"");
+  const size_t recommend = json.find("\"name\":\"serve/recommend\"");
+  ASSERT_NE(level, std::string::npos);
+  ASSERT_NE(shard, std::string::npos);
+  ASSERT_NE(recommend, std::string::npos);
+  EXPECT_LT(level, shard);
+  EXPECT_LT(shard, recommend);
+  EXPECT_NE(json.find("\"kind\":1,\"error\":true,\"shed\":true,"
+                      "\"retained\":true",
+                      level),
+            std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"shard\":3}", shard), std::string::npos);
+  EXPECT_NE(json.find("\"kind\":2,\"error\":false,\"shed\":false,"
+                      "\"retained\":false",
+                      recommend),
+            std::string::npos);
+  EXPECT_EQ(CountOf(json, "\"request_id\":"), 2u);
 }
 
 // 8 threads recording concurrently: totals are exact, every surviving
-// record is intact (no torn kind_name / id), and readers can snapshot
+// event is intact (no torn name / id), and readers can snapshot
 // mid-flight. Doubles as the race detector under UPSKILL_SANITIZE=thread.
-TEST(FlightRecorderTest, ConcurrentRecordersLoseNothing) {
+TEST(SpanStoreRequestTest, ConcurrentRecordersLoseNothing) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
-  FlightRecorderOptions options;
-  options.capacity = 1024;
-  options.num_stripes = 8;
-  FlightRecorder recorder(options);
+  TraceRecorder recorder;
+  recorder.Enable(/*capacity=*/1024, /*sample_every=*/1);
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&recorder, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        const bool error = (i % 997) == 0;
-        RecordAt(recorder, t % FlightRecorder::kMaxKinds, "serve/observe",
-                 /*start_us=*/static_cast<int64_t>(t) * kPerThread + i,
-                 /*duration_us=*/1 + i % 7, error);
+        RecordNs(recorder, static_cast<uint64_t>(i),
+                 t % TraceRecorder::kMaxKinds, "serve/observe",
+                 /*duration_ns=*/1000 * (1 + i % 7),
+                 /*error=*/(i % 997) == 0);
       }
     });
   }
   // Interleaved reads while writers run.
   for (int i = 0; i < 20; ++i) {
-    const FlightRecorderStats stats = recorder.Stats();
-    EXPECT_LE(stats.recorded, static_cast<uint64_t>(kThreads * kPerThread));
-    (void)recorder.Recent();
+    EXPECT_LE(recorder.Stats().recorded,
+              static_cast<uint64_t>(kThreads * kPerThread));
+    (void)recorder.Events();
     (void)recorder.Retained();
+    (void)RenderChromeTrace(recorder);
   }
   for (std::thread& thread : threads) thread.join();
 
-  const FlightRecorderStats stats = recorder.Stats();
+  const TraceStats stats = recorder.Stats();
   EXPECT_EQ(stats.recorded, static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(stats.ring_size, 1024u);
   EXPECT_EQ(stats.errors_retained,
             static_cast<uint64_t>(kThreads * ((kPerThread + 996) / 997)));
-  for (const RequestRecord& record : recorder.Recent()) {
-    EXPECT_STREQ(record.kind_name, "serve/observe");
-    EXPECT_NE(record.id, 0u);
-    EXPECT_GE(record.duration_ns, 1000);
+  for (const TraceEvent& event : recorder.Events()) {
+    EXPECT_STREQ(event.name, "serve/observe");
+    EXPECT_NE(event.request_id, 0u);
+    EXPECT_GE(event.duration_ns, 1000);
   }
 }
 
-// Satellite regression: overflowing the phase-trace buffer must bump
-// both the recorder's own dropped() counter and the exported
-// upskill_trace_dropped_total metric by the same amount.
+// Overflowing the ring keeps the newest spans and bumps both the
+// store's own dropped() counter and the exported
+// upskill_trace_dropped_total metric by the number overwritten.
 TEST(TraceDroppedTest, OverflowCountsDropsInMetricAndRecorder) {
   TraceRecorder& recorder = TraceRecorder::Global();
   Counter& dropped_total =
       MetricsRegistry::Global().GetCounter("upskill_trace_dropped_total");
 
-  recorder.SetCapacityForTest(4);
-  recorder.Enable();
+  recorder.Enable(/*capacity=*/4);
   const uint64_t metric_before = dropped_total.Value();
   for (int i = 0; i < 10; ++i) {
-    Span span("obs_test/overflow");
+    Span span("obs_test/overflow", /*shard=*/-1, /*iteration=*/i);
   }
   recorder.Disable();
 
-  EXPECT_EQ(recorder.Events().size(), 4u);
+  const std::vector<TraceEvent> events = recorder.Events();
+  ASSERT_EQ(events.size(), 4u);
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].iteration, static_cast<int64_t>(6 + i));
+  }
   EXPECT_EQ(recorder.dropped(), 6u);
   EXPECT_EQ(dropped_total.Value() - metric_before, 6u);
 
@@ -342,7 +358,6 @@ TEST(TraceDroppedTest, OverflowCountsDropsInMetricAndRecorder) {
   recorder.Disable();
   EXPECT_EQ(recorder.dropped(), 0u);
   EXPECT_EQ(dropped_total.Value() - metric_before, 6u);
-  recorder.SetCapacityForTest(TraceRecorder::kMaxEvents);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
-// TraceRecorder + Span: spans only record while the recorder is enabled,
-// events carry the shard/iteration tags, the Chrome-trace JSON is well
-// formed, and a real training run emits one span per trainer phase per
-// iteration (the contract behind `train --trace-out`).
+// TraceRecorder + Span, phase spans: spans only record while the store
+// is enabled, events carry the shard/iteration tags, the Chrome-trace
+// JSON is well formed (and empty for a store never enabled), and a real
+// training run emits one span per trainer phase per iteration (the
+// contract behind `train --trace-out`). Request events are covered by
+// request_trace_test.cc.
 
 #include "obs/trace.h"
 
@@ -53,8 +55,8 @@ TEST(TraceRecorderTest, SpanRecordsNameTagsAndNonNegativeTimes) {
     // Idempotent: a second stop neither re-records nor re-times.
     EXPECT_EQ(span.StopSeconds(), first);
   }
-  { UPSKILL_SPAN("obs_test/macro"); }
-  { UPSKILL_SPAN_SHARD("obs_test/macro_shard", 5); }
+  { Span span("obs_test/untagged"); }
+  { Span span("obs_test/shard", /*shard=*/5); }
   recorder.Disable();
 
   const std::vector<TraceEvent> events = recorder.Events();
@@ -65,7 +67,8 @@ TEST(TraceRecorderTest, SpanRecordsNameTagsAndNonNegativeTimes) {
   EXPECT_GE(events[0].start_ns, 0);
   EXPECT_GE(events[0].duration_ns, 0);
   EXPECT_GE(events[0].thread, 0);
-  EXPECT_STREQ(events[1].name, "obs_test/macro");
+  EXPECT_EQ(events[0].request_id, 0u);  // a phase span, not a request
+  EXPECT_STREQ(events[1].name, "obs_test/untagged");
   EXPECT_EQ(events[1].shard, -1);
   EXPECT_EQ(events[2].shard, 5);
 }
@@ -93,6 +96,12 @@ TEST(TraceRecorderTest, ThreadsGetDistinctDenseIds) {
   EXPECT_NE(here, other);
   // Stable per thread.
   EXPECT_EQ(CurrentThreadId(), here);
+}
+
+TEST(ChromeTraceTest, StoreNeverEnabledRendersEmptyTrace) {
+  const TraceRecorder recorder;
+  EXPECT_EQ(RenderChromeTrace(recorder), "{\"traceEvents\":[]}\n");
+  EXPECT_EQ(recorder.dropped(), 0u);
 }
 
 TEST(ChromeTraceTest, RendersCompleteEventsWithArgs) {

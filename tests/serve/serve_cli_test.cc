@@ -312,17 +312,30 @@ TEST_F(ServeCliTest, ServeRejectsMissingSnapshot) {
 }
 
 TEST_F(ServeCliTest, ValueFlagsWithoutValuesAreUsageErrors) {
-  // A missing value, a malformed integer and a thread count below 1 are
-  // each an error naming the flag, before any work starts.
+  // A missing value, a malformed integer and an integer below the flag's
+  // minimum are each an error naming the flag, before any work starts.
+  // A recorder size of 0 stays valid: it means "off".
   const std::pair<std::string, std::string> cases[] = {
-      {"--levels --em", "--levels requires a value"},
-      {"--levels 4x", "--levels requires an integer, got '4x'"},
-      {"--threads 0", "--threads must be at least 1"},
+      {"train somewhere model.csv --levels --em",
+       "--levels requires a value"},
+      {"train somewhere model.csv --levels 4x",
+       "--levels requires an integer, got '4x'"},
+      {"train somewhere model.csv --threads 0",
+       "--threads must be at least 1"},
+      {"serve somewhere.snap --shards 0", "--shards must be at least 1"},
+      {"serve somewhere.snap --shards -3", "--shards must be at least 1"},
+      {"serve somewhere.snap --flight-recorder-sample -1",
+       "--flight-recorder-sample must be at least 1"},
+      {"serve somewhere.snap --flight-recorder-sample 0",
+       "--flight-recorder-sample must be at least 1"},
+      {"serve somewhere.snap --flight-recorder-size -5",
+       "--flight-recorder-size must be at least 0"},
+      {"serve somewhere.snap --flight-recorder-size 0",
+       "somewhere.snap"},  // accepted: fails opening the snapshot
   };
   const std::string log = dir_ + "/flag.log";
   for (const auto& [flags, message] : cases) {
-    const std::string command = std::string(UPSKILL_CLI_PATH) +
-                                " train somewhere model.csv " + flags +
+    const std::string command = std::string(UPSKILL_CLI_PATH) + " " + flags +
                                 " > " + log + " 2>&1";
     const int status = std::system(command.c_str());
     ASSERT_TRUE(WIFEXITED(status)) << flags;
