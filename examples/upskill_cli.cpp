@@ -34,6 +34,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -62,7 +63,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "net/client.h"
-#include "net/frame.h"
 #include "net/http_admin.h"
 #include "net/net_server.h"
 #include "serve/server.h"
@@ -837,8 +837,8 @@ int CmdServe(const Args& args) {
     // (src/net). The process stays up until stdin reaches EOF, so a
     // supervising test/script owns the lifetime through the pipe.
     net::NetServerConfig config;
-    const Status parsed =
-        net::ParseListenAddress(args.StringFlag("listen", ""), &config);
+    const Status parsed = net::ParseHostPort(args.StringFlag("listen", ""),
+                                             &config.host, &config.port);
     if (!parsed.ok()) return Fail(parsed);
     config.num_workers = static_cast<int>(args.IntFlag("net-workers", 1));
     config.deadline_seconds =
@@ -864,78 +864,33 @@ int CmdServe(const Args& args) {
     return 0;
   }
 
-  // Line-at-a-time request/response loop, plus the `batch <N>` directive:
-  // the next N lines form one batch executed in parallel over the pool,
-  // responses emitted in request order. Unparseable lines get an error
-  // response; only `quit` or EOF ends the session.
+  // The text line protocol (serve/protocol.h), the same one TCP text
+  // connections run: one reply per request line, `batch <N>` fanned out
+  // over the pool; only `quit` or EOF ends the session.
+  serve::LineProtocol protocol(&server);
   std::string line;
-  while (std::getline(std::cin, line)) {
-    if (StripWhitespace(line).empty()) continue;
-    const std::vector<std::string> head = Split(
-        std::string(StripWhitespace(line)), ' ');
-    if (head.size() == 2 && head[0] == "batch") {
-      const Result<long long> count = ParseInt(head[1]);
-      if (!count.ok() || count.value() < 0) {
-        std::printf("%s\n",
-                    serve::FormatErrorResponse(
-                        Status::InvalidArgument("batch expects: batch <N>"))
-                        .c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      std::vector<serve::ServeRequest> requests;
-      std::vector<std::string> parse_errors(
-          static_cast<size_t>(count.value()));
-      std::vector<int> request_index(static_cast<size_t>(count.value()), -1);
-      for (long long i = 0; i < count.value(); ++i) {
-        if (!std::getline(std::cin, line)) break;
-        const auto request = serve::ParseServeRequest(line);
-        if (request.ok()) {
-          request_index[static_cast<size_t>(i)] =
-              static_cast<int>(requests.size());
-          requests.push_back(request.value());
-        } else {
-          parse_errors[static_cast<size_t>(i)] =
-              serve::FormatErrorResponse(request.status());
-        }
-      }
-      const std::vector<std::string> responses =
-          server.ExecuteBatch(requests);
-      for (size_t i = 0; i < request_index.size(); ++i) {
-        if (request_index[i] >= 0) {
-          std::printf("%s\n",
-                      responses[static_cast<size_t>(request_index[i])]
-                          .c_str());
-        } else {
-          std::printf("%s\n", parse_errors[i].c_str());
-        }
-      }
-      std::fflush(stdout);
-      continue;
-    }
-    const auto request = serve::ParseServeRequest(line);
-    if (!request.ok()) {
-      std::printf("%s\n",
-                  serve::FormatErrorResponse(request.status()).c_str());
-      std::fflush(stdout);
-      continue;
-    }
-    std::printf("%s\n", server.Execute(request.value()).c_str());
+  std::string out;
+  while (!protocol.quit() && std::getline(std::cin, line)) {
+    protocol.Feed(line, &out);
+    std::fwrite(out.data(), 1, out.size(), stdout);
     std::fflush(stdout);
-    if (request.value().kind == serve::ServeRequest::Kind::kQuit) break;
+    out.clear();
   }
+  protocol.Close(&out);
+  std::fwrite(out.data(), 1, out.size(), stdout);
   sync_ingest();
   return 0;
 }
 
 int CmdClient(const Args& args) {
   if (args.positional.size() != 1) return Usage();
-  net::NetServerConfig addr;
-  const Status parsed = net::ParseListenAddress(args.positional[0], &addr);
+  std::string host;
+  uint16_t port = 0;
+  const Status parsed = net::ParseHostPort(args.positional[0], &host, &port);
   if (!parsed.ok()) return Fail(parsed);
   net::NetClient client;
-  const Status connected = client.Connect(
-      addr.host == "0.0.0.0" ? "127.0.0.1" : addr.host, addr.port);
+  const Status connected =
+      client.Connect(host == "0.0.0.0" ? "127.0.0.1" : host, port);
   if (!connected.ok()) return Fail(connected);
   const bool binary = args.HasFlag("binary");
 
@@ -957,28 +912,26 @@ int CmdClient(const Args& args) {
       const auto response = client.Call(request.value());
       if (!response.ok()) return Fail(response.status());
       std::printf("%s\n",
-                  net::RenderResponseAsText(response.value(),
-                                            request.value().kind)
+                  serve::RenderServeResponse(response.value(),
+                                             request.value().kind)
                       .c_str());
       std::fflush(stdout);
       if (request.value().kind == serve::ServeRequest::Kind::kQuit) break;
       continue;
     }
     // Text passthrough. `batch <N>` emits exactly N responses (one per
-    // collected line), every other line exactly one.
+    // collected line), every other line exactly one (a bad N is a
+    // one-line error).
     size_t expected = 1;
     std::string payload = line + "\n";
-    const std::vector<std::string> head =
-        Split(std::string(StripWhitespace(line)), ' ');
-    if (head.size() == 2 && head[0] == "batch") {
-      const Result<long long> count = ParseInt(head[1]);
-      if (count.ok() && count.value() >= 0) {
-        expected = static_cast<size_t>(count.value());
-        std::string batch_line;
-        for (long long i = 0; i < count.value(); ++i) {
-          if (!std::getline(std::cin, batch_line)) break;
-          payload += batch_line + "\n";
-        }
+    const std::optional<Result<size_t>> batch =
+        serve::ParseBatchDirective(line);
+    if (batch.has_value() && batch->ok()) {
+      expected = batch->value();
+      std::string batch_line;
+      for (size_t i = 0; i < expected; ++i) {
+        if (!std::getline(std::cin, batch_line)) break;
+        payload += batch_line + "\n";
       }
     }
     const Status sent = client.SendRaw(payload);
@@ -989,7 +942,7 @@ int CmdClient(const Args& args) {
       std::printf("%s\n", response.c_str());
     }
     std::fflush(stdout);
-    if (head.size() == 1 && head[0] == "quit") break;
+    if (StripWhitespace(line) == "quit") break;
   }
   return 0;
 }

@@ -1,8 +1,7 @@
 #include "net/frame.h"
 
 #include <cstring>
-
-#include "common/string_util.h"
+#include <string_view>
 
 namespace upskill {
 namespace net {
@@ -52,8 +51,9 @@ bool GetValue(const char* data, size_t size, size_t* offset, T* out) {
   return true;
 }
 
-void AppendHeader(uint8_t magic, uint8_t code, uint32_t payload_len,
-                  std::string* out) {
+// `inline`: without the hint GCC stops inlining it into EncodeRequest.
+inline void AppendHeader(uint8_t magic, uint8_t code, uint32_t payload_len,
+                         std::string* out) {
   out->push_back(static_cast<char>(magic));
   out->push_back(static_cast<char>(code));
   Put<uint32_t>(payload_len, out);
@@ -66,6 +66,30 @@ void PatchPayloadLength(std::string* out, size_t header_start) {
       out->size() - header_start - kFrameHeaderBytes);
   std::memcpy(out->data() + header_start + 2, &payload_len,
               sizeof(payload_len));
+}
+
+/// The error frame: the status code in the header, the message as the
+/// payload.
+void AppendErrorFrame(StatusCode code, std::string_view message,
+                      std::string* out) {
+  AppendHeader(kResponseMagic, static_cast<uint8_t>(code),
+               static_cast<uint32_t>(message.size()), out);
+  out->append(message);
+}
+
+void PutLevel(int32_t level, uint64_t actions, std::string* out) {
+  Put<int32_t>(level, out);
+  Put<uint64_t>(actions, out);
+}
+
+void PutPicks(const std::vector<UpskillRecommendation>& picks,
+              std::string* out) {
+  Put<uint32_t>(static_cast<uint32_t>(picks.size()), out);
+  for (const UpskillRecommendation& pick : picks) {
+    Put<ItemId>(pick.item, out);
+    Put<double>(pick.difficulty, out);
+    Put<double>(pick.log_prob, out);
+  }
 }
 
 DecodeStatus Malformed(std::string* error, const char* reason) {
@@ -202,60 +226,61 @@ void EncodeRequest(const serve::ServeRequest& request, std::string* out) {
   PatchPayloadLength(out, header_start);
 }
 
+void EncodeResponse(const serve::ServeResponse& response,
+                    serve::ServeRequest::Kind kind, std::string* out) {
+  if (!response.ok()) {
+    AppendErrorFrame(response.status_code, response.message, out);
+    return;
+  }
+  const size_t header_start = out->size();
+  AppendHeader(kResponseMagic, 0, 0, out);
+  using Kind = serve::ServeRequest::Kind;
+  switch (kind) {
+    case Kind::kObserve:
+    case Kind::kLevel:
+      PutLevel(response.level, response.actions, out);
+      break;
+    case Kind::kRecommend:
+      PutPicks(response.picks, out);
+      break;
+    case Kind::kDifficulty:
+      Put<double>(response.difficulty, out);
+      break;
+    case Kind::kSwap:
+      Put<int32_t>(response.levels, out);
+      Put<int32_t>(response.items, out);
+      break;
+    case Kind::kEvict:
+      Put<uint64_t>(response.evicted, out);
+      Put<uint64_t>(response.sessions, out);
+      break;
+    case Kind::kStats:
+      out->append(response.text);
+      break;
+    case Kind::kReset:
+    case Kind::kQuit:
+      break;
+  }
+  PatchPayloadLength(out, header_start);
+}
+
 void EncodeErrorResponse(const Status& status, std::string* out) {
-  AppendHeader(kResponseMagic, static_cast<uint8_t>(status.code()),
-               static_cast<uint32_t>(status.message().size()), out);
-  out->append(status.message());
+  AppendErrorFrame(status.code(), status.message(), out);
 }
 
 void EncodeLevelResponse(const serve::SessionLevel& level, std::string* out) {
   AppendHeader(kResponseMagic, 0,
                static_cast<uint32_t>(sizeof(int32_t) + sizeof(uint64_t)),
                out);
-  Put<int32_t>(level.level, out);
-  Put<uint64_t>(level.actions, out);
+  PutLevel(level.level, level.actions, out);
 }
 
 void EncodeRecommendResponse(
     const std::vector<UpskillRecommendation>& picks, std::string* out) {
   const size_t header_start = out->size();
   AppendHeader(kResponseMagic, 0, 0, out);
-  Put<uint32_t>(static_cast<uint32_t>(picks.size()), out);
-  for (const UpskillRecommendation& pick : picks) {
-    Put<ItemId>(pick.item, out);
-    Put<double>(pick.difficulty, out);
-    Put<double>(pick.log_prob, out);
-  }
+  PutPicks(picks, out);
   PatchPayloadLength(out, header_start);
-}
-
-void EncodeDifficultyResponse(double difficulty, std::string* out) {
-  AppendHeader(kResponseMagic, 0, static_cast<uint32_t>(sizeof(double)), out);
-  Put<double>(difficulty, out);
-}
-
-void EncodeSwapResponse(int levels, int items, std::string* out) {
-  AppendHeader(kResponseMagic, 0, static_cast<uint32_t>(2 * sizeof(int32_t)),
-               out);
-  Put<int32_t>(levels, out);
-  Put<int32_t>(items, out);
-}
-
-void EncodeEvictResponse(uint64_t evicted, uint64_t sessions,
-                         std::string* out) {
-  AppendHeader(kResponseMagic, 0, static_cast<uint32_t>(2 * sizeof(uint64_t)),
-               out);
-  Put<uint64_t>(evicted, out);
-  Put<uint64_t>(sessions, out);
-}
-
-void EncodeTextResponse(const std::string& text, std::string* out) {
-  AppendHeader(kResponseMagic, 0, static_cast<uint32_t>(text.size()), out);
-  out->append(text);
-}
-
-void EncodeEmptyResponse(std::string* out) {
-  AppendHeader(kResponseMagic, 0, 0, out);
 }
 
 DecodeStatus DecodeResponse(const char* data, size_t size,
@@ -344,47 +369,6 @@ DecodeStatus DecodeResponse(const char* data, size_t size,
     return Malformed(error, "trailing bytes in response payload");
   }
   return DecodeStatus::kFrame;
-}
-
-std::string RenderResponseAsText(const DecodedResponse& response,
-                                 serve::ServeRequest::Kind kind) {
-  if (response.status_code != StatusCode::kOk) {
-    return serve::FormatErrorResponse(
-        Status(response.status_code, response.message));
-  }
-  using Kind = serve::ServeRequest::Kind;
-  switch (kind) {
-    case Kind::kObserve:
-    case Kind::kLevel:
-      return StringPrintf(
-          "ok level=%d actions=%llu", response.level,
-          static_cast<unsigned long long>(response.actions));
-    case Kind::kRecommend: {
-      std::string text = StringPrintf("ok n=%zu", response.picks.size());
-      for (const UpskillRecommendation& pick : response.picks) {
-        text += StringPrintf(" %d:%.6g:%.6g", pick.item, pick.difficulty,
-                             pick.log_prob);
-      }
-      return text;
-    }
-    case Kind::kDifficulty:
-      return StringPrintf("ok difficulty=%.17g", response.difficulty);
-    case Kind::kSwap:
-      return StringPrintf("ok swapped levels=%d items=%d", response.levels,
-                          response.items);
-    case Kind::kEvict:
-      return StringPrintf(
-          "ok evicted=%llu sessions=%llu",
-          static_cast<unsigned long long>(response.evicted),
-          static_cast<unsigned long long>(response.sessions));
-    case Kind::kStats:
-      return response.text;
-    case Kind::kReset:
-      return "ok reset";
-    case Kind::kQuit:
-      return "ok bye";
-  }
-  return "ok";
 }
 
 }  // namespace net

@@ -77,34 +77,22 @@ void EncodeRequest(const serve::ServeRequest& request, std::string* out);
 
 // --- Response encoding (server side; append-only, no intermediate copy) ---
 
+/// Appends the frame answering a `kind` request with `response` (the
+/// payload layout above, or the error payload for a non-OK status).
+void EncodeResponse(const serve::ServeResponse& response,
+                    serve::ServeRequest::Kind kind, std::string* out);
+/// Single-layout shortcuts with the same bytes as EncodeResponse, for
+/// callers that hold no ServeResponse (frame errors, benchmarks).
 void EncodeErrorResponse(const Status& status, std::string* out);
 void EncodeLevelResponse(const serve::SessionLevel& level, std::string* out);
 void EncodeRecommendResponse(
     const std::vector<UpskillRecommendation>& picks, std::string* out);
-void EncodeDifficultyResponse(double difficulty, std::string* out);
-void EncodeSwapResponse(int levels, int items, std::string* out);
-void EncodeEvictResponse(uint64_t evicted, uint64_t sessions,
-                         std::string* out);
-void EncodeTextResponse(const std::string& text, std::string* out);
-void EncodeEmptyResponse(std::string* out);
 
 // --- Response decoding (client side) ---
 
-/// One decoded response frame. `status_code` is the raw status byte;
-/// exactly one payload view below is meaningful, per the request kind the
-/// caller paired this response with.
-struct DecodedResponse {
-  StatusCode status_code = StatusCode::kOk;
-  std::string message;  // error responses
-  int level = 0;
-  uint64_t actions = 0;
-  std::vector<UpskillRecommendation> picks;
-  double difficulty = 0.0;
-  int levels = 0;
-  int items = 0;
-  uint64_t evicted = 0;
-  uint64_t sessions = 0;
-  std::string text;  // stats
+/// One decoded response frame: the typed response, rendered as text by
+/// serve::RenderServeResponse, plus the bytes it took on the wire.
+struct DecodedResponse : serve::ServeResponse {
   size_t frame_bytes = 0;
 };
 
@@ -114,12 +102,6 @@ DecodeStatus DecodeResponse(const char* data, size_t size,
                             serve::ServeRequest::Kind kind,
                             size_t max_payload_bytes, DecodedResponse* out,
                             std::string* error);
-
-/// Renders a decoded response as the text protocol would have ("ok
-/// level=..." / "ERR <code> <message>"), for the CLI client mode and the
-/// cross-format equivalence tests.
-std::string RenderResponseAsText(const DecodedResponse& response,
-                                 serve::ServeRequest::Kind kind);
 
 }  // namespace net
 }  // namespace upskill

@@ -100,7 +100,8 @@ class HttpAdminServer {
 void InstallAdminEndpoints(HttpAdminServer* http, serve::Server* server,
                            std::function<Status()> health = {});
 
-/// Parses "host:port" ( ":9000" = all interfaces, port 0 = ephemeral).
+/// Parses "host:port" ( ":9000" = all interfaces, port 0 = ephemeral):
+/// the address grammar of `serve --listen`, `--admin-listen` and `client`.
 Status ParseHostPort(const std::string& address, std::string* host,
                      uint16_t* port);
 

@@ -15,7 +15,6 @@
 
 #include "common/string_util.h"
 #include "net/epoll_loop.h"
-#include "obs/trace.h"
 
 namespace upskill {
 namespace net {
@@ -52,9 +51,15 @@ bool IsSheddable(Kind kind) {
 /// histogram stripes on every request would defeat the striping).
 constexpr uint64_t kShedRefreshPeriod = 4096;
 
+/// Pending-reply ceiling per connection: a client that pipelines requests
+/// but never reads the replies is closed once its output passes this.
+constexpr size_t kMaxOutputBufferBytes = 8u << 20;
+
 }  // namespace
 
 struct NetServer::Connection {
+  Connection(int fd, serve::Server* server) : fd(fd), text(server) {}
+
   int fd = -1;
   enum class Mode : uint8_t { kUnknown, kText, kBinary };
   Mode mode = Mode::kUnknown;
@@ -64,14 +69,8 @@ struct NetServer::Connection {
   /// Close once `out` drains (quit, EOF, or fatal protocol error).
   bool want_close = false;
   bool writable_armed = false;
-  /// Text `batch <N>` directive in progress: lines collected so far and
-  /// the stdio loop's parse bookkeeping (response order == request order,
-  /// parse errors interleaved in place).
-  long long batch_total = 0;
-  long long batch_seen = 0;
-  std::vector<serve::ServeRequest> batch_requests;
-  std::vector<std::string> batch_errors;
-  std::vector<int> batch_index;
+  /// The text protocol's state (an open `batch <N>`), in text mode.
+  serve::LineProtocol text;
 };
 
 struct NetServer::Worker {
@@ -90,10 +89,6 @@ struct NetServer::Worker {
   std::chrono::steady_clock::time_point drain_start;
   double mean_cost[serve::kNumServeRequestKinds] = {};
   uint64_t executed_since_refresh = kShedRefreshPeriod;  // refresh on first
-  /// Per-core request sequence, the span store's sampling clock
-  /// (RecordRequest): worker-private, so bumping it touches no shared
-  /// cache line on the hot path.
-  uint64_t trace_seq = 0;
 };
 
 NetServer::NetServer(serve::Server* server, exec::Backend* swap_backend,
@@ -118,43 +113,9 @@ NetServer::NetServer(serve::Server* server, exec::Backend* swap_backend,
       requests_binary_(obs::MetricsRegistry::Global().GetCounter(
           "upskill_net_requests_total", "proto=\"binary\"")),
       requests_text_(obs::MetricsRegistry::Global().GetCounter(
-          "upskill_net_requests_total", "proto=\"text\"")) {
-  // The per-kind serve instruments: same (name, labels) as the ones
-  // Server registers, so the registry hands back the same objects and
-  // both front ends share one latency/error surface.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::HistogramOptions latency_options;
-  latency_options.min_bound = 1e-7;
-  for (int i = 0; i < serve::kNumServeRequestKinds; ++i) {
-    const std::string labels = StringPrintf(
-        "kind=\"%s\"", serve::ServeRequestKindName(static_cast<Kind>(i)));
-    latency_[static_cast<size_t>(i)] = &registry.GetHistogram(
-        "upskill_serve_request_latency_seconds", labels, latency_options);
-    kind_requests_[static_cast<size_t>(i)] =
-        &registry.GetCounter("upskill_serve_requests_total", labels);
-    kind_errors_[static_cast<size_t>(i)] =
-        &registry.GetCounter("upskill_serve_request_errors_total", labels);
-  }
-}
+          "upskill_net_requests_total", "proto=\"text\"")) {}
 
 NetServer::~NetServer() { Stop(); }
-
-Status ParseListenAddress(const std::string& address,
-                          NetServerConfig* config) {
-  const size_t colon = address.rfind(':');
-  if (colon == std::string::npos) {
-    return Status::InvalidArgument("listen address must be host:port, got " +
-                                   address);
-  }
-  const std::string host = address.substr(0, colon);
-  const Result<long long> port = ParseInt(address.substr(colon + 1));
-  if (!port.ok() || port.value() < 0 || port.value() > 65535) {
-    return Status::InvalidArgument("bad listen port in " + address);
-  }
-  config->host = host.empty() ? "0.0.0.0" : host;
-  config->port = static_cast<uint16_t>(port.value());
-  return Status::OK();
-}
 
 Status NetServer::Start() {
   if (started_) return Status::FailedPrecondition("already started");
@@ -337,8 +298,7 @@ void NetServer::AcceptReady(Worker* worker) {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    Connection* conn = new Connection();
-    conn->fd = fd;
+    Connection* conn = new Connection(fd, server_);
     if (!worker->loop.Add(fd, EPOLLIN, conn).ok()) {
       active_.fetch_sub(1, std::memory_order_relaxed);
       ::close(fd);
@@ -384,10 +344,19 @@ bool NetServer::HandleReadable(Worker* worker, Connection* conn) {
   worker->drain_start = std::chrono::steady_clock::now();
   ProcessBuffer(worker, conn);
   if (saw_eof) {
-    // EOF mid-batch: the stdio loop executes whatever was collected and
-    // emits every declared slot; do the same before closing (unless the
-    // connection is already dying from a protocol error).
-    if (!conn->want_close && conn->batch_total > 0) FinishBatch(conn);
+    // End of input, as stdio's getline sees it: a last line without its
+    // newline is still a line, then the protocol closes (answering a
+    // batch the input cut short) — unless a protocol error or `quit`
+    // already ended the connection.
+    if (conn->mode == Connection::Mode::kText && !conn->want_close) {
+      if (!conn->in.empty()) {
+        conn->in += '\n';
+        ProcessBuffer(worker, conn);
+      }
+      if (!conn->want_close) {
+        requests_text_.Increment(conn->text.Close(&conn->out));
+      }
+    }
     conn->want_close = true;
   }
   if (!FlushOutput(worker, conn)) return false;
@@ -429,7 +398,7 @@ bool NetServer::ProcessBuffer(Worker* worker, Connection* conn) {
   while (offset < conn->in.size() && !conn->want_close) {
     // A slow consumer with a deep pipeline: stop producing responses it
     // is not reading and drop the connection.
-    if (conn->out.size() - conn->out_sent > config_.max_output_buffer_bytes) {
+    if (conn->out.size() - conn->out_sent > kMaxOutputBufferBytes) {
       conn->want_close = true;
       break;
     }
@@ -444,7 +413,7 @@ bool NetServer::ProcessBuffer(Worker* worker, Connection* conn) {
       std::string error;
       const DecodeStatus status = DecodeRequest(
           conn->in.data() + offset, conn->in.size() - offset,
-          config_.max_payload_bytes, &decoded, &error);
+          kDefaultMaxPayloadBytes, &decoded, &error);
       if (status == DecodeStatus::kNeedMore) break;
       if (status == DecodeStatus::kError) {
         decode_errors_.Increment();
@@ -455,13 +424,16 @@ bool NetServer::ProcessBuffer(Worker* worker, Connection* conn) {
         break;
       }
       offset += decoded.frame_bytes;
-      ExecuteBinary(worker, conn, decoded.request);
+      requests_binary_.Increment();
+      EncodeResponse(Respond(worker, decoded.request), decoded.request.kind,
+                     &conn->out);
+      if (decoded.request.kind == Kind::kQuit) conn->want_close = true;
     } else {
       const size_t newline = conn->in.find('\n', offset);
       if (newline == std::string::npos) {
         // An unterminated line longer than any sane request is the text
         // mode's analogue of an oversized frame.
-        if (conn->in.size() - offset > config_.max_payload_bytes) {
+        if (conn->in.size() - offset > kDefaultMaxPayloadBytes) {
           decode_errors_.Increment();
           conn->out += serve::FormatErrorResponse(
               Status::InvalidArgument("request line exceeds limit"));
@@ -473,245 +445,38 @@ bool NetServer::ProcessBuffer(Worker* worker, Connection* conn) {
       }
       const std::string line = conn->in.substr(offset, newline - offset);
       offset = newline + 1;
-      ExecuteTextLine(worker, conn, line);
+      requests_text_.Increment(conn->text.Feed(
+          line, &conn->out, [this, worker](const serve::ServeRequest& request) {
+            return Respond(worker, request);
+          }));
+      if (conn->text.quit()) conn->want_close = true;
     }
   }
   conn->in.erase(0, offset);
   return !conn->want_close;
 }
 
-bool NetServer::ShouldShed(Worker* worker, Kind kind) {
-  if (config_.deadline_seconds <= 0.0 || !IsSheddable(kind)) return false;
-  if (++worker->executed_since_refresh >= kShedRefreshPeriod) {
-    worker->executed_since_refresh = 0;
-    for (int i = 0; i < serve::kNumServeRequestKinds; ++i) {
-      if (!IsSheddable(static_cast<Kind>(i))) continue;
-      const obs::Histogram* histogram = latency_[static_cast<size_t>(i)];
-      const uint64_t count = histogram->Count();
-      worker->mean_cost[i] =
-          count == 0 ? 0.0 : histogram->Sum() / static_cast<double>(count);
-    }
-  }
-  const double projected = SecondsSince(worker->drain_start) +
-                           worker->mean_cost[static_cast<size_t>(kind)];
-  return projected > config_.deadline_seconds;
-}
-
-void NetServer::ExecuteBinary(Worker* worker, Connection* conn,
-                              const serve::ServeRequest& request) {
-  const size_t kind = static_cast<size_t>(request.kind);
-  requests_binary_.Increment();
-  kind_requests_[kind]->Increment();
-  server_->NoteRequestServed();
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-  const bool tracing = recorder.enabled();
-  if (ShouldShed(worker, request.kind)) {
-    shed_.Increment();
-    kind_errors_[kind]->Increment();
-    if (tracing) {
-      const auto now = std::chrono::steady_clock::now();
-      recorder.RecordRequest(worker->trace_seq++, static_cast<int>(kind),
-                             serve::ServeRequestKindSpanName(request.kind),
-                             now, now, /*error=*/true, /*shed=*/true);
-    }
-    EncodeErrorResponse(
-        Status::Unavailable(StringPrintf("shed deadline=%.6fs",
-                                         config_.deadline_seconds)),
-        &conn->out);
-    return;
-  }
-  const bool timed = obs::MetricsEnabled() || tracing;
-  const auto start = timed ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
-  bool is_error = false;
-  switch (request.kind) {
-    case Kind::kObserve: {
-      const Result<serve::SessionLevel> result = server_->Observe(
-          request.user, request.item, request.time, request.has_time);
-      if (result.ok()) {
-        EncodeLevelResponse(result.value(), &conn->out);
-      } else {
-        EncodeErrorResponse(result.status(), &conn->out);
-        is_error = true;
+serve::ServeResponse NetServer::Respond(Worker* worker,
+                                        const serve::ServeRequest& request) {
+  if (config_.deadline_seconds > 0.0 && IsSheddable(request.kind)) {
+    if (++worker->executed_since_refresh >= kShedRefreshPeriod) {
+      worker->executed_since_refresh = 0;
+      for (int i = 0; i < serve::kNumServeRequestKinds; ++i) {
+        const Kind kind = static_cast<Kind>(i);
+        if (IsSheddable(kind)) {
+          worker->mean_cost[i] = server_->MeanLatencySeconds(kind);
+        }
       }
-      break;
     }
-    case Kind::kLevel: {
-      const Result<serve::SessionLevel> result =
-          server_->CurrentLevel(request.user);
-      if (result.ok()) {
-        EncodeLevelResponse(result.value(), &conn->out);
-      } else {
-        EncodeErrorResponse(result.status(), &conn->out);
-        is_error = true;
-      }
-      break;
-    }
-    case Kind::kRecommend: {
-      UpskillRecommendationOptions options;
-      options.max_results = request.top_k;
-      options.stretch = request.stretch;
-      const Result<std::vector<UpskillRecommendation>> picks =
-          server_->Recommend(request.user, options);
-      if (picks.ok()) {
-        EncodeRecommendResponse(picks.value(), &conn->out);
-      } else {
-        EncodeErrorResponse(picks.status(), &conn->out);
-        is_error = true;
-      }
-      break;
-    }
-    case Kind::kDifficulty: {
-      const Result<double> difficulty = server_->ItemDifficulty(request.item);
-      if (difficulty.ok()) {
-        EncodeDifficultyResponse(difficulty.value(), &conn->out);
-      } else {
-        EncodeErrorResponse(difficulty.status(), &conn->out);
-        is_error = true;
-      }
-      break;
-    }
-    case Kind::kSwap: {
-      const Status swapped =
-          server_->SwapSnapshotFile(request.path, swap_backend_);
-      if (swapped.ok()) {
-        const std::shared_ptr<const serve::ServingModel> model =
-            server_->model();
-        EncodeSwapResponse(model->num_levels(), model->num_items(),
-                           &conn->out);
-      } else {
-        EncodeErrorResponse(swapped, &conn->out);
-        is_error = true;
-      }
-      break;
-    }
-    case Kind::kStats:
-      EncodeTextResponse(server_->StatsText(), &conn->out);
-      break;
-    case Kind::kEvict: {
-      const uint64_t evicted = server_->EvictIdleSessions(request.time);
-      EncodeEvictResponse(evicted, server_->num_sessions(), &conn->out);
-      break;
-    }
-    case Kind::kReset:
-      server_->ResetSessions();
-      EncodeEmptyResponse(&conn->out);
-      break;
-    case Kind::kQuit:
-      EncodeEmptyResponse(&conn->out);
-      conn->want_close = true;
-      break;
-  }
-  if (is_error) kind_errors_[kind]->Increment();
-  if (timed) {
-    const auto end = std::chrono::steady_clock::now();
-    latency_[kind]->Observe(
-        std::chrono::duration<double>(end - start).count());
-    if (tracing) {
-      recorder.RecordRequest(worker->trace_seq++, static_cast<int>(kind),
-                             serve::ServeRequestKindSpanName(request.kind),
-                             start, end, is_error, /*shed=*/false);
+    const double projected =
+        SecondsSince(worker->drain_start) +
+        worker->mean_cost[static_cast<size_t>(request.kind)];
+    if (projected > config_.deadline_seconds) {
+      shed_.Increment();
+      return server_->Shed(request.kind, config_.deadline_seconds);
     }
   }
-}
-
-void NetServer::ExecuteTextLine(Worker* worker, Connection* conn,
-                                const std::string& line) {
-  // Mirrors the stdio serve loop in examples/upskill_cli.cpp line for
-  // line, so text responses over TCP are byte-identical to stdio (the
-  // equivalence tests hold both against each other).
-  if (conn->batch_total > 0) {
-    const long long i = conn->batch_seen++;
-    const Result<serve::ServeRequest> request =
-        serve::ParseServeRequest(line);
-    if (request.ok()) {
-      conn->batch_index[static_cast<size_t>(i)] =
-          static_cast<int>(conn->batch_requests.size());
-      conn->batch_requests.push_back(request.value());
-    } else {
-      conn->batch_errors[static_cast<size_t>(i)] =
-          serve::FormatErrorResponse(request.status());
-    }
-    if (conn->batch_seen < conn->batch_total) return;
-    FinishBatch(conn);
-    return;
-  }
-  if (StripWhitespace(line).empty()) return;
-  const std::vector<std::string> head =
-      Split(std::string(StripWhitespace(line)), ' ');
-  if (head.size() == 2 && head[0] == "batch") {
-    const Result<long long> count = ParseInt(head[1]);
-    if (!count.ok() || count.value() < 0) {
-      conn->out += serve::FormatErrorResponse(
-          Status::InvalidArgument("batch expects: batch <N>"));
-      conn->out += '\n';
-      return;
-    }
-    if (static_cast<unsigned long long>(count.value()) >
-        config_.max_batch_requests) {
-      // The directive preallocates per-line slots, so an unauthenticated
-      // peer must not get to pick the allocation size.
-      conn->out += serve::FormatErrorResponse(Status::InvalidArgument(
-          StringPrintf("batch count exceeds limit %zu",
-                       config_.max_batch_requests)));
-      conn->out += '\n';
-      return;
-    }
-    conn->batch_total = count.value();
-    conn->batch_seen = 0;
-    conn->batch_requests.clear();
-    conn->batch_errors.assign(static_cast<size_t>(count.value()), "");
-    conn->batch_index.assign(static_cast<size_t>(count.value()), -1);
-    return;  // batch 0: nothing to collect, nothing emitted (same as stdio)
-  }
-  const Result<serve::ServeRequest> request = serve::ParseServeRequest(line);
-  if (!request.ok()) {
-    conn->out += serve::FormatErrorResponse(request.status());
-    conn->out += '\n';
-    return;
-  }
-  requests_text_.Increment();
-  if (ShouldShed(worker, request.value().kind)) {
-    shed_.Increment();
-    kind_requests_[static_cast<size_t>(request.value().kind)]->Increment();
-    kind_errors_[static_cast<size_t>(request.value().kind)]->Increment();
-    obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-    if (recorder.enabled()) {
-      const auto now = std::chrono::steady_clock::now();
-      recorder.RecordRequest(
-          worker->trace_seq++, static_cast<int>(request.value().kind),
-          serve::ServeRequestKindSpanName(request.value().kind), now, now,
-          /*error=*/true, /*shed=*/true);
-    }
-    conn->out += serve::FormatErrorResponse(Status::Unavailable(
-        StringPrintf("shed deadline=%.6fs", config_.deadline_seconds)));
-    conn->out += '\n';
-    return;
-  }
-  conn->out += server_->Execute(request.value());
-  conn->out += '\n';
-  if (request.value().kind == Kind::kQuit) conn->want_close = true;
-}
-
-void NetServer::FinishBatch(Connection* conn) {
-  // Stdio emits one line per declared slot even when EOF cut the batch
-  // short (never-received slots render as empty lines), so a partial
-  // batch still produces batch_total responses.
-  requests_text_.Increment(
-      static_cast<uint64_t>(conn->batch_requests.size()));
-  const std::vector<std::string> responses =
-      server_->ExecuteBatch(conn->batch_requests, nullptr);
-  for (size_t j = 0; j < conn->batch_index.size(); ++j) {
-    conn->out += conn->batch_index[j] >= 0
-                     ? responses[static_cast<size_t>(conn->batch_index[j])]
-                     : conn->batch_errors[j];
-    conn->out += '\n';
-  }
-  conn->batch_total = 0;
-  conn->batch_seen = 0;
-  conn->batch_requests.clear();
-  conn->batch_errors.clear();
-  conn->batch_index.clear();
+  return server_->Handle(request, swap_backend_);
 }
 
 }  // namespace net

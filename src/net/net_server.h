@@ -1,7 +1,6 @@
 #ifndef UPSKILL_NET_NET_SERVER_H_
 #define UPSKILL_NET_NET_SERVER_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -38,32 +37,23 @@ struct NetServerConfig {
   /// never queued. Admin commands (swap/stats/evict/reset/quit) are
   /// exempt so operators keep control of an overloaded server.
   double deadline_seconds = 0.0;
-  /// Binary frames announcing a payload larger than this are a protocol
-  /// error (connection closed), not a buffering request.
-  size_t max_payload_bytes = kDefaultMaxPayloadBytes;
-  /// Pending-response ceiling per connection: a client that pipelines
-  /// requests but never reads responses is closed once its output buffer
-  /// passes this (slow-consumer protection).
-  size_t max_output_buffer_bytes = 8u << 20;
-  /// Upper bound on `batch <N>` over TCP. The directive preallocates
-  /// per-line bookkeeping, so an unauthenticated peer declaring a huge N
-  /// must be rejected (ERR InvalidArgument), not allocated for. Stdio
-  /// `serve` has no such cap; below the cap behavior is identical.
-  size_t max_batch_requests = 65536;
 };
 
 /// The epoll TCP front end over a serve::Server. Both wire formats share
 /// the port: a connection's first byte selects binary framing (0xF5, see
-/// net/frame.h) or the newline text protocol (identical bytes to the
-/// stdio `serve` loop, including `batch <N>`). Text requests run through
-/// Server::Execute, so responses are byte-identical to stdio; binary
-/// requests skip string rendering entirely and encode typed payloads
-/// straight into the connection's output buffer.
+/// net/frame.h) or the newline text protocol. Every request runs through
+/// Server::Handle (or Server::Shed); a text connection feeds its lines to
+/// the same serve::LineProtocol as the stdio `serve` loop, so its replies
+/// are byte-identical to stdio, and a binary one encodes the typed
+/// response straight into the connection's output buffer.
+/// Fixed limits: a frame or unterminated line over kDefaultMaxPayloadBytes
+/// is answered as an error and closes the connection, as does more than
+/// 8 MiB of unread replies; `batch <N>` stops at serve::kMaxBatchRequests.
 class NetServer {
  public:
   /// `server` must outlive this object. `swap_backend` (optional) runs
-  /// the snapshot rebuild/requantization of binary `swap` requests; null
-  /// defers to the server's installed backend.
+  /// the snapshot rebuild/requantization of `swap` requests; null defers
+  /// to the server's installed backend.
   NetServer(serve::Server* server, exec::Backend* swap_backend,
             NetServerConfig config);
   ~NetServer();
@@ -98,17 +88,10 @@ class NetServer {
   /// Drains complete frames/lines from conn->in; false on fatal protocol
   /// error (caller closes after flushing the error response).
   bool ProcessBuffer(Worker* worker, Connection* conn);
-  void ExecuteBinary(Worker* worker, Connection* conn,
-                     const serve::ServeRequest& request);
-  void ExecuteTextLine(Worker* worker, Connection* conn,
-                       const std::string& line);
-  /// Executes the collected (possibly partial) text batch and emits one
-  /// response line per declared slot, mirroring the stdio loop's
-  /// end-of-batch (and EOF-mid-batch) behavior.
-  void FinishBatch(Connection* conn);
-
-  /// True when the deadline budget says this request must be shed.
-  bool ShouldShed(Worker* worker, serve::ServeRequest::Kind kind);
+  /// Server::Handle, or Server::Shed when the deadline budget says the
+  /// request cannot make it (see NetServerConfig::deadline_seconds).
+  serve::ServeResponse Respond(Worker* worker,
+                               const serve::ServeRequest& request);
 
   serve::Server* const server_;
   exec::Backend* const swap_backend_;
@@ -130,17 +113,7 @@ class NetServer {
   obs::Counter& decode_errors_;
   obs::Counter& requests_binary_;
   obs::Counter& requests_text_;
-  // Per-kind serve latency histograms: the same registry instruments
-  // Server::Execute records into, shared so the shedding estimate and the
-  // exposition cover both front ends.
-  std::array<obs::Histogram*, serve::kNumServeRequestKinds> latency_;
-  std::array<obs::Counter*, serve::kNumServeRequestKinds> kind_requests_;
-  std::array<obs::Counter*, serve::kNumServeRequestKinds> kind_errors_;
 };
-
-/// Parses "host:port" (e.g. "127.0.0.1:9000"; ":9000" binds all
-/// interfaces; port 0 asks for an ephemeral port) into config host/port.
-Status ParseListenAddress(const std::string& address, NetServerConfig* config);
 
 }  // namespace net
 }  // namespace upskill

@@ -1,10 +1,12 @@
 #include "serve/protocol.h"
 
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
 #include "obs/metrics.h"
+#include "serve/server.h"
 
 namespace upskill {
 namespace serve {
@@ -163,6 +165,122 @@ Result<ServeRequest> ParseServeRequest(const std::string& line) {
   Result<ServeRequest> result = ParseServeRequestImpl(line);
   if (!result.ok()) ParseErrorCounter().Increment();
   return result;
+}
+
+std::string RenderServeResponse(const ServeResponse& response,
+                                ServeRequest::Kind kind) {
+  if (!response.ok()) {
+    return FormatErrorResponse(Status(response.status_code, response.message));
+  }
+  switch (kind) {
+    case ServeRequest::Kind::kObserve:
+    case ServeRequest::Kind::kLevel:
+      return StringPrintf("ok level=%d actions=%llu", response.level,
+                          static_cast<unsigned long long>(response.actions));
+    case ServeRequest::Kind::kRecommend: {
+      std::string text = StringPrintf("ok n=%zu", response.picks.size());
+      for (const UpskillRecommendation& pick : response.picks) {
+        text += StringPrintf(" %d:%.6g:%.6g", pick.item, pick.difficulty,
+                             pick.log_prob);
+      }
+      return text;
+    }
+    case ServeRequest::Kind::kDifficulty:
+      return StringPrintf("ok difficulty=%.17g", response.difficulty);
+    case ServeRequest::Kind::kSwap:
+      return StringPrintf("ok swapped levels=%d items=%d", response.levels,
+                          response.items);
+    case ServeRequest::Kind::kStats:
+      return response.text;
+    case ServeRequest::Kind::kEvict:
+      return StringPrintf("ok evicted=%llu sessions=%llu",
+                          static_cast<unsigned long long>(response.evicted),
+                          static_cast<unsigned long long>(response.sessions));
+    case ServeRequest::Kind::kReset:
+      return "ok reset";
+    case ServeRequest::Kind::kQuit:
+      return "ok bye";
+  }
+  return FormatErrorResponse(Status::Internal("unhandled request kind"));
+}
+
+std::optional<Result<size_t>> ParseBatchDirective(std::string_view line) {
+  const std::string_view stripped = StripWhitespace(line);
+  constexpr std::string_view kBatch = "batch ";
+  if (!stripped.starts_with(kBatch) ||
+      stripped.find(' ', kBatch.size()) != std::string_view::npos) {
+    return std::nullopt;
+  }
+  const Result<long long> count = ParseInt(stripped.substr(kBatch.size()));
+  if (!count.ok() || count.value() < 0) {
+    return Status::InvalidArgument("batch expects: batch <N>");
+  }
+  if (count.value() > kMaxBatchRequests) {
+    return Status::InvalidArgument(StringPrintf(
+        "batch count exceeds limit %lld", kMaxBatchRequests));
+  }
+  return static_cast<size_t>(count.value());
+}
+
+size_t LineProtocol::Feed(const std::string& line, std::string* out,
+                          const Responder& respond) {
+  if (batch_slots_ > 0) {
+    Result<ServeRequest> request = ParseServeRequest(line);
+    if (request.ok()) {
+      batch_requests_.push_back(std::move(request).value());
+      batch_errors_.emplace_back();
+    } else {
+      batch_errors_.push_back(FormatErrorResponse(request.status()));
+    }
+    return batch_errors_.size() < batch_slots_ ? 0 : RunBatch(out);
+  }
+  if (StripWhitespace(line).empty()) return 0;
+  if (const std::optional<Result<size_t>> batch = ParseBatchDirective(line)) {
+    if (batch->ok()) {
+      // `batch 0` opens nothing and answers nothing.
+      batch_slots_ = batch->value();
+    } else {
+      *out += FormatErrorResponse(batch->status());
+      *out += '\n';
+    }
+    return 0;
+  }
+  const Result<ServeRequest> request = ParseServeRequest(line);
+  if (!request.ok()) {
+    *out += FormatErrorResponse(request.status());
+    *out += '\n';
+    return 0;
+  }
+  const ServeRequest::Kind kind = request.value().kind;
+  *out += RenderServeResponse(respond != nullptr
+                                  ? respond(request.value())
+                                  : server_->Handle(request.value()),
+                              kind);
+  *out += '\n';
+  quit_ = kind == ServeRequest::Kind::kQuit;
+  return 1;
+}
+
+size_t LineProtocol::Close(std::string* out) {
+  return batch_slots_ > 0 ? RunBatch(out) : 0;
+}
+
+size_t LineProtocol::RunBatch(std::string* out) {
+  const std::vector<std::string> responses =
+      server_->ExecuteBatch(batch_requests_);
+  size_t next = 0;
+  for (size_t slot = 0; slot < batch_slots_; ++slot) {
+    if (slot < batch_errors_.size()) {
+      *out += batch_errors_[slot].empty() ? responses[next++]
+                                          : batch_errors_[slot];
+    }
+    *out += '\n';
+  }
+  const size_t ran = batch_requests_.size();
+  batch_slots_ = 0;
+  batch_requests_.clear();
+  batch_errors_.clear();
+  return ran;
 }
 
 }  // namespace serve

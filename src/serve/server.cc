@@ -228,90 +228,120 @@ Status Server::SwapSnapshotFile(const std::string& path,
   return Status::OK();
 }
 
-std::string Server::Execute(const ServeRequest& request) {
+ServeResponse Server::Handle(const ServeRequest& request,
+                             exec::Backend* backend) {
   // The served-requests counter doubles as the span store's sampling
   // clock (RecordRequest below), so the steady-state trace decision
   // costs no extra shared-counter traffic.
   const uint64_t seq = requests_.fetch_add(1, std::memory_order_relaxed);
-  const size_t kind = static_cast<size_t>(request.kind);
-  instruments_[kind].requests->Increment();
+  const KindInstruments& instruments =
+      instruments_[static_cast<size_t>(request.kind)];
+  instruments.requests->Increment();
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   const bool tracing = recorder.enabled();
-  if (!obs::MetricsEnabled() && !tracing) return ExecuteInternal(request);
-  const auto start = std::chrono::steady_clock::now();
-  std::string response = ExecuteInternal(request);
-  const auto end = std::chrono::steady_clock::now();
-  instruments_[kind].latency->Observe(
-      std::chrono::duration<double>(end - start).count());
-  const bool is_error = response.compare(0, 4, "ERR ") == 0;
-  if (is_error) instruments_[kind].errors->Increment();
-  if (tracing) {
-    recorder.RecordRequest(seq, static_cast<int>(kind),
-                           ServeRequestKindSpanName(request.kind), start, end,
-                           is_error, /*shed=*/false);
-  }
-  return response;
-}
-
-std::string Server::ExecuteInternal(const ServeRequest& request) {
+  const bool timed = tracing || obs::MetricsEnabled();
+  const auto start = timed ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point{};
+  ServeResponse response;
+  Status status;
   switch (request.kind) {
-    case ServeRequest::Kind::kObserve: {
-      const Result<SessionLevel> result =
-          Observe(request.user, request.item, request.time, request.has_time);
-      if (!result.ok()) return FormatErrorResponse(result.status());
-      return StringPrintf("ok level=%d actions=%llu", result.value().level,
-                          static_cast<unsigned long long>(
-                              result.value().actions));
-    }
+    case ServeRequest::Kind::kObserve:
     case ServeRequest::Kind::kLevel: {
-      const Result<SessionLevel> result = CurrentLevel(request.user);
-      if (!result.ok()) return FormatErrorResponse(result.status());
-      return StringPrintf("ok level=%d actions=%llu", result.value().level,
-                          static_cast<unsigned long long>(
-                              result.value().actions));
+      const Result<SessionLevel> level =
+          request.kind == ServeRequest::Kind::kObserve
+              ? Observe(request.user, request.item, request.time,
+                        request.has_time)
+              : CurrentLevel(request.user);
+      if (level.ok()) {
+        response.level = level.value().level;
+        response.actions = level.value().actions;
+      } else {
+        status = level.status();
+      }
+      break;
     }
     case ServeRequest::Kind::kRecommend: {
       UpskillRecommendationOptions options;
       options.max_results = request.top_k;
       options.stretch = request.stretch;
-      const Result<std::vector<UpskillRecommendation>> picks =
+      Result<std::vector<UpskillRecommendation>> picks =
           Recommend(request.user, options);
-      if (!picks.ok()) return FormatErrorResponse(picks.status());
-      std::string response =
-          StringPrintf("ok n=%zu", picks.value().size());
-      for (const UpskillRecommendation& pick : picks.value()) {
-        response += StringPrintf(" %d:%.6g:%.6g", pick.item, pick.difficulty,
-                                 pick.log_prob);
-      }
-      return response;
+      status = picks.status();
+      if (status.ok()) response.picks = std::move(picks).value();
+      break;
     }
     case ServeRequest::Kind::kDifficulty: {
       const Result<double> difficulty = ItemDifficulty(request.item);
-      if (!difficulty.ok()) return FormatErrorResponse(difficulty.status());
-      return StringPrintf("ok difficulty=%.17g", difficulty.value());
+      status = difficulty.status();
+      if (status.ok()) response.difficulty = difficulty.value();
+      break;
     }
-    case ServeRequest::Kind::kSwap: {
-      const Status swapped = SwapSnapshotFile(request.path);
-      if (!swapped.ok()) return FormatErrorResponse(swapped);
-      const std::shared_ptr<const ServingModel> model = this->model();
-      return StringPrintf("ok swapped levels=%d items=%d",
-                          model->num_levels(), model->num_items());
-    }
+    case ServeRequest::Kind::kSwap:
+      status = SwapSnapshotFile(request.path, backend);
+      if (status.ok()) {
+        const std::shared_ptr<const ServingModel> model = this->model();
+        response.levels = model->num_levels();
+        response.items = model->num_items();
+      }
+      break;
     case ServeRequest::Kind::kStats:
-      return StatsText();
-    case ServeRequest::Kind::kEvict: {
-      const size_t evicted = EvictIdleSessions(request.time);
-      return StringPrintf("ok evicted=%zu sessions=%zu", evicted,
-                          num_sessions());
-    }
-    case ServeRequest::Kind::kReset: {
+      response.text = StatsText();
+      break;
+    case ServeRequest::Kind::kEvict:
+      response.evicted = EvictIdleSessions(request.time);
+      response.sessions = num_sessions();
+      break;
+    case ServeRequest::Kind::kReset:
       ResetSessions();
-      return "ok reset";
-    }
+      break;
     case ServeRequest::Kind::kQuit:
-      return "ok bye";
+      break;
   }
-  return FormatErrorResponse(Status::Internal("unhandled request kind"));
+  if (!status.ok()) {
+    response.status_code = status.code();
+    response.message = status.message();
+    instruments.errors->Increment();
+  }
+  if (timed) {
+    const auto end = std::chrono::steady_clock::now();
+    instruments.latency->Observe(
+        std::chrono::duration<double>(end - start).count());
+    if (tracing) {
+      recorder.RecordRequest(seq, static_cast<int>(request.kind),
+                             ServeRequestKindSpanName(request.kind), start,
+                             end, !status.ok(), /*shed=*/false);
+    }
+  }
+  return response;
+}
+
+ServeResponse Server::Shed(ServeRequest::Kind kind, double deadline_seconds) {
+  const uint64_t seq = requests_.fetch_add(1, std::memory_order_relaxed);
+  const KindInstruments& instruments = instruments_[static_cast<size_t>(kind)];
+  instruments.requests->Increment();
+  instruments.errors->Increment();
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  if (recorder.enabled()) {
+    const auto now = std::chrono::steady_clock::now();
+    recorder.RecordRequest(seq, static_cast<int>(kind),
+                           ServeRequestKindSpanName(kind), now, now,
+                           /*error=*/true, /*shed=*/true);
+  }
+  ServeResponse response;
+  response.status_code = StatusCode::kUnavailable;
+  response.message = StringPrintf("shed deadline=%.6fs", deadline_seconds);
+  return response;
+}
+
+std::string Server::Execute(const ServeRequest& request) {
+  return RenderServeResponse(Handle(request), request.kind);
+}
+
+double Server::MeanLatencySeconds(ServeRequest::Kind kind) const {
+  const obs::Histogram* histogram =
+      instruments_[static_cast<size_t>(kind)].latency;
+  const uint64_t count = histogram->Count();
+  return count == 0 ? 0.0 : histogram->Sum() / static_cast<double>(count);
 }
 
 std::string Server::LatencyQuantilesText() const {

@@ -116,14 +116,11 @@ class Server {
   size_t EvictIdleSessions(int64_t min_last_time) {
     return sessions_.EvictIdleSessions(min_last_time);
   }
+  /// Requests answered by Handle or Shed, whatever the wire format
+  /// (`requests=` in `stats`, `requests:` in /statusz). Lines that fail to
+  /// parse never become requests and are not counted.
   uint64_t requests_served() const {
     return requests_.load(std::memory_order_relaxed);
-  }
-  /// Front ends that bypass Execute (the binary TCP path calls the typed
-  /// methods directly) report their requests here so the `stats` header
-  /// counts every request regardless of wire format.
-  void NoteRequestServed(uint64_t count = 1) {
-    requests_.fetch_add(count, std::memory_order_relaxed);
   }
 
   /// Per-kind latency quantiles for kinds that have traffic, one
@@ -134,22 +131,27 @@ class Server {
   /// fields appended to the stats summary line (kinds with traffic only).
   std::string LatencyQuantilesInline() const;
 
-  /// The `stats` response body: the "ok sessions=..." summary line
-  /// (including trace_dropped and per-kind latency quantiles) followed
-  /// by the Prometheus exposition of the process registry,
-  /// "# EOF"-terminated, with no trailing newline (the transport appends
-  /// it). Shared by Execute's kStats case and the binary TCP front end,
-  /// so both wire formats report identical telemetry.
-  std::string StatsText() const;
+  /// Mean latency of `kind` requests so far, from its
+  /// `upskill_serve_request_latency_seconds` histogram; 0 without samples.
+  /// The TCP front end's shedding estimate reads it.
+  double MeanLatencySeconds(ServeRequest::Kind kind) const;
 
-  /// Executes one request, rendering the response ("ok ..." on success,
-  /// "ERR <code> <message>" on failure). Every response is a single line
-  /// except `stats`, whose "ok ..." summary line is followed by the
-  /// Prometheus exposition of the process metrics registry (terminated by
-  /// "# EOF"). Each call observes its latency in the per-kind
-  /// `upskill_serve_request_latency_seconds` histogram and bumps the
-  /// per-kind request/error counters; while the global span store is
-  /// enabled it also records the request there.
+  /// Executes one request: the serving protocol's only dispatcher, for
+  /// every front end and wire format. Counts it in `requests_served()`
+  /// and the per-kind `upskill_serve_requests_total` (failures also in
+  /// `upskill_serve_request_errors_total`), times its execution into the
+  /// per-kind `upskill_serve_request_latency_seconds`, and records it in
+  /// the enabled span store, sampled on `requests_served()`. `backend`
+  /// runs a `swap` (resolved as for SwapSnapshotFile).
+  ServeResponse Handle(const ServeRequest& request,
+                       exec::Backend* backend = nullptr);
+
+  /// Rejects a `kind` request for load shedding instead of executing it:
+  /// counted like Handle (as an error) and recorded as a shed, answered
+  /// `Unavailable` with the message `shed deadline=<deadline_seconds>s`.
+  ServeResponse Shed(ServeRequest::Kind kind, double deadline_seconds);
+
+  /// Handle, rendered as text (RenderServeResponse).
   std::string Execute(const ServeRequest& request);
 
   /// Executes a batch, responses in request order, fanning out over
@@ -170,8 +172,12 @@ class Server {
     obs::Counter* errors = nullptr;
   };
 
-  /// Execute minus the telemetry wrapper (timing, per-kind counters).
-  std::string ExecuteInternal(const ServeRequest& request);
+  /// The `stats` reply body: the "ok sessions=..." summary line
+  /// (including trace_dropped and per-kind latency quantiles) followed
+  /// by the Prometheus exposition of the process registry,
+  /// "# EOF"-terminated, with no trailing newline (the transport appends
+  /// it).
+  std::string StatsText() const;
 
   /// Both views, read under one lock acquisition so a concurrent swap can
   /// never hand out a double view paired with a stale quantized one.

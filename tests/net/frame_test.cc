@@ -200,7 +200,7 @@ TEST(FrameTest, LevelResponseRoundTrip) {
   EXPECT_EQ(decoded.status_code, StatusCode::kOk);
   EXPECT_EQ(decoded.level, 3);
   EXPECT_EQ(decoded.actions, 12345678901234ULL);
-  EXPECT_EQ(RenderResponseAsText(decoded, Kind::kObserve),
+  EXPECT_EQ(serve::RenderServeResponse(decoded, Kind::kObserve),
             "ok level=3 actions=12345678901234");
 }
 
@@ -225,7 +225,7 @@ TEST(FrameTest, RecommendResponseRoundTrip) {
   EXPECT_EQ(decoded.picks[0].item, 7);
   EXPECT_DOUBLE_EQ(decoded.picks[0].difficulty, 1.5);
   EXPECT_DOUBLE_EQ(decoded.picks[1].log_prob, -3.5);
-  EXPECT_EQ(RenderResponseAsText(decoded, Kind::kRecommend),
+  EXPECT_EQ(serve::RenderServeResponse(decoded, Kind::kRecommend),
             "ok n=2 7:1.5:-2.25 9:2.5:-3.5");
 }
 
@@ -260,55 +260,153 @@ TEST(FrameTest, ErrorResponseRoundTrip) {
       << error;
   EXPECT_EQ(decoded.status_code, StatusCode::kUnavailable);
   EXPECT_EQ(decoded.message, "shed deadline=0.001000s");
-  EXPECT_EQ(RenderResponseAsText(decoded, Kind::kObserve),
+  EXPECT_EQ(serve::RenderServeResponse(decoded, Kind::kObserve),
             "ERR Unavailable shed deadline=0.001000s");
 }
 
 TEST(FrameTest, StatsAndAdminResponsesRoundTrip) {
   {
+    serve::ServeResponse stats;
+    stats.text = "ok sessions=1\nline2";
     std::string wire;
-    EncodeTextResponse("ok sessions=1\nline2", &wire);
+    EncodeResponse(stats, Kind::kStats, &wire);
     DecodedResponse decoded;
     std::string error;
     ASSERT_EQ(DecodeResponse(wire.data(), wire.size(), Kind::kStats,
                              kDefaultMaxPayloadBytes, &decoded, &error),
               DecodeStatus::kFrame);
     EXPECT_EQ(decoded.text, "ok sessions=1\nline2");
-    EXPECT_EQ(RenderResponseAsText(decoded, Kind::kStats),
+    EXPECT_EQ(serve::RenderServeResponse(decoded, Kind::kStats),
               "ok sessions=1\nline2");
   }
   {
+    serve::ServeResponse swap;
+    swap.levels = 4;
+    swap.items = 1000;
     std::string wire;
-    EncodeSwapResponse(4, 1000, &wire);
+    EncodeResponse(swap, Kind::kSwap, &wire);
     DecodedResponse decoded;
     std::string error;
     ASSERT_EQ(DecodeResponse(wire.data(), wire.size(), Kind::kSwap,
                              kDefaultMaxPayloadBytes, &decoded, &error),
               DecodeStatus::kFrame);
-    EXPECT_EQ(RenderResponseAsText(decoded, Kind::kSwap),
+    EXPECT_EQ(serve::RenderServeResponse(decoded, Kind::kSwap),
               "ok swapped levels=4 items=1000");
   }
   {
+    serve::ServeResponse evict;
+    evict.evicted = 5;
+    evict.sessions = 12;
     std::string wire;
-    EncodeEvictResponse(5, 12, &wire);
+    EncodeResponse(evict, Kind::kEvict, &wire);
     DecodedResponse decoded;
     std::string error;
     ASSERT_EQ(DecodeResponse(wire.data(), wire.size(), Kind::kEvict,
                              kDefaultMaxPayloadBytes, &decoded, &error),
               DecodeStatus::kFrame);
-    EXPECT_EQ(RenderResponseAsText(decoded, Kind::kEvict),
+    EXPECT_EQ(serve::RenderServeResponse(decoded, Kind::kEvict),
               "ok evicted=5 sessions=12");
   }
   {
     std::string wire;
-    EncodeEmptyResponse(&wire);
+    EncodeResponse(serve::ServeResponse{}, Kind::kReset, &wire);
+    EXPECT_EQ(wire.size(), kFrameHeaderBytes);  // empty payload
     DecodedResponse decoded;
     std::string error;
     ASSERT_EQ(DecodeResponse(wire.data(), wire.size(), Kind::kReset,
                              kDefaultMaxPayloadBytes, &decoded, &error),
               DecodeStatus::kFrame);
-    EXPECT_EQ(RenderResponseAsText(decoded, Kind::kReset), "ok reset");
-    EXPECT_EQ(RenderResponseAsText(decoded, Kind::kQuit), "ok bye");
+    EXPECT_EQ(serve::RenderServeResponse(decoded, Kind::kReset), "ok reset");
+    EXPECT_EQ(serve::RenderServeResponse(decoded, Kind::kQuit), "ok bye");
+  }
+}
+
+void ExpectSameResponse(const serve::ServeResponse& actual,
+                        const serve::ServeResponse& expected) {
+  EXPECT_EQ(actual.status_code, expected.status_code);
+  EXPECT_EQ(actual.message, expected.message);
+  EXPECT_EQ(actual.level, expected.level);
+  EXPECT_EQ(actual.actions, expected.actions);
+  ASSERT_EQ(actual.picks.size(), expected.picks.size());
+  for (size_t i = 0; i < expected.picks.size(); ++i) {
+    EXPECT_EQ(actual.picks[i].item, expected.picks[i].item);
+    EXPECT_EQ(actual.picks[i].difficulty, expected.picks[i].difficulty);
+    EXPECT_EQ(actual.picks[i].log_prob, expected.picks[i].log_prob);
+  }
+  EXPECT_EQ(actual.difficulty, expected.difficulty);
+  EXPECT_EQ(actual.levels, expected.levels);
+  EXPECT_EQ(actual.items, expected.items);
+  EXPECT_EQ(actual.evicted, expected.evicted);
+  EXPECT_EQ(actual.sessions, expected.sessions);
+  EXPECT_EQ(actual.text, expected.text);
+}
+
+/// Encodes `response` for `kind`, decodes it back and checks that the
+/// whole frame was consumed and the response survived unchanged.
+void ExpectRoundTrip(const serve::ServeResponse& response, Kind kind) {
+  std::string wire;
+  EncodeResponse(response, kind, &wire);
+  DecodedResponse decoded;
+  std::string error;
+  ASSERT_EQ(DecodeResponse(wire.data(), wire.size(), kind,
+                           kDefaultMaxPayloadBytes, &decoded, &error),
+            DecodeStatus::kFrame)
+      << serve::ServeRequestKindName(kind) << ": " << error;
+  EXPECT_EQ(decoded.frame_bytes, wire.size());
+  ExpectSameResponse(decoded, response);
+}
+
+TEST(FrameTest, EncodeResponseRoundTripsEveryKind) {
+  serve::ServeResponse level;
+  level.level = 3;
+  level.actions = 77;
+  ExpectRoundTrip(level, Kind::kObserve);
+  ExpectRoundTrip(level, Kind::kLevel);
+
+  serve::ServeResponse recommend;
+  recommend.picks.resize(3);
+  for (int i = 0; i < 3; ++i) {
+    recommend.picks[static_cast<size_t>(i)].item = 10 * i + 1;
+    recommend.picks[static_cast<size_t>(i)].difficulty = 1.25 + i;
+    recommend.picks[static_cast<size_t>(i)].log_prob = -0.1 - i;
+  }
+  ExpectRoundTrip(recommend, Kind::kRecommend);
+  ExpectRoundTrip(serve::ServeResponse{}, Kind::kRecommend);  // n=0
+
+  serve::ServeResponse difficulty;
+  difficulty.difficulty = 2.718281828459045;
+  ExpectRoundTrip(difficulty, Kind::kDifficulty);
+
+  serve::ServeResponse swap;
+  swap.levels = 5;
+  swap.items = 50000;
+  ExpectRoundTrip(swap, Kind::kSwap);
+
+  serve::ServeResponse stats;
+  stats.text = "ok sessions=2 shards=64\n# EOF";
+  ExpectRoundTrip(stats, Kind::kStats);
+
+  serve::ServeResponse evict;
+  evict.evicted = 1ULL << 40;
+  evict.sessions = 3;
+  ExpectRoundTrip(evict, Kind::kEvict);
+
+  ExpectRoundTrip(serve::ServeResponse{}, Kind::kReset);
+  ExpectRoundTrip(serve::ServeResponse{}, Kind::kQuit);
+}
+
+TEST(FrameTest, EncodeResponseRoundTripsAnErrorOfEveryStatusCode) {
+  for (StatusCode code :
+       {StatusCode::kInvalidArgument, StatusCode::kNotFound,
+        StatusCode::kOutOfRange, StatusCode::kFailedPrecondition,
+        StatusCode::kIoError, StatusCode::kCorruption, StatusCode::kInternal,
+        StatusCode::kUnavailable}) {
+    serve::ServeResponse error;
+    error.status_code = code;
+    error.message = std::string("message for ") + StatusCodeToString(code);
+    for (int kind = 0; kind < serve::kNumServeRequestKinds; ++kind) {
+      ExpectRoundTrip(error, static_cast<Kind>(kind));
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 // The epoll TCP front end: text-over-TCP responses byte-identical to
-// Server::Execute, binary round trips for every opcode, snapshot hot-swap
-// (plain and quantized) under live connections, deadline load shedding,
-// connection limits, and concurrent mixed-protocol clients (the TSan
-// target for the net subsystem).
+// Server::Execute, binary round trips for every opcode, text and binary
+// replies that agree on every request kind and error, snapshot hot-swap
+// (plain and quantized) under live connections, deadline load shedding
+// and its request accounting, connection limits, and concurrent
+// mixed-protocol clients (the TSan target for the net subsystem).
 
 #include "net/net_server.h"
 
@@ -179,7 +180,6 @@ TEST_F(NetServerTest, TextBatchDirectiveMatchesStdioSemantics) {
 TEST_F(NetServerTest, TextBatchCountAboveLimitRejected) {
   serve::Server server(serving_);
   NetServerConfig config;
-  config.max_batch_requests = 8;
   NetServer net(&server, nullptr, config);
   ASSERT_TRUE(net.Start().ok());
 
@@ -187,12 +187,12 @@ TEST_F(NetServerTest, TextBatchCountAboveLimitRejected) {
   ASSERT_TRUE(client.Connect("127.0.0.1", net.port()).ok());
   // The oversized directive is rejected up front (no batch mode entered),
   // so the following line executes as an ordinary request.
-  ASSERT_TRUE(client.SendRaw("batch 9\ndifficulty 9\n").ok());
+  ASSERT_TRUE(client.SendRaw("batch 65537\ndifficulty 9\n").ok());
   const auto responses = client.ReadLines(2);
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   EXPECT_EQ(responses.value()[0],
             serve::FormatErrorResponse(
-                Status::InvalidArgument("batch count exceeds limit 8")));
+                Status::InvalidArgument("batch count exceeds limit 65536")));
   EXPECT_EQ(responses.value()[1].rfind("ok difficulty=", 0), 0u)
       << responses.value()[1];
 
@@ -229,6 +229,30 @@ TEST_F(NetServerTest, TextPartialBatchFlushedOnEof) {
   EXPECT_EQ(responses.value()[1], "");
   EXPECT_EQ(responses.value()[2], "");
   EXPECT_EQ(client.ReadAll(), "");  // server closes after the flush
+  net.Stop();
+}
+
+TEST_F(NetServerTest, TextUnterminatedLastLineAnsweredAtEof) {
+  serve::Server server(serving_);
+  NetServerConfig config;
+  NetServer net(&server, nullptr, config);
+  ASSERT_TRUE(net.Start().ok());
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", net.port()).ok());
+  // The last line has no newline: stdio's getline still hands it over,
+  // so TCP answers it too before closing.
+  ASSERT_TRUE(
+      client.SendRaw("observe eof_line 1 1\nobserve eof_line 2 2").ok());
+  client.ShutdownWrite();
+  const auto responses = client.ReadLines(2);
+  ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+  EXPECT_EQ(responses.value()[0].rfind("ok level=", 0), 0u);
+  EXPECT_NE(responses.value()[0].find(" actions=1"), std::string::npos);
+  EXPECT_EQ(responses.value()[1].rfind("ok level=", 0), 0u);
+  EXPECT_NE(responses.value()[1].find(" actions=2"), std::string::npos)
+      << responses.value()[1];
+  EXPECT_EQ(client.ReadAll(), "");
   net.Stop();
 }
 
@@ -288,7 +312,7 @@ TEST_F(NetServerTest, BinaryRoundTripEveryOpcode) {
   level2.user = "bin_user";
   const auto level_response = client.Call(level2);
   ASSERT_TRUE(level_response.ok());
-  EXPECT_EQ(RenderResponseAsText(level_response.value(), Kind::kLevel),
+  EXPECT_EQ(serve::RenderServeResponse(level_response.value(), Kind::kLevel),
             ref_text);
 
   serve::ServeRequest stats;
@@ -326,6 +350,69 @@ TEST_F(NetServerTest, BinaryRoundTripEveryOpcode) {
   // The server closes after the quit response drains.
   EXPECT_EQ(client.ReadAll(), "");
   net.Stop();
+}
+
+TEST_F(NetServerTest, TextAndBinaryAgreeOnEveryKindAndError) {
+  // Two servers with the same state, one driven over text and one over
+  // binary frames, fed the same session: every binary response, rendered
+  // with the text renderer, must equal the text line.
+  serve::Server text_server(serving_);
+  serve::Server binary_server(serving_);
+  NetServerConfig config;
+  NetServer text_net(&text_server, nullptr, config);
+  NetServer binary_net(&binary_server, nullptr, config);
+  ASSERT_TRUE(text_net.Start().ok());
+  ASSERT_TRUE(binary_net.Start().ok());
+  NetClient text;
+  NetClient binary;
+  ASSERT_TRUE(text.Connect("127.0.0.1", text_net.port()).ok());
+  ASSERT_TRUE(binary.Connect("127.0.0.1", binary_net.port()).ok());
+
+  const std::vector<std::string> lines = {
+      "observe u1 5 100",
+      "observe u1 9",          // no time: the session's last time
+      "observe u1 3 50",       // time goes backwards
+      "observe u1 1000000 200",  // OutOfRange item
+      "level u1",
+      "level ghost",           // NotFound
+      "recommend u1",
+      "recommend u1 4",
+      "recommend u1 3 1.5",
+      "recommend ghost 2",     // NotFound
+      "difficulty 9",
+      "difficulty 1000000",    // OutOfRange
+      "swap " + path_,         // same S: sessions survive
+      "level u1",
+      "swap " + path_other_s_,  // S changes: sessions reset
+      "level u1",
+      "observe u1 2 300",
+      "swap " + path_ + ".missing",  // a snapshot that does not exist
+      "observe u2 4 10",
+      "evict 5",
+      "evict 250",
+      "reset",
+      "level u1",
+      "quit",
+  };
+  for (const std::string& line : lines) {
+    const auto request = serve::ParseServeRequest(line);
+    ASSERT_TRUE(request.ok()) << line;
+    ASSERT_TRUE(text.SendRaw(line + "\n").ok());
+    const auto text_reply = text.ReadLines(1);
+    ASSERT_TRUE(text_reply.ok()) << line;
+    const auto binary_reply = binary.Call(request.value());
+    ASSERT_TRUE(binary_reply.ok()) << line;
+    EXPECT_EQ(serve::RenderServeResponse(binary_reply.value(),
+                                         request.value().kind),
+              text_reply.value()[0])
+        << line;
+  }
+  EXPECT_EQ(text.ReadAll(), "");  // both close after quit
+  EXPECT_EQ(binary.ReadAll(), "");
+  EXPECT_EQ(text_server.requests_served(), lines.size());
+  EXPECT_EQ(binary_server.requests_served(), lines.size());
+  text_net.Stop();
+  binary_net.Stop();
 }
 
 TEST_F(NetServerTest, PipelinedBinaryRequestsAnswerInOrder) {
@@ -510,6 +597,79 @@ TEST_F(NetServerTest, TextProtocolShedsWithErrLine) {
   }
   EXPECT_TRUE(saw_shed);
   net.Stop();
+}
+
+/// Sum over request kinds of upskill_serve_requests_total.
+uint64_t ServeRequestsTotal() {
+  uint64_t total = 0;
+  for (int i = 0; i < serve::kNumServeRequestKinds; ++i) {
+    total += obs::MetricsRegistry::Global()
+                 .GetCounter("upskill_serve_requests_total",
+                             std::string("kind=\"") +
+                                 serve::ServeRequestKindName(
+                                     static_cast<Kind>(i)) +
+                                 "\"")
+                 .Value();
+  }
+  return total;
+}
+
+TEST_F(NetServerTest, ShedRequestsAreCountedOnBothWireFormats) {
+  constexpr int kRequests = 200;
+  for (const bool binary : {false, true}) {
+    SCOPED_TRACE(binary ? "binary" : "text");
+    serve::Server server(serving_);
+    NetServerConfig config;
+    config.deadline_seconds = 1e-12;  // every data-plane request is shed
+    NetServer net(&server, nullptr, config);
+    ASSERT_TRUE(net.Start().ok());
+    const uint64_t kinds_before = ServeRequestsTotal();
+
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", net.port()).ok());
+    serve::ServeRequest difficulty;
+    difficulty.kind = Kind::kDifficulty;
+    difficulty.item = 3;
+    std::vector<std::string> replies;
+    if (binary) {
+      for (int i = 0; i < kRequests; ++i) client.QueueRequest(difficulty);
+      ASSERT_TRUE(client.Flush().ok());
+      for (int i = 0; i < kRequests; ++i) {
+        const auto reply = client.ReadResponse(Kind::kDifficulty);
+        ASSERT_TRUE(reply.ok());
+        replies.push_back(serve::RenderServeResponse(reply.value(),
+                                                     Kind::kDifficulty));
+      }
+    } else {
+      std::string payload;
+      for (int i = 0; i < kRequests; ++i) payload += "difficulty 3\n";
+      ASSERT_TRUE(client.SendRaw(payload).ok());
+      const auto lines = client.ReadLines(kRequests);
+      ASSERT_TRUE(lines.ok());
+      replies = lines.value();
+    }
+    for (const std::string& reply : replies) {
+      ASSERT_EQ(reply.rfind("ERR Unavailable shed ", 0), 0u) << reply;
+    }
+
+    // `stats` is exempt from shedding and counts itself.
+    serve::ServeRequest stats;
+    stats.kind = Kind::kStats;
+    NetClient admin;
+    ASSERT_TRUE(admin.Connect("127.0.0.1", net.port()).ok());
+    const auto stats_reply = admin.Call(stats);
+    ASSERT_TRUE(stats_reply.ok());
+    const std::string& text = stats_reply.value().text;
+    const size_t field = text.find(" requests=");
+    ASSERT_NE(field, std::string::npos) << text;
+    const size_t value = field + std::string(" requests=").size();
+    EXPECT_EQ(text.substr(value, text.find(' ', value) - value),
+              std::to_string(kRequests + 1));
+    EXPECT_EQ(server.requests_served(), static_cast<uint64_t>(kRequests + 1));
+    EXPECT_EQ(ServeRequestsTotal() - kinds_before,
+              static_cast<uint64_t>(kRequests + 1));
+    net.Stop();
+  }
 }
 
 TEST_F(NetServerTest, ConnectionLimitRejectsExtraClients) {

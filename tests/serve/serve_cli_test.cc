@@ -176,6 +176,32 @@ TEST_F(ServeCliTest, StatsEmitsPrometheusExposition) {
   EXPECT_EQ(lines.back(), "ok bye");
 }
 
+// `batch <N>` above the cap is one ERR line and opens no batch, so the
+// next line is served on its own: no input line sizes an allocation.
+TEST_F(ServeCliTest, BatchCountAboveTheCapIsAnErrorLine) {
+  Run("generate synthetic " + dir_ + "/data --users 30 --seed 13");
+  Run("train " + dir_ + "/data " + dir_ + "/model.csv --levels 3");
+  Run("snapshot " + dir_ + "/data " + dir_ + "/model.csv " + dir_ +
+      "/model.snap --levels 3");
+  {
+    std::ofstream script(dir_ + "/input.txt");
+    script << "observe a 1 1\nbatch 65537\nobserve a 2 2\n";
+  }
+  const std::string out = dir_ + "/output.txt";
+  const std::string command = std::string(UPSKILL_CLI_PATH) + " serve " +
+                              dir_ + "/model.snap < " + dir_ +
+                              "/input.txt > " + out + " 2> /dev/null";
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+
+  const std::vector<std::string> lines = Lines(Slurp(out));
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0].substr(0, 9), "ok level=") << lines[0];
+  EXPECT_NE(lines[0].find(" actions=1"), std::string::npos) << lines[0];
+  EXPECT_EQ(lines[1], "ERR InvalidArgument batch count exceeds limit 65536");
+  EXPECT_EQ(lines[2].substr(0, 9), "ok level=") << lines[2];
+  EXPECT_NE(lines[2].find(" actions=2"), std::string::npos) << lines[2];
+}
+
 // An ingest log that fails for good (/dev/full refuses the write and the
 // truncate) refuses every observe from the failing flush on. The observes
 // still answer, and each refusal counts in upskill_ingest_refused_total,

@@ -288,6 +288,70 @@ TEST_F(ServerTest, ExecuteRendersOneLinePerRequest) {
   EXPECT_EQ(server.requests_served(), 4u);
 }
 
+TEST_F(ServerTest, HandleReturnsTypedResponsesAndShedsCountAsRequests) {
+  Server server(serving_);
+  const ServeResponse observe =
+      server.Handle(ParseServeRequest("observe a 0 1").value());
+  ASSERT_TRUE(observe.ok()) << observe.message;
+  EXPECT_GE(observe.level, 1);
+  EXPECT_EQ(observe.actions, 1u);
+  const ServeResponse missing =
+      server.Handle(ParseServeRequest("level nobody").value());
+  EXPECT_EQ(missing.status_code, StatusCode::kNotFound);
+  EXPECT_EQ(RenderServeResponse(missing, ServeRequest::Kind::kLevel),
+            "ERR NotFound no observed actions for user nobody");
+  const ServeResponse shed = server.Shed(ServeRequest::Kind::kObserve, 0.005);
+  EXPECT_EQ(RenderServeResponse(shed, ServeRequest::Kind::kObserve),
+            "ERR Unavailable shed deadline=0.005000s");
+  EXPECT_EQ(server.requests_served(), 3u);
+  // A shed request never reaches the session.
+  EXPECT_EQ(server.CurrentLevel("a").value().actions, 1u);
+}
+
+TEST_F(ServerTest, LineProtocolAnswersInOrderAndFlushesAtClose) {
+  Server server(serving_);
+  LineProtocol protocol(&server);
+  std::string out;
+  size_t ran = 0;
+  for (const char* line :
+       {"", "   ", "observe a 0 1", "flarb", "batch 3", "observe b 1 1", "",
+        "level b", "batch 65537", "batch -1", "batch 0", "level a", "batch 2",
+        "observe c 2 5"}) {
+    ran += protocol.Feed(line, &out);
+    EXPECT_FALSE(protocol.quit());
+  }
+  ran += protocol.Close(&out);
+
+  // The same requests one by one on a server with the same state: blank
+  // lines answer nothing, a blank line inside a batch is a slot, and a
+  // batch the input cut short answers its missing slot with "".
+  Server reference(serving_);
+  const auto execute = [&reference](const char* line) {
+    return reference.Execute(ParseServeRequest(line).value()) + "\n";
+  };
+  const auto parse_error = [](const char* line) {
+    return FormatErrorResponse(ParseServeRequest(line).status()) + "\n";
+  };
+  std::string expected = execute("observe a 0 1");
+  expected += parse_error("flarb");
+  expected += execute("observe b 1 1");
+  expected += parse_error("");
+  expected += execute("level b");
+  expected += "ERR InvalidArgument batch count exceeds limit 65536\n";
+  expected += "ERR InvalidArgument batch expects: batch <N>\n";
+  expected += execute("level a");
+  expected += execute("observe c 2 5");
+  expected += "\n";
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(ran, 5u);
+  EXPECT_EQ(server.requests_served(), 5u);
+
+  out.clear();
+  EXPECT_EQ(protocol.Feed("quit", &out), 1u);
+  EXPECT_EQ(out, "ok bye\n");
+  EXPECT_TRUE(protocol.quit());
+}
+
 TEST_F(ServerTest, EvictCommandDropsIdleSessionsOnly) {
   Server server(serving_);
   ASSERT_TRUE(server.Observe("idle", 0, 10, true).ok());
