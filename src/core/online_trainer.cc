@@ -1,18 +1,16 @@
 #include "core/online_trainer.h"
 
-#include <unistd.h>
-
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/crc32.h"
+#include "common/durable_file.h"
 #include "common/string_util.h"
 #include "data/schema_io.h"
 #include "obs/metrics.h"
@@ -41,18 +39,6 @@ bool SameSequence(std::span<const Action> a, std::span<const Action> b) {
     if (!SameAction(a[n], b[n])) return false;
   }
   return true;
-}
-
-Status SyncParentDirectory(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  FILE* f = std::fopen(dir.c_str(), "r");
-  if (f == nullptr) return Status::OK();  // best effort (e.g. NFS)
-  ::fsync(fileno(f));
-  std::fclose(f);
-  return Status::OK();
 }
 
 struct RefreshInstruments {
@@ -324,40 +310,16 @@ Status OnlineTrainer::SaveCheckpoint(const std::string& path) const {
       Crc32(writer.buffer().data(), writer.buffer().size());
   writer.U32(crc);
 
-  // Atomic publish: temp file, flush + fsync, rename over the target,
-  // fsync the directory. A crash leaves either the old checkpoint or the
-  // new one, never a torn file.
-  const std::string temp = path + ".tmp";
-  FILE* f = std::fopen(temp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot create " + temp);
-  }
-  const std::string& bytes = writer.buffer();
-  if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size() ||
-      std::fflush(f) != 0 || ::fsync(fileno(f)) != 0) {
-    std::fclose(f);
-    std::remove(temp.c_str());
-    return Status::IoError("short write to " + temp);
-  }
-  if (std::fclose(f) != 0) {
-    std::remove(temp.c_str());
-    return Status::IoError("cannot close " + temp);
-  }
-  if (std::rename(temp.c_str(), path.c_str()) != 0) {
-    std::remove(temp.c_str());
-    return Status::IoError("cannot rename " + temp + " to " + path);
-  }
-  return SyncParentDirectory(path);
+  // A crash or failure leaves either the old checkpoint or the new one,
+  // never a torn file.
+  return ReplaceFile(path, writer.buffer());
 }
 
 Result<OnlineTrainer> OnlineTrainer::LoadCheckpoint(
     const std::string& path, const SkillModelConfig& config) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    return Status::IoError("cannot open checkpoint " + path);
-  }
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
+  Result<FileContents> file = ReadFile(path);
+  if (!file.ok()) return file.status();
+  const std::string_view bytes = file.value().view();
   if (bytes.size() < sizeof(kCheckpointMagic) + 4 + 4) {
     return Status::Corruption("checkpoint truncated: " + path);
   }

@@ -93,13 +93,14 @@ class OnlineTrainer {
 
   /// Serializes the full online state (config echo, schema, component
   /// parameters, assignments, count grid, transition weights) with a
-  /// trailing CRC-32, atomically (temp file + rename). Same state, same
-  /// bytes.
+  /// trailing CRC-32, atomically through ReplaceFile (temp file, fsync,
+  /// rename, directory fsync). Same state, same bytes.
   Status SaveCheckpoint(const std::string& path) const;
 
   /// Restores a checkpoint written by SaveCheckpoint. `config` must agree
   /// with the checkpoint on num_levels and the transition model; the
-  /// schema is restored from the checkpoint itself.
+  /// schema is restored from the checkpoint itself. A path that cannot be
+  /// read whole (a directory, say) is an IoError.
   static Result<OnlineTrainer> LoadCheckpoint(const std::string& path,
                                               const SkillModelConfig& config);
 

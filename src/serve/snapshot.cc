@@ -1,20 +1,14 @@
 #include "serve/snapshot.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <bit>
-#include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <fstream>
-#include <memory>
 #include <string_view>
 #include <utility>
 
 #include "common/bytes.h"
 #include "common/crc32.h"
+#include "common/durable_file.h"
 #include "common/string_util.h"
 #include "data/schema_io.h"
 
@@ -23,17 +17,9 @@ namespace serve {
 
 namespace {
 
-// Fixed-size header preceding the payload.
-struct SnapshotHeader {
-  char magic[8];
-  uint32_t version;
-  uint32_t reserved;  // zero; room for future flags
-  uint64_t payload_size;
-  uint32_t payload_crc;
-};
+// Fixed-size header preceding the payload: magic, version, reserved
+// (zero; room for future flags), payload size, payload CRC.
 constexpr size_t kHeaderSize = 8 + 4 + 4 + 8 + 4;
-
-
 
 void WriteConfig(const SkillModelConfig& config, ByteWriter* out) {
   // Only the fields that define model *semantics* are persisted; trainer
@@ -147,75 +133,25 @@ Status SaveSnapshot(const ModelSnapshot& snapshot, const std::string& path) {
   }
   payload.VecF64(snapshot.difficulty);
 
-  SnapshotHeader header;
-  std::memcpy(header.magic, kSnapshotMagic, sizeof header.magic);
-  header.version = kSnapshotVersion;
-  header.reserved = 0;
-  header.payload_size = payload.buffer().size();
-  header.payload_crc =
-      Crc32(payload.buffer().data(), payload.buffer().size());
+  ByteWriter header;
+  header.Raw(kSnapshotMagic, sizeof kSnapshotMagic);
+  header.U32(kSnapshotVersion);
+  header.U32(0);  // reserved
+  header.U64(payload.buffer().size());
+  header.U32(Crc32(payload.buffer().data(), payload.buffer().size()));
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open " + path);
-  out.write(header.magic, sizeof header.magic);
-  out.write(reinterpret_cast<const char*>(&header.version),
-            sizeof header.version);
-  out.write(reinterpret_cast<const char*>(&header.reserved),
-            sizeof header.reserved);
-  out.write(reinterpret_cast<const char*>(&header.payload_size),
-            sizeof header.payload_size);
-  out.write(reinterpret_cast<const char*>(&header.payload_crc),
-            sizeof header.payload_crc);
-  out.write(payload.buffer().data(),
-            static_cast<std::streamsize>(payload.buffer().size()));
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  Result<DurableFile> file = DurableFile::CreateReplacement(path);
+  if (!file.ok()) return file.status();
+  UPSKILL_RETURN_IF_ERROR(file.value().Write(header.buffer()));
+  UPSKILL_RETURN_IF_ERROR(file.value().Write(payload.buffer()));
+  return file.value().Commit();
 }
 
 Result<ModelSnapshot> LoadSnapshot(const std::string& path) {
-  // The file is loaded whole (its CRC covers the whole payload). A
-  // regular file takes one sized read into an uninitialized buffer, and
-  // fewer bytes than its size is an error; a pipe or other stream has no
-  // size, so it is read until end of file into a doubling buffer.
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError(
-        StringPrintf("cannot open %s: %s", path.c_str(), std::strerror(errno)));
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || S_ISDIR(st.st_mode)) {
-    ::close(fd);
-    return Status::IoError(path + " is a directory or cannot be stat'ed");
-  }
-  const bool sized = S_ISREG(st.st_mode);
-  size_t capacity = sized ? static_cast<size_t>(st.st_size) : 4096;
-  std::unique_ptr<char[]> buffer =
-      std::make_unique_for_overwrite<char[]>(capacity);
-  size_t read_bytes = 0;
-  ssize_t n = 0;
-  for (;;) {
-    if (read_bytes == capacity) {
-      if (sized) break;
-      std::unique_ptr<char[]> grown =
-          std::make_unique_for_overwrite<char[]>(2 * capacity);
-      std::memcpy(grown.get(), buffer.get(), read_bytes);
-      buffer = std::move(grown);
-      capacity *= 2;
-    }
-    n = ::read(fd, buffer.get() + read_bytes, capacity - read_bytes);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    read_bytes += static_cast<size_t>(n);
-  }
-  const std::string why = n < 0 ? std::strerror(errno) : "end of file";
-  ::close(fd);
-  if (n < 0 || (sized && read_bytes != capacity)) {
-    return Status::IoError(StringPrintf("short read of %s: %zu of %zu bytes (%s)",
-                                        path.c_str(), read_bytes, capacity,
-                                        why.c_str()));
-  }
-  const std::string_view bytes(buffer.get(), read_bytes);
+  // The file is loaded whole: its CRC covers the whole payload.
+  Result<FileContents> file = ReadFile(path);
+  if (!file.ok()) return file.status();
+  const std::string_view bytes = file.value().view();
   if (bytes.size() < kHeaderSize) {
     return Status::Corruption("snapshot shorter than header");
   }

@@ -44,15 +44,17 @@ inline constexpr uint32_t kSnapshotVersion = 1;
 /// size, payload CRC-32) followed by the payload. All multi-byte values
 /// are little-endian host layout; doubles are written as raw IEEE-754
 /// bits, which is what makes LoadSnapshot(SaveSnapshot(x)) bitwise equal
-/// to x down to every parameter, difficulty, and feature value.
+/// to x down to every parameter, difficulty, and feature value. The file
+/// is replaced atomically (DurableFile::CreateReplacement ... Commit): a
+/// failed save leaves the previous snapshot intact, and a `path` that is
+/// not a regular file (a FIFO, a device node) is refused.
 Status SaveSnapshot(const ModelSnapshot& snapshot, const std::string& path);
 
 /// Reads a snapshot written by SaveSnapshot. Rejects bad magic, unknown
 /// versions, payload size mismatches (truncation), checksum mismatches
-/// (corruption), and any structurally invalid payload. A regular file is
-/// read with one sized read, and reading back fewer bytes than its size
-/// is an IoError; a pipe or other stream is read until end of file. A
-/// directory is an IoError.
+/// (corruption), and any structurally invalid payload. The file is read
+/// whole by ReadFile (common/durable_file.h): a regular file that reads
+/// back short, or a directory, is an IoError; a pipe is read to EOF.
 Result<ModelSnapshot> LoadSnapshot(const std::string& path);
 
 /// Convenience builder: packages a trained model with its dataset's item

@@ -1,8 +1,6 @@
 #include "store/ingest_log.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -49,21 +47,6 @@ obs::Counter& ErrorCounter() {
   return counter;
 }
 
-Status WriteFully(int fd, const char* data, size_t size,
-                  const std::string& path) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(StringPrintf("write %s: %s", path.c_str(),
-                                          std::strerror(errno)));
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<IngestLogWriter>> IngestLogWriter::Open(
@@ -72,34 +55,24 @@ Result<std::unique_ptr<IngestLogWriter>> IngestLogWriter::Open(
   // file is a valid frame sequence before the first new frame lands.
   Result<IngestRecovery> recovered = RecoverIngestLog(path);
   if (!recovered.ok()) return recovered.status();
-  const int fd = ::open(path.c_str(),
-                        O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IoError(
-        StringPrintf("open %s: %s", path.c_str(), std::strerror(errno)));
-  }
+  Result<DurableFile> file = DurableFile::OpenAppend(path);
+  if (!file.ok()) return file.status();
   IngestLogOptions sane = options;
   if (sane.batch_records == 0) sane.batch_records = 1;
   if (sane.fsync_batches == 0) sane.fsync_batches = 1;
   // Recovery cut the file to exactly its valid frames.
   return std::unique_ptr<IngestLogWriter>(new IngestLogWriter(
-      fd, path, sane, recovered.value().scan.valid_bytes));
+      std::move(file).value(), sane, recovered.value().scan.valid_bytes));
 }
 
-IngestLogWriter::IngestLogWriter(int fd, std::string path,
+IngestLogWriter::IngestLogWriter(DurableFile file,
                                  const IngestLogOptions& options,
                                  uint64_t good_bytes)
-    : options_(options),
-      path_(std::move(path)),
-      fd_(fd),
-      good_bytes_(good_bytes) {}
+    : options_(options), file_(std::move(file)), good_bytes_(good_bytes) {}
 
 IngestLogWriter::~IngestLogWriter() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (failed_.ok() && FlushLocked().ok()) (void)::fsync(fd_);
-  }
-  ::close(fd_);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (failed_.ok() && FlushLocked().ok()) (void)file_.Sync();
 }
 
 Status IngestLogWriter::Append(const IngestRecord& record) {
@@ -140,12 +113,12 @@ Status IngestLogWriter::Append(const IngestRecord& record) {
 }
 
 Status IngestLogWriter::SyncLocked() {
-  if (::fsync(fd_) != 0) {
+  const Status synced = file_.Sync();
+  if (!synced.ok()) {
     // After a failed fsync the kernel may have dropped the dirty pages
     // and cleared the error, so a retry could falsely succeed: the
     // failure is sticky.
-    failed_ = Status::IoError(
-        StringPrintf("fsync %s: %s", path_.c_str(), std::strerror(errno)));
+    failed_ = synced;
     ErrorCounter().Increment();
     return failed_;
   }
@@ -170,7 +143,7 @@ Status IngestLogWriter::FlushLocked() {
   out.append(reinterpret_cast<const char*>(&frame_records_), 4);
   out.append(reinterpret_cast<const char*>(&crc), 4);
   out.append(frame_);
-  const Status written = WriteFully(fd_, out.data(), out.size(), path_);
+  const Status written = file_.Write(out);
   if (!written.ok()) {
     // A partial write (ENOSPC, EFBIG) leaves a torn frame mid-file, and
     // the next good frame would land after it, where recovery never
@@ -178,11 +151,9 @@ Status IngestLogWriter::FlushLocked() {
     // buffered for the next flush. If the cut fails, the file can no
     // longer be appended to safely: fail for good.
     ErrorCounter().Increment();
-    if (::ftruncate(fd_, static_cast<off_t>(good_bytes_)) != 0) {
-      failed_ = Status::IoError(StringPrintf(
-          "%s; truncate %s back to %llu bytes: %s",
-          written.message().c_str(), path_.c_str(),
-          static_cast<unsigned long long>(good_bytes_), std::strerror(errno)));
+    const Status cut = file_.Truncate(good_bytes_);
+    if (!cut.ok()) {
+      failed_ = Status::IoError(written.message() + "; " + cut.message());
       return failed_;
     }
     return written;
@@ -298,11 +269,9 @@ Result<IngestRecovery> RecoverIngestLog(const std::string& path) {
   const uint64_t size = static_cast<uint64_t>(st.st_size);
   if (size > recovery.scan.valid_bytes) {
     recovery.truncated_bytes = size - recovery.scan.valid_bytes;
-    if (::truncate(path.c_str(),
-                   static_cast<off_t>(recovery.scan.valid_bytes)) != 0) {
-      return Status::IoError(
-          StringPrintf("truncate %s: %s", path.c_str(), std::strerror(errno)));
-    }
+    Result<DurableFile> file = DurableFile::OpenAppend(path);
+    if (!file.ok()) return file.status();
+    UPSKILL_RETURN_IF_ERROR(file.value().Truncate(recovery.scan.valid_bytes));
     obs::MetricsRegistry::Global()
         .GetCounter("upskill_ingest_truncated_bytes_total")
         .Increment(recovery.truncated_bytes);

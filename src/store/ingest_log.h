@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/durable_file.h"
 #include "common/status.h"
 #include "data/dataset.h"
 
@@ -79,7 +80,7 @@ class IngestLogWriter {
   Status status() const;
 
  private:
-  IngestLogWriter(int fd, std::string path, const IngestLogOptions& options,
+  IngestLogWriter(DurableFile file, const IngestLogOptions& options,
                   uint64_t good_bytes);
 
   // Writes the open batch as one frame. A failed write is cut back off
@@ -90,9 +91,8 @@ class IngestLogWriter {
   Status SyncLocked();
 
   const IngestLogOptions options_;
-  const std::string path_;
   mutable std::mutex mutex_;
-  int fd_;
+  DurableFile file_;
   uint64_t good_bytes_;  // file length after the last complete frame
   // Non-OK once the file can no longer be trusted (a failed fsync, or a
   // torn frame that could not be truncated away); every later Append,

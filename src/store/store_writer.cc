@@ -1,11 +1,8 @@
 #include "store/store_writer.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "common/bytes.h"
@@ -15,35 +12,13 @@
 
 namespace upskill {
 namespace store {
-namespace {
-
-// Best-effort fsync of the directory containing `path`, so the rename
-// that publishes a finished store survives a crash.
-void SyncParentDirectory(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd >= 0) {
-    (void)::fsync(fd);
-    ::close(fd);
-  }
-}
-
-}  // namespace
 
 Result<std::unique_ptr<StoreWriter>> StoreWriter::Create(
     const std::string& path) {
-  const std::string tmp_path = path + ".tmp";
-  std::FILE* file = std::fopen(tmp_path.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::IoError(StringPrintf("open %s: %s", tmp_path.c_str(),
-                                        std::strerror(errno)));
-  }
-  // The writer stages whole blocks itself; stdio buffering would only
-  // copy each block once more on its way to write().
-  (void)std::setvbuf(file, nullptr, _IONBF, 0);
+  Result<DurableFile> file = DurableFile::CreateReplacement(path);
+  if (!file.ok()) return file.status();
   std::unique_ptr<StoreWriter> writer(
-      new StoreWriter(file, path, tmp_path));
+      new StoreWriter(std::move(file).value()));
   // Reserve the prologue (header + directory); both are rewritten with
   // real contents by Finish(). The action segment streams right after.
   const std::string zeros(kFirstSegmentOffset, '\0');
@@ -52,23 +27,9 @@ Result<std::unique_ptr<StoreWriter>> StoreWriter::Create(
   return writer;
 }
 
-StoreWriter::StoreWriter(std::FILE* file, std::string path,
-                         std::string tmp_path)
-    : file_(file),
-      path_(std::move(path)),
-      tmp_path_(std::move(tmp_path)),
+StoreWriter::StoreWriter(DurableFile file)
+    : file_(std::move(file)),
       block_(std::make_unique_for_overwrite<char[]>(kBlockBytes)) {}
-
-StoreWriter::~StoreWriter() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  if (!finished_) {
-    // Never leave a half-written temp file behind.
-    (void)std::remove(tmp_path_.c_str());
-  }
-}
 
 Status StoreWriter::WriteRaw(const void* data, size_t size) {
   if (failed_) return Status::IoError("store writer already failed");
@@ -94,10 +55,10 @@ void StoreWriter::HashStaged() {
 
 Status StoreWriter::FlushBlock() {
   HashStaged();
-  if (std::fwrite(block_.get(), 1, staged_, file_) != staged_) {
+  const Status written = file_.Write(std::string_view(block_.get(), staged_));
+  if (!written.ok()) {
     failed_ = true;
-    return Status::IoError(
-        StringPrintf("write %s: %s", tmp_path_.c_str(), std::strerror(errno)));
+    return written;
   }
   staged_ = 0;
   hashed_ = 0;
@@ -285,34 +246,14 @@ Status StoreWriter::Finish(const ItemTable& items) {
   header.header_crc = header_crc.Finish();
 
   UPSKILL_RETURN_IF_ERROR(FlushBlock());
-  if (std::fseek(file_, 0, SEEK_SET) != 0) {
-    failed_ = true;
-    return Status::IoError(StringPrintf("seek %s: %s", tmp_path_.c_str(),
-                                        std::strerror(errno)));
-  }
-  file_offset_ = 0;
-  UPSKILL_RETURN_IF_ERROR(WriteRaw(&header, sizeof(header)));
-  UPSKILL_RETURN_IF_ERROR(
-      WriteRaw(directory.data(), directory.size() * sizeof(SegmentEntry)));
-  UPSKILL_RETURN_IF_ERROR(FlushBlock());
-
-  if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0 ||
-      std::fclose(file_) != 0) {
-    file_ = nullptr;
-    failed_ = true;
-    return Status::IoError(StringPrintf("flush %s: %s", tmp_path_.c_str(),
-                                        std::strerror(errno)));
-  }
-  file_ = nullptr;
-  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    failed_ = true;
-    return Status::IoError(StringPrintf("rename %s -> %s: %s",
-                                        tmp_path_.c_str(), path_.c_str(),
-                                        std::strerror(errno)));
-  }
-  SyncParentDirectory(path_);
-  finished_ = true;
-  return Status::OK();
+  std::string prologue(reinterpret_cast<const char*>(&header), sizeof(header));
+  prologue.append(reinterpret_cast<const char*>(directory.data()),
+                  directory.size() * sizeof(SegmentEntry));
+  Status status = file_.WriteAt(0, prologue);
+  if (status.ok()) status = file_.Commit();
+  failed_ = !status.ok();
+  finished_ = status.ok();
+  return status;
 }
 
 Status PackDataset(const Dataset& dataset, const std::string& path) {

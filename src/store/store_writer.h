@@ -2,7 +2,6 @@
 #define UPSKILL_STORE_STORE_WRITER_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <span>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/durable_file.h"
 #include "common/status.h"
 #include "data/dataset.h"
 
@@ -20,22 +20,22 @@ namespace store {
 /// Actions are appended user by user and flow straight to disk through a
 /// fixed 1 MiB staging block the writer owns, so packing never needs the
 /// dataset resident in RAM. Each full block is hashed into its segment's
-/// CRC and written with one fwrite, instead of one per 24-byte record:
+/// CRC and written with one write(), instead of one per 24-byte record:
 ///
 ///   auto writer = StoreWriter::Create(path);
 ///   for each user:   writer->BeginUser(name);
 ///                    writer->Append(time, item, rating);  // chronological
 ///                    // or writer->AppendSequence(actions) for a run
-///   writer->Finish(items);   // trailing segments + header, fsync, rename
+///   writer->Finish(items);   // trailing segments + header, Commit()
 ///
-/// The file is built at `path + ".tmp"` and atomically renamed into place
-/// by Finish(), so a crashed pack never leaves a half-written store where
-/// a reader could find it.
+/// The file is a DurableFile replacement of `path`: built at
+/// `path + ".tmp"` and renamed into place by Finish(), so a failed or
+/// crashed pack never leaves a half-written store where a reader could
+/// find it, and a store already at `path` survives it.
 class StoreWriter {
  public:
   static Result<std::unique_ptr<StoreWriter>> Create(const std::string& path);
 
-  ~StoreWriter();
   StoreWriter(const StoreWriter&) = delete;
   StoreWriter& operator=(const StoreWriter&) = delete;
 
@@ -54,15 +54,15 @@ class StoreWriter {
   /// before it stay appended.
   Status AppendSequence(std::span<const Action> actions);
 
-  /// Writes the remaining segments, directory, and header; fsyncs; renames
-  /// the temp file into place. The writer is unusable afterwards.
+  /// Writes the remaining segments, directory, and header, then commits
+  /// the replacement. The writer is unusable afterwards.
   Status Finish(const ItemTable& items);
 
   uint64_t num_users() const { return user_action_end_.size(); }
   uint64_t num_actions() const { return num_actions_; }
 
  private:
-  StoreWriter(std::FILE* file, std::string path, std::string tmp_path);
+  explicit StoreWriter(DurableFile file);
 
   // Also the write() size. Smaller writes make the kernel cache the file
   // in smaller folios, and the store is read back through mmap: with
@@ -82,9 +82,7 @@ class StoreWriter {
   // Ends the segment opened by BeginSegment() and returns its CRC.
   uint32_t EndSegment();
 
-  std::FILE* file_;
-  std::string path_;
-  std::string tmp_path_;
+  DurableFile file_;
   bool finished_ = false;
   bool failed_ = false;
 

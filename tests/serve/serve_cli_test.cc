@@ -331,6 +331,23 @@ TEST_F(ServeCliTest, OnlineRefreshAndSnapshotHonourBackend) {
                        dir_ + "/numa.snap --levels 4 --backend numa");
 }
 
+// A checkpoint path that is a directory cannot be read: the refresh
+// exits 1 with the path in its error instead of aborting.
+TEST_F(ServeCliTest, OnlineRefreshRejectsADirectoryCheckpoint) {
+  Run("generate synthetic " + dir_ + "/data --users 30 --seed 7");
+  const std::string checkpoint = dir_ + "/ck.dir";
+  std::filesystem::create_directory(checkpoint);
+  const std::string log = dir_ + "/ck_dir.log";
+  const std::string command =
+      std::string(UPSKILL_CLI_PATH) + " train " + dir_ + "/data " + dir_ +
+      "/m.csv --levels 4 --online --checkpoint " + checkpoint +
+      " --previous " + dir_ + "/data > " + log + " 2>&1";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << command;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << command << "\n" << Slurp(log);
+  EXPECT_NE(Slurp(log).find(checkpoint), std::string::npos) << Slurp(log);
+}
+
 TEST_F(ServeCliTest, ServeRejectsMissingSnapshot) {
   const std::string command = std::string(UPSKILL_CLI_PATH) + " serve " +
                               dir_ + "/nope.snap < /dev/null > /dev/null 2>&1";

@@ -5,11 +5,13 @@
 #include "serve/snapshot.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cmath>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -346,6 +348,47 @@ TEST_F(SnapshotTest, LoadsFromAPipe) {
   const std::string resaved_bytes(std::istreambuf_iterator<char>(in), {});
   std::filesystem::remove(resaved);
   EXPECT_EQ(resaved_bytes, bytes);
+}
+
+// The file-size limit makes the kernel take only the first 1000 bytes of
+// the save, then fail it with EFBIG: a real short write, with no
+// fault-injection layer. The save replaces the file atomically, so the
+// previous snapshot survives whole.
+TEST_F(SnapshotTest, FailedSaveKeepsThePreviousSnapshot) {
+  const std::string previous = ReadBytes();
+  ASSERT_GT(previous.size(), 1000u);
+  const Result<ModelSnapshot> snapshot = LoadSnapshot(path_);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+
+  rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit lowered = saved;
+  lowered.rlim_cur = 1000;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  const Status failed = SaveSnapshot(snapshot.value(), path_);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_FALSE(failed.ok());
+  EXPECT_TRUE(ReadBytes() == previous) << "the previous snapshot was damaged";
+  const Result<ModelSnapshot> loaded = LoadSnapshot(path_);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
+}
+
+// The save renames a new file into place, which would swap a FIFO or a
+// device node at the path for a regular file: it is refused instead.
+TEST_F(SnapshotTest, SaveRefusesAFifo) {
+  const Result<ModelSnapshot> snapshot = LoadSnapshot(path_);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const std::string fifo = path_ + ".fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  const Status saved = SaveSnapshot(snapshot.value(), fifo);
+  const bool still_fifo = std::filesystem::is_fifo(fifo);
+  std::filesystem::remove(fifo);
+  EXPECT_EQ(saved.code(), StatusCode::kInvalidArgument) << saved.ToString();
+  EXPECT_TRUE(still_fifo);
 }
 
 TEST_F(SnapshotTest, MakeSnapshotValidatesDifficultyCoverage) {

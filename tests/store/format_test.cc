@@ -7,11 +7,14 @@
 #include "store/format.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -297,6 +300,19 @@ TEST(StoreFormatTest, AbandonedWriterLeavesNoFile) {
   EXPECT_FALSE(store.good());
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.good());
+}
+
+// Packing renames a new file into place, which would swap a FIFO or a
+// device node at the path for a regular file: it is refused instead.
+TEST(StoreFormatTest, PackRefusesAFifo) {
+  const std::string fifo = TempPath("pack.fifo");
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  const Status packed = PackDataset(MakeDataset(), fifo);
+  const bool still_fifo = std::filesystem::is_fifo(fifo);
+  std::remove(fifo.c_str());
+  EXPECT_EQ(packed.code(), StatusCode::kInvalidArgument) << packed.ToString();
+  EXPECT_TRUE(still_fifo);
 }
 
 // --- Defensive validation: each corruption class has its own token. ---

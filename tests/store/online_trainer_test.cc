@@ -8,9 +8,12 @@
 #include "core/online_trainer.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -323,6 +326,35 @@ TEST(OnlineTrainerErrorsTest, FullReplayRejectsNonPositiveMaxIterations) {
   ASSERT_FALSE(replay.ok());
   EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(online.trained());
+}
+
+// A directory cannot be read whole: an IoError, not an exception
+// escaping from a stream.
+TEST(OnlineTrainerErrorsTest, LoadCheckpointOfADirectoryIsAnIoError) {
+  const std::string dir = testing::TempDir() + "/online_ckpt_dir";
+  std::filesystem::create_directories(dir);
+  auto loaded =
+      OnlineTrainer::LoadCheckpoint(dir, MakeConfig(TransitionModel::kNone));
+  std::filesystem::remove(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
+      << loaded.status().ToString();
+}
+
+// The save renames a new file into place, which would swap a FIFO or a
+// device node at the path for a regular file: it is refused instead.
+TEST(OnlineTrainerErrorsTest, SaveCheckpointRefusesAFifo) {
+  const auto data = MakeData();
+  OnlineTrainer online(MakeConfig(TransitionModel::kNone));
+  ASSERT_TRUE(online.TrainFullReplay(data.dataset).ok());
+  const std::string fifo = testing::TempDir() + "/online_ckpt.fifo";
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  const Status saved = online.SaveCheckpoint(fifo);
+  const bool still_fifo = std::filesystem::is_fifo(fifo);
+  std::filesystem::remove(fifo);
+  EXPECT_EQ(saved.code(), StatusCode::kInvalidArgument) << saved.ToString();
+  EXPECT_TRUE(still_fifo);
 }
 
 TEST(OnlineTrainerErrorsTest, RefreshRequiresTraining) {
