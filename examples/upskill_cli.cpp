@@ -788,13 +788,14 @@ int CmdServe(const Args& args) {
     std::fprintf(stderr, "ingest log -> %s\n",
                  args.StringFlag("ingest-log", "").c_str());
   }
+  // A failed final sync is the exit status too: an observe was
+  // acknowledged that may never have reached the log.
   const auto sync_ingest = [&ingest]() {
-    if (ingest == nullptr) return;
+    if (ingest == nullptr) return 0;
     const Status synced = ingest->Sync();
-    if (!synced.ok()) {
-      std::fprintf(stderr, "ingest sync failed: %s\n",
-                   synced.ToString().c_str());
-    }
+    if (synced.ok()) return 0;
+    return Fail(Status(synced.code(),
+                       "ingest sync failed: " + synced.message()));
   };
 
   // Flight recorder: the global span store, sized to the last K events
@@ -860,8 +861,7 @@ int CmdServe(const Args& args) {
       if (StripWhitespace(line) == "shutdown") break;
     }
     net_server.Stop();
-    sync_ingest();
-    return 0;
+    return sync_ingest();
   }
 
   // The text line protocol (serve/protocol.h), the same one TCP text
@@ -878,8 +878,7 @@ int CmdServe(const Args& args) {
   }
   protocol.Close(&out);
   std::fwrite(out.data(), 1, out.size(), stdout);
-  sync_ingest();
-  return 0;
+  return sync_ingest();
 }
 
 int CmdClient(const Args& args) {

@@ -90,7 +90,10 @@ Result<std::vector<std::vector<std::string>>> ReadCsvFile(
 }
 
 CsvScanner::CsvScanner(FILE* file, std::string path, size_t max_line_bytes)
-    : file_(file), path_(std::move(path)), buffer_(max_line_bytes + 2) {}
+    : file_(file),
+      path_(std::move(path)),
+      max_line_bytes_(max_line_bytes),
+      buffer_(max_line_bytes + 1) {}
 
 Result<CsvScanner> CsvScanner::Open(const std::string& path,
                                     size_t max_line_bytes) {
@@ -106,34 +109,53 @@ Status CsvScanner::CorruptionAt(const std::string& what) const {
 }
 
 Result<bool> CsvScanner::Next(std::vector<std::string>* fields) {
-  // fgets into the fixed buffer: one line per call, memory bounded by
-  // the buffer regardless of file size. A line that fills the buffer
-  // without a terminator is over-long — rejected, never grown.
-  while (std::fgets(buffer_.data(), static_cast<int>(buffer_.size()),
-                    file_.get()) != nullptr) {
+  // Lines are cut from a fixed buffer refilled by fread: memory is bounded
+  // by the buffer regardless of file size, and a line's length is the
+  // bytes read, so a NUL inside it is seen rather than taken for its end.
+  // A line that fills the buffer without a terminator is over-long —
+  // rejected, never grown.
+  while (true) {
+    const char* line = buffer_.data() + begin_;
+    const char* newline =
+        static_cast<const char*>(std::memchr(line, '\n', end_ - begin_));
+    if (newline == nullptr && !eof_ && end_ - begin_ <= max_line_bytes_) {
+      std::memmove(buffer_.data(), line, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+      const size_t n = std::fread(buffer_.data() + end_, 1,
+                                  buffer_.size() - end_, file_.get());
+      if (n == 0) {
+        if (std::ferror(file_.get())) {
+          return Status::IoError("read failed for " + path_);
+        }
+        eof_ = true;
+      }
+      end_ += n;
+      continue;
+    }
+    if (begin_ == end_) return false;
     ++line_number_;
     line_offset_ = next_offset_;
-    size_t length = std::strlen(buffer_.data());
-    next_offset_ += length;
-    const bool saw_newline = length > 0 && buffer_[length - 1] == '\n';
-    if (saw_newline) {
-      --length;
-    } else if (length + 1 == buffer_.size()) {
+    size_t length = newline != nullptr ? static_cast<size_t>(newline - line)
+                                       : end_ - begin_;
+    if (length > max_line_bytes_) {
       return CorruptionAt(StringPrintf("line exceeds %zu bytes",
-                                       buffer_.size() - 2));
+                                       max_line_bytes_));
     }
-    if (length > 0 && buffer_[length - 1] == '\r') --length;
+    const size_t consumed = length + (newline != nullptr ? 1 : 0);
+    begin_ += consumed;
+    next_offset_ += consumed;
+    if (std::memchr(line, '\0', length) != nullptr) {
+      return CorruptionAt("NUL byte in line");
+    }
+    if (length > 0 && line[length - 1] == '\r') --length;
     if (length == 0) continue;  // skip blank lines, like ReadCsvFile
     Result<std::vector<std::string>> parsed =
-        ParseCsvLine(std::string_view(buffer_.data(), length));
+        ParseCsvLine(std::string_view(line, length));
     if (!parsed.ok()) return CorruptionAt(parsed.status().message());
     *fields = std::move(parsed).value();
     return true;
   }
-  if (std::ferror(file_.get())) {
-    return Status::IoError("read failed for " + path_);
-  }
-  return false;
 }
 
 Status WriteCsvFile(const std::string& path,

@@ -45,8 +45,9 @@ class CsvScanner {
   CsvScanner& operator=(CsvScanner&&) = default;
 
   /// Reads the next non-blank record into `fields`. Returns true when a
-  /// record was read, false at end of file; malformed rows and over-long
-  /// lines come back as Corruption citing the byte offset.
+  /// record was read, false at end of file; malformed rows, over-long
+  /// lines and lines holding a NUL byte come back as Corruption citing
+  /// the byte offset.
   Result<bool> Next(std::vector<std::string>* fields);
 
   /// 1-based line number of the record Next() last returned.
@@ -69,7 +70,12 @@ class CsvScanner {
   };
   std::unique_ptr<FILE, FileCloser> file_;
   std::string path_;
-  std::vector<char> buffer_;  // bounded: max_line_bytes + terminator
+  size_t max_line_bytes_;
+  std::vector<char> buffer_;  // bounded: max_line_bytes + its newline
+  /// Unread bytes are buffer_[begin_, end_); eof_ once fread hit the end.
+  size_t begin_ = 0;
+  size_t end_ = 0;
+  bool eof_ = false;
   size_t line_number_ = 0;
   uint64_t line_offset_ = 0;
   uint64_t next_offset_ = 0;

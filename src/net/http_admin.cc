@@ -1,15 +1,8 @@
 #include "net/http_admin.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/string_util.h"
 #include "obs/exposition.h"
@@ -24,9 +17,9 @@ namespace net {
 
 namespace {
 
-Status HttpErrno(const char* what) {
-  return Status::IoError(StringPrintf("%s: %s", what, std::strerror(errno)));
-}
+/// Admin requests are tiny GETs; a request head (through the blank line)
+/// longer than this is a 400 and the connection closes.
+constexpr size_t kMaxRequestHeadBytes = 8192;
 
 const char* StatusLine(int status) {
   switch (status) {
@@ -41,33 +34,49 @@ const char* StatusLine(int status) {
 
 }  // namespace
 
-Status ParseHostPort(const std::string& address, std::string* host,
-                     uint16_t* port) {
-  const size_t colon = address.rfind(':');
-  if (colon == std::string::npos) {
-    return Status::InvalidArgument("listen address must be host:port, got " +
-                                   address);
-  }
-  const std::string host_part = address.substr(0, colon);
-  const Result<long long> parsed = ParseInt(address.substr(colon + 1));
-  if (!parsed.ok() || parsed.value() < 0 || parsed.value() > 65535) {
-    return Status::InvalidArgument("bad listen port in " + address);
-  }
-  *host = host_part.empty() ? "0.0.0.0" : host_part;
-  *port = static_cast<uint16_t>(parsed.value());
-  return Status::OK();
-}
+/// The HTTP protocol of one admin connection: one request, one response,
+/// then close.
+class HttpAdminServer::Connection final : public TcpProtocol {
+ public:
+  explicit Connection(const HttpAdminServer* admin) : admin_(admin) {}
 
-struct HttpAdminServer::Connection {
-  int fd = -1;
-  std::string in;
-  std::string out;
-  size_t out_offset = 0;
-  bool close_when_drained = false;
+  bool Consume(TcpStreams* streams) override {
+    const std::string& in = streams->in;
+    const size_t head_end = in.find("\r\n\r\n");
+    const bool oversized = head_end == std::string::npos
+                               ? in.size() > kMaxRequestHeadBytes
+                               : head_end + 4 > kMaxRequestHeadBytes;
+    // An unfinished head waits for more bytes (the loop closes at EOF).
+    if (head_end == std::string::npos && !oversized) return false;
+    HttpResponse response;
+    bool head = false;
+    if (oversized) {
+      response.status = 400;
+      response.body = StringPrintf("request head exceeds %zu bytes\n",
+                                   kMaxRequestHeadBytes);
+    } else {
+      response = admin_->Respond(in.substr(0, in.find("\r\n")), &head);
+    }
+    streams->in.clear();  // Connection: close — one request per connection.
+    // HEAD advertises the length the GET body would have, without the body.
+    streams->out += StringPrintf(
+        "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %zu\r\n"
+        "Connection: close\r\n\r\n",
+        StatusLine(response.status), response.content_type.c_str(),
+        response.body.size());
+    if (!head) streams->out += response.body;
+    return true;
+  }
+
+ private:
+  const HttpAdminServer* const admin_;
 };
 
 HttpAdminServer::HttpAdminServer(HttpAdminConfig config)
-    : config_(std::move(config)) {}
+    : tcp_(TcpServerConfig{std::move(config.host), config.port},
+           [this](int) -> std::unique_ptr<TcpProtocol> {
+             return std::make_unique<Connection>(this);
+           }) {}
 
 HttpAdminServer::~HttpAdminServer() { Stop(); }
 
@@ -76,227 +85,39 @@ void HttpAdminServer::Handle(const std::string& path,
   handlers_[path] = std::move(handler);
 }
 
-Status HttpAdminServer::Start() {
-  if (started_) return Status::FailedPrecondition("already started");
-  if (!loop_.ok() || !wake_.ok()) {
-    return Status::IoError("epoll/eventfd setup failed");
-  }
+Status HttpAdminServer::Start() { return tcp_.Start(); }
 
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad admin host " + config_.host);
-  }
-  addr.sin_port = htons(config_.port);
+void HttpAdminServer::Stop() { tcp_.Stop(); }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) return HttpErrno("socket");
-  const int one = 1;
-  if (::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) !=
-      0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return HttpErrno("setsockopt(SO_REUSEADDR)");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return HttpErrno("bind");
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) !=
-      0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return HttpErrno("getsockname");
-  }
-  port_ = ntohs(bound.sin_port);
-  if (::listen(listen_fd_, 64) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return HttpErrno("listen");
-  }
-
-  Status added = loop_.Add(listen_fd_, EPOLLIN, &listen_fd_);
-  if (added.ok()) added = loop_.Add(wake_.fd(), EPOLLIN, &wake_);
-  if (!added.ok()) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return added;
-  }
-
-  stop_.store(false, std::memory_order_relaxed);
-  started_ = true;
-  worker_ = std::thread([this] { Run(); });
-  return Status::OK();
-}
-
-void HttpAdminServer::Stop() {
-  if (!started_) return;
-  stop_.store(true, std::memory_order_relaxed);
-  wake_.Signal();
-  if (worker_.joinable()) worker_.join();
-  for (auto& entry : connections_) {
-    loop_.Remove(entry.second->fd);
-    ::close(entry.second->fd);
-  }
-  connections_.clear();
-  if (listen_fd_ >= 0) {
-    loop_.Remove(listen_fd_);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  started_ = false;
-}
-
-void HttpAdminServer::Run() {
-  constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const int ready = loop_.Wait(events, kMaxEvents, 500);
-    for (int i = 0; i < ready; ++i) {
-      void* data = events[i].data.ptr;
-      if (data == &wake_) {
-        wake_.Drain();
-        continue;
-      }
-      if (data == &listen_fd_) {
-        AcceptReady();
-        continue;
-      }
-      Connection* conn = static_cast<Connection*>(data);
-      bool alive = true;
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        alive = false;
-      } else {
-        if (alive && (events[i].events & EPOLLIN)) alive = HandleReadable(conn);
-        if (alive && (events[i].events & EPOLLOUT)) alive = FlushOutput(conn);
-      }
-      if (!alive) CloseConnection(conn);
-    }
-  }
-}
-
-void HttpAdminServer::AcceptReady() {
-  while (true) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      // EMFILE and friends: admin traffic is best-effort; drop and move on.
-      return;
-    }
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    if (!loop_.Add(fd, EPOLLIN, conn.get()).ok()) {
-      ::close(fd);
-      return;
-    }
-    connections_[fd] = std::move(conn);
-  }
-}
-
-bool HttpAdminServer::HandleReadable(Connection* conn) {
-  char buffer[4096];
-  while (true) {
-    const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
-    if (n > 0) {
-      conn->in.append(buffer, static_cast<size_t>(n));
-      if (conn->in.size() > config_.max_request_bytes) {
-        conn->out = "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n"
-                    "Connection: close\r\n\r\n";
-        conn->out_offset = 0;
-        conn->close_when_drained = true;
-        return FlushOutput(conn);
-      }
-      continue;
-    }
-    if (n == 0) return false;  // peer closed
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    return false;
-  }
-  if (!conn->close_when_drained && !ProcessRequest(conn)) return false;
-  return FlushOutput(conn);
-}
-
-bool HttpAdminServer::ProcessRequest(Connection* conn) {
-  const size_t head_end = conn->in.find("\r\n\r\n");
-  if (head_end == std::string::npos) return true;  // need more bytes
-
-  const size_t line_end = conn->in.find("\r\n");
-  const std::string request_line = conn->in.substr(0, line_end);
-  conn->in.clear();  // Connection: close — one request per connection.
-
+HttpResponse HttpAdminServer::Respond(const std::string& request_line,
+                                      bool* head) const {
   HttpResponse response;
-  bool head = false;
   const size_t method_end = request_line.find(' ');
   const size_t path_end = request_line.rfind(' ');
   if (method_end == std::string::npos || path_end == method_end) {
     response.status = 400;
     response.body = "bad request line\n";
-  } else {
-    const std::string method = request_line.substr(0, method_end);
-    head = method == "HEAD";
-    std::string path =
-        request_line.substr(method_end + 1, path_end - method_end - 1);
-    const size_t query = path.find('?');
-    if (query != std::string::npos) path.resize(query);
-    if (method != "GET" && method != "HEAD") {
-      response.status = 405;
-      response.body = "only GET is served here\n";
-    } else {
-      const auto it = handlers_.find(path);
-      if (it == handlers_.end()) {
-        response.status = 404;
-        response.body = "unknown path " + path + "\n";
-        for (const auto& entry : handlers_) {
-          response.body += "  " + entry.first + "\n";
-        }
-      } else {
-        response = it->second();
-      }
-    }
+    return response;
   }
-
-  // HEAD advertises the length the GET body would have, without the body.
-  conn->out = StringPrintf(
-      "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %zu\r\n"
-      "Connection: close\r\n\r\n",
-      StatusLine(response.status), response.content_type.c_str(),
-      response.body.size());
-  if (!head) conn->out += response.body;
-  conn->out_offset = 0;
-  conn->close_when_drained = true;
-  return true;
-}
-
-bool HttpAdminServer::FlushOutput(Connection* conn) {
-  while (conn->out_offset < conn->out.size()) {
-    const ssize_t n =
-        ::send(conn->fd, conn->out.data() + conn->out_offset,
-               conn->out.size() - conn->out_offset, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->out_offset += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      loop_.Modify(conn->fd, EPOLLIN | EPOLLOUT, conn);
-      return true;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
+  const std::string method = request_line.substr(0, method_end);
+  *head = method == "HEAD";
+  std::string path =
+      request_line.substr(method_end + 1, path_end - method_end - 1);
+  const size_t query = path.find('?');
+  if (query != std::string::npos) path.resize(query);
+  if (method != "GET" && method != "HEAD") {
+    response.status = 405;
+    response.body = "only GET is served here\n";
+    return response;
   }
-  if (conn->close_when_drained) return false;
-  loop_.Modify(conn->fd, EPOLLIN, conn);
-  return true;
-}
-
-void HttpAdminServer::CloseConnection(Connection* conn) {
-  loop_.Remove(conn->fd);
-  ::close(conn->fd);
-  connections_.erase(conn->fd);
+  const auto it = handlers_.find(path);
+  if (it != handlers_.end()) return it->second();
+  response.status = 404;
+  response.body = "unknown path " + path + "\n";
+  for (const auto& entry : handlers_) {
+    response.body += "  " + entry.first + "\n";
+  }
+  return response;
 }
 
 void InstallAdminEndpoints(HttpAdminServer* http, serve::Server* server,

@@ -1,16 +1,13 @@
 #ifndef UPSKILL_NET_HTTP_ADMIN_H_
 #define UPSKILL_NET_HTTP_ADMIN_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
-#include <thread>
 
 #include "common/status.h"
-#include "net/epoll_loop.h"
+#include "net/tcp_server.h"
 
 namespace upskill {
 
@@ -24,9 +21,6 @@ struct HttpAdminConfig {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read the actual one back with port().
   uint16_t port = 0;
-  /// Admin requests are tiny GETs; anything larger than this before the
-  /// blank line is a 400 and the connection closes.
-  size_t max_request_bytes = 8192;
 };
 
 struct HttpResponse {
@@ -35,14 +29,16 @@ struct HttpResponse {
   std::string body;
 };
 
-/// Minimal HTTP/1.1 GET server for the admin plane: one worker thread
-/// with its own EpollLoop, Connection: close semantics (every response
+/// Minimal HTTP/1.1 GET server for the admin plane: the HTTP protocol on
+/// its own instance of the shared connection loop (net/tcp_server.h),
+/// with one worker thread. Connection: close semantics (every response
 /// carries Content-Length and the server closes after the write drains),
-/// path handlers registered before Start. Deliberately not a general web
-/// server — no keep-alive, no chunked bodies, no methods beyond GET/HEAD
-/// — because its only clients are scrapers and operators with curl, and
-/// the data plane must not share a port (a melted-down data port cannot
-/// take the scrape path down with it, and vice versa).
+/// path handlers registered before Start; a request head over 8192 bytes
+/// is a 400. Deliberately not a general web server — no keep-alive, no
+/// chunked bodies, no methods beyond GET/HEAD — because its only clients
+/// are scrapers and operators with curl, and the data plane must not
+/// share a port (a melted-down data port cannot take the scrape path
+/// down with it, and vice versa).
 class HttpAdminServer {
  public:
   explicit HttpAdminServer(HttpAdminConfig config);
@@ -60,31 +56,17 @@ class HttpAdminServer {
   void Stop();
 
   /// Actual bound port (after Start with config.port == 0).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return tcp_.port(); }
 
  private:
-  struct Connection;
+  class Connection;
 
-  void Run();
-  void AcceptReady();
-  bool HandleReadable(Connection* conn);
-  bool FlushOutput(Connection* conn);
-  void CloseConnection(Connection* conn);
-  /// Parses one request head out of conn->in and stages the response;
-  /// false when the connection must close without a response.
-  bool ProcessRequest(Connection* conn);
+  /// Answers one request line ("GET /path HTTP/1.1"); sets `*head` for
+  /// a HEAD request.
+  HttpResponse Respond(const std::string& request_line, bool* head) const;
 
-  const HttpAdminConfig config_;
   std::map<std::string, std::function<HttpResponse()>> handlers_;
-
-  EpollLoop loop_;
-  WakeupFd wake_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> stop_{true};
-  bool started_ = false;
-  std::thread worker_;
-  std::map<int, std::unique_ptr<Connection>> connections_;
+  TcpServer tcp_;
 };
 
 /// Wires the standard admin surface onto `http`:
@@ -99,11 +81,6 @@ class HttpAdminServer {
 /// `server` must outlive `http`.
 void InstallAdminEndpoints(HttpAdminServer* http, serve::Server* server,
                            std::function<Status()> health = {});
-
-/// Parses "host:port" ( ":9000" = all interfaces, port 0 = ephemeral):
-/// the address grammar of `serve --listen`, `--admin-listen` and `client`.
-Status ParseHostPort(const std::string& address, std::string* host,
-                     uint16_t* port);
 
 }  // namespace net
 }  // namespace upskill

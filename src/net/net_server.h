@@ -1,15 +1,12 @@
 #ifndef UPSKILL_NET_NET_SERVER_H_
 #define UPSKILL_NET_NET_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
-#include "net/frame.h"
+#include "net/tcp_server.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
 
@@ -66,53 +63,34 @@ class NetServer {
   void Stop();
 
   /// Actual bound port (after Start with config.port == 0).
-  uint16_t port() const { return port_; }
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  uint16_t port() const { return tcp_.port(); }
+  int num_workers() const { return tcp_.num_workers(); }
   /// Live connection count across all workers.
-  int active_connections() const {
-    return active_.load(std::memory_order_relaxed);
-  }
+  int active_connections() const { return tcp_.active_connections(); }
 
  private:
-  struct Connection;
-  struct Worker;
+  class Connection;
+  struct WorkerState;
 
-  void RunWorker(Worker* worker);
-  void AcceptReady(Worker* worker);
-  /// Reads available bytes and executes every complete request; returns
-  /// false when the connection must be closed now.
-  bool HandleReadable(Worker* worker, Connection* conn);
-  bool FlushOutput(Worker* worker, Connection* conn);
-  void CloseConnection(Worker* worker, Connection* conn);
-
-  /// Drains complete frames/lines from conn->in; false on fatal protocol
-  /// error (caller closes after flushing the error response).
-  bool ProcessBuffer(Worker* worker, Connection* conn);
   /// Server::Handle, or Server::Shed when the deadline budget says the
   /// request cannot make it (see NetServerConfig::deadline_seconds).
-  serve::ServeResponse Respond(Worker* worker,
+  serve::ServeResponse Respond(WorkerState* worker,
                                const serve::ServeRequest& request);
 
   serve::Server* const server_;
   exec::Backend* const swap_backend_;
   const NetServerConfig config_;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<bool> stop_{false};
-  std::atomic<int> active_{0};
-  bool started_ = false;
-  uint16_t port_ = 0;
-
-  // upskill_net_* instruments, registered once at construction.
-  obs::Counter& accepted_;
-  obs::Counter& rejected_;
-  obs::Gauge& active_gauge_;
+  // upskill_net_* instruments the protocol counts, registered once at
+  // construction; the transport's own go to the loop as TcpCounters.
   obs::Counter& shed_;
-  obs::Counter& bytes_in_;
-  obs::Counter& bytes_out_;
   obs::Counter& decode_errors_;
   obs::Counter& requests_binary_;
   obs::Counter& requests_text_;
+
+  /// One shed estimate per worker, indexed by the loop's worker index.
+  std::vector<WorkerState> workers_;
+  TcpServer tcp_;
 };
 
 }  // namespace net

@@ -181,5 +181,57 @@ TEST_F(CsvFileTest, ScannerBoundsLineLength) {
   EXPECT_FALSE(wide.value().Next(&row).value());
 }
 
+// A NUL byte inside a line is a Corruption at that line's true offset,
+// not the end of the record: "alice,ite\0m9" must not read as
+// [alice, ite], and the lines after it keep their real byte offsets.
+TEST_F(CsvFileTest, ScannerRejectsANulByteInsideALine) {
+  {
+    std::FILE* f = std::fopen(path_.string().c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::string bytes = "user,item\nalice,ite";
+    bytes += '\0';
+    bytes += "m9\nbad\"row\n";
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+  auto opened = CsvScanner::Open(path_.string());
+  ASSERT_TRUE(opened.ok());
+  CsvScanner scanner = std::move(opened).value();
+  std::vector<std::string> row;
+  ASSERT_TRUE(scanner.Next(&row).value());
+  const auto bad = scanner.Next(&row);
+  ASSERT_FALSE(bad.ok()) << "read as " << row.size() << " fields";
+  EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
+  // "user,item\n" is 10 bytes; the NUL line is line 2 at byte 10.
+  EXPECT_NE(bad.status().message().find(":2 (byte 10)"), std::string::npos)
+      << bad.status().message();
+  EXPECT_NE(bad.status().message().find("NUL"), std::string::npos)
+      << bad.status().message();
+}
+
+// A torn append can leave a zero-filled tail: it is a Corruption, not a
+// run of blank lines.
+TEST_F(CsvFileTest, ScannerRejectsAZeroFilledTail) {
+  {
+    std::FILE* f = std::fopen(path_.string().c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("a,b\n", f);
+    const std::string zeros(4096, '\0');
+    ASSERT_EQ(std::fwrite(zeros.data(), 1, zeros.size(), f), zeros.size());
+    std::fclose(f);
+  }
+  auto opened = CsvScanner::Open(path_.string());
+  ASSERT_TRUE(opened.ok());
+  CsvScanner scanner = std::move(opened).value();
+  std::vector<std::string> row;
+  ASSERT_TRUE(scanner.Next(&row).value());
+  EXPECT_EQ(row, (std::vector<std::string>{"a", "b"}));
+  const auto tail = scanner.Next(&row);
+  ASSERT_FALSE(tail.ok());
+  EXPECT_EQ(tail.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(tail.status().message().find(":2 (byte 4)"), std::string::npos)
+      << tail.status().message();
+}
+
 }  // namespace
 }  // namespace upskill

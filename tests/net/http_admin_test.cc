@@ -2,8 +2,11 @@
 // and /tracez all answer well-formed HTTP/1.1 with Content-Length and
 // Connection: close, 404/405 behave, HEAD omits the body, the /metrics
 // payload is the same Prometheus exposition `stats` embeds (model-health
-// gauges sampled at scrape time included), and /tracez shows requests
-// and phase spans from the one global span store.
+// gauges sampled at scrape time included), /tracez shows requests and
+// phase spans from the one global span store, and the shared connection
+// loop's rules hold here too: a half-closed request is answered, an
+// oversized head is a 400, and a full fd table neither spins the worker
+// nor stops the next scrape.
 
 #include "net/http_admin.h"
 
@@ -14,6 +17,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -25,6 +30,7 @@
 #include "core/difficulty.h"
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
+#include "fd_exhaustion.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
@@ -37,9 +43,7 @@ namespace upskill {
 namespace net {
 namespace {
 
-// Minimal blocking HTTP client: one request, read to EOF (the server
-// always closes after the response drains).
-std::string HttpRequest(uint16_t port, const std::string& request) {
+int ConnectTo(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -48,13 +52,12 @@ std::string HttpRequest(uint16_t port, const std::string& request) {
   EXPECT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
-  size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
-                             0);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
+  return fd;
+}
+
+// Reads until the server closes (it always does after the response
+// drains), then closes `fd`.
+std::string ReadToEof(int fd) {
   std::string response;
   char buffer[4096];
   for (;;) {
@@ -64,6 +67,28 @@ std::string HttpRequest(uint16_t port, const std::string& request) {
   }
   ::close(fd);
   return response;
+}
+
+// Minimal blocking HTTP client: one request, read to EOF.
+std::string HttpRequest(uint16_t port, const std::string& request) {
+  const int fd = ConnectTo(port);
+  size_t sent = 0;
+  while (sent < request.size()) {
+    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
+                             0);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  return ReadToEof(fd);
+}
+
+// Sends `request` in one write, half-closes, and reads to EOF.
+std::string HalfClosedRequest(uint16_t port, const std::string& request) {
+  const int fd = ConnectTo(port);
+  EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  EXPECT_EQ(::shutdown(fd, SHUT_WR), 0);
+  return ReadToEof(fd);
 }
 
 std::string HttpGet(uint16_t port, const std::string& path) {
@@ -350,6 +375,87 @@ TEST_F(HttpAdminTest, HealthzReportsAStickyIngestFailure) {
   EXPECT_EQ(unhealthy.rfind("HTTP/1.1 503 Service Unavailable\r\n", 0), 0u)
       << unhealthy;
   EXPECT_EQ(BodyOf(unhealthy), failed.ToString() + "\n");
+  admin.Stop();
+}
+
+// The request and the client's FIN can arrive in one read drain; the
+// request is still answered before the connection closes.
+TEST_F(HttpAdminTest, HalfClosedRequestIsAnswered) {
+  serve::Server server(serving_);
+  HttpAdminServer admin(HttpAdminConfig{});
+  InstallAdminEndpoints(&admin, &server);
+  ASSERT_TRUE(admin.Start().ok());
+  int answered = 0;
+  for (int i = 0; i < 20; ++i) {
+    const std::string response =
+        HalfClosedRequest(admin.port(), "GET /healthz HTTP/1.0\r\n\r\n");
+    if (response.rfind("HTTP/1.1 200 OK\r\n", 0) == 0 &&
+        BodyOf(response) == "ok\n") {
+      ++answered;
+    }
+  }
+  EXPECT_EQ(answered, 20);
+  admin.Stop();
+}
+
+TEST_F(HttpAdminTest, RequestHeadOver8192BytesIsA400AndClose) {
+  serve::Server server(serving_);
+  HttpAdminServer admin(HttpAdminConfig{});
+  InstallAdminEndpoints(&admin, &server);
+  ASSERT_TRUE(admin.Start().ok());
+
+  const std::string start = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+  const std::string oversized =
+      start + std::string(9000, 'a') + "\r\n\r\n";
+  const std::string rejected = HalfClosedRequest(admin.port(), oversized);
+  EXPECT_EQ(rejected.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u)
+      << rejected.substr(0, 200);
+  EXPECT_NE(rejected.find("Connection: close\r\n"), std::string::npos);
+
+  // No blank line at all: the 400 comes once the head passes the limit.
+  const std::string endless = start + std::string(9000, 'a');
+  EXPECT_EQ(HalfClosedRequest(admin.port(), endless)
+                .rfind("HTTP/1.1 400 Bad Request\r\n", 0),
+            0u);
+
+  // A head of exactly 8192 bytes is served.
+  const std::string exact =
+      start + std::string(8192 - start.size() - 4, 'a') + "\r\n\r\n";
+  ASSERT_EQ(exact.size(), 8192u);
+  EXPECT_EQ(HalfClosedRequest(admin.port(), exact)
+                .rfind("HTTP/1.1 200 OK\r\n", 0),
+            0u);
+  admin.Stop();
+}
+
+// With the fd table full, a pending scrape is accepted through the
+// worker's spare fd and closed at once instead of the listener being
+// re-reported in a busy loop; scrapes are answered again once fds free.
+TEST_F(HttpAdminTest, FullFdTableClosesThePendingScrapeWithoutSpinning) {
+  serve::Server server(serving_);
+  HttpAdminServer admin(HttpAdminConfig{});
+  InstallAdminEndpoints(&admin, &server);
+  ASSERT_TRUE(admin.Start().ok());
+  {
+    FdTableFiller filler;
+    ASSERT_TRUE(filler.full());
+    filler.FreeOne();
+    const int scrape = ConnectTo(admin.port());  // the table is full again
+    const std::string request = "GET /healthz HTTP/1.1\r\n\r\n";
+    ::send(scrape, request.data(), request.size(), MSG_NOSIGNAL);
+    // Closed without a response: EOF or a reset, not a timeout.
+    EXPECT_TRUE(ReadableWithin(scrape, 2000));
+    char byte = 0;
+    const ssize_t n = ::recv(scrape, &byte, 1, MSG_DONTWAIT);
+    EXPECT_TRUE(n == 0 || (n < 0 && errno != EAGAIN)) << n;
+
+    const double cpu_before = ProcessCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    EXPECT_LT(ProcessCpuSeconds() - cpu_before, 0.5);
+    ::close(scrape);
+  }
+  const std::string healthz = HttpGet(admin.port(), "/healthz");
+  EXPECT_EQ(healthz.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << healthz;
   admin.Stop();
 }
 

@@ -6,6 +6,7 @@
 // from its "listening on host:port" stderr line.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -157,6 +158,32 @@ TEST_F(NetCliTest, TcpRoundTripBothProtocolsWithMidSessionSwap) {
   const int status = pclose(server_);
   server_ = nullptr;
   EXPECT_EQ(status, 0);
+}
+
+// `serve --listen` exits 1 when the final ingest-log Sync fails, as the
+// stdio loop does: an observe it acknowledged never reached the log.
+TEST_F(NetCliTest, FailedFinalIngestSyncExitsOne) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  Run("generate synthetic " + dir_ + "/data --users 30 --seed 5");
+  Run("train " + dir_ + "/data " + dir_ + "/model.csv --levels 3");
+  Run("snapshot " + dir_ + "/data " + dir_ + "/model.csv " + dir_ +
+      "/model.snap --levels 3");
+  const int port = StartServer("--ingest-log /dev/full");
+  ASSERT_GT(port, 0) << Slurp(dir_ + "/serve.log");
+  const std::vector<std::string> replies =
+      RunClient(port, "", "observe u1 3\n");
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].rfind("ok level=", 0), 0u) << replies[0];
+
+  std::fputs("shutdown\n", server_);
+  const int status = pclose(server_);
+  server_ = nullptr;
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  const std::string log = Slurp(dir_ + "/serve.log");
+  EXPECT_NE(log.find("error: IoError: ingest sync failed: "),
+            std::string::npos)
+      << log;
 }
 
 TEST_F(NetCliTest, QuantizedListenServesAndSwaps) {

@@ -3,13 +3,19 @@
 // replies that agree on every request kind and error, snapshot hot-swap
 // (plain and quantized) under live connections, deadline load shedding
 // and its request accounting, connection limits, and concurrent
-// mixed-protocol clients (the TSan target for the net subsystem).
+// mixed-protocol clients (the TSan target for the net subsystem), the
+// unread-reply cap, an idle worker while a half-closed client leaves its
+// replies unread, and a worker that keeps serving with its process's fd
+// table full.
 
 #include "net/net_server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -18,6 +24,7 @@
 #include "core/difficulty.h"
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
+#include "fd_exhaustion.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "obs/metrics.h"
@@ -695,6 +702,108 @@ TEST_F(NetServerTest, ConnectionLimitRejectsExtraClients) {
   obs::Counter& rejected = obs::MetricsRegistry::Global().GetCounter(
       "upskill_net_connections_rejected_total");
   EXPECT_GE(rejected.Value(), 1u);
+  net.Stop();
+}
+
+// A client that pipelines far more requests than it reads is answered
+// until more than kMaxUnsentBytes of replies wait unread, checked between
+// requests, then gets only whole replies. (It half-closes, so without the
+// cap the server would answer every request and close at EOF.)
+TEST_F(NetServerTest, SlowConsumerIsCutOffAtTheUnreadReplyCap) {
+  serve::Server server(serving_);
+  NetServer net(&server, nullptr, NetServerConfig{});
+  ASSERT_TRUE(net.Start().ok());
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", net.port()).ok());
+  constexpr size_t kLevels = 2000000;  // ~44 MB of replies
+  std::string payload = "observe slow 3\n";
+  for (size_t i = 0; i < kLevels; ++i) payload += "level slow\n";
+  ASSERT_TRUE(client.SendRaw(payload).ok());
+  client.ShutdownWrite();
+  const std::string replies = client.ReadAll();
+  ASSERT_GT(replies.size(), kMaxUnsentBytes);
+  EXPECT_EQ(replies.back(), '\n');
+  EXPECT_LT(static_cast<size_t>(
+                std::count(replies.begin(), replies.end(), '\n')),
+            kLevels + 1);
+  net.Stop();
+}
+
+// After end of input the worker waits only for the socket to take the
+// replies: a level-triggered EPOLLIN would re-report the EOF, and spin
+// the worker for as long as a half-closed client leaves them unread.
+TEST_F(NetServerTest, HalfClosedClientLeavingRepliesUnreadCostsNoCpu) {
+  serve::Server server(serving_);
+  NetServer net(&server, nullptr, NetServerConfig{});
+  ASSERT_TRUE(net.Start().ok());
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", net.port()).ok());
+  // A small receive window, so the replies cannot all sit in socket
+  // buffers (the server's send buffer tops out at tcp_wmem's 4 MB).
+  const int window = 64 << 10;
+  ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVBUF, &window,
+                         sizeof(window)),
+            0);
+  constexpr size_t kLevels = 300000;  // ~6.3 MB of replies, under the cap
+  std::string payload = "observe idle 3\n";
+  for (size_t i = 0; i < kLevels; ++i) payload += "level idle\n";
+  ASSERT_TRUE(client.SendRaw(payload).ok());
+  client.ShutdownWrite();
+  for (int i = 0; i < 3000 && server.requests_served() < kLevels + 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server.requests_served(), kLevels + 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const double cpu_before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_LT(ProcessCpuSeconds() - cpu_before, 0.5);
+  const std::string replies = client.ReadAll();
+  EXPECT_EQ(static_cast<size_t>(
+                std::count(replies.begin(), replies.end(), '\n')),
+            kLevels + 1);
+  net.Stop();
+}
+
+// accept4 claims an fd slot before it looks at the queue, so with the fd
+// table full it fails with EMFILE whether or not a connection is pending.
+// The worker drains the pending connection through its spare fd, goes
+// back to epoll, and keeps serving the connection it accepted earlier
+// while the table stays full, and it does not spin.
+TEST_F(NetServerTest, FullFdTableDrainsThePendingConnectionAndKeepsServing) {
+  serve::Server server(serving_);
+  NetServer net(&server, nullptr, NetServerConfig{});
+  ASSERT_TRUE(net.Start().ok());
+  NetClient first;
+  ASSERT_TRUE(first.Connect("127.0.0.1", net.port()).ok());
+  ASSERT_TRUE(first.SendRaw("observe u0 1\n").ok());
+  ASSERT_TRUE(first.ReadLines(1).ok());
+
+  obs::Counter& rejected = obs::MetricsRegistry::Global().GetCounter(
+      "upskill_net_connections_rejected_total");
+  const uint64_t rejected_before = rejected.Value();
+  {
+    FdTableFiller filler;
+    ASSERT_TRUE(filler.full());
+    filler.FreeOne();
+    NetClient second;  // takes the one free slot: the table is full again
+    ASSERT_TRUE(second.Connect("127.0.0.1", net.port()).ok());
+    for (int i = 0; i < 200 && rejected.Value() == rejected_before; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(rejected.Value(), rejected_before + 1);
+
+    const double cpu_before = ProcessCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    EXPECT_LT(ProcessCpuSeconds() - cpu_before, 0.5);
+
+    ASSERT_TRUE(first.SendRaw("observe u1 3\n").ok());
+    EXPECT_TRUE(ReadableWithin(first.fd(), 2000))
+        << "no reply within 2 s with the fd table full";
+  }
+  const auto reply = first.ReadLines(1);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply.value()[0].rfind("ok level=", 0), 0u) << reply.value()[0];
   net.Stop();
 }
 

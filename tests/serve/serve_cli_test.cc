@@ -246,6 +246,35 @@ TEST_F(ServeCliTest, RefusedObservesAreCounted) {
       << refusals << " refusals\n" << text;
 }
 
+// A final ingest-log Sync that fails is exit status 1 with the error, not
+// only a line on stderr: a supervisor must be able to tell that an
+// acknowledged observe never reached the log.
+TEST_F(ServeCliTest, FailedFinalIngestSyncExitsOne) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  Run("generate synthetic " + dir_ + "/data --users 30 --seed 13");
+  Run("train " + dir_ + "/data " + dir_ + "/model.csv --levels 3");
+  Run("snapshot " + dir_ + "/data " + dir_ + "/model.csv " + dir_ +
+      "/model.snap --levels 3");
+  std::ofstream(dir_ + "/input.txt") << "observe u1 3\n";
+  const std::string out = dir_ + "/output.txt";
+  const std::string err = dir_ + "/stderr.txt";
+  const std::string command = std::string(UPSKILL_CLI_PATH) + " serve " +
+                              dir_ + "/model.snap --ingest-log /dev/full < " +
+                              dir_ + "/input.txt > " + out + " 2> " + err;
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << command;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << Slurp(err);
+  const std::string text = Slurp(out);
+  EXPECT_EQ(text.rfind("ok level=", 0), 0u) << text;
+  EXPECT_NE(text.find(" actions=1\n"), std::string::npos) << text;
+  const std::string message = Slurp(err);
+  EXPECT_NE(message.find("error: IoError: ingest sync failed: "),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("No space left on device"), std::string::npos)
+      << message;
+}
+
 TEST_F(ServeCliTest, TrainWritesTraceAndMetricsDumps) {
   Run("generate synthetic " + dir_ + "/data --users 30 --seed 17");
   Run("train " + dir_ + "/data " + dir_ + "/model.csv --levels 3 " +
