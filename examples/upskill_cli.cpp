@@ -88,6 +88,11 @@ struct Args {
     const auto it = flags.find(name);
     return it == flags.end() ? fallback : ParseInt(it->second).value();
   }
+  // ParseArgs has already rejected a value that is not a number.
+  double DoubleFlag(const std::string& name, double fallback) const {
+    const auto it = flags.find(name);
+    return it == flags.end() ? fallback : ParseDouble(it->second).value();
+  }
   std::string StringFlag(const std::string& name,
                          const std::string& fallback) const {
     const auto it = flags.find(name);
@@ -113,6 +118,8 @@ const std::set<std::string> kIntFlags = {
     "shards", "net-workers", "deadline-ms", "max-conns",
     "flight-recorder-size", "flight-recorder-sample",
 };
+// The value flags that take a number (read with Args::DoubleFlag).
+const std::set<std::string> kDoubleFlags = {"stretch"};
 // Integer flags with a lower bound; a value below it is a usage error
 // naming the flag, not a silent clamp.
 const std::map<std::string, long long> kIntFlagMinimums = {
@@ -150,6 +157,11 @@ Result<Args> ParseArgs(int argc, char** argv, int first) {
                 "flag --" + name + " must be at least " +
                 std::to_string(minimum->second));
           }
+        }
+        if (kDoubleFlags.count(name) > 0 && !ParseDouble(value).ok()) {
+          return Status::InvalidArgument("flag --" + name +
+                                         " requires a number, got '" + value +
+                                         "'");
         }
         args.flags[name] = value;
       } else if (kSwitchFlags.count(name) > 0) {
@@ -629,11 +641,7 @@ int CmdRecommend(const Args& args) {
   const UserId user = static_cast<UserId>(args.IntFlag("user", 0));
   UpskillRecommendationOptions options;
   options.max_results = static_cast<int>(args.IntFlag("top", 10));
-  const auto stretch = args.flags.find("stretch");
-  if (stretch != args.flags.end()) {
-    const auto parsed = ParseDouble(stretch->second);
-    if (parsed.ok()) options.stretch = parsed.value();
-  }
+  options.stretch = args.DoubleFlag("stretch", options.stretch);
   const auto picks = RecommendForUpskilling(
       dataset.value(), model.value(), assignments, difficulty.value(), user,
       options);

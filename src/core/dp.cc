@@ -145,18 +145,26 @@ MonotonePath SolveMonotonePathWithForgetting(
 
 namespace {
 
-// Backtracks through `from` (0 = stay, 1 = from below, 2 = from above)
-// starting at the argmax of the final row; ties prefer the lower level.
-double BacktrackFused(const double* final_row, const uint8_t* from, size_t n,
-                      size_t levels, std::vector<int>* out) {
+// Index of the largest of row[0, levels), ties to the lowest level: where
+// every backtrack starts and what MonotoneForwardLevel reports.
+size_t ArgmaxTiesLow(const double* row, size_t levels) {
   size_t level = 0;
-  double best_ll = final_row[0];
+  double best = row[0];
   for (size_t s = 1; s < levels; ++s) {
-    if (final_row[s] > best_ll) {
-      best_ll = final_row[s];
+    if (row[s] > best) {
+      best = row[s];
       level = s;
     }
   }
+  return level;
+}
+
+// Backtracks through `from` (0 = stay, 1 = from below, 2 = from above)
+// starting at the argmax of the final row.
+double BacktrackFused(const double* final_row, const uint8_t* from, size_t n,
+                      size_t levels, std::vector<int>* out) {
+  size_t level = ArgmaxTiesLow(final_row, levels);
+  const double best_ll = final_row[level];
   for (size_t t = n; t-- > 0;) {
     (*out)[t] = static_cast<int>(level) + 1;
     if (t > 0) {
@@ -172,17 +180,11 @@ double BacktrackFused(const double* final_row, const uint8_t* from, size_t n,
 }
 
 // Backtracks the plain kernel's up-move bits from the argmax of the final
-// row, ties to the lowest level.
+// row.
 double BacktrackUpMoves(const double* final_row, const uint64_t* up_moves,
                         size_t n, size_t levels, int* path) {
-  size_t level = 0;
-  double best_ll = final_row[0];
-  for (size_t s = 1; s < levels; ++s) {
-    if (final_row[s] > best_ll) {
-      best_ll = final_row[s];
-      level = s;
-    }
-  }
+  size_t level = ArgmaxTiesLow(final_row, levels);
+  const double best_ll = final_row[level];
   const size_t words = simd::DpUpMoveWords(levels);
   if (words == 1) {
     // The common case gets its own loop: the word's load then does not
@@ -199,6 +201,43 @@ double BacktrackUpMoves(const double* final_row, const uint64_t* up_moves,
   }
   path[0] = static_cast<int>(level) + 1;
   return best_ll;
+}
+
+// One transition of the item-indexed recurrence: curr[s] = row[s] + the
+// best of stay (free at the top level), up from s - 1 and, when
+// `down_open`, the forgetting down-edge from s + 1. Strict `>` keeps ties
+// on stay, and the down-edge is checked after stay/up. The bottom and top
+// levels are peeled around the vectorized interior. `from` (null when no
+// backtrack follows) receives 0 = stay, 1 = from below, 2 = from above.
+void RecurrenceStep(const double* prev, const double* row, size_t levels,
+                    double log_stay, double log_up, bool down_open,
+                    double log_down, double* curr, uint8_t* from) {
+  {
+    double incoming = prev[0] + (levels > 1 ? log_stay : 0.0);
+    uint8_t step = 0;
+    if (levels > 1 && down_open) {
+      const double down = prev[1] + log_down;
+      const bool down_wins = down > incoming;
+      incoming = down_wins ? down : incoming;
+      step = down_wins ? 2 : step;
+    }
+    curr[0] = incoming + row[0];
+    if (from != nullptr) from[0] = step;
+  }
+  if (down_open) {
+    simd::DpRowInteriorWithDown(prev, row, levels, log_stay, log_up, log_down,
+                                curr, from);
+  } else {
+    simd::DpRowInterior(prev, row, levels, log_stay, log_up, curr, from);
+  }
+  if (levels > 1) {
+    const size_t s = levels - 1;
+    const double stay = prev[s] + 0.0;
+    const double up = prev[s - 1] + log_up;
+    const bool up_wins = up > stay;
+    curr[s] = (up_wins ? up : stay) + row[s];
+    if (from != nullptr) from[s] = static_cast<uint8_t>(up_wins);
+  }
 }
 
 // The plain solver over n item ids stored `item_stride` bytes apart: the
@@ -265,47 +304,15 @@ double SolveMonotonePathItemsWithForgetting(
   scratch.from.resize(n * levels);
   double* prev = scratch.best_rows.data();
   double* curr = prev + levels;
-
-  const double* first = item_log_probs.data() +
-                        static_cast<size_t>(items[0]) * levels;
-  for (size_t s = 0; s < levels; ++s) {
-    prev[s] = first[s] + (log_initial.empty() ? 0.0 : log_initial[s]);
-  }
+  auto item_row = [&](size_t t) {
+    return item_log_probs.data() + static_cast<size_t>(items[t]) * levels;
+  };
+  MonotoneForwardStart(std::span<const double>(item_row(0), levels),
+                       log_initial, std::span<double>(prev, levels));
   for (size_t t = 1; t < n; ++t) {
-    const double* row = item_log_probs.data() +
-                        static_cast<size_t>(items[t]) * levels;
-    uint8_t* from_row = scratch.from.data() + t * levels;
-    const bool down_open = allow_down[t - 1] != 0;
-    // Same peeled, branchless structure as SolveMonotonePathItems; the
-    // down-edge is checked after stay/up exactly as in the materialized
-    // solver so backpointers stay bitwise identical.
-    {
-      double incoming = prev[0] + (levels > 1 ? log_stay : 0.0);
-      uint8_t step = 0;
-      if (levels > 1 && down_open) {
-        const double down = prev[1] + log_down;
-        const bool down_wins = down > incoming;
-        incoming = down_wins ? down : incoming;
-        step = down_wins ? 2 : step;
-      }
-      curr[0] = incoming + row[0];
-      from_row[0] = step;
-    }
-    if (down_open) {
-      simd::DpRowInteriorWithDown(prev, row, levels, log_stay, log_up,
-                                  log_down, curr, from_row);
-    } else {
-      simd::DpRowInterior(prev, row, levels, log_stay, log_up, curr,
-                          from_row);
-    }
-    if (levels > 1) {
-      const size_t s = levels - 1;
-      const double stay = prev[s] + 0.0;
-      const double up = prev[s - 1] + log_up;
-      const bool up_wins = up > stay;
-      curr[s] = (up_wins ? up : stay) + row[s];
-      from_row[s] = static_cast<uint8_t>(up_wins);
-    }
+    RecurrenceStep(prev, item_row(t), levels, log_stay, log_up,
+                   allow_down[t - 1] != 0, log_down, curr,
+                   scratch.from.data() + t * levels);
     std::swap(prev, curr);
   }
   return BacktrackFused(prev, scratch.from.data(), n, levels,
@@ -333,46 +340,13 @@ void MonotoneForwardStep(std::span<const double> prev_column,
   UPSKILL_CHECK(item_row.size() >= levels);
   UPSKILL_CHECK(next_column.size() == levels);
   UPSKILL_CHECK(next_column.data() != prev_column.data());
-  const double* prev = prev_column.data();
-  const double* row = item_row.data();
-  double* curr = next_column.data();
-  // Mirrors the peeled structure of the item-indexed kernels exactly
-  // (stay/up select with strict >, down-edge checked after, free stay at
-  // the top) so the column stays bitwise equal to the batch best-row.
-  {
-    double incoming = prev[0] + (levels > 1 ? log_stay : 0.0);
-    if (levels > 1 && allow_down) {
-      const double down = prev[1] + log_down;
-      incoming = down > incoming ? down : incoming;
-    }
-    curr[0] = incoming + row[0];
-  }
-  if (allow_down) {
-    simd::DpRowInteriorWithDown(prev, row, levels, log_stay, log_up, log_down,
-                                curr, /*from=*/nullptr);
-  } else {
-    simd::DpRowInterior(prev, row, levels, log_stay, log_up, curr,
-                        /*from=*/nullptr);
-  }
-  if (levels > 1) {
-    const size_t s = levels - 1;
-    const double stay = prev[s] + 0.0;
-    const double up = prev[s - 1] + log_up;
-    curr[s] = (up > stay ? up : stay) + row[s];
-  }
+  RecurrenceStep(prev_column.data(), item_row.data(), levels, log_stay, log_up,
+                 allow_down, log_down, next_column.data(), /*from=*/nullptr);
 }
 
 int MonotoneForwardLevel(std::span<const double> column) {
   UPSKILL_CHECK(!column.empty());
-  size_t level = 0;
-  double best = column[0];
-  for (size_t s = 1; s < column.size(); ++s) {
-    if (column[s] > best) {
-      best = column[s];
-      level = s;
-    }
-  }
-  return static_cast<int>(level) + 1;
+  return static_cast<int>(ArgmaxTiesLow(column.data(), column.size())) + 1;
 }
 
 }  // namespace upskill

@@ -116,14 +116,15 @@ double SolveMonotonePathItemsWithForgetting(
 /// reads nothing but the previous column — so a live session can carry a
 /// single S-sized column and update it in O(S) per observed action.
 ///
-/// The arithmetic (operation order, peeled bottom/top rows, strict-`>`
-/// tie-breaking toward "stay", free self-transition at the top level, the
-/// down-edge checked after stay/up) mirrors SolveMonotonePathItems /
-/// SolveMonotonePathItemsWithForgetting term by term, so after feeding a
-/// prefix of a user's item rows through Start + Step the column is bitwise
-/// equal to the final best-row of the batch kernel on that prefix, and
-/// MonotoneForwardLevel equals the tail level of the batch path (the
-/// batch backtrack starts at exactly this argmax-ties-low).
+/// SolveMonotonePathItemsWithForgetting is MonotoneForwardStart, then the
+/// recurrence step MonotoneForwardStep runs once per action (plus
+/// backpointers), then a backtrack from MonotoneForwardLevel's
+/// argmax-ties-low. So after feeding a prefix of a user's item rows
+/// through Start + Step the column is bitwise equal to that solver's final
+/// best row on the prefix, and MonotoneForwardLevel equals the tail level
+/// of its path. The plain solver (SolveMonotonePathItems) runs its own
+/// whole-sequence SIMD kernel with the same operation order; tests pin it
+/// bitwise to the step with the down-edge closed.
 ///
 /// Initializes `column` (size = num_levels) for the first action:
 /// column[s] = item_row[s] + log_initial[s] (log_initial may be empty for

@@ -5,8 +5,8 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "common/math.h"
 #include "core/dp.h"
+#include "core/posterior.h"
 #include "core/trainer.h"
 #include "exec/backend.h"
 #include "exec/map_reduce.h"
@@ -36,6 +36,10 @@ std::vector<size_t> ActionOffsets(const Dataset& dataset) {
 Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
   if (dataset.num_actions() == 0) {
     return Status::InvalidArgument("cannot train on an empty dataset");
+  }
+  // Without one E-step there is no likelihood to report.
+  if (config_.model.max_iterations < 1) {
+    return Status::InvalidArgument("max_iterations must be >= 1");
   }
   if (!(config_.initial_level_up_probability > 0.0 &&
         config_.initial_level_up_probability < 1.0)) {
@@ -123,51 +127,17 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
       per_user_stays[u] = 0.0;
       if (seq.empty()) continue;
       const size_t n = seq.size();
-      auto lp = [&](size_t t, size_t s) {
-        return cache[static_cast<size_t>(seq[t].item) * levels + s];
+      auto row = [&](size_t t) {
+        return cache.data() + static_cast<size_t>(seq[t].item) * levels;
       };
       // stay cost: free at the top level (no other move exists there).
       auto stay_cost = [&](size_t s) {
         return s + 1 < levels ? log_stay : 0.0;
       };
-
-      ws.alpha.resize(n * levels);
-      ws.beta.resize(n * levels);
-      std::vector<double>& alpha = ws.alpha;
-      std::vector<double>& beta = ws.beta;
-      for (size_t s = 0; s < levels; ++s) {
-        alpha[s] = log_initial[s] + lp(0, s);
-      }
-      for (size_t t = 1; t < n; ++t) {
-        for (size_t s = 0; s < levels; ++s) {
-          const double stay = alpha[(t - 1) * levels + s] + stay_cost(s);
-          double incoming = stay;
-          if (s > 0) {
-            const double up = alpha[(t - 1) * levels + (s - 1)] + log_up;
-            const double pair[] = {stay, up};
-            incoming = LogSumExp(pair);
-          }
-          alpha[t * levels + s] = incoming + lp(t, s);
-        }
-      }
-      for (size_t s = 0; s < levels; ++s) beta[(n - 1) * levels + s] = 0.0;
-      for (size_t t = n - 1; t-- > 0;) {
-        for (size_t s = 0; s < levels; ++s) {
-          const double stay =
-              stay_cost(s) + lp(t + 1, s) + beta[(t + 1) * levels + s];
-          double outgoing = stay;
-          if (s + 1 < levels) {
-            const double up = log_up + lp(t + 1, s + 1) +
-                              beta[(t + 1) * levels + (s + 1)];
-            const double pair[] = {stay, up};
-            outgoing = LogSumExp(pair);
-          }
-          beta[t * levels + s] = outgoing;
-        }
-      }
-
-      const double log_z = LogSumExp(
-          std::span<const double>(alpha).subspan((n - 1) * levels, levels));
+      const double log_z = ForwardBackward(n, levels, log_initial, log_stay,
+                                           log_up, row, ws.alpha, ws.beta);
+      const std::vector<double>& alpha = ws.alpha;
+      const std::vector<double>& beta = ws.beta;
       per_user_ll[u] = log_z;
       double* user_gamma = &gamma[offsets[u] * levels];
       if (!std::isfinite(log_z)) {
@@ -184,11 +154,11 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
       }
       // Expected transition counts for the level-up probability.
       for (size_t t = 0; t + 1 < n; ++t) {
+        const double* next = row(t + 1);
         for (size_t s = 0; s + 1 < levels; ++s) {
-          const double stay = alpha[t * levels + s] + stay_cost(s) +
-                              lp(t + 1, s) + beta[(t + 1) * levels + s];
-          const double up = alpha[t * levels + s] + log_up +
-                            lp(t + 1, s + 1) +
+          const double stay = alpha[t * levels + s] + stay_cost(s) + next[s] +
+                              beta[(t + 1) * levels + s];
+          const double up = alpha[t * levels + s] + log_up + next[s + 1] +
                             beta[(t + 1) * levels + (s + 1)];
           per_user_stays[u] += std::exp(stay - log_z);
           per_user_ups[u] += std::exp(up - log_z);

@@ -156,13 +156,7 @@ Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
   const std::vector<double>& item_log_probs = cache_.values();
   const bool use_transitions =
       config_.transitions == TransitionModel::kGlobal;
-  const std::span<const double> log_initial =
-      use_transitions ? std::span<const double>(transitions_.log_initial)
-                      : std::span<const double>{};
-  const double log_stay = use_transitions ? transitions_.log_stay : 0.0;
-  const double log_up = use_transitions ? transitions_.log_up : 0.0;
-  const ForgettingConfig& forgetting = config_.forgetting;
-  const double log_down = std::log(forgetting.drop_probability);
+  const double log_down = std::log(config_.forgetting.drop_probability);
 
   for (UserId u = 0; u < current.num_users(); ++u) {
     const size_t us = static_cast<size_t>(u);
@@ -187,33 +181,11 @@ Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
       }
       stats.actions_removed += old_seq.size();
     }
-    // Re-solve the user's assignment DP against the current model —
-    // exactly the staging AssignmentEngine::Assign uses, so the path is
-    // bitwise the one a full assignment pass would give this user.
-    if (seq.empty()) {
-      assignments_[us].clear();
-      continue;
-    }
-    if (forgetting.enabled && seq.size() > 1) {
-      scratch_.items.resize(seq.size());
-      for (size_t n = 0; n < seq.size(); ++n) {
-        scratch_.items[n] = seq[n].item;
-      }
-      scratch_.allow_down.resize(seq.size() - 1);
-      for (size_t n = 1; n < seq.size(); ++n) {
-        scratch_.allow_down[n - 1] =
-            (seq[n].time - seq[n - 1].time) > forgetting.gap_threshold;
-      }
-      SolveMonotonePathItemsWithForgetting(
-          item_log_probs, scratch_.items, config_.num_levels, log_initial,
-          log_stay, log_up,
-          std::span<const uint8_t>(scratch_.allow_down.data(),
-                                   seq.size() - 1),
-          log_down, scratch_);
-    } else {
-      SolveMonotonePathItems(item_log_probs, seq, config_.num_levels,
-                             log_initial, log_stay, log_up, scratch_);
-    }
+    // Re-solve the user's assignment DP against the current model with
+    // the solve AssignmentEngine::Assign runs, so the path is bitwise the
+    // one a full assignment pass would give this user.
+    SolveUserPath(seq, item_log_probs, config_.num_levels, transitions_,
+                  config_.forgetting, log_down, scratch_);
     assignments_[us].assign(scratch_.levels.begin(), scratch_.levels.end());
     for (size_t n = 0; n < seq.size(); ++n) {
       level_counts_[static_cast<size_t>(assignments_[us][n] - 1) * num_items +

@@ -110,7 +110,8 @@ class OnlineTrainer {
   /// [(level-1) * num_items + item] exact action counts; valid once
   /// trained.
   std::span<const double> level_counts() const { return level_counts_; }
-  /// Valid when config().transitions == TransitionModel::kGlobal.
+  /// Valid when config().transitions == TransitionModel::kGlobal;
+  /// default-constructed (a free start) otherwise.
   const TransitionWeights& transitions() const { return transitions_; }
   const SkillModelConfig& config() const { return config_; }
 

@@ -47,52 +47,22 @@ Result<SequencePosterior> ComputeSequencePosterior(
   }
   const size_t n = sequence.size();
 
-  auto lp = [&](size_t t, size_t s) {
-    return model.ItemLogProb(items, sequence[t].item,
-                             static_cast<int>(s) + 1);
-  };
-  auto stay_cost = [&](size_t s) {
-    return s + 1 < levels ? transitions.log_stay : 0.0;
-  };
-
-  std::vector<double> alpha(n * levels);
-  std::vector<double> beta(n * levels);
-  for (size_t s = 0; s < levels; ++s) {
-    alpha[s] = transitions.log_initial[s] + lp(0, s);
-  }
-  for (size_t t = 1; t < n; ++t) {
+  // Each action's S log-probs, computed once.
+  std::vector<double> log_probs(n * levels);
+  for (size_t t = 0; t < n; ++t) {
     for (size_t s = 0; s < levels; ++s) {
-      const double stay = alpha[(t - 1) * levels + s] + stay_cost(s);
-      double incoming = stay;
-      if (s > 0) {
-        const double up =
-            alpha[(t - 1) * levels + (s - 1)] + transitions.log_up;
-        const double pair[] = {stay, up};
-        incoming = LogSumExp(pair);
-      }
-      alpha[t * levels + s] = incoming + lp(t, s);
+      log_probs[t * levels + s] = model.ItemLogProb(
+          items, sequence[t].item, static_cast<int>(s) + 1);
     }
   }
-  for (size_t s = 0; s < levels; ++s) beta[(n - 1) * levels + s] = 0.0;
-  for (size_t t = n - 1; t-- > 0;) {
-    for (size_t s = 0; s < levels; ++s) {
-      const double stay =
-          stay_cost(s) + lp(t + 1, s) + beta[(t + 1) * levels + s];
-      double outgoing = stay;
-      if (s + 1 < levels) {
-        const double up = transitions.log_up + lp(t + 1, s + 1) +
-                          beta[(t + 1) * levels + (s + 1)];
-        const double pair[] = {stay, up};
-        outgoing = LogSumExp(pair);
-      }
-      beta[t * levels + s] = outgoing;
-    }
-  }
-
+  std::vector<double> alpha;
+  std::vector<double> beta;
   SequencePosterior posterior;
   posterior.num_levels = S;
-  posterior.log_marginal = LogSumExp(
-      std::span<const double>(alpha).subspan((n - 1) * levels, levels));
+  posterior.log_marginal = ForwardBackward(
+      n, levels, transitions.log_initial, transitions.log_stay,
+      transitions.log_up,
+      [&](size_t t) { return log_probs.data() + t * levels; }, alpha, beta);
   if (!std::isfinite(posterior.log_marginal)) {
     return Status::FailedPrecondition(
         "sequence impossible under the model (zero-probability item)");

@@ -65,6 +65,13 @@ struct ForgettingConfig {
   /// per down-step (and nothing extra for not dropping — the forgetting
   /// component is a penalty, not a full distribution).
   double drop_probability = 0.05;
+
+  /// The gap rule, for the trainers and the serving session alike: true
+  /// when forgetting is enabled and the time between two consecutive
+  /// actions is strictly greater than gap_threshold.
+  bool OpensDownEdge(int64_t gap) const {
+    return enabled && gap > gap_threshold;
+  }
 };
 
 /// Hyper-parameters of the progression model (Section IV).

@@ -404,41 +404,47 @@ AssignmentStats AssignmentEngine::RunPass(
   return stats;
 }
 
+double SolveUserPath(std::span<const Action> sequence,
+                     std::span<const double> item_log_probs, int num_levels,
+                     const TransitionWeights& transitions,
+                     const ForgettingConfig& forgetting, double log_down,
+                     DpScratch& scratch) {
+  if (forgetting.enabled && sequence.size() > 1) {
+    scratch.items.resize(sequence.size());
+    for (size_t n = 0; n < sequence.size(); ++n) {
+      scratch.items[n] = sequence[n].item;
+    }
+    scratch.allow_down.resize(sequence.size() - 1);
+    for (size_t n = 1; n < sequence.size(); ++n) {
+      scratch.allow_down[n - 1] =
+          forgetting.OpensDownEdge(sequence[n].time - sequence[n - 1].time);
+    }
+    return SolveMonotonePathItemsWithForgetting(
+        item_log_probs, scratch.items, num_levels, transitions.log_initial,
+        transitions.log_stay, transitions.log_up, scratch.allow_down, log_down,
+        scratch);
+  }
+  return SolveMonotonePathItems(item_log_probs, sequence, num_levels,
+                                transitions.log_initial, transitions.log_stay,
+                                transitions.log_up, scratch);
+}
+
 AssignmentStats AssignmentEngine::Assign(
     const SkillModel& model, const std::vector<double>& item_log_probs,
     const TransitionWeights* transitions, exec::Backend* backend,
     const std::vector<uint8_t>* dirty_items, bool weights_changed) {
-  const int num_levels = num_levels_;
   const ForgettingConfig& forgetting = model.config().forgetting;
   const double log_down = std::log(forgetting.drop_probability);
-  const std::span<const double> log_initial =
-      transitions == nullptr ? std::span<const double>{}
-                             : std::span<const double>(transitions->log_initial);
-  const double log_stay = transitions == nullptr ? 0.0 : transitions->log_stay;
-  const double log_up = transitions == nullptr ? 0.0 : transitions->log_up;
-  const Dataset& dataset = *dataset_;
-  return RunPass(
-      backend, dirty_items, weights_changed,
-      [&](DpScratch& scratch, size_t u) {
-        std::span<const Action> seq =
-            dataset.sequence(static_cast<UserId>(u));
-        if (forgetting.enabled && seq.size() > 1) {
-          scratch.items.resize(seq.size());
-          for (size_t n = 0; n < seq.size(); ++n) {
-            scratch.items[n] = seq[n].item;
-          }
-          scratch.allow_down.resize(seq.size() - 1);
-          for (size_t n = 1; n < seq.size(); ++n) {
-            scratch.allow_down[n - 1] = (seq[n].time - seq[n - 1].time) >
-                                        forgetting.gap_threshold;
-          }
-          return SolveMonotonePathItemsWithForgetting(
-              item_log_probs, scratch.items, num_levels, log_initial,
-              log_stay, log_up, scratch.allow_down, log_down, scratch);
-        }
-        return SolveMonotonePathItems(item_log_probs, seq, num_levels,
-                                      log_initial, log_stay, log_up, scratch);
-      });
+  const TransitionWeights free_start;
+  const TransitionWeights& weights =
+      transitions == nullptr ? free_start : *transitions;
+  return RunPass(backend, dirty_items, weights_changed,
+                 [&](DpScratch& scratch, size_t u) {
+                   return SolveUserPath(
+                       dataset_->sequence(static_cast<UserId>(u)),
+                       item_log_probs, num_levels_, weights, forgetting,
+                       log_down, scratch);
+                 });
 }
 
 AssignmentStats AssignmentEngine::AssignWithClasses(

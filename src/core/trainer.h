@@ -15,7 +15,8 @@
 namespace upskill {
 
 /// Log-space transition weights consumed by the assignment step when a
-/// progression component is enabled.
+/// progression component is enabled. Default-constructed weights are the
+/// free start with zero stay/up costs, the plain model's lattice.
 struct TransitionWeights {
   /// log pi(s), one entry per level (may be empty: free start).
   std::vector<double> log_initial;
@@ -157,6 +158,21 @@ SkillAssignments AssignSkills(const Dataset& dataset, const SkillModel& model,
 /// level in [1, num_levels].
 TransitionWeights FitTransitionWeights(const SkillAssignments& assignments,
                                        int num_levels, double smoothing);
+
+/// One user's assignment DP (Equation 4) against the [item * S +
+/// (level-1)] cache: the forgetting solver, with the down-edge opened per
+/// ForgettingConfig::OpensDownEdge, when forgetting is enabled and the
+/// sequence has a transition; the plain kernel otherwise. `log_down` is
+/// log(forgetting.drop_probability), computed once per pass by the
+/// caller. Writes the path into scratch.levels and returns its
+/// log-likelihood. AssignmentEngine::Assign and OnlineTrainer::Refresh
+/// both solve through it, so a refresh gives a user exactly the path a
+/// full pass would.
+double SolveUserPath(std::span<const Action> sequence,
+                     std::span<const double> item_log_probs, int num_levels,
+                     const TransitionWeights& transitions,
+                     const ForgettingConfig& forgetting, double log_down,
+                     DpScratch& scratch);
 
 /// Outcome of one AssignmentEngine pass.
 struct AssignmentStats {

@@ -104,9 +104,8 @@ Result<SessionLevel> Server::Observe(const std::string& user, ItemId item,
           static_cast<long long>(session.last_time)));
       return;
     }
-    const bool allow_down =
-        session.actions > 0 && forgetting.enabled &&
-        (t - session.last_time) > forgetting.gap_threshold;
+    const bool allow_down = session.actions > 0 &&
+                            forgetting.OpensDownEdge(t - session.last_time);
     if (qmodel != nullptr) {
       const std::span<const int16_t> qrow = qmodel->ItemRow(item);
       const int16_t mult = qmodel->ItemMult(item);

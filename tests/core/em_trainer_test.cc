@@ -44,6 +44,14 @@ TEST(EmTrainerTest, RejectsBadInput) {
   EXPECT_FALSE(EmTrainer(config).Train(data.dataset).ok());
   config.initial_level_up_probability = 1.0;
   EXPECT_FALSE(EmTrainer(config).Train(data.dataset).ok());
+
+  // No E-step, no likelihood: rejected like Trainer::Train does.
+  for (const int max_iterations : {0, -1}) {
+    const auto result =
+        EmTrainer(MakeConfig(max_iterations)).Train(data.dataset);
+    ASSERT_FALSE(result.ok()) << max_iterations;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(EmTrainerTest, MarginalLikelihoodIsNonDecreasing) {

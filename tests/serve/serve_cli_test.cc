@@ -384,8 +384,9 @@ TEST_F(ServeCliTest, ServeRejectsMissingSnapshot) {
 }
 
 TEST_F(ServeCliTest, ValueFlagsWithoutValuesAreUsageErrors) {
-  // A missing value, a malformed integer and an integer below the flag's
-  // minimum are each an error naming the flag, before any work starts.
+  // A missing value, a malformed integer or number and an integer below
+  // the flag's minimum are each an error naming the flag, before any work
+  // starts.
   // A recorder size of 0 stays valid: it means "off".
   const std::pair<std::string, std::string> cases[] = {
       {"train somewhere model.csv --levels --em",
@@ -394,6 +395,8 @@ TEST_F(ServeCliTest, ValueFlagsWithoutValuesAreUsageErrors) {
        "--levels requires an integer, got '4x'"},
       {"train somewhere model.csv --threads 0",
        "--threads must be at least 1"},
+      {"recommend somewhere model.csv --user 3 --stretch abc",
+       "--stretch requires a number, got 'abc'"},
       {"serve somewhere.snap --shards 0", "--shards must be at least 1"},
       {"serve somewhere.snap --shards -3", "--shards must be at least 1"},
       {"serve somewhere.snap --flight-recorder-sample -1",

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/bytes.h"
@@ -306,6 +307,89 @@ INSTANTIATE_TEST_SUITE_P(Transitions, OnlineTrainerTest,
                                       ? "Global"
                                       : "None";
                          });
+
+// Refresh re-solves each dirty user with the solve a full assignment pass
+// runs, so its path is bitwise the one AssignSkills gives under the
+// pre-refresh model and weights, with and without transitions and
+// forgetting. The appended actions follow gaps above the forgetting
+// threshold, so with forgetting on their down-edges are open.
+class RefreshMatchesEngineTest
+    : public ::testing::TestWithParam<std::tuple<TransitionModel, bool>> {};
+
+TEST_P(RefreshMatchesEngineTest, DirtyUsersGetTheEnginePaths) {
+  const auto [transitions, forgetting] = GetParam();
+  datagen::SyntheticConfig gen;
+  gen.num_users = 60;
+  gen.num_items = 40;
+  gen.mean_sequence_length = 16.0;
+  gen.break_probability = 0.1;
+  gen.break_gap = 1000;
+  gen.forget_probability = 0.5;
+  gen.seed = 20261018;
+  auto data = datagen::GenerateSynthetic(gen);
+  ASSERT_TRUE(data.ok());
+  const Dataset& base = data.value().dataset;
+
+  SkillModelConfig config = MakeConfig(transitions);
+  config.forgetting.enabled = forgetting;
+  config.forgetting.gap_threshold = 100;
+  config.forgetting.drop_probability = 0.1;
+  OnlineTrainer online(config);
+  ASSERT_TRUE(online.TrainFullReplay(base).ok());
+
+  // Actions 500 time units apart on a few existing users and one new user.
+  Dataset current = CopyOwned(base);
+  const int num_items = base.items().num_items();
+  std::vector<UserId> dirty = {1, 4, 17, base.num_users() - 1};
+  for (const UserId u : dirty) {
+    const auto seq = base.sequence(u);
+    const int64_t start = seq.empty() ? 0 : seq.back().time;
+    for (int k = 1; k <= 5; ++k) {
+      ASSERT_TRUE(
+          current.AddAction(u, start + 500 * k, (u * 11 + k * 7) % num_items)
+              .ok());
+    }
+  }
+  const UserId fresh = current.AddUser("newcomer");
+  for (int k = 0; k < 6; ++k) {
+    ASSERT_TRUE(current.AddAction(fresh, 500 * k, (k * 13) % num_items).ok());
+  }
+  dirty.push_back(fresh);
+
+  const SkillModel model_before = online.model();
+  const TransitionWeights weights_before = online.transitions();
+  const SkillAssignments expected = AssignSkills(
+      current, model_before, /*backend=*/nullptr,
+      /*total_log_likelihood=*/nullptr,
+      transitions == TransitionModel::kGlobal ? &weights_before : nullptr);
+
+  auto stats = online.Refresh(base, current);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats.value().dirty_users, dirty.size());
+  int down_steps = 0;
+  for (const UserId u : dirty) {
+    const size_t us = static_cast<size_t>(u);
+    const std::vector<int>& path = online.assignments()[us];
+    EXPECT_EQ(path, expected[us]) << "user " << u;
+    for (size_t n = 1; n < path.size(); ++n) {
+      down_steps += path[n] < path[n - 1];
+    }
+  }
+  // Forgetting paths take the down-edge somewhere, so it is compared too.
+  EXPECT_EQ(down_steps > 0, forgetting);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TransitionsAndForgetting, RefreshMatchesEngineTest,
+    ::testing::Combine(::testing::Values(TransitionModel::kNone,
+                                         TransitionModel::kGlobal),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == TransitionModel::kGlobal
+                             ? "Global"
+                             : "None") +
+             (std::get<1>(info.param) ? "Forgetting" : "Monotone");
+    });
 
 TEST(OnlineTrainerErrorsTest, RejectsPerClassTransitions) {
   const auto data = MakeData();
