@@ -240,27 +240,44 @@ void RecurrenceStep(const double* prev, const double* row, size_t levels,
   }
 }
 
-// The plain solver over n item ids stored `item_stride` bytes apart: the
-// whole-sequence kernel, then the backtrack into scratch.levels.
+void CheckPlainArgs(int num_levels, std::span<const double> log_initial) {
+  UPSKILL_CHECK(num_levels >= 1);
+  UPSKILL_CHECK(log_initial.empty() ||
+                log_initial.size() == static_cast<size_t>(num_levels));
+}
+
+// Sizes `scratch` for a plain solve over n item ids stored `item_stride`
+// bytes apart and returns the kernel's view of it.
+simd::DpSequence PlainSequence(const void* items, size_t item_stride,
+                               size_t n, size_t levels, DpScratch& scratch) {
+  scratch.levels.resize(n);
+  scratch.best_rows.resize(levels);
+  scratch.up_moves.resize(n * simd::DpUpMoveWords(levels));
+  return {items, item_stride, n, scratch.up_moves.data(),
+          scratch.best_rows.data()};
+}
+
+// Backtracks a finished kernel run into scratch.levels.
+double BacktrackPlain(const simd::DpSequence& seq, size_t levels,
+                      DpScratch& scratch) {
+  if (seq.length == 0) return 0.0;
+  return BacktrackUpMoves(seq.last_row, seq.up_moves, seq.length, levels,
+                          scratch.levels.data());
+}
+
+// The plain solver: the whole-sequence kernel, then the backtrack.
 double SolvePlain(std::span<const double> item_log_probs, const void* items,
                   size_t item_stride, size_t n, int num_levels,
                   std::span<const double> log_initial, double log_stay,
                   double log_up, DpScratch& scratch) {
-  UPSKILL_CHECK(num_levels >= 1);
-  UPSKILL_CHECK(log_initial.empty() ||
-                log_initial.size() == static_cast<size_t>(num_levels));
-  scratch.levels.resize(n);
-  if (n == 0) return 0.0;
+  CheckPlainArgs(num_levels, log_initial);
   const size_t levels = static_cast<size_t>(num_levels);
-  scratch.best_rows.resize(levels);
-  scratch.up_moves.resize(n * simd::DpUpMoveWords(levels));
-  const simd::DpSequence seq{items, item_stride, n, scratch.up_moves.data(),
-                             scratch.best_rows.data()};
+  const simd::DpSequence seq =
+      PlainSequence(items, item_stride, n, levels, scratch);
   simd::DpForward(item_log_probs.data(), levels,
                   log_initial.empty() ? nullptr : log_initial.data(),
                   log_stay, log_up, seq);
-  return BacktrackUpMoves(seq.last_row, seq.up_moves, n, levels,
-                          scratch.levels.data());
+  return BacktrackPlain(seq, levels, scratch);
 }
 
 }  // namespace
@@ -284,6 +301,25 @@ double SolveMonotonePathItems(std::span<const double> item_log_probs,
                     actions.empty() ? nullptr : &actions.front().item,
                     sizeof(Action), actions.size(), num_levels, log_initial,
                     log_stay, log_up, scratch);
+}
+
+std::pair<double, double> SolveMonotonePathItemsPair(
+    std::span<const double> item_log_probs, std::span<const int32_t> first,
+    std::span<const int32_t> second, int num_levels,
+    std::span<const double> log_initial, double log_stay, double log_up,
+    DpScratch& first_scratch, DpScratch& second_scratch) {
+  CheckPlainArgs(num_levels, log_initial);
+  const size_t levels = static_cast<size_t>(num_levels);
+  const simd::DpSequence a = PlainSequence(first.data(), sizeof(int32_t),
+                                           first.size(), levels, first_scratch);
+  const simd::DpSequence b =
+      PlainSequence(second.data(), sizeof(int32_t), second.size(), levels,
+                    second_scratch);
+  simd::DpForward(item_log_probs.data(), levels,
+                  log_initial.empty() ? nullptr : log_initial.data(),
+                  log_stay, log_up, a, b);
+  return {BacktrackPlain(a, levels, first_scratch),
+          BacktrackPlain(b, levels, second_scratch)};
 }
 
 double SolveMonotonePathItemsWithForgetting(

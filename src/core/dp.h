@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
@@ -99,6 +100,17 @@ double SolveMonotonePathItems(std::span<const double> item_log_probs,
                               std::span<const double> log_initial,
                               double log_stay, double log_up,
                               DpScratch& scratch);
+
+/// Two users' plain solves through one call of simd::DpForward's
+/// two-sequence form, then both backtracks: `first`'s path lands in
+/// first_scratch.levels and `second`'s in second_scratch.levels (distinct
+/// arenas), each bitwise what SolveMonotonePathItems gives it alone.
+/// Returns the two log-likelihoods in that order.
+std::pair<double, double> SolveMonotonePathItemsPair(
+    std::span<const double> item_log_probs, std::span<const int32_t> first,
+    std::span<const int32_t> second, int num_levels,
+    std::span<const double> log_initial, double log_stay, double log_up,
+    DpScratch& first_scratch, DpScratch& second_scratch);
 
 /// Item-indexed form of SolveMonotonePathWithForgetting; `allow_down` has
 /// one entry per transition (items.size() - 1, may alias

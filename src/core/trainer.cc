@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -299,10 +301,29 @@ void AssignmentEngine::TrackCounts(SkillAssignments initial) {
   assignments_ = std::move(initial);
 }
 
-template <typename SolveUser>
+void AssignmentEngine::BuildItemColumn() {
+  const size_t num_users = static_cast<size_t>(dataset_->num_users());
+  column_offsets_.resize(num_users + 1);
+  column_offsets_[0] = 0;
+  for (size_t u = 0; u < num_users; ++u) {
+    column_offsets_[u + 1] =
+        column_offsets_[u] + dataset_->sequence(static_cast<UserId>(u)).size();
+  }
+  // Left uninitialized: the first pass's shard tasks write every entry.
+  item_column_ =
+      std::make_unique_for_overwrite<int32_t[]>(column_offsets_.back());
+}
+
+std::span<const int32_t> AssignmentEngine::ItemIds(size_t user) const {
+  return {item_column_.get() + column_offsets_[user],
+          column_offsets_[user + 1] - column_offsets_[user]};
+}
+
+template <typename SolveUser, typename SolvePair>
 AssignmentStats AssignmentEngine::RunPass(
     exec::Backend* user_backend, const std::vector<uint8_t>* dirty_items,
-    bool weights_changed, const SolveUser& solve_user) {
+    bool weights_changed, const SolveUser& solve_user,
+    const SolvePair& solve_pair) {
   // Skipping is sound only when the previous pass exists, the transition
   // weights are bitwise unchanged, and the caller knows which cache rows
   // moved; then a user with no dirty item has a bitwise-identical DP
@@ -313,20 +334,29 @@ AssignmentStats AssignmentEngine::RunPass(
     UPSKILL_CHECK(dirty_items->size() ==
                   static_cast<size_t>(dataset_->items().num_items()));
   }
-  auto is_dirty = [&](UserId user) {
-    for (const Action& action : dataset_->sequence(user)) {
-      if ((*dirty_items)[static_cast<size_t>(action.item)]) return true;
+  auto is_dirty = [&](size_t u) {
+    for (const int32_t item : ItemIds(u)) {
+      if ((*dirty_items)[static_cast<size_t>(item)]) return true;
     }
     return false;
   };
 
-  // With a tracked grid, a user whose path moved lists the cells it left
-  // and entered: the moved positions, or the whole old and new path when
-  // the length changed (an empty initial path, or a path AssignWithClasses
-  // cleared). Offsets fit uint32_t (TrackCounts).
+  // The first pass copies every action's item id into the column, each
+  // shard task its own users' range before solving them, so the records
+  // are read once; later passes read ids only from the column.
+  const bool fill_column = item_column_ == nullptr;
+  if (fill_column) BuildItemColumn();
+
+  // With a tracked grid, a later pass patches it: a user whose path moved
+  // lists the cells it left and entered (the moved positions, or the
+  // whole old and new path when the length changed, as when
+  // AssignWithClasses clears a path). The first pass moves nearly every
+  // cell, so it recounts the grid after the join instead. Offsets fit
+  // uint32_t (TrackCounts).
   const bool track_counts = !level_counts_.empty();
+  const bool patch_counts = track_counts && have_previous_;
   const size_t num_items = static_cast<size_t>(dataset_->items().num_items());
-  auto record_moves = [&](std::span<const Action> seq,
+  auto record_moves = [&](std::span<const int32_t> items,
                           const std::vector<int>& old_path,
                           const std::vector<int>& new_path,
                           exec::ShardWorkspace& ws) {
@@ -337,18 +367,31 @@ AssignmentStats AssignmentEngine::RunPass(
         if (same_length && path[n] == other[n]) continue;
         cells.push_back(static_cast<uint32_t>(
             static_cast<size_t>(path[n] - 1) * num_items +
-            static_cast<size_t>(seq[n].item)));
+            static_cast<size_t>(items[n])));
       }
     };
     list(old_path, new_path, ws.removed_cells);
     list(new_path, old_path, ws.added_cells);
   };
+  auto commit = [&](size_t u, const DpScratch& scratch, double ll,
+                    exec::ShardWorkspace& ws) {
+    std::vector<int>& current = assignments_[u];
+    if (!have_previous_ || scratch.levels != current) {
+      ws.changed = true;
+      if (patch_counts) record_moves(ItemIds(u), current, scratch.levels, ws);
+      current.assign(scratch.levels.begin(), scratch.levels.end());
+    }
+    user_ll_[u] = ll;
+  };
 
   // One MapShards task per balanced user shard; each task owns its
-  // shard's persistent workspace (DP arena, move lists, counters), so the
+  // shard's persistent workspace (DP arenas, move lists, counters), so the
   // loop body is lock-free and allocation-free in the steady state. The
   // task also decides which of its users to re-solve, so no serial step
-  // runs before the shards start.
+  // runs before the shards start. With a pair solver, the shard's users
+  // that need a solve go two per call; a user left over at the end of
+  // the shard is solved alone.
+  constexpr bool kPairs = !std::is_null_pointer_v<SolvePair>;
   exec::ExecContext& ctx = *context_;
   ctx.EnsureUserShards(*dataset_, num_shards_request_, user_backend);
   const int num_shards = ctx.num_shards();
@@ -356,29 +399,43 @@ AssignmentStats AssignmentEngine::RunPass(
     const exec::DatasetShard& shard =
         ctx.shards()[static_cast<size_t>(shard_index)];
     exec::ShardWorkspace& ws = ctx.workspace(shard_index);
+    const size_t begin = static_cast<size_t>(shard.user_begin());
+    const size_t end = static_cast<size_t>(shard.user_end());
     ws.skipped = 0;
     ws.reassigned = 0;
     ws.changed = false;
     ws.removed_cells.clear();
     ws.added_cells.clear();
-    for (UserId user = shard.user_begin(); user < shard.user_end(); ++user) {
-      const size_t u = static_cast<size_t>(user);
-      if (incremental && !is_dirty(user)) {
+    if (fill_column) {
+      int32_t* out = item_column_.get() + column_offsets_[begin];
+      for (size_t u = begin; u < end; ++u) {
+        for (const Action& a : dataset_->sequence(static_cast<UserId>(u))) {
+          *out++ = a.item;
+        }
+      }
+    }
+    std::optional<size_t> waiting;
+    for (size_t u = begin; u < end; ++u) {
+      if (incremental && !is_dirty(u)) {
         ++ws.skipped;
         continue;
       }
-      const double ll = solve_user(ws.dp, u);
       ++ws.reassigned;
-      std::vector<int>& current = assignments_[u];
-      if (!have_previous_ || ws.dp.levels != current) {
-        ws.changed = true;
-        if (track_counts) {
-          record_moves(dataset_->sequence(user), current, ws.dp.levels, ws);
+      if constexpr (kPairs) {
+        if (!waiting) {
+          waiting = u;
+          continue;
         }
-        current.assign(ws.dp.levels.begin(), ws.dp.levels.end());
+        const auto [first_ll, second_ll] =
+            solve_pair(ws.dp, ws.pair_dp, *waiting, u);
+        commit(*waiting, ws.dp, first_ll, ws);
+        commit(u, ws.pair_dp, second_ll, ws);
+        waiting.reset();
+      } else {
+        commit(u, ws.dp, solve_user(ws.dp, u), ws);
       }
-      user_ll_[u] = ll;
     }
+    if (waiting) commit(*waiting, ws.dp, solve_user(ws.dp, *waiting), ws);
   });
 
   AssignmentStats stats;
@@ -395,6 +452,19 @@ AssignmentStats AssignmentEngine::RunPass(
     stats.changed = stats.changed || ws.changed;
     for (const uint32_t cell : ws.removed_cells) level_counts_[cell] -= 1.0;
     for (const uint32_t cell : ws.added_cells) level_counts_[cell] += 1.0;
+  }
+  if (track_counts && !patch_counts) {
+    // The recount is CountAssignedActions' sweep over the column: the same
+    // exact +1.0s, so the same bits.
+    std::fill(level_counts_.begin(), level_counts_.end(), 0.0);
+    for (size_t u = 0; u < assignments_.size(); ++u) {
+      const std::vector<int>& path = assignments_[u];
+      const std::span<const int32_t> items = ItemIds(u);
+      for (size_t n = 0; n < path.size(); ++n) {
+        level_counts_[static_cast<size_t>(path[n] - 1) * num_items +
+                      static_cast<size_t>(items[n])] += 1.0;
+      }
+    }
   }
   // Per-user fixed-shape tree reduction: the objective is a pure function
   // of user_ll_ in index order — bitwise identical for any thread count
@@ -434,17 +504,36 @@ AssignmentStats AssignmentEngine::Assign(
     const TransitionWeights* transitions, exec::Backend* backend,
     const std::vector<uint8_t>* dirty_items, bool weights_changed) {
   const ForgettingConfig& forgetting = model.config().forgetting;
-  const double log_down = std::log(forgetting.drop_probability);
   const TransitionWeights free_start;
   const TransitionWeights& weights =
       transitions == nullptr ? free_start : *transitions;
-  return RunPass(backend, dirty_items, weights_changed,
-                 [&](DpScratch& scratch, size_t u) {
-                   return SolveUserPath(
-                       dataset_->sequence(static_cast<UserId>(u)),
-                       item_log_probs, num_levels_, weights, forgetting,
-                       log_down, scratch);
-                 });
+  if (forgetting.enabled) {
+    // The down-edge rule reads action times, so these passes solve from
+    // the records.
+    const double log_down = std::log(forgetting.drop_probability);
+    return RunPass(backend, dirty_items, weights_changed,
+                   [&](DpScratch& scratch, size_t u) {
+                     return SolveUserPath(
+                         dataset_->sequence(static_cast<UserId>(u)),
+                         item_log_probs, num_levels_, weights, forgetting,
+                         log_down, scratch);
+                   });
+  }
+  // The plain pass solves from the item column, two users per kernel call:
+  // the same ids, so the same bits as SolveUserPath on the records.
+  return RunPass(
+      backend, dirty_items, weights_changed,
+      [&](DpScratch& scratch, size_t u) {
+        return SolveMonotonePathItems(item_log_probs, ItemIds(u), num_levels_,
+                                      weights.log_initial, weights.log_stay,
+                                      weights.log_up, scratch);
+      },
+      [&](DpScratch& first, DpScratch& second, size_t u, size_t v) {
+        return SolveMonotonePathItemsPair(
+            item_log_probs, ItemIds(u), ItemIds(v), num_levels_,
+            weights.log_initial, weights.log_stay, weights.log_up, first,
+            second);
+      });
 }
 
 AssignmentStats AssignmentEngine::AssignWithClasses(
@@ -452,7 +541,8 @@ AssignmentStats AssignmentEngine::AssignWithClasses(
     std::span<const ProgressionClassWeights> classes, exec::Backend* backend,
     const std::vector<uint8_t>* dirty_items, bool weights_changed) {
   UPSKILL_CHECK(!classes.empty());
-  (void)model;
+  const ForgettingConfig& forgetting = model.config().forgetting;
+  const double log_down = std::log(forgetting.drop_probability);
   const int num_levels = num_levels_;
   const Dataset& dataset = *dataset_;
   return RunPass(
@@ -464,10 +554,9 @@ AssignmentStats AssignmentEngine::AssignWithClasses(
         int best_class = 0;
         bool any_best = false;
         for (size_t c = 0; c < classes.size(); ++c) {
-          const double path_ll = SolveMonotonePathItems(
-              item_log_probs, seq, num_levels,
-              classes[c].weights.log_initial, classes[c].weights.log_stay,
-              classes[c].weights.log_up, scratch);
+          const double path_ll =
+              SolveUserPath(seq, item_log_probs, num_levels, classes[c].weights,
+                            forgetting, log_down, scratch);
           const double score = path_ll + classes[c].log_prior;
           // Strict improvement: ties keep the earlier class, matching the
           // original implementation.
@@ -782,8 +871,8 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
     }
     result.final_log_likelihood = ll;
   }
-  result.assignments = engine.assignments();
   if (use_classes) result.user_classes = engine.user_classes();
+  result.assignments = std::move(engine).TakeAssignments();
 
   if (use_transitions) {
     result.level_up_probability = std::exp(transition_weights.log_up);

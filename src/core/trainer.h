@@ -1,6 +1,7 @@
 #ifndef UPSKILL_CORE_TRAINER_H_
 #define UPSKILL_CORE_TRAINER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -200,9 +201,14 @@ struct AssignmentStats {
 ///    their path forward without re-running the DP. Each shard task
 ///    decides this per user: a user is re-solved iff one of its items is
 ///    flagged in LogProbCache::dirty_items();
-///  - optionally (TrackCounts), the count grid of those paths: shard
-///    tasks list the cells their re-solved users' paths moved, and the
-///    caller applies the lists after the join.
+///  - every action's item id, packed as int32 in user order: the first
+///    pass copies them out of the records, and the plain pass (no
+///    forgetting) then solves its users two per kernel call
+///    (SolveMonotonePathItemsPair) from this column;
+///  - optionally (TrackCounts), the count grid of those paths: the first
+///    pass recounts it from its new paths; later passes' shard tasks list
+///    the cells their re-solved users' paths moved, and the caller
+///    applies the lists after the join.
 /// Results are bitwise identical to the one-shot AssignSkills* functions
 /// for any thread count, any shard count, and any skipping pattern: the
 /// objective is reduced per-user by exec::ReduceOrderedSum, never from
@@ -241,7 +247,8 @@ class AssignmentEngine {
                          const std::vector<uint8_t>* dirty_items = nullptr,
                          bool weights_changed = true);
 
-  /// Per-class variant (one DP per class per user, best pair wins); the
+  /// Per-class variant (one DP per class per user, best pair wins), each
+  /// through SolveUserPath, so forgetting is honored as in Assign; the
   /// chosen class is carried forward for skipped users.
   AssignmentStats AssignWithClasses(
       const SkillModel& model, const std::vector<double>& item_log_probs,
@@ -259,14 +266,28 @@ class AssignmentEngine {
   SkillAssignments TakeAssignments() && { return std::move(assignments_); }
 
  private:
-  template <typename SolveUser>
+  // Runs one pass: solve_user(scratch, user) solves one user into
+  // scratch.levels and returns its log-likelihood; a non-null
+  // solve_pair(first_scratch, second_scratch, first, second) solves two
+  // at once and returns both.
+  template <typename SolveUser, typename SolvePair = std::nullptr_t>
   AssignmentStats RunPass(exec::Backend* user_backend,
                           const std::vector<uint8_t>* dirty_items,
-                          bool weights_changed, const SolveUser& solve_user);
+                          bool weights_changed, const SolveUser& solve_user,
+                          const SolvePair& solve_pair = nullptr);
+  // Sizes the item column from the dataset; the first pass fills it.
+  void BuildItemColumn();
+  // `user`'s item ids in the column.
+  std::span<const int32_t> ItemIds(size_t user) const;
 
   const Dataset* dataset_;
   int num_levels_;
   int num_shards_request_;
+  // Every action's item id in user order, [column_offsets_[u],
+  // column_offsets_[u + 1]) for user u: what the plain pass solves from,
+  // and what the dirty scan and the grid's cell offsets read.
+  std::unique_ptr<int32_t[]> item_column_;
+  std::vector<size_t> column_offsets_;
   SkillAssignments assignments_;
   std::vector<double> level_counts_;
   std::vector<double> user_ll_;

@@ -21,6 +21,9 @@ namespace exec {
 struct ShardWorkspace {
   /// Assignment-step / readout DP arena (core/dp.h).
   DpScratch dp;
+  /// The second user's arena when the assignment step solves two users
+  /// in one kernel call.
+  DpScratch pair_dp;
   /// Count-grid moves of the shard's users in the last assignment pass:
   /// the (level, item) cell offsets their old paths left and their new
   /// paths entered. Filled by the shard task, applied as exact -1 / +1

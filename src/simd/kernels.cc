@@ -18,7 +18,10 @@
 //   LogNormalLogProbBatch    x
 //   DpRowInterior            x
 //   DpRowInteriorWithDown    x
-//   DpForward                x    (levels <= 8: row in registers)
+//   DpForward                x    (levels <= 8: row in registers; the
+//                                  two-sequence form interleaves both
+//                                  chains, the scalar one runs them in
+//                                  turn)
 //   QuantizedForwardStep     x    (the per-action serve hot path)
 //   QuantizedForwardInit          (once per session — not hot)
 //   QuantizedForwardLevel         (S-element argmax — not hot)
@@ -368,6 +371,22 @@ void DpForward(const double* item_log_probs, size_t levels,
 #endif
   scalar::DpForward(item_log_probs, levels, log_initial, log_stay, log_up,
                     seq);
+}
+
+void DpForward(const double* item_log_probs, size_t levels,
+               const double* log_initial, double log_stay, double log_up,
+               const DpSequence& first, const DpSequence& second) {
+  UPSKILL_CHECK(levels >= 1);
+#if defined(__x86_64__) || defined(_M_X64)
+  if (levels <= 8 && ActiveBackend() == Backend::kAvx2 && first.length > 0 &&
+      second.length > 0) {
+    avx2::DpForward(item_log_probs, levels, log_initial, log_stay, log_up,
+                    first, second);
+    return;
+  }
+#endif
+  DpForward(item_log_probs, levels, log_initial, log_stay, log_up, first);
+  DpForward(item_log_probs, levels, log_initial, log_stay, log_up, second);
 }
 
 void QuantizedForwardInit(const int16_t* qrow, int16_t row_mult,

@@ -124,6 +124,15 @@ void DpForward(const double* item_log_probs, size_t levels,
                const double* log_initial, double log_stay, double log_up,
                const DpSequence& seq);
 
+/// Two independent sequences under the same cache and weights, each
+/// written exactly as the one-sequence DpForward writes it. The vector
+/// body interleaves the two recurrences while both have actions left, so
+/// one chain's step latency hides the other's; the scalar reference runs
+/// them one after the other.
+void DpForward(const double* item_log_probs, size_t levels,
+               const double* log_initial, double log_stay, double log_up,
+               const DpSequence& first, const DpSequence& second);
+
 // ---------------------------------------------------------------------------
 // Quantized serving kernels (int16 column, NNUE-style fixed point).
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <limits>
@@ -228,10 +229,16 @@ namespace {
 // vmaxpd(up, stay) is `up > stay ? up : stay` (its second operand comes
 // back on ties and NaN), the select the scalar reference makes, and
 // vcmppd + vmovmskpd give the up-move bits, one word per action.
+// One step body serves one sequence or two (`second` non-null). With two,
+// their steps alternate while both have actions left, so one chain's
+// add -> permute -> blend -> max -> add latency overlaps the other's;
+// then the longer one finishes alone. A chain reads only its own ids and
+// row, so it writes exactly what it writes when run alone.
 template <bool kHi>
 void DpForwardRegisters(const double* item_log_probs, size_t levels,
                         const double* log_initial, double log_stay,
-                        double log_up, const DpSequence& seq) {
+                        double log_up, const DpSequence& first,
+                        const DpSequence* second) {
   alignas(32) int64_t lane_mask[8];
   alignas(32) double stay_cost[8];
   for (size_t s = 0; s < 8; ++s) {
@@ -246,56 +253,104 @@ void DpForwardRegisters(const double* item_log_probs, size_t levels,
   const __m256d stay_hi = _mm256_load_pd(stay_cost + 4);
   const __m256d up = _mm256_set1_pd(log_up);
   const __m256d neg_inf = _mm256_set1_pd(kNegInf);
+  // A null log_initial still adds 0.0, as the reference does (-0.0 + 0.0
+  // is +0.0).
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d initial_lo =
+      log_initial == nullptr ? zero : _mm256_maskload_pd(log_initial, mask_lo);
+  const __m256d initial_hi = !kHi || log_initial == nullptr
+                                 ? zero
+                                 : _mm256_maskload_pd(log_initial + 4, mask_hi);
 
-  const char* id = static_cast<const char*>(seq.items);
-  __m256d row_lo, row_hi = _mm256_setzero_pd();
-  auto load_row = [&] {
+  // One sequence's cursor and best row. The cursor is copied out of the
+  // DpSequence, so the up-move stores cannot make the loop reload it.
+  struct Chain {
+    const char* id;
+    size_t stride;
+    uint64_t* up_moves;
+    __m256d best_lo;
+    __m256d best_hi;
+  };
+  auto load_row = [&](Chain& c, __m256d& row_lo, __m256d& row_hi)
+                      __attribute__((always_inline)) {
     int32_t item;
-    std::memcpy(&item, id, sizeof(item));
-    id += seq.item_stride;
+    std::memcpy(&item, c.id, sizeof(item));
+    c.id += c.stride;
     const double* row = item_log_probs + static_cast<size_t>(item) * levels;
     if constexpr (kHi) {
       row_lo = _mm256_loadu_pd(row);
       row_hi = _mm256_maskload_pd(row + 4, mask_hi);
     } else {
       row_lo = _mm256_maskload_pd(row, mask_lo);
+      row_hi = zero;
     }
   };
-
-  // A null log_initial still adds 0.0, as the reference does (-0.0 + 0.0
-  // is +0.0).
-  load_row();
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d best_lo = _mm256_add_pd(
-      row_lo,
-      log_initial == nullptr ? zero : _mm256_maskload_pd(log_initial, mask_lo));
-  __m256d best_hi = _mm256_add_pd(
-      row_hi, !kHi || log_initial == nullptr
-                  ? zero
-                  : _mm256_maskload_pd(log_initial + 4, mask_hi));
-  for (size_t t = 1; t < seq.length; ++t) {
-    load_row();
-    const __m256d stay = _mm256_add_pd(best_lo, stay_lo);
+  auto start = [&](const DpSequence& seq) __attribute__((always_inline)) {
+    Chain c{static_cast<const char*>(seq.items), seq.item_stride,
+            seq.up_moves, zero, zero};
+    __m256d row_lo, row_hi;
+    load_row(c, row_lo, row_hi);
+    c.best_lo = _mm256_add_pd(row_lo, initial_lo);
+    c.best_hi = _mm256_add_pd(row_hi, initial_hi);
+    return c;
+  };
+  // Action t of the chain's sequence: the best row and up-move word t.
+  auto step = [&](Chain& c, size_t t) __attribute__((always_inline)) {
+    __m256d row_lo, row_hi;
+    load_row(c, row_lo, row_hi);
+    const __m256d stay = _mm256_add_pd(c.best_lo, stay_lo);
     const __m256d rot_lo =
-        _mm256_permute4x64_pd(_mm256_add_pd(best_lo, up), 0x93);
+        _mm256_permute4x64_pd(_mm256_add_pd(c.best_lo, up), 0x93);
     const __m256d up_lo = _mm256_blend_pd(rot_lo, neg_inf, 0x1);
     uint64_t moves = static_cast<uint64_t>(
         _mm256_movemask_pd(_mm256_cmp_pd(up_lo, stay, _CMP_GT_OQ)));
-    best_lo = _mm256_add_pd(_mm256_max_pd(up_lo, stay), row_lo);
+    c.best_lo = _mm256_add_pd(_mm256_max_pd(up_lo, stay), row_lo);
     if constexpr (kHi) {
-      const __m256d stay_h = _mm256_add_pd(best_hi, stay_hi);
+      const __m256d stay_h = _mm256_add_pd(c.best_hi, stay_hi);
       const __m256d up_h = _mm256_blend_pd(
-          _mm256_permute4x64_pd(_mm256_add_pd(best_hi, up), 0x93), rot_lo,
+          _mm256_permute4x64_pd(_mm256_add_pd(c.best_hi, up), 0x93), rot_lo,
           0x1);
       moves |= static_cast<uint64_t>(_mm256_movemask_pd(
                    _mm256_cmp_pd(up_h, stay_h, _CMP_GT_OQ)))
                << 4;
-      best_hi = _mm256_add_pd(_mm256_max_pd(up_h, stay_h), row_hi);
+      c.best_hi = _mm256_add_pd(_mm256_max_pd(up_h, stay_h), row_hi);
     }
-    seq.up_moves[t] = moves;
+    c.up_moves[t] = moves;
+  };
+  auto finish = [&](const Chain& c, double* last_row)
+                    __attribute__((always_inline)) {
+    _mm256_maskstore_pd(last_row, mask_lo, c.best_lo);
+    if constexpr (kHi) _mm256_maskstore_pd(last_row + 4, mask_hi, c.best_hi);
+  };
+
+  Chain a = start(first);
+  const size_t a_length = first.length;
+  size_t t = 1;
+  if (second != nullptr) {
+    Chain b = start(*second);
+    const size_t b_length = second->length;
+    for (const size_t both = std::min(a_length, b_length); t < both; ++t) {
+      step(a, t);
+      step(b, t);
+    }
+    for (size_t u = t; u < b_length; ++u) step(b, u);
+    finish(b, second->last_row);
   }
-  _mm256_maskstore_pd(seq.last_row, mask_lo, best_lo);
-  if constexpr (kHi) _mm256_maskstore_pd(seq.last_row + 4, mask_hi, best_hi);
+  for (; t < a_length; ++t) step(a, t);
+  finish(a, first.last_row);
+}
+
+void DpForwardDispatch(const double* item_log_probs, size_t levels,
+                       const double* log_initial, double log_stay,
+                       double log_up, const DpSequence& first,
+                       const DpSequence* second) {
+  if (levels > 4) {
+    DpForwardRegisters<true>(item_log_probs, levels, log_initial, log_stay,
+                             log_up, first, second);
+  } else {
+    DpForwardRegisters<false>(item_log_probs, levels, log_initial, log_stay,
+                              log_up, first, second);
+  }
 }
 
 }  // namespace
@@ -304,13 +359,15 @@ void DpForward(const double* item_log_probs, size_t levels,
                const double* log_initial, double log_stay, double log_up,
                const DpSequence& seq) {
   if (seq.length == 0) return;
-  if (levels > 4) {
-    DpForwardRegisters<true>(item_log_probs, levels, log_initial, log_stay,
-                             log_up, seq);
-  } else {
-    DpForwardRegisters<false>(item_log_probs, levels, log_initial, log_stay,
-                              log_up, seq);
-  }
+  DpForwardDispatch(item_log_probs, levels, log_initial, log_stay, log_up,
+                    seq, nullptr);
+}
+
+void DpForward(const double* item_log_probs, size_t levels,
+               const double* log_initial, double log_stay, double log_up,
+               const DpSequence& first, const DpSequence& second) {
+  DpForwardDispatch(item_log_probs, levels, log_initial, log_stay, log_up,
+                    first, &second);
 }
 
 namespace {

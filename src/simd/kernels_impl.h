@@ -62,10 +62,13 @@ void DpRowInterior(const double* prev, const double* row, size_t levels,
 void DpRowInteriorWithDown(const double* prev, const double* row,
                            size_t levels, double log_stay, double log_up,
                            double log_down, double* curr, uint8_t* from);
-// Requires levels <= 8.
+// Require levels <= 8; the two-sequence form also two non-empty sequences.
 void DpForward(const double* item_log_probs, size_t levels,
                const double* log_initial, double log_stay, double log_up,
                const DpSequence& seq);
+void DpForward(const double* item_log_probs, size_t levels,
+               const double* log_initial, double log_stay, double log_up,
+               const DpSequence& first, const DpSequence& second);
 void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
                           int16_t row_mult, int16_t q_stay, int16_t q_up,
                           bool allow_down, int16_t q_down, size_t levels,

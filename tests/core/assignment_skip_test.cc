@@ -18,6 +18,7 @@
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
 #include "exec/backend.h"
+#include "exec/workspace.h"
 
 namespace upskill {
 namespace {
@@ -153,25 +154,86 @@ TEST(AssignmentSkipTest, StableDatasetSkipsEveryUser) {
   }
 }
 
-// `source`'s items and users with every action on `unplayed` dropped, and
-// a user with an empty sequence inserted in the middle.
-Dataset WithUnplayedItemAndEmptyUser(const Dataset& source, ItemId unplayed) {
+// `source`'s items and users with every action on `unplayed` and on
+// `rare` dropped, and three users inserted in the middle: one with an
+// empty sequence, one whose single action is the only play of `rare`, and
+// one whose single action is item 0. With `source`'s even user count the
+// total is odd, so every shard plan has a shard of odd size.
+Dataset WithShortUsersAndRareItems(const Dataset& source, ItemId unplayed,
+                                   ItemId rare) {
   Dataset dataset(source.items());
   for (UserId u = 0; u < source.num_users(); ++u) {
-    if (u == source.num_users() / 2) dataset.AddUser();
+    if (u == source.num_users() / 2) {
+      dataset.AddUser();
+      EXPECT_TRUE(dataset.AddAction(dataset.AddUser(), 0, rare).ok());
+      EXPECT_TRUE(dataset.AddAction(dataset.AddUser(), 0, 0).ok());
+    }
     const UserId user = dataset.AddUser();
     for (const Action& a : source.sequence(u)) {
-      if (a.item == unplayed) continue;
+      if (a.item == unplayed || a.item == rare) continue;
       EXPECT_TRUE(dataset.AddAction(user, a.time, a.item).ok());
     }
   }
   return dataset;
 }
 
+Dataset WithShortUsersAndRareItems(const Dataset& source) {
+  const ItemId num_items = static_cast<ItemId>(source.items().num_items());
+  return WithShortUsersAndRareItems(source, num_items - 1, num_items - 2);
+}
+
+// The paths and objective of a fresh engine's one-shot pass over `cache`.
+struct OneShot {
+  SkillAssignments paths;
+  double log_likelihood = 0.0;
+};
+
+OneShot FreshPass(const Dataset& dataset, const SkillModel& model,
+                  const std::vector<double>& cache,
+                  std::span<const ProgressionClassWeights> classes = {}) {
+  AssignmentEngine fresh(dataset, model.num_levels());
+  const AssignmentStats stats =
+      classes.empty() ? fresh.Assign(model, cache, nullptr)
+                      : fresh.AssignWithClasses(model, cache, classes);
+  return {fresh.assignments(), stats.log_likelihood};
+}
+
+// Bit patterns of a count grid: +0.0 and -0.0 compare equal as doubles,
+// but a patched grid must match a fresh sweep bit for bit.
+std::vector<uint64_t> GridBits(std::span<const double> grid) {
+  std::vector<uint64_t> bits(grid.size());
+  for (size_t i = 0; i < grid.size(); ++i) {
+    bits[i] = std::bit_cast<uint64_t>(grid[i]);
+  }
+  return bits;
+}
+
+void ExpectGridMatchesSweep(const AssignmentEngine& engine,
+                            const Dataset& dataset, int num_levels) {
+  EXPECT_EQ(GridBits(engine.level_counts()),
+            GridBits(CountAssignedActions(dataset, engine.assignments(),
+                                          num_levels)));
+}
+
+// Whether `num_shards` (<= 0: resolved against `backend`) cuts the
+// dataset's users into a shard with an odd user count, as the engine cuts
+// them.
+bool HasOddShard(const Dataset& dataset, int num_shards,
+                 exec::Backend* backend) {
+  exec::ExecContext context;
+  context.EnsureUserShards(dataset, num_shards, backend);
+  for (const exec::DatasetShard& shard : context.shards()) {
+    if (shard.num_users() % 2 == 1) return true;
+  }
+  return false;
+}
+
 // After a full pass, perturbs the cache rows of every flagged item and
 // runs an incremental pass: exactly the users who play a flagged item
-// (counted by brute force) must be re-solved, and the result must equal a
-// fresh full pass over the perturbed cache.
+// (counted by brute force) must be re-solved. After each pass the paths
+// and objective must equal a fresh one-shot pass over the same cache, and
+// the tracked grid (recounted by the first pass, patched by the second)
+// a fresh sweep of the paths.
 void ExpectPartialPass(const Dataset& dataset, const SkillModel& model,
                        std::vector<double> cache,
                        const std::vector<uint8_t>& dirty,
@@ -179,8 +241,14 @@ void ExpectPartialPass(const Dataset& dataset, const SkillModel& model,
   const int levels = model.num_levels();
   const size_t num_users = static_cast<size_t>(dataset.num_users());
   AssignmentEngine engine(dataset, levels, num_shards);
+  engine.TrackCounts(
+      InitializeAssignments(dataset, levels, /*min_init_actions=*/20));
   const AssignmentStats full = engine.Assign(model, cache, nullptr, backend);
   EXPECT_EQ(full.reassigned_users, num_users);
+  const OneShot first = FreshPass(dataset, model, cache);
+  EXPECT_EQ(engine.assignments(), first.paths);
+  EXPECT_EQ(full.log_likelihood, first.log_likelihood);
+  ExpectGridMatchesSweep(engine, dataset, levels);
 
   for (size_t item = 0; item < dirty.size(); ++item) {
     if (!dirty[item]) continue;
@@ -203,17 +271,18 @@ void ExpectPartialPass(const Dataset& dataset, const SkillModel& model,
   EXPECT_EQ(partial.reassigned_users, players);
   EXPECT_EQ(partial.skipped_users, num_users - players);
 
-  AssignmentEngine fresh(dataset, levels);
-  const AssignmentStats oracle = fresh.Assign(model, cache, nullptr);
-  EXPECT_EQ(engine.assignments(), fresh.assignments());
+  const OneShot oracle = FreshPass(dataset, model, cache);
+  EXPECT_EQ(engine.assignments(), oracle.paths);
   EXPECT_EQ(partial.log_likelihood, oracle.log_likelihood);
+  ExpectGridMatchesSweep(engine, dataset, levels);
 }
 
 // Engine-level: a pass with no dirty items skips everyone and changes
 // nothing; a dirty pass re-solves exactly the users playing a flagged
-// item — one item, every item, or only an item nobody plays — serially
-// and on a pool with several shards, with an empty-sequence user among
-// them.
+// item — one item, every item, only an item nobody plays, or only the
+// item one user plays (its shard then solves that user alone) — serially
+// and on a pool with several shards, some with an odd user count, with
+// users of 0 and 1 actions among them.
 TEST(AssignmentSkipTest, EnginePartialDirtyPass) {
   const datagen::GeneratedData data = MakeData(5);
   SkillModelConfig config;
@@ -223,10 +292,11 @@ TEST(AssignmentSkipTest, EnginePartialDirtyPass) {
   const SkillModel& model = created.value();
   const size_t num_items =
       static_cast<size_t>(data.dataset.items().num_items());
-  ASSERT_GE(num_items, 2u);
+  ASSERT_GE(num_items, 3u);
   const ItemId unplayed = static_cast<ItemId>(num_items - 1);
+  const ItemId rare = static_cast<ItemId>(num_items - 2);
   const Dataset dataset =
-      WithUnplayedItemAndEmptyUser(data.dataset, unplayed);
+      WithShortUsersAndRareItems(data.dataset, unplayed, rare);
   const std::vector<double> cache = model.ItemLogProbCache(dataset.items());
   const size_t num_users = static_cast<size_t>(dataset.num_users());
 
@@ -249,12 +319,17 @@ TEST(AssignmentSkipTest, EnginePartialDirtyPass) {
   one[num_items / 2] = 1;
   std::vector<uint8_t> nobody(num_items, 0);
   nobody[static_cast<size_t>(unplayed)] = 1;
+  std::vector<uint8_t> one_player(num_items, 0);
+  one_player[static_cast<size_t>(rare)] = 1;
   const std::pair<const char*, std::vector<uint8_t>> cases[] = {
       {"one item", one},
       {"every item", std::vector<uint8_t>(num_items, 1)},
       {"an unplayed item", nobody},
+      {"an item one user plays", one_player},
   };
   exec::ThreadPoolBackend pool(4);
+  EXPECT_TRUE(HasOddShard(dataset, 0, nullptr));
+  EXPECT_TRUE(HasOddShard(dataset, 7, &pool));
   for (const auto& [label, dirty] : cases) {
     SCOPED_TRACE(label);
     ExpectPartialPass(dataset, model, cache, dirty, nullptr, 0);
@@ -262,38 +337,23 @@ TEST(AssignmentSkipTest, EnginePartialDirtyPass) {
   }
 }
 
-// Bit patterns of a count grid: +0.0 and -0.0 compare equal as doubles,
-// but a patched grid must match a fresh sweep bit for bit.
-std::vector<uint64_t> GridBits(std::span<const double> grid) {
-  std::vector<uint64_t> bits(grid.size());
-  for (size_t i = 0; i < grid.size(); ++i) {
-    bits[i] = std::bit_cast<uint64_t>(grid[i]);
-  }
-  return bits;
-}
-
-void ExpectGridMatchesSweep(const AssignmentEngine& engine,
-                            const Dataset& dataset, int num_levels) {
-  EXPECT_EQ(GridBits(engine.level_counts()),
-            GridBits(CountAssignedActions(dataset, engine.assignments(),
-                                          num_levels)));
-}
-
 enum class PassKind { kPlain, kForgetting, kClasses };
 
 // Drives a count-tracking engine through coordinate-ascent passes that
 // refit from its own grid, then through a partial pass whose dirty items
 // are pulled to the top level (skipped users keep their path, the rest
-// move), and requires after every pass that the patched grid equals a
-// fresh sweep of the engine's paths. The dataset has an empty-sequence
-// user, and min_init_actions leaves some users with an empty initial path.
+// move), and requires after every pass — the first one's recount
+// included — that the grid equals a fresh sweep of the engine's paths;
+// after each coordinate-ascent pass, the paths and objective must also
+// equal a fresh one-shot pass over the same cache. The dataset has
+// users of 0 and 1 actions, min_init_actions leaves some users with an
+// empty initial path, and some shards have an odd user count.
 void ExpectGridTracksPaths(PassKind kind, exec::Backend* backend,
                            int num_shards) {
   constexpr int kLevels = 4;
   const datagen::GeneratedData data = MakeData(6);
-  const ItemId unplayed =
-      static_cast<ItemId>(data.dataset.items().num_items() - 1);
-  const Dataset dataset = WithUnplayedItemAndEmptyUser(data.dataset, unplayed);
+  const Dataset dataset = WithShortUsersAndRareItems(data.dataset);
+  EXPECT_TRUE(HasOddShard(dataset, num_shards, backend));
   SkillModelConfig config;
   config.num_levels = kLevels;
   config.min_init_actions = 25;
@@ -324,21 +384,32 @@ void ExpectGridTracksPaths(PassKind kind, exec::Backend* backend,
   engine.TrackCounts(init);
   ExpectGridMatchesSweep(engine, dataset, kLevels);
   FitCellsFromCountGrid(dataset.items(), engine.level_counts(), &model);
+  const std::span<const ProgressionClassWeights> pass_classes =
+      kind == PassKind::kClasses
+          ? std::span<const ProgressionClassWeights>(classes)
+          : std::span<const ProgressionClassWeights>();
   auto run_pass = [&](const std::vector<double>& cache,
                       const std::vector<uint8_t>* dirty) {
-    return kind == PassKind::kClasses
-               ? engine.AssignWithClasses(model, cache, classes, backend,
-                                          dirty, /*weights_changed=*/false)
-               : engine.Assign(model, cache, nullptr, backend, dirty,
-                               /*weights_changed=*/false);
+    const AssignmentStats stats =
+        kind == PassKind::kClasses
+            ? engine.AssignWithClasses(model, cache, classes, backend, dirty,
+                                       /*weights_changed=*/false)
+            : engine.Assign(model, cache, nullptr, backend, dirty,
+                            /*weights_changed=*/false);
+    ExpectGridMatchesSweep(engine, dataset, kLevels);
+    return stats;
   };
 
   LogProbCache cache;
   for (int pass = 0; pass < 4; ++pass) {
     SCOPED_TRACE(pass);
     cache.Update(model, dataset.items(), backend);
-    run_pass(cache.values(), pass > 0 ? &cache.dirty_items() : nullptr);
-    ExpectGridMatchesSweep(engine, dataset, kLevels);
+    const AssignmentStats stats =
+        run_pass(cache.values(), pass > 0 ? &cache.dirty_items() : nullptr);
+    const OneShot oracle =
+        FreshPass(dataset, model, cache.values(), pass_classes);
+    EXPECT_EQ(engine.assignments(), oracle.paths);
+    EXPECT_EQ(stats.log_likelihood, oracle.log_likelihood);
     FitCellsFromCountGrid(dataset.items(), engine.level_counts(), &model);
   }
 
@@ -356,7 +427,6 @@ void ExpectGridTracksPaths(PassKind kind, exec::Backend* backend,
   EXPECT_GT(partial.skipped_users, 0u);
   EXPECT_GT(partial.reassigned_users, 0u);
   EXPECT_TRUE(partial.changed);
-  ExpectGridMatchesSweep(engine, dataset, kLevels);
 }
 
 TEST(AssignmentEngineCountsTest, PatchedGridMatchesSweepAfterEveryPass) {
@@ -381,8 +451,7 @@ TEST(AssignmentEngineCountsTest, PatchedGridMatchesSweepAfterEveryPass) {
 TEST(AssignmentEngineCountsTest, ClearedPathsLeaveAPositiveZeroGrid) {
   constexpr int kLevels = 3;
   const datagen::GeneratedData data = MakeData(7);
-  const Dataset dataset = WithUnplayedItemAndEmptyUser(
-      data.dataset, static_cast<ItemId>(data.dataset.items().num_items() - 1));
+  const Dataset dataset = WithShortUsersAndRareItems(data.dataset);
   SkillModelConfig config;
   config.num_levels = kLevels;
   const SkillModel model =

@@ -12,8 +12,10 @@
 namespace upskill {
 namespace {
 
-datagen::GeneratedData MakeHeterogeneousData(uint64_t seed = 31337) {
+datagen::GeneratedData MakeHeterogeneousData(uint64_t seed = 31337,
+                                             double break_probability = 0.0) {
   datagen::SyntheticConfig config;
+  config.break_probability = break_probability;
   config.num_users = 300;
   config.num_items = 500;
   config.mean_sequence_length = 40.0;
@@ -119,17 +121,36 @@ TEST(ProgressionClassTest, MonotoneAssignmentsAndReasonableRecovery) {
   EXPECT_GT(eval::PearsonCorrelation(estimated, truth), 0.4);
 }
 
+// One class == one global transition model up to the constant class
+// prior, so the assignments should coincide: plain, and with forgetting on
+// data whose users take long breaks (the per-class step must open the
+// down-edge exactly where the global one does).
 TEST(ProgressionClassTest, SingleClassMatchesGlobalBehaviour) {
-  const datagen::GeneratedData data = MakeHeterogeneousData(999);
-  const auto per_class = Trainer(PerClassConfig(1)).Train(data.dataset);
-  ASSERT_TRUE(per_class.ok());
-  SkillModelConfig global_config = PerClassConfig();
-  global_config.transitions = TransitionModel::kGlobal;
-  const auto global = Trainer(global_config).Train(data.dataset);
-  ASSERT_TRUE(global.ok());
-  // One class == one global transition model up to the constant class
-  // prior; the assignments should coincide.
-  EXPECT_EQ(per_class.value().assignments, global.value().assignments);
+  for (const bool forgetting : {false, true}) {
+    SCOPED_TRACE(forgetting ? "forgetting" : "plain");
+    const datagen::GeneratedData data =
+        MakeHeterogeneousData(999, forgetting ? 0.1 : 0.0);
+    SkillModelConfig per_class_config = PerClassConfig(1);
+    per_class_config.forgetting.enabled = forgetting;
+    per_class_config.forgetting.gap_threshold = 100;
+    per_class_config.forgetting.drop_probability = 0.1;
+    const auto per_class = Trainer(per_class_config).Train(data.dataset);
+    ASSERT_TRUE(per_class.ok());
+    SkillModelConfig global_config = per_class_config;
+    global_config.transitions = TransitionModel::kGlobal;
+    const auto global = Trainer(global_config).Train(data.dataset);
+    ASSERT_TRUE(global.ok());
+    EXPECT_EQ(per_class.value().assignments, global.value().assignments);
+    if (forgetting) {
+      size_t down_steps = 0;
+      for (const std::vector<int>& path : global.value().assignments) {
+        for (size_t n = 1; n < path.size(); ++n) {
+          down_steps += path[n] < path[n - 1];
+        }
+      }
+      EXPECT_GT(down_steps, 0u);
+    }
+  }
 }
 
 TEST(ProgressionClassTest, ParallelMatchesSequential) {

@@ -31,6 +31,7 @@ namespace upskill {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 // Bitwise double comparison (distinguishes -0.0 from 0.0 and treats two
 // NaNs with the same payload as equal, which operator== cannot).
@@ -54,6 +55,13 @@ void ExpectBitEqual(std::span<const double> a, std::span<const double> b) {
 // Sizes chosen to cover: empty, below one vector, exactly one 4-wide and
 // 8-wide block, block + tail, and many blocks.
 const size_t kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 31, 100, 257};
+
+// The whole-sequence DP's inputs: an item count, every level count with a
+// register-resident vector body (1..8) and two that fall back to the
+// scalar reference (9, 12), and lengths from empty to many actions.
+constexpr int kDpItems = 12;
+const size_t kDpLevels[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 12};
+const size_t kDpLengths[] = {0, 1, 2, 3, 17, 64};
 
 class KernelEquivalenceTest : public ::testing::Test {
  protected:
@@ -137,6 +145,31 @@ class KernelEquivalenceTest : public ::testing::Test {
       }
     }
     return xs;
+  }
+
+  // A [kDpItems x levels] cache with an all -inf row, an all signed-zero
+  // row (every comparison a tie) and a partly NaN row.
+  std::vector<double> MakeCache(size_t levels) {
+    std::vector<double> cache = MakeScores(kDpItems * levels);
+    for (size_t s = 0; s < levels; ++s) {
+      cache[0 * levels + s] = kNegInf;
+      cache[1 * levels + s] = (s % 2) ? -0.0 : 0.0;
+      cache[2 * levels + s] = (s % 3 == 1) ? kNaN : -1.0;
+    }
+    return cache;
+  }
+
+  std::vector<Action> MakeActions(size_t length) {
+    std::uniform_int_distribution<int32_t> pick(0, kDpItems - 1);
+    std::vector<Action> actions(length);
+    for (Action& a : actions) a.item = pick(rng_);
+    return actions;
+  }
+
+  static std::vector<int32_t> IdsOf(const std::vector<Action>& actions) {
+    std::vector<int32_t> ids;
+    for (const Action& a : actions) ids.push_back(a.item);
+    return ids;
   }
 };
 
@@ -251,6 +284,45 @@ TEST_F(KernelEquivalenceTest, DpRowInteriorWithDownMatchesScalarBitwise) {
   }
 }
 
+// One DpForward run's outputs, preset to sentinels: the words of action 0
+// and an empty sequence's row must stay untouched.
+struct DpOutput {
+  std::vector<uint64_t> moves;
+  std::vector<double> row;
+};
+
+// The DpSequence over `actions`' ids, read in place from the records or
+// from the packed copy `ids`, writing into `out`.
+simd::DpSequence SequenceInto(const std::vector<Action>& actions,
+                              const std::vector<int32_t>& ids,
+                              bool in_actions, size_t levels, DpOutput& out) {
+  const size_t length = ids.size();
+  out.moves.assign(length * simd::DpUpMoveWords(levels),
+                   0x5a5a5a5a5a5a5a5aULL);
+  out.row.assign(levels, 42.0);
+  simd::DpSequence seq;
+  seq.items = length == 0 ? nullptr
+              : in_actions ? static_cast<const void*>(&actions[0].item)
+                           : ids.data();
+  seq.item_stride = in_actions ? sizeof(Action) : sizeof(int32_t);
+  seq.length = length;
+  seq.up_moves = out.moves.data();
+  seq.last_row = out.row.data();
+  return seq;
+}
+
+// Up-move words with the bits of levels >= `levels` cleared: the bits a
+// backtrack can read.
+std::vector<uint64_t> RealLevelBits(std::vector<uint64_t> words,
+                                    size_t levels) {
+  const size_t per_action = simd::DpUpMoveWords(levels);
+  for (size_t i = 0; i < words.size(); ++i) {
+    const size_t real = levels - (i % per_action) * 64;
+    if (real < 64) words[i] &= (uint64_t{1} << real) - 1;
+  }
+  return words;
+}
+
 // The whole-sequence DP against its scalar reference: every level count
 // with a register-resident vector body (1..8) and two that fall back to
 // the reference (9, 12); lengths from empty to many actions; ids packed
@@ -258,23 +330,13 @@ TEST_F(KernelEquivalenceTest, DpRowInteriorWithDownMatchesScalarBitwise) {
 // all signed zeros (every comparison a tie) or partly NaN; with and
 // without log_initial, with zero and non-zero costs.
 TEST_F(KernelEquivalenceTest, DpForwardMatchesScalarBitwise) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  constexpr int kItems = 12;
-  std::uniform_int_distribution<int32_t> pick(0, kItems - 1);
-  for (const size_t levels : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12}) {
-    std::vector<double> cache = MakeScores(kItems * levels);
-    for (size_t s = 0; s < levels; ++s) {
-      cache[0 * levels + s] = kNegInf;
-      cache[1 * levels + s] = (s % 2) ? -0.0 : 0.0;
-      cache[2 * levels + s] = (s % 3 == 1) ? kNaN : -1.0;
-    }
+  for (const size_t levels : kDpLevels) {
+    const std::vector<double> cache = MakeCache(levels);
     std::vector<double> log_initial = MakeScores(levels);
     log_initial[0] = -0.0;
-    const size_t words = simd::DpUpMoveWords(levels);
-    for (const size_t length : {0, 1, 2, 3, 17, 64}) {
-      std::vector<Action> actions(length);
-      std::vector<int32_t> ids(length);
-      for (size_t t = 0; t < length; ++t) ids[t] = actions[t].item = pick(rng_);
+    for (const size_t length : kDpLengths) {
+      const std::vector<Action> actions = MakeActions(length);
+      const std::vector<int32_t> ids = IdsOf(actions);
       for (const bool in_actions : {false, true}) {
         for (const bool with_initial : {false, true}) {
           for (const auto& [log_stay, log_up] :
@@ -284,32 +346,96 @@ TEST_F(KernelEquivalenceTest, DpForwardMatchesScalarBitwise) {
                          << " in_actions=" << in_actions
                          << " initial=" << with_initial
                          << " stay=" << log_stay);
-            // Identical sentinels on both sides: the words of action 0
-            // and an empty sequence's row stay untouched.
-            std::vector<uint64_t> moves[2];
-            std::vector<double> rows[2];
-            simd::DpSequence seqs[2];
-            for (int side = 0; side < 2; ++side) {
-              moves[side].assign(length * words, 0x5a5a5a5a5a5a5a5aULL);
-              rows[side].assign(levels, 42.0);
-              seqs[side].items =
-                  length == 0 ? nullptr
-                  : in_actions ? static_cast<const void*>(&actions[0].item)
-                               : ids.data();
-              seqs[side].item_stride =
-                  in_actions ? sizeof(Action) : sizeof(int32_t);
-              seqs[side].length = length;
-              seqs[side].up_moves = moves[side].data();
-              seqs[side].last_row = rows[side].data();
-            }
+            DpOutput got, want;
             const double* initial =
                 with_initial ? log_initial.data() : nullptr;
             simd::DpForward(cache.data(), levels, initial, log_stay, log_up,
-                            seqs[0]);
-            simd::scalar::DpForward(cache.data(), levels, initial, log_stay,
-                                    log_up, seqs[1]);
-            EXPECT_EQ(moves[0], moves[1]);
-            ExpectBitEqual(rows[0], rows[1]);
+                            SequenceInto(actions, ids, in_actions, levels,
+                                         got));
+            simd::scalar::DpForward(
+                cache.data(), levels, initial, log_stay, log_up,
+                SequenceInto(actions, ids, in_actions, levels, want));
+            EXPECT_EQ(got.moves, want.moves);
+            ExpectBitEqual(got.row, want.row);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The two-sequence form against the one-sequence form, under both
+// dispatch modes: for every ordered pair of lengths (equal, unequal, one
+// or both empty), each chain writes exactly the last row and real-level
+// up-move bits it writes alone, on the inputs above; and the paired solve
+// backtracks exactly the paths and log-likelihoods the single solve does.
+TEST_F(KernelEquivalenceTest, DpForwardPairMatchesOneSequenceBitwise) {
+  for (const bool force_scalar : {false, true}) {
+    simd::ForceScalarForTest(force_scalar);
+    for (const size_t levels : kDpLevels) {
+      const std::vector<double> cache = MakeCache(levels);
+      std::vector<double> log_initial = MakeScores(levels);
+      log_initial[0] = -0.0;
+      const int num_levels = static_cast<int>(levels);
+      for (const size_t length_a : kDpLengths) {
+        for (const size_t length_b : kDpLengths) {
+          const std::vector<Action> actions[2] = {MakeActions(length_a),
+                                                  MakeActions(length_b)};
+          const std::vector<int32_t> ids[2] = {IdsOf(actions[0]),
+                                               IdsOf(actions[1])};
+          for (const bool with_initial : {false, true}) {
+            for (const auto& [log_stay, log_up] :
+                 {std::pair{0.0, 0.0}, std::pair{-0.105, -2.302}}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "scalar=" << force_scalar
+                           << " levels=" << levels << " lengths=" << length_a
+                           << "," << length_b << " initial=" << with_initial
+                           << " stay=" << log_stay);
+              const double* initial =
+                  with_initial ? log_initial.data() : nullptr;
+              for (const bool in_actions : {false, true}) {
+                DpOutput alone[2], paired[2];
+                for (int k = 0; k < 2; ++k) {
+                  simd::DpForward(cache.data(), levels, initial, log_stay,
+                                  log_up,
+                                  SequenceInto(actions[k], ids[k], in_actions,
+                                               levels, alone[k]));
+                }
+                simd::DpForward(
+                    cache.data(), levels, initial, log_stay, log_up,
+                    SequenceInto(actions[0], ids[0], in_actions, levels,
+                                 paired[0]),
+                    SequenceInto(actions[1], ids[1], in_actions, levels,
+                                 paired[1]));
+                for (int k = 0; k < 2; ++k) {
+                  SCOPED_TRACE(::testing::Message() << "chain " << k
+                                                    << " in_actions="
+                                                    << in_actions);
+                  EXPECT_EQ(RealLevelBits(paired[k].moves, levels),
+                            RealLevelBits(alone[k].moves, levels));
+                  ExpectBitEqual(paired[k].row, alone[k].row);
+                }
+              }
+
+              const std::span<const double> initial_span =
+                  with_initial ? std::span<const double>(log_initial)
+                               : std::span<const double>();
+              DpScratch alone[2], paired[2];
+              double alone_ll[2];
+              for (int k = 0; k < 2; ++k) {
+                alone_ll[k] =
+                    SolveMonotonePathItems(cache, ids[k], num_levels,
+                                           initial_span, log_stay, log_up,
+                                           alone[k]);
+              }
+              const auto [first_ll, second_ll] = SolveMonotonePathItemsPair(
+                  cache, ids[0], ids[1], num_levels, initial_span, log_stay,
+                  log_up, paired[0], paired[1]);
+              EXPECT_TRUE(BitEq(first_ll, alone_ll[0]));
+              EXPECT_TRUE(BitEq(second_ll, alone_ll[1]));
+              EXPECT_EQ(paired[0].levels, alone[0].levels);
+              EXPECT_EQ(paired[1].levels, alone[1].levels);
+            }
           }
         }
       }
