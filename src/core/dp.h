@@ -68,9 +68,10 @@ struct DpScratch {
   /// Forgetting-solver backpointers, [t * S + s]: 0 = stay, 1 = came from
   /// one level below ("improve"), 2 = came from one level above.
   std::vector<uint8_t> from;
-  /// Item id per action, staged by callers of the forgetting solver.
+  /// Item id per action, staged by callers that solve from `Action`
+  /// records through an item-id solver (OnlineTrainer::Refresh).
   std::vector<int32_t> items;
-  /// Per-transition down-edge flags (forgetting), filled by the caller.
+  /// Per-transition down-edge flags (forgetting), staged the same way.
   std::vector<uint8_t> allow_down;
   /// Kernel output staging: 1-based level per action.
   std::vector<int> levels;

@@ -182,10 +182,20 @@ Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
       stats.actions_removed += old_seq.size();
     }
     // Re-solve the user's assignment DP against the current model with
-    // the solve AssignmentEngine::Assign runs, so the path is bitwise the
-    // one a full assignment pass would give this user.
-    SolveUserPath(seq, item_log_probs, config_.num_levels, transitions_,
-                  config_.forgetting, log_down, scratch_);
+    // the solve AssignmentEngine::Assign runs, on the inputs its columns
+    // hold, so the path is bitwise the one a full assignment pass would
+    // give this user.
+    scratch_.items.resize(seq.size());
+    for (size_t n = 0; n < seq.size(); ++n) scratch_.items[n] = seq[n].item;
+    scratch_.allow_down.clear();
+    if (config_.forgetting.enabled) {
+      for (size_t n = 1; n < seq.size(); ++n) {
+        scratch_.allow_down.push_back(config_.forgetting.OpensDownEdge(
+            seq[n].time - seq[n - 1].time));
+      }
+    }
+    SolveUserPath(scratch_.items, scratch_.allow_down, item_log_probs,
+                  config_.num_levels, transitions_, log_down, scratch_);
     assignments_[us].assign(scratch_.levels.begin(), scratch_.levels.end());
     for (size_t n = 0; n < seq.size(); ++n) {
       level_counts_[static_cast<size_t>(assignments_[us][n] - 1) * num_items +

@@ -295,15 +295,33 @@ std::span<const int32_t> AssignmentEngine::ItemIds(size_t user) const {
           column_offsets_[user + 1] - column_offsets_[user]};
 }
 
+std::span<const uint8_t> AssignmentEngine::DownFlags(size_t user) const {
+  const size_t length = column_offsets_[user + 1] - column_offsets_[user];
+  if (length < 2) return {};
+  return {down_column_.get() + column_offsets_[user] + 1, length - 1};
+}
+
 template <typename SolveUser, typename SolvePair>
 AssignmentStats AssignmentEngine::RunPass(exec::Backend* user_backend,
+                                          const ForgettingConfig& forgetting,
                                           const SolveUser& solve_user,
                                           const SolvePair& solve_pair) {
   // The first pass copies every action's item id into the column, each
   // shard task its own users' range before solving them, so the records
-  // are read once; later passes read ids only from the column.
+  // are read once; later passes read ids only from the column. The
+  // down-edge flags are staged the same way, once per gap threshold.
   const bool fill_column = item_column_ == nullptr;
   if (fill_column) BuildItemColumn();
+  const bool fill_down =
+      forgetting.enabled &&
+      (down_column_ == nullptr || down_threshold_ != forgetting.gap_threshold);
+  if (fill_down) {
+    if (down_column_ == nullptr) {
+      down_column_ =
+          std::make_unique_for_overwrite<uint8_t[]>(column_offsets_.back());
+    }
+    down_threshold_ = forgetting.gap_threshold;
+  }
 
   // With a tracked grid, a later pass patches it: a user whose path moved
   // lists the cells it left and entered (the moved positions, or the
@@ -368,6 +386,17 @@ AssignmentStats AssignmentEngine::RunPass(exec::Backend* user_backend,
         }
       }
     }
+    if (fill_down) {
+      uint8_t* out = down_column_.get() + column_offsets_[begin];
+      for (size_t u = begin; u < end; ++u) {
+        const std::span<const Action> seq =
+            dataset_->sequence(static_cast<UserId>(u));
+        for (size_t n = 0; n < seq.size(); ++n) {
+          *out++ = n > 0 && forgetting.OpensDownEdge(seq[n].time -
+                                                     seq[n - 1].time);
+        }
+      }
+    }
     size_t u = begin;
     if constexpr (kPairs) {
       for (; u + 1 < end; u += 2) {
@@ -412,27 +441,18 @@ AssignmentStats AssignmentEngine::RunPass(exec::Backend* user_backend,
   return stats;
 }
 
-double SolveUserPath(std::span<const Action> sequence,
+double SolveUserPath(std::span<const int32_t> ids,
+                     std::span<const uint8_t> allow_down,
                      std::span<const double> item_log_probs, int num_levels,
-                     const TransitionWeights& transitions,
-                     const ForgettingConfig& forgetting, double log_down,
+                     const TransitionWeights& transitions, double log_down,
                      DpScratch& scratch) {
-  if (forgetting.enabled && sequence.size() > 1) {
-    scratch.items.resize(sequence.size());
-    for (size_t n = 0; n < sequence.size(); ++n) {
-      scratch.items[n] = sequence[n].item;
-    }
-    scratch.allow_down.resize(sequence.size() - 1);
-    for (size_t n = 1; n < sequence.size(); ++n) {
-      scratch.allow_down[n - 1] =
-          forgetting.OpensDownEdge(sequence[n].time - sequence[n - 1].time);
-    }
+  if (!allow_down.empty()) {
     return SolveMonotonePathItemsWithForgetting(
-        item_log_probs, scratch.items, num_levels, transitions.log_initial,
-        transitions.log_stay, transitions.log_up, scratch.allow_down, log_down,
+        item_log_probs, ids, num_levels, transitions.log_initial,
+        transitions.log_stay, transitions.log_up, allow_down, log_down,
         scratch);
   }
-  return SolveMonotonePathItems(item_log_probs, sequence, num_levels,
+  return SolveMonotonePathItems(item_log_probs, ids, num_levels,
                                 transitions.log_initial, transitions.log_stay,
                                 transitions.log_up, scratch);
 }
@@ -445,19 +465,16 @@ AssignmentStats AssignmentEngine::Assign(
   const TransitionWeights& weights =
       transitions == nullptr ? free_start : *transitions;
   if (forgetting.enabled) {
-    // The down-edge rule reads action times, so these passes solve from
-    // the records.
     const double log_down = std::log(forgetting.drop_probability);
-    return RunPass(backend, [&](DpScratch& scratch, size_t u) {
-      return SolveUserPath(dataset_->sequence(static_cast<UserId>(u)),
-                           item_log_probs, num_levels_, weights, forgetting,
-                           log_down, scratch);
+    return RunPass(backend, forgetting, [&](DpScratch& scratch, size_t u) {
+      return SolveUserPath(ItemIds(u), DownFlags(u), item_log_probs,
+                           num_levels_, weights, log_down, scratch);
     });
   }
-  // The plain pass solves from the item column, two users per kernel call:
-  // the same ids, so the same bits as SolveUserPath on the records.
+  // The plain pass solves two users per kernel call: the same ids, so the
+  // same bits as SolveUserPath one user at a time.
   return RunPass(
-      backend,
+      backend, forgetting,
       [&](DpScratch& scratch, size_t u) {
         return SolveMonotonePathItems(item_log_probs, ItemIds(u), num_levels_,
                                       weights.log_initial, weights.log_stay,
@@ -478,19 +495,20 @@ AssignmentStats AssignmentEngine::AssignWithClasses(
   const ForgettingConfig& forgetting = model.config().forgetting;
   const double log_down = std::log(forgetting.drop_probability);
   const int num_levels = num_levels_;
-  const Dataset& dataset = *dataset_;
   return RunPass(
-      backend,
+      backend, forgetting,
       [&](DpScratch& scratch, size_t u) {
-        std::span<const Action> seq =
-            dataset.sequence(static_cast<UserId>(u));
+        // One slice of each column serves every class's solve.
+        const std::span<const int32_t> ids = ItemIds(u);
+        const std::span<const uint8_t> allow_down =
+            forgetting.enabled ? DownFlags(u) : std::span<const uint8_t>();
         double best_score = -std::numeric_limits<double>::infinity();
         int best_class = 0;
         bool any_best = false;
         for (size_t c = 0; c < classes.size(); ++c) {
           const double path_ll =
-              SolveUserPath(seq, item_log_probs, num_levels, classes[c].weights,
-                            forgetting, log_down, scratch);
+              SolveUserPath(ids, allow_down, item_log_probs, num_levels,
+                            classes[c].weights, log_down, scratch);
           const double score = path_ll + classes[c].log_prior;
           // Strict improvement: ties keep the earlier class, matching the
           // original implementation.
@@ -506,7 +524,7 @@ AssignmentStats AssignmentEngine::AssignWithClasses(
         // returned the default (empty) path in that pathological case.
         if (!any_best) scratch.levels.clear();
         user_classes_[u] = best_class;
-        return seq.empty() ? 0.0 : best_score;
+        return ids.empty() ? 0.0 : best_score;
       });
 }
 

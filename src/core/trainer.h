@@ -160,19 +160,21 @@ SkillAssignments AssignSkills(const Dataset& dataset, const SkillModel& model,
 TransitionWeights FitTransitionWeights(const SkillAssignments& assignments,
                                        int num_levels, double smoothing);
 
-/// One user's assignment DP (Equation 4) against the [item * S +
-/// (level-1)] cache: the forgetting solver, with the down-edge opened per
-/// ForgettingConfig::OpensDownEdge, when forgetting is enabled and the
-/// sequence has a transition; the plain kernel otherwise. `log_down` is
+/// One user's assignment DP (Equation 4) over the item ids of its
+/// actions, against the [item * S + (level-1)] cache. `allow_down` holds
+/// one ForgettingConfig::OpensDownEdge flag per transition (ids.size() -
+/// 1) when forgetting is enabled, and is empty otherwise: non-empty, it
+/// selects the forgetting solver with the down-edge opened where a flag
+/// is set; empty, the plain kernel. `log_down` is
 /// log(forgetting.drop_probability), computed once per pass by the
-/// caller. Writes the path into scratch.levels and returns its
-/// log-likelihood. AssignmentEngine::Assign and OnlineTrainer::Refresh
-/// both solve through it, so a refresh gives a user exactly the path a
-/// full pass would.
-double SolveUserPath(std::span<const Action> sequence,
+/// caller. Either span may alias scratch.items / scratch.allow_down.
+/// Writes the path into scratch.levels and returns its log-likelihood.
+/// AssignmentEngine's passes and OnlineTrainer::Refresh all solve through
+/// it, so a refresh gives a user exactly the path a full pass would.
+double SolveUserPath(std::span<const int32_t> ids,
+                     std::span<const uint8_t> allow_down,
                      std::span<const double> item_log_probs, int num_levels,
-                     const TransitionWeights& transitions,
-                     const ForgettingConfig& forgetting, double log_down,
+                     const TransitionWeights& transitions, double log_down,
                      DpScratch& scratch);
 
 /// Outcome of one AssignmentEngine pass.
@@ -195,9 +197,12 @@ struct AssignmentStats {
 ///    changed any path (AssignmentStats::changed) and which count-grid
 ///    cells it moved;
 ///  - every action's item id, packed as int32 in user order: the first
-///    pass copies them out of the records, and the plain pass (no
-///    forgetting) then solves its users two per kernel call
-///    (SolveMonotonePathItemsPair) from this column;
+///    pass copies them out of the records, and every pass then solves
+///    from this column, the plain pass (no forgetting) two users per
+///    kernel call (SolveMonotonePathItemsPair);
+///  - with forgetting, a byte per action beside the id column: whether
+///    the gap before it opens the down-edge, filled by the first pass
+///    that runs with forgetting (again if the gap threshold changes);
 ///  - optionally (TrackCounts), the count grid of those paths: the first
 ///    pass recounts it from its new paths; later passes' shard tasks list
 ///    the cells their users' paths moved, and the caller applies the
@@ -254,15 +259,21 @@ class AssignmentEngine {
   // Runs one pass: solve_user(scratch, user) solves one user into
   // scratch.levels and returns its log-likelihood; a non-null
   // solve_pair(first_scratch, second_scratch, first, second) solves two
-  // at once and returns both.
+  // at once and returns both. Its shard tasks fill the item column on
+  // the first pass, and the down-edge flags on the first pass with
+  // `forgetting` enabled (again when its gap threshold changes).
   template <typename SolveUser, typename SolvePair = std::nullptr_t>
   AssignmentStats RunPass(exec::Backend* user_backend,
+                          const ForgettingConfig& forgetting,
                           const SolveUser& solve_user,
                           const SolvePair& solve_pair = nullptr);
   // Sizes the item column from the dataset; the first pass fills it.
   void BuildItemColumn();
   // `user`'s item ids in the column.
   std::span<const int32_t> ItemIds(size_t user) const;
+  // `user`'s down-edge flags, one per transition (SolveUserPath's
+  // allow_down).
+  std::span<const uint8_t> DownFlags(size_t user) const;
 
   const Dataset* dataset_;
   int num_levels_;
@@ -272,6 +283,11 @@ class AssignmentEngine {
   // and what the grid's cell offsets read.
   std::unique_ptr<int32_t[]> item_column_;
   std::vector<size_t> column_offsets_;
+  // Per action, at the column's offsets: 1 when the gap from the user's
+  // previous action opens the down-edge under down_threshold_ (0 for a
+  // first action). Built only when a pass runs with forgetting.
+  std::unique_ptr<uint8_t[]> down_column_;
+  int64_t down_threshold_ = 0;
   SkillAssignments assignments_;
   std::vector<double> level_counts_;
   std::vector<double> user_ll_;

@@ -1,12 +1,19 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 
 namespace upskill {
+
+// The owned buffer copies, moves and reallocs actions as raw bytes.
+static_assert(std::is_trivially_copyable_v<Action>);
 
 ItemTable::ItemTable(FeatureSchema schema) : schema_(std::move(schema)) {
   columns_.resize(static_cast<size_t>(schema_.num_features()));
@@ -74,9 +81,9 @@ Dataset Dataset::FromMappedSequences(
 
 UserId Dataset::AddUser(std::string name) {
   UPSKILL_CHECK(!mapped());
-  sequences_.emplace_back();
+  runs_.emplace_back();
   user_names_.push_back(std::move(name));
-  return static_cast<UserId>(sequences_.size() - 1);
+  return static_cast<UserId>(runs_.size() - 1);
 }
 
 Status Dataset::AddAction(UserId user, int64_t time, ItemId item,
@@ -91,26 +98,111 @@ Status Dataset::AddAction(UserId user, int64_t time, ItemId item,
   if (item < 0 || item >= items_.num_items()) {
     return Status::OutOfRange(StringPrintf("item %d", item));
   }
-  std::vector<Action>& seq = sequences_[static_cast<size_t>(user)];
-  if (!seq.empty() && seq.back().time > time) {
-    return Status::FailedPrecondition(StringPrintf(
-        "action at time %lld precedes the sequence tail at %lld; use "
-        "SortSequences() for out-of-order loads",
-        static_cast<long long>(time), static_cast<long long>(seq.back().time)));
+  Run& run = runs_[static_cast<size_t>(user)];
+  if (run.size > 0) {
+    const int64_t tail_time = actions_.data()[run.begin + run.size - 1].time;
+    if (tail_time > time) {
+      return Status::FailedPrecondition(StringPrintf(
+          "action at time %lld precedes the sequence tail at %lld; use "
+          "SortSequences() for out-of-order loads",
+          static_cast<long long>(time), static_cast<long long>(tail_time)));
+    }
   }
-  seq.push_back(Action{time, item, rating});
+  if (run.size == run.room) MakeRoom(run);
+  actions_.data()[run.begin + run.size] = Action{time, item, rating};
+  ++run.size;
   ++num_actions_;
+  if (2 * moved_from_ > num_actions_) Compact();
   return Status::OK();
+}
+
+void Dataset::MakeRoom(Run& run) {
+  const size_t end = actions_.size();
+  if (run.room > 0 && run.begin + run.room == end) {
+    // The tail takes exactly the slot it needs.
+    actions_.Resize(end + 1);
+    ++run.room;
+    return;
+  }
+  // Out of turn: move to the end with half again its size as room, so a
+  // run moves O(log n) times over n appends.
+  const size_t room = run.size + run.size / 2 + 1;
+  actions_.Resize(end + room);
+  if (run.size > 0) {
+    std::memcpy(actions_.data() + end, actions_.data() + run.begin,
+                run.size * sizeof(Action));
+  }
+  moved_from_ += run.room;
+  run.begin = end;
+  run.room = room;
+}
+
+void Dataset::Compact() {
+  // Runs with slots, in buffer order; each moves down over the gap.
+  std::vector<size_t> order;
+  for (size_t u = 0; u < runs_.size(); ++u) {
+    if (runs_[u].room > 0) order.push_back(u);
+  }
+  std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
+    return runs_[a].begin < runs_[b].begin;
+  });
+  size_t end = 0;
+  for (const size_t u : order) {
+    Run& run = runs_[u];
+    if (run.begin != end) {
+      std::memmove(actions_.data() + end, actions_.data() + run.begin,
+                   run.size * sizeof(Action));
+      run.begin = end;
+    }
+    end += run.room;
+  }
+  actions_.Resize(end);
+  moved_from_ = 0;
 }
 
 void Dataset::SortSequences() {
   UPSKILL_CHECK(!mapped());
-  for (auto& seq : sequences_) {
-    std::stable_sort(seq.begin(), seq.end(),
+  for (const Run& run : runs_) {
+    Action* first = actions_.data() + run.begin;
+    std::stable_sort(first, first + run.size,
                      [](const Action& a, const Action& b) {
                        return a.time < b.time;
                      });
   }
+}
+
+Dataset::ActionBuffer::ActionBuffer(const ActionBuffer& other)
+    : size_(other.size_), capacity_(other.size_) {
+  if (size_ == 0) return;
+  data_ = static_cast<Action*>(std::malloc(size_ * sizeof(Action)));
+  if (data_ == nullptr) throw std::bad_alloc();
+  std::memcpy(data_, other.data_, size_ * sizeof(Action));
+}
+
+Dataset::ActionBuffer::ActionBuffer(ActionBuffer&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      capacity_(std::exchange(other.capacity_, 0)) {}
+
+Dataset::ActionBuffer& Dataset::ActionBuffer::operator=(
+    ActionBuffer other) noexcept {
+  std::swap(data_, other.data_);
+  std::swap(size_, other.size_);
+  std::swap(capacity_, other.capacity_);
+  return *this;
+}
+
+Dataset::ActionBuffer::~ActionBuffer() { std::free(data_); }
+
+void Dataset::ActionBuffer::Resize(size_t size) {
+  if (size > capacity_) {
+    const size_t capacity = std::max({size, 2 * capacity_, size_t{64}});
+    void* grown = std::realloc(data_, capacity * sizeof(Action));
+    if (grown == nullptr) throw std::bad_alloc();
+    data_ = static_cast<Action*>(grown);
+    capacity_ = capacity;
+  }
+  size_ = size;
 }
 
 int Dataset::CountUsedItems() const {

@@ -90,8 +90,18 @@ class ItemTable {
 /// Two storage modes share one read API (`sequence()` returns a span
 /// either way, which is what lets every consumer — trainer, exec shards,
 /// eval, serve — run unchanged on either):
-///  - owned (the default): sequences live in per-user vectors, built by
-///    AddUser/AddAction;
+///  - owned (the default): every action lives in one buffer, built by
+///    AddUser/AddAction. User u's actions are one run of slots in it,
+///    `size` actions followed by `room - size` slots reserved for
+///    appends. The run that ends the buffer (the tail) grows in place by
+///    exactly the actions appended, so a dataset filled one user after
+///    another holds exactly its actions. An append to a full run that is
+///    not the tail moves the run to the end with room for half again its
+///    size; once moved-from slots exceed half the live actions the
+///    buffer compacts in place, so it spans at most 2x the live actions
+///    (buffer_slots()). The buffer grows by realloc, which remaps
+///    a large block instead of copying it, and a freed dataset hands the
+///    whole block back;
 ///  - mapped: sequences are borrowed views into external storage (the
 ///    memory-mapped columnar store, src/store/), kept alive by a shared
 ///    handle. Mapped datasets are immutable — the mutating entry points
@@ -132,14 +142,23 @@ class Dataset {
   void SortSequences();
 
   int num_users() const {
-    return static_cast<int>(mapped() ? views_.size() : sequences_.size());
+    return static_cast<int>(mapped() ? views_.size() : runs_.size());
   }
   size_t num_actions() const { return num_actions_; }
 
+  /// Slots the owned buffer spans: the live actions, the room reserved
+  /// behind moved runs and the moved-from slots not yet compacted away.
+  /// At most 2 * num_actions() for any append order; 0 when mapped.
+  size_t buffer_slots() const { return actions_.size(); }
+
+  /// User's actions in chronological order. For an owned dataset the span
+  /// is valid only until the next AddUser or AddAction on this dataset
+  /// (the buffer can move), and SortSequences reorders what it shows; a
+  /// mapped dataset's spans live as long as the dataset or a copy of it.
   std::span<const Action> sequence(UserId user) const {
-    return mapped() ? views_[static_cast<size_t>(user)]
-                    : std::span<const Action>(
-                          sequences_[static_cast<size_t>(user)]);
+    if (mapped()) return views_[static_cast<size_t>(user)];
+    const Run& run = runs_[static_cast<size_t>(user)];
+    return {actions_.data() + run.begin, run.size};
   }
   const std::string& user_name(UserId user) const {
     return user_names_[static_cast<size_t>(user)];
@@ -163,9 +182,51 @@ class Dataset {
   }
 
  private:
+  // One user's slots in the owned buffer, as offsets so that copies and
+  // moves of the dataset stay valid: actions at [begin, begin + size),
+  // reserved room up to begin + room. A user with no actions has room 0.
+  struct Run {
+    size_t begin = 0;
+    size_t size = 0;
+    size_t room = 0;
+  };
+
+  // The owned mode's action slots: one malloc'd block that grows by
+  // realloc. A copy allocates exactly the slots in use.
+  class ActionBuffer {
+   public:
+    ActionBuffer() = default;
+    ActionBuffer(const ActionBuffer& other);
+    ActionBuffer(ActionBuffer&& other) noexcept;
+    ActionBuffer& operator=(ActionBuffer other) noexcept;
+    ~ActionBuffer();
+
+    Action* data() { return data_; }
+    const Action* data() const { return data_; }
+    // Slots in use, [0, size()).
+    size_t size() const { return size_; }
+    // Sets the slots in use, keeping the first min(size, size()) of them;
+    // the block grows at least twofold when it must grow.
+    void Resize(size_t size);
+
+   private:
+    Action* data_ = nullptr;
+    size_t size_ = 0;
+    size_t capacity_ = 0;
+  };
+
+  // Gives the full run `run` a free slot at its end: in place for the
+  // tail, else by moving it to the end of the buffer.
+  void MakeRoom(Run& run);
+  // Packs the runs in buffer order, dropping moved-from slots.
+  void Compact();
+
   ItemTable items_;
-  // Owned mode.
-  std::vector<std::vector<Action>> sequences_;
+  // Owned mode: the buffer, each user's run in it, and the slots runs
+  // have moved out of since the last compaction.
+  ActionBuffer actions_;
+  std::vector<Run> runs_;
+  size_t moved_from_ = 0;
   // Mapped mode: borrowed views plus the handle keeping them alive.
   // `storage_ != nullptr` is the mode discriminant; copies share it.
   std::vector<std::span<const Action>> views_;

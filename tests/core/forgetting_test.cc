@@ -4,12 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "core/dp.h"
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
 #include "eval/metrics.h"
+#include "exec/backend.h"
 
 namespace upskill {
 namespace {
@@ -175,6 +180,114 @@ TEST(ForgettingTrainerTest, DisabledForgettingKeepsMonotonicity) {
   const auto result = Trainer(config).Train(data.value().dataset);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(AssignmentsAreMonotone(result.value().assignments, 5));
+}
+
+// AssignmentEngine's forgetting passes solve from its down-edge flag
+// column. One engine, driven through gap thresholds that open the edge at
+// the breaks only, after every action, nowhere (forgetting off) and at the
+// breaks again, gives after every pass the paths of a per-user solve whose
+// flags come from the action times, and the paths and objective of a
+// fresh engine; per-class passes match a fresh engine too. Serial and
+// pool(4) over 7 shards alike: the pool's shard tasks write the column.
+TEST(ForgettingEngineTest, FlagColumnFollowsTheGapThreshold) {
+  constexpr int kLevels = 4;
+  datagen::SyntheticConfig gen;
+  gen.num_users = 90;
+  gen.num_items = 200;
+  gen.mean_sequence_length = 30.0;
+  gen.break_probability = 0.1;
+  gen.break_gap = 1000;
+  gen.forget_probability = 0.9;
+  gen.seed = 17;
+  auto data = datagen::GenerateSynthetic(gen);
+  ASSERT_TRUE(data.ok());
+  const Dataset& dataset = data.value().dataset;
+  SkillModelConfig config;
+  config.num_levels = kLevels;
+  config.min_init_actions = 20;
+  config.max_iterations = 5;
+  config.forgetting.enabled = true;
+  config.forgetting.gap_threshold = 100;
+  config.forgetting.drop_probability = 0.1;
+  const auto trained = Trainer(config).Train(dataset);
+  ASSERT_TRUE(trained.ok());
+  const std::vector<double> cache =
+      trained.value().model.ItemLogProbCache(dataset.items());
+
+  // The per-user oracle: flags from the records, then the item solvers.
+  auto solve_from_records = [&](const ForgettingConfig& forgetting) {
+    SkillAssignments paths;
+    DpScratch scratch;
+    for (UserId u = 0; u < dataset.num_users(); ++u) {
+      const std::span<const Action> seq = dataset.sequence(u);
+      if (forgetting.enabled && seq.size() > 1) {
+        std::vector<int32_t> ids;
+        std::vector<uint8_t> flags;
+        for (size_t n = 0; n < seq.size(); ++n) {
+          ids.push_back(seq[n].item);
+          if (n > 0) {
+            flags.push_back(seq[n].time - seq[n - 1].time >
+                            forgetting.gap_threshold);
+          }
+        }
+        SolveMonotonePathItemsWithForgetting(
+            cache, ids, kLevels, {}, 0.0, 0.0, flags,
+            std::log(forgetting.drop_probability), scratch);
+      } else {
+        SolveMonotonePathItems(cache, seq, kLevels, {}, 0.0, 0.0, scratch);
+      }
+      paths.push_back(scratch.levels);
+    }
+    return paths;
+  };
+
+  std::vector<ProgressionClassWeights> classes(2);
+  for (size_t c = 0; c < classes.size(); ++c) {
+    const double p_up = c == 0 ? 0.05 : 0.3;
+    classes[c].weights.log_up = std::log(p_up);
+    classes[c].weights.log_stay = std::log(1.0 - p_up);
+    classes[c].log_prior = std::log(0.5);
+  }
+  const struct {
+    bool enabled;
+    int64_t gap_threshold;
+  } steps[] = {{true, 100}, {true, 0}, {false, 0}, {true, 100}};
+
+  exec::ThreadPoolBackend pool(4);
+  const std::pair<exec::Backend*, int> runs[] = {{nullptr, 0}, {&pool, 7}};
+  for (const auto& [backend, shards] : runs) {
+    SCOPED_TRACE(shards);
+    AssignmentEngine engine(dataset, kLevels, shards);
+    AssignmentEngine classes_engine(dataset, kLevels, shards);
+    SkillAssignments previous;
+    for (const auto& step : steps) {
+      SCOPED_TRACE(step.gap_threshold);
+      SkillModelConfig step_config = config;
+      step_config.forgetting.enabled = step.enabled;
+      step_config.forgetting.gap_threshold = step.gap_threshold;
+      const SkillModel model =
+          SkillModel::Create(dataset.schema(), step_config).value();
+
+      const AssignmentStats stats = engine.Assign(model, cache, nullptr,
+                                                  backend);
+      EXPECT_EQ(engine.assignments(), solve_from_records(step_config.forgetting));
+      AssignmentEngine fresh(dataset, kLevels);
+      EXPECT_EQ(stats.log_likelihood,
+                fresh.Assign(model, cache, nullptr).log_likelihood);
+      // Each threshold moves some path.
+      EXPECT_NE(engine.assignments(), previous);
+      previous = engine.assignments();
+
+      const AssignmentStats class_stats =
+          classes_engine.AssignWithClasses(model, cache, classes, backend);
+      AssignmentEngine fresh_classes(dataset, kLevels);
+      const AssignmentStats fresh_class_stats =
+          fresh_classes.AssignWithClasses(model, cache, classes);
+      EXPECT_EQ(classes_engine.assignments(), fresh_classes.assignments());
+      EXPECT_EQ(classes_engine.user_classes(), fresh_classes.user_classes());
+      EXPECT_EQ(class_stats.log_likelihood, fresh_class_stats.log_likelihood);
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <vector>
 
 namespace upskill {
 namespace {
@@ -142,6 +145,176 @@ TEST(DatasetTest, ForEachActionVisitsAllInOrder) {
   EXPECT_EQ(seen[0], std::make_pair(u0, ItemId{0}));
   EXPECT_EQ(seen[1], std::make_pair(u1, ItemId{1}));
   EXPECT_EQ(seen[2], std::make_pair(u1, ItemId{2}));
+}
+
+// The owned buffer. A reference sequence per user, built alongside, is
+// what every layout must read back.
+using Sequences = std::vector<std::vector<Action>>;
+
+// User u's n-th action: times repeat in threes, so ties keep their
+// insertion order; every fifth action carries a rating.
+Action NthAction(int u, int n) {
+  Action a;
+  a.time = 100 + n / 3;
+  a.item = (u * 7 + n) % 4;
+  if (n % 5 == 0) a.rating = 0.5 * n + u;
+  return a;
+}
+
+void ExpectSequences(const Dataset& dataset, const Sequences& expected) {
+  ASSERT_EQ(static_cast<size_t>(dataset.num_users()), expected.size());
+  size_t total = 0;
+  for (UserId u = 0; u < dataset.num_users(); ++u) {
+    const std::span<const Action> seq = dataset.sequence(u);
+    const std::vector<Action>& want = expected[static_cast<size_t>(u)];
+    ASSERT_EQ(seq.size(), want.size()) << "user " << u;
+    for (size_t n = 0; n < seq.size(); ++n) {
+      EXPECT_EQ(seq[n].time, want[n].time) << "user " << u << " action " << n;
+      EXPECT_EQ(seq[n].item, want[n].item) << "user " << u << " action " << n;
+      EXPECT_EQ(seq[n].has_rating(), want[n].has_rating());
+      if (want[n].has_rating()) {
+        EXPECT_EQ(seq[n].rating, want[n].rating);
+      }
+    }
+    total += want.size();
+  }
+  EXPECT_EQ(dataset.num_actions(), total);
+}
+
+// `lengths[u]` actions for user u, appended one round at a time: each
+// round gives every user that still has actions one more. Each append
+// goes to a different run than the one before, so runs keep moving.
+Dataset FillRoundRobin(const std::vector<int>& lengths, Sequences* expected) {
+  Dataset dataset = MakeDataset();
+  expected->assign(lengths.size(), {});
+  for (size_t u = 0; u < lengths.size(); ++u) dataset.AddUser();
+  const int rounds = *std::max_element(lengths.begin(), lengths.end());
+  for (int n = 0; n < rounds; ++n) {
+    for (size_t u = 0; u < lengths.size(); ++u) {
+      if (n >= lengths[u]) continue;
+      const Action a = NthAction(static_cast<int>(u), n);
+      EXPECT_TRUE(dataset
+                      .AddAction(static_cast<UserId>(u), a.time, a.item,
+                                 a.rating)
+                      .ok());
+      (*expected)[u].push_back(a);
+    }
+  }
+  return dataset;
+}
+
+const std::vector<int> kLengths = {40, 1, 0, 25, 40, 7, 33};
+
+TEST(DatasetBufferTest, RoundRobinAppendsMatchOneUserAtATime) {
+  Sequences expected;
+  const Dataset interleaved = FillRoundRobin(kLengths, &expected);
+  // The runs moved: the buffer holds room or moved-from slots.
+  EXPECT_GT(interleaved.buffer_slots(), interleaved.num_actions());
+  ExpectSequences(interleaved, expected);
+
+  Dataset in_order = MakeDataset();
+  for (size_t u = 0; u < kLengths.size(); ++u) {
+    const UserId user = in_order.AddUser();
+    for (int n = 0; n < kLengths[u]; ++n) {
+      const Action a = NthAction(static_cast<int>(u), n);
+      ASSERT_TRUE(in_order.AddAction(user, a.time, a.item, a.rating).ok());
+    }
+  }
+  ExpectSequences(in_order, expected);
+}
+
+TEST(DatasetBufferTest, UsersFilledInOrderLeaveNoGap) {
+  // Users added up front, as a split's shell or a users table does.
+  Dataset up_front = MakeDataset();
+  for (size_t u = 0; u < kLengths.size(); ++u) up_front.AddUser();
+  // Users added one at a time, as the generators and filters do.
+  Dataset one_at_a_time = MakeDataset();
+  Sequences expected(kLengths.size());
+  for (size_t u = 0; u < kLengths.size(); ++u) {
+    const UserId user = one_at_a_time.AddUser();
+    for (int n = 0; n < kLengths[u]; ++n) {
+      const Action a = NthAction(static_cast<int>(u), n);
+      ASSERT_TRUE(up_front.AddAction(user, a.time, a.item, a.rating).ok());
+      ASSERT_TRUE(
+          one_at_a_time.AddAction(user, a.time, a.item, a.rating).ok());
+      expected[u].push_back(a);
+      EXPECT_EQ(up_front.buffer_slots(), up_front.num_actions());
+      EXPECT_EQ(one_at_a_time.buffer_slots(), one_at_a_time.num_actions());
+    }
+  }
+  ExpectSequences(up_front, expected);
+  ExpectSequences(one_at_a_time, expected);
+}
+
+TEST(DatasetBufferTest, RejectedAppendLeavesEverySequenceUnchanged) {
+  Sequences expected;
+  Dataset dataset = FillRoundRobin(kLengths, &expected);
+  const size_t slots = dataset.buffer_slots();
+  // Every user, including full runs that an accepted append would move.
+  for (UserId u = 0; u < dataset.num_users(); ++u) {
+    if (!expected[static_cast<size_t>(u)].empty()) {
+      const int64_t last = expected[static_cast<size_t>(u)].back().time;
+      EXPECT_EQ(dataset.AddAction(u, last - 1, 0).code(),
+                StatusCode::kFailedPrecondition);
+    }
+    EXPECT_EQ(dataset.AddAction(u, 1000, 4).code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(dataset.AddAction(u, 1000, -1).code(), StatusCode::kOutOfRange);
+  }
+  EXPECT_EQ(dataset.AddAction(dataset.num_users(), 1000, 0).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(dataset.AddAction(-1, 1000, 0).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(dataset.buffer_slots(), slots);
+  ExpectSequences(dataset, expected);
+}
+
+TEST(DatasetBufferTest, SortSequencesAfterRunsMoved) {
+  Sequences expected;
+  Dataset dataset = FillRoundRobin(kLengths, &expected);
+  dataset.SortSequences();
+  // Already chronological; the stable sort keeps tied actions in order.
+  ExpectSequences(dataset, expected);
+  // The runs still take appends after the sort.
+  for (UserId u = 0; u < dataset.num_users(); ++u) {
+    const Action a{500, u % 4, 1.5};
+    ASSERT_TRUE(dataset.AddAction(u, a.time, a.item, a.rating).ok());
+    expected[static_cast<size_t>(u)].push_back(a);
+  }
+  dataset.SortSequences();
+  ExpectSequences(dataset, expected);
+}
+
+TEST(DatasetBufferTest, CopySurvivesTheOriginal) {
+  Sequences expected;
+  auto original =
+      std::make_unique<Dataset>(FillRoundRobin(kLengths, &expected));
+  const Dataset copy = *original;
+  // Enough out-of-turn appends to move, grow and compact the buffer the
+  // copy was taken from.
+  for (int n = 0; n < 200; ++n) {
+    const UserId u = static_cast<UserId>(n % kLengths.size());
+    ASSERT_TRUE(original->AddAction(u, 1000 + n, n % 4).ok());
+  }
+  original.reset();
+  ExpectSequences(copy, expected);
+}
+
+TEST(DatasetBufferTest, SlotsStayWithinTwiceTheLiveActions) {
+  constexpr int kUsers = 13;
+  constexpr int kRounds = 300;
+  Dataset dataset = MakeDataset();
+  for (int u = 0; u < kUsers; ++u) dataset.AddUser();
+  size_t most_slots = 0;
+  for (int n = 0; n < kRounds; ++n) {
+    for (UserId u = 0; u < kUsers; ++u) {
+      ASSERT_TRUE(dataset.AddAction(u, n, (u + n) % 4).ok());
+      ASSERT_LE(dataset.buffer_slots(), 2 * dataset.num_actions())
+          << "round " << n << " user " << u;
+      most_slots = std::max(most_slots, dataset.buffer_slots());
+    }
+  }
+  // The runs moved: room and moved-from slots were held along the way.
+  EXPECT_GT(most_slots, dataset.num_actions());
+  EXPECT_EQ(dataset.num_actions(), size_t{kUsers} * kRounds);
 }
 
 }  // namespace

@@ -710,6 +710,10 @@ TEST_F(NetServerTest, ConnectionLimitRejectsExtraClients) {
 // requests, then gets only whole replies. (It half-closes, so without the
 // cap the server would answer every request and close at EOF.)
 TEST_F(NetServerTest, SlowConsumerIsCutOffAtTheUnreadReplyCap) {
+  obs::SetMetricsEnabled(true);
+  obs::Counter& bytes_read = obs::MetricsRegistry::Global().GetCounter(
+      "upskill_net_bytes_read_total");
+  const uint64_t read_before = bytes_read.Value();
   serve::Server server(serving_);
   NetServer net(&server, nullptr, NetServerConfig{});
   ASSERT_TRUE(net.Start().ok());
@@ -720,6 +724,15 @@ TEST_F(NetServerTest, SlowConsumerIsCutOffAtTheUnreadReplyCap) {
   for (size_t i = 0; i < kLevels; ++i) payload += "level slow\n";
   ASSERT_TRUE(client.SendRaw(payload).ok());
   client.ShutdownWrite();
+  // Read only once the server has read the whole payload. Closing a socket
+  // whose receive queue still holds unread requests makes Linux send RST
+  // and drop the replies still in its send queue, so reading earlier would
+  // make how many replies arrive depend on scheduling.
+  for (int i = 0; i < 6000 && bytes_read.Value() - read_before < payload.size();
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(bytes_read.Value() - read_before, payload.size());
   const std::string replies = client.ReadAll();
   ASSERT_GT(replies.size(), kMaxUnsentBytes);
   EXPECT_EQ(replies.back(), '\n');
