@@ -162,31 +162,6 @@ void BM_ItemLogProbCacheReference(benchmark::State& state) {
 }
 BENCHMARK(BM_ItemLogProbCacheReference);
 
-// Steady-state trainer iteration: only one (feature, level) cell's
-// parameters change between Update() calls, so the incremental cache
-// recomputes a single column instead of the full grid.
-void BM_ItemLogProbCacheIncremental(benchmark::State& state) {
-  const auto& data = PipelineData();
-  SkillModel model = PipelineModel().model;
-  LogProbCache cache;
-  cache.Update(model, data.dataset.items());
-  std::vector<double> params = model.component(2, 3).Parameters();
-  double delta = 0.03125;
-  for (auto _ : state) {
-    params[0] += delta;
-    delta = -delta;
-    if (!model.mutable_component(2, 3)->SetParameters(params).ok()) {
-      state.SkipWithError("SetParameters failed");
-      break;
-    }
-    cache.Update(model, data.dataset.items());
-    benchmark::DoNotOptimize(cache.values().data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          data.dataset.items().num_items());
-}
-BENCHMARK(BM_ItemLogProbCacheIncremental);
-
 void BM_AssignmentStep(benchmark::State& state) {
   const auto& data = PipelineData();
   const auto& trained = PipelineModel();
@@ -242,7 +217,7 @@ void BM_AssignSkillsReference(benchmark::State& state) {
 BENCHMARK(BM_AssignSkillsReference)->Arg(1)->Arg(8);
 
 // Fused, arena-backed assignment pass: the engine reads the item-indexed
-// cache directly and reuses per-slot scratch, so steady-state iterations
+// cache directly and reuses per-shard scratch, so steady-state iterations
 // allocate nothing. Arg(0) is the thread count.
 void BM_AssignSkills(benchmark::State& state) {
   const auto& data = PipelineData();

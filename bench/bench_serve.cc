@@ -154,7 +154,7 @@ void BM_ServeThroughput(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const int num_sessions = static_cast<int>(state.range(1));
   Server server(BenchServingModel(), /*num_shards=*/256);
-  exec::ThreadPoolBackend pool(threads);
+  exec::Backend pool(threads);
   const int num_items = BenchServingModel()->num_items();
   Rng rng(13);
 

@@ -854,7 +854,8 @@ int CmdServe(const Args& args) {
         static_cast<double>(args.IntFlag("deadline-ms", 0)) / 1000.0;
     config.max_connections =
         static_cast<int>(args.IntFlag("max-conns", 4096));
-    // Swaps route through the server's installed backend (null pool).
+    // Swaps route through the server's installed backend (no swap
+    // backend of its own).
     net::NetServer net_server(&server, nullptr, config);
     const Status started = net_server.Start();
     if (!started.ok()) return Fail(started);

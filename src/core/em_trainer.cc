@@ -61,7 +61,7 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
   exec::Backend* user_backend =
       (config_.model.parallel.users && backend->concurrency() > 1)
           ? backend.get()
-          : exec::SerialBackend::Get();
+          : exec::Backend::Serial();
 
   // One sharded-execution context for the run: the E-step and the hard
   // readout share the same user-axis shard plan and per-shard workspaces
@@ -91,8 +91,7 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
   std::vector<double> masked_ll(static_cast<size_t>(dataset.num_users()));
   std::vector<double> initial_counts(levels);
 
-  // Persistent across iterations: only cells whose parameters changed in
-  // the last M-step are recomputed.
+  // Persistent across iterations, so its buffers are allocated once.
   LogProbCache log_prob_cache;
 
   double previous_ll = kNegInf;
@@ -116,12 +115,10 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
     // depends on which thread ran which shard.
     exec::MapShards(user_backend, exec_context.num_shards(),
                     [&](int shard_index) {
-      const exec::DatasetShard& shard =
-          exec_context.shards()[static_cast<size_t>(shard_index)];
+      const exec::IndexRange users = exec_context.plan().range(shard_index);
       exec::ShardWorkspace& ws = exec_context.workspace(shard_index);
-      for (UserId user = shard.user_begin(); user < shard.user_end(); ++user) {
-      const size_t u = static_cast<size_t>(user);
-      std::span<const Action> seq = shard.sequence(user);
+      for (size_t u = users.begin; u < users.end; ++u) {
+      std::span<const Action> seq = dataset.sequence(static_cast<UserId>(u));
       per_user_ll[u] = 0.0;
       per_user_ups[u] = 0.0;
       per_user_stays[u] = 0.0;
@@ -239,7 +236,7 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
     exec::Backend* feature_backend =
         (config_.model.parallel.features && backend->concurrency() > 1)
             ? backend.get()
-            : exec::SerialBackend::Get();
+            : exec::Backend::Serial();
     exec::MapShards(feature_backend, num_features, [&](int f) {
       const double* column = dataset.items().column(f).data();
       std::vector<SufficientStats> stats(
@@ -280,14 +277,12 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
   // EM fitted.)
   exec::MapShards(user_backend, exec_context.num_shards(),
                   [&](int shard_index) {
-    const exec::DatasetShard& shard =
-        exec_context.shards()[static_cast<size_t>(shard_index)];
+    const exec::IndexRange users = exec_context.plan().range(shard_index);
     exec::ShardWorkspace& ws = exec_context.workspace(shard_index);
-    for (UserId user = shard.user_begin(); user < shard.user_end(); ++user) {
-      SolveMonotonePathItems(cache, shard.sequence(user), S, log_initial,
-                             log_stay, log_up, ws.dp);
-      result.assignments[static_cast<size_t>(user)].assign(
-          ws.dp.levels.begin(), ws.dp.levels.end());
+    for (size_t u = users.begin; u < users.end; ++u) {
+      SolveMonotonePathItems(cache, dataset.sequence(static_cast<UserId>(u)),
+                             S, log_initial, log_stay, log_up, ws.dp);
+      result.assignments[u].assign(ws.dp.levels.begin(), ws.dp.levels.end());
     }
   });
   return result;

@@ -148,10 +148,9 @@ Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
   OnlineRefreshStats stats;
   assignments_.resize(static_cast<size_t>(current.num_users()));
 
-  // E-step over the delta only: the log-prob cache refreshes just the
-  // cells the last M-step dirtied, and only users whose action bytes
-  // changed re-run the DP. Serial on purpose — the delta is the small
-  // side, and a fixed visit order keeps the pass trivially deterministic.
+  // E-step over the delta only: only users whose action bytes changed
+  // re-run the DP. Serial on purpose — the delta is the small side, and a
+  // fixed visit order keeps the pass trivially deterministic.
   cache_.Update(model_, current.items(), backend);
   const std::vector<double>& item_log_probs = cache_.values();
   const bool use_transitions =

@@ -127,8 +127,8 @@ class OnlineTrainer {
   SkillAssignments assignments_;
   std::vector<double> level_counts_;
   TransitionWeights transitions_;
-  // Incremental log P(i | s) cache + per-user DP scratch reused across
-  // Refresh calls (allocation-free in the steady state).
+  // log P(i | s) cache + per-user DP scratch reused across Refresh calls
+  // (allocation-free in the steady state).
   LogProbCache cache_;
   DpScratch scratch_;
 };

@@ -120,72 +120,42 @@ std::vector<double> SkillModel::ItemLogProbCache(
 
 namespace {
 // Items per parallel task when refreshing cache columns/totals; large
-// enough to amortize dispatch, small enough to spread dirty cells over
+// enough to amortize dispatch, small enough to spread the cells over
 // every worker.
 constexpr size_t kCacheBlock = 2048;
 }  // namespace
 
 void LogProbCache::Update(const SkillModel& model, const ItemTable& items,
                           exec::Backend* backend) {
-  if (backend == nullptr) backend = exec::SerialBackend::Get();
+  if (backend == nullptr) backend = exec::Backend::Serial();
   const int levels = model.num_levels();
   const int features = model.num_features();
   const size_t num_items = static_cast<size_t>(items.num_items());
   const size_t num_cells =
       static_cast<size_t>(features) * static_cast<size_t>(levels);
-  const bool reshaped = num_items_ != items.num_items() ||
-                        num_levels_ != levels || num_features_ != features;
-  if (reshaped) {
-    num_items_ = items.num_items();
-    num_levels_ = levels;
-    num_features_ = features;
-    cell_params_.assign(num_cells, {});
-    columns_.assign(num_cells * num_items, 0.0);
-    totals_.assign(num_items * static_cast<size_t>(levels), 0.0);
-  }
-
-  // A cell is clean iff its parameter vector is bitwise unchanged.
-  std::vector<size_t> dirty_cells;
-  std::vector<char> level_dirty(static_cast<size_t>(levels), 0);
-  for (int f = 0; f < features; ++f) {
-    for (int s = 1; s <= levels; ++s) {
-      const size_t cell = static_cast<size_t>(f) * levels + (s - 1);
-      std::vector<double> params = model.component(f, s).Parameters();
-      if (reshaped || params != cell_params_[cell]) {
-        dirty_cells.push_back(cell);
-        level_dirty[s - 1] = 1;
-        cell_params_[cell] = std::move(params);
-      }
-    }
-  }
-  last_dirty_cells_ = static_cast<int>(dirty_cells.size());
-  if (dirty_cells.empty() || num_items == 0) return;
+  columns_.resize(num_cells * num_items);
+  totals_.resize(num_items * static_cast<size_t>(levels));
+  if (num_items == 0) return;
 
   // Log-support features (Gamma, LogNormal) pay for std::log over the
-  // item column once per dirty feature, not once per dirty cell: all S
-  // cells of a feature score the same column, so the logs are shared
-  // through LogProbBatchWithLogs. log_offset[f] indexes the feature's
-  // slice of log_scratch_ (SIZE_MAX: feature clean or not log-support).
+  // item column once per feature, not once per cell: all S cells of a
+  // feature score the same column, so the logs are shared through
+  // LogProbBatchWithLogs. log_offset[f] indexes the feature's slice of
+  // log_scratch_ (SIZE_MAX: not log-support).
   const size_t blocks = (num_items + kCacheBlock - 1) / kCacheBlock;
   std::vector<size_t> log_offset(static_cast<size_t>(features), SIZE_MAX);
   {
-    size_t log_features = 0;
-    for (const size_t cell : dirty_cells) {
-      const int f = static_cast<int>(cell / levels);
-      const DistributionKind kind = model.component(f, 1).kind();
-      if ((kind == DistributionKind::kGamma ||
-           kind == DistributionKind::kLogNormal) &&
-          log_offset[static_cast<size_t>(f)] == SIZE_MAX) {
-        log_offset[static_cast<size_t>(f)] = log_features++ * num_items;
-      }
-    }
-    log_scratch_.resize(log_features * num_items);
     std::vector<int> features_with_logs;
     for (int f = 0; f < features; ++f) {
-      if (log_offset[static_cast<size_t>(f)] != SIZE_MAX) {
+      const DistributionKind kind = model.component(f, 1).kind();
+      if (kind == DistributionKind::kGamma ||
+          kind == DistributionKind::kLogNormal) {
+        log_offset[static_cast<size_t>(f)] =
+            features_with_logs.size() * num_items;
         features_with_logs.push_back(f);
       }
     }
+    log_scratch_.resize(features_with_logs.size() * num_items);
     // RunIndices on purpose (parallelism audit): (feature, block)
     // indexed, disjoint scratch slices, no cross-task reduction.
     backend->RunIndices(0, features_with_logs.size() * blocks, [&](size_t task) {
@@ -206,8 +176,8 @@ void LogProbCache::Update(const SkillModel& model, const ItemTable& items,
   // by (cell, item-block) — not by user — so the exec-layer user shards
   // don't apply; every task writes a disjoint column slice and no floats
   // are reduced across tasks, so scheduling cannot affect the values.
-  backend->RunIndices(0, dirty_cells.size() * blocks, [&](size_t task) {
-    const size_t cell = dirty_cells[task / blocks];
+  backend->RunIndices(0, num_cells * blocks, [&](size_t task) {
+    const size_t cell = task / blocks;
     const size_t begin = (task % blocks) * kCacheBlock;
     const size_t count = std::min(num_items - begin, kCacheBlock);
     const int f = static_cast<int>(cell / levels);
@@ -227,19 +197,15 @@ void LogProbCache::Update(const SkillModel& model, const ItemTable& items,
     }
   });
 
-  std::vector<int> dirty_levels;
-  for (int s = 1; s <= levels; ++s) {
-    if (level_dirty[s - 1]) dirty_levels.push_back(s);
-  }
   // Totals sum features in ascending order from 0.0 so they stay bitwise
-  // equal to ItemLogProb even for clean columns.
+  // equal to ItemLogProb.
   // RunIndices on purpose (parallelism audit): item-block indexed,
   // per-item serial feature sums — thread count cannot move a rounding.
   backend->RunIndices(0, blocks, [&](size_t block) {
     const size_t begin = block * kCacheBlock;
     const size_t end = std::min(num_items, begin + kCacheBlock);
     for (size_t item = begin; item < end; ++item) {
-      for (const int s : dirty_levels) {
+      for (int s = 1; s <= levels; ++s) {
         double total = 0.0;
         for (int f = 0; f < features; ++f) {
           const size_t cell = static_cast<size_t>(f) * levels + (s - 1);

@@ -190,52 +190,41 @@ class SkillModel {
   std::vector<std::unique_ptr<Distribution>> components_;
 };
 
-/// Incremental per-(item, level) log-probability cache. Keeps one log-prob
-/// column per (feature, level) component plus the item-major totals that the
+/// Per-(item, level) log-probability cache. Computes one log-prob column
+/// per (feature, level) component, then the item-major totals that the
 /// assignment step consumes (same [item * S + (level-1)] layout as
-/// SkillModel::ItemLogProbCache). Update() recomputes only the cells whose
-/// parameter vectors changed since the previous call — a cell is clean iff
-/// its Parameters() vector is bitwise unchanged — and rebuilds totals only
-/// for the affected levels, summing features in ascending order so every
-/// total stays bitwise equal to ItemLogProb.
+/// SkillModel::ItemLogProbCache), summing features in ascending order so
+/// every total stays bitwise equal to ItemLogProb. Its buffers persist
+/// across Update() calls, so a trainer refreshing it every iteration does
+/// not reallocate them.
 class LogProbCache {
  public:
   LogProbCache() = default;
 
-  /// Refreshes the cache against `model`'s current parameters. A shape
-  /// change (item count, levels, or features) invalidates everything.
-  /// The block loops dispatch through `backend` (null = serial).
+  /// Recomputes every cell and total against `model`'s current
+  /// parameters. The block loops dispatch through `backend` (null =
+  /// serial).
   void Update(const SkillModel& model, const ItemTable& items,
               exec::Backend* backend = nullptr);
 
   /// Item-major totals, valid after Update(); entry [item * S + (level-1)].
   const std::vector<double>& values() const { return totals_; }
 
-  /// Moves the totals out (for one-shot use); the cache must be treated as
-  /// reshaped afterwards.
+  /// Moves the totals out (for one-shot use).
   std::vector<double> TakeValues() && { return std::move(totals_); }
 
-  /// Number of (feature, level) cells recomputed by the last Update().
-  int last_dirty_cells() const { return last_dirty_cells_; }
-
  private:
-  int num_items_ = -1;
-  int num_levels_ = 0;
-  int num_features_ = 0;
-  // Parameter snapshot per cell [f * S + (s-1)], compared to detect dirt.
-  std::vector<std::vector<double>> cell_params_;
   // Feature-major log-prob columns: [(f * S + (s-1)) * I + item].
   std::vector<double> columns_;
   // Scratch for per-feature log(value) columns, shared by every level of
   // the same feature within one Update (log-support kinds only): the
   // std::log pass is the dominant cost of the Gamma/LogNormal batches,
   // and the S cells of a feature score the same item column, so the
-  // cache computes each dirty feature's logs once and feeds
+  // cache computes each feature's logs once and feeds
   // LogProbBatchWithLogs instead of paying for them per cell.
   std::vector<double> log_scratch_;
   // Item-major totals: [item * S + (s-1)].
   std::vector<double> totals_;
-  int last_dirty_cells_ = 0;
 };
 
 }  // namespace upskill

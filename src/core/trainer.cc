@@ -155,11 +155,11 @@ void FitCellsFromCountGrid(const ItemTable& items,
   const size_t num_items = static_cast<size_t>(items.num_items());
   UPSKILL_CHECK(level_counts.size() ==
                 static_cast<size_t>(num_levels) * num_items);
-  if (backend == nullptr) backend = exec::SerialBackend::Get();
+  if (backend == nullptr) backend = exec::Backend::Serial();
   exec::Backend* update_backend =
       ((parallel.levels || parallel.features) && backend->concurrency() > 1)
           ? backend
-          : exec::SerialBackend::Get();
+          : exec::Backend::Serial();
 
   // Positive-support kinds take a log per observation in the flat
   // formulation; hoisting log(max(x, floor)) per *item* makes the whole
@@ -190,7 +190,7 @@ void FitCellsFromCountGrid(const ItemTable& items,
     // write per item — no reduction, no user axis.
     exec::Backend* column_backend = num_items >= kMinItemsForParallelTransform
                                         ? update_backend
-                                        : exec::SerialBackend::Get();
+                                        : exec::Backend::Serial();
     column_backend->RunIndices(0, num_items, [&](size_t item) {
       const double c = std::max(column[item], kPositiveObservationFloor);
       clamped[item] = c;
@@ -370,11 +370,8 @@ AssignmentStats AssignmentEngine::RunPass(exec::Backend* user_backend,
   ctx.EnsureUserShards(*dataset_, num_shards_request_, user_backend);
   const int num_shards = ctx.num_shards();
   exec::MapShards(user_backend, num_shards, [&](int shard_index) {
-    const exec::DatasetShard& shard =
-        ctx.shards()[static_cast<size_t>(shard_index)];
+    const auto [begin, end] = ctx.plan().range(shard_index);
     exec::ShardWorkspace& ws = ctx.workspace(shard_index);
-    const size_t begin = static_cast<size_t>(shard.user_begin());
-    const size_t end = static_cast<size_t>(shard.user_end());
     ws.changed = false;
     ws.removed_cells.clear();
     ws.added_cells.clear();
@@ -684,14 +681,13 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
     instruments.init_seconds.Observe(result.init_seconds);
   }
 
-  // The item log-prob cache lives across iterations: only the
-  // (feature, level) cells whose parameters changed in the last update
-  // step are recomputed (LogProbCache dirty tracking).
+  // The item log-prob cache lives across iterations, so its buffers are
+  // allocated once; every iteration recomputes all of it.
   LogProbCache log_prob_cache;
   exec::Backend* user_backend =
       (config_.parallel.users && backend->concurrency() > 1)
           ? backend.get()
-          : exec::SerialBackend::Get();
+          : exec::Backend::Serial();
   // Every assignment pass solves every user's DP.
   const size_t num_users = static_cast<size_t>(dataset.num_users());
 

@@ -103,8 +103,8 @@ Status Dataset::AddAction(UserId user, int64_t time, ItemId item,
     const int64_t tail_time = actions_.data()[run.begin + run.size - 1].time;
     if (tail_time > time) {
       return Status::FailedPrecondition(StringPrintf(
-          "action at time %lld precedes the sequence tail at %lld; use "
-          "SortSequences() for out-of-order loads",
+          "action at time %lld precedes the sequence tail at %lld; a "
+          "user's actions must come in time order",
           static_cast<long long>(time), static_cast<long long>(tail_time)));
     }
   }
@@ -158,17 +158,6 @@ void Dataset::Compact() {
   }
   actions_.Resize(end);
   moved_from_ = 0;
-}
-
-void Dataset::SortSequences() {
-  UPSKILL_CHECK(!mapped());
-  for (const Run& run : runs_) {
-    Action* first = actions_.data() + run.begin;
-    std::stable_sort(first, first + run.size,
-                     [](const Action& a, const Action& b) {
-                       return a.time < b.time;
-                     });
-  }
 }
 
 Dataset::ActionBuffer::ActionBuffer(const ActionBuffer& other)

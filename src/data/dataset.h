@@ -84,8 +84,7 @@ class ItemTable {
 
 /// A set of per-user action sequences over a shared item table
 /// (A = union of A_u, Section III). Sequences are kept in chronological
-/// order; AddAction enforces non-decreasing times per user, and
-/// SortSequences() re-establishes the invariant after bulk edits.
+/// order: AddAction rejects an action earlier than its user's last one.
 ///
 /// Two storage modes share one read API (`sequence()` returns a span
 /// either way, which is what lets every consumer — trainer, exec shards,
@@ -137,10 +136,6 @@ class Dataset {
   Status AddAction(UserId user, int64_t time, ItemId item,
                    double rating = std::numeric_limits<double>::quiet_NaN());
 
-  /// Stable-sorts every sequence by time (for bulk loaders). No-op
-  /// requirement: must not be called on mapped datasets (checked).
-  void SortSequences();
-
   int num_users() const {
     return static_cast<int>(mapped() ? views_.size() : runs_.size());
   }
@@ -153,8 +148,8 @@ class Dataset {
 
   /// User's actions in chronological order. For an owned dataset the span
   /// is valid only until the next AddUser or AddAction on this dataset
-  /// (the buffer can move), and SortSequences reorders what it shows; a
-  /// mapped dataset's spans live as long as the dataset or a copy of it.
+  /// (the buffer can move); a mapped dataset's spans live as long as the
+  /// dataset or a copy of it.
   std::span<const Action> sequence(UserId user) const {
     if (mapped()) return views_[static_cast<size_t>(user)];
     const Run& run = runs_[static_cast<size_t>(user)];

@@ -17,7 +17,7 @@ Result<ItemPredictionReport> EvaluateItemPrediction(
     const SkillModel& model, const std::vector<HeldOutAction>& test, int k,
     exec::Backend* backend) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (backend == nullptr) backend = exec::SerialBackend::Get();
+  if (backend == nullptr) backend = exec::Backend::Serial();
   ItemPredictionReport report;
   report.reciprocal_ranks.assign(test.size(), 0.0);
   // Test cases are independent and uniform-cost, so an equal-count plan

@@ -1,100 +1,87 @@
 #ifndef UPSKILL_EXEC_BACKEND_H_
 #define UPSKILL_EXEC_BACKEND_H_
 
+#include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 
 namespace upskill {
 namespace exec {
 
-/// Abstract execution engine behind exec::MapShards. A backend owns the
-/// *scheduling* of shard bodies and nothing else: every caller already
-/// reduces per-element (ReduceOrderedSum) or with exact integer counts
-/// merged in fixed shard order, so which thread runs which shard — the
-/// only thing a backend controls — can never change results. That is
-/// the determinism contract: outputs are bitwise identical across
-/// backends, enforced by the backend sweep in tests/exec.
+/// The execution engine behind exec::MapShards and every other parallel
+/// loop in the process. Section IV-C of the paper derives three
+/// independent axes of parallelism for training (users in the assignment
+/// step; skill levels and features in the update step); callers request
+/// them all through a Backend.
+///
+/// A backend owns its worker threads and the *scheduling* of loop bodies
+/// and nothing else: every caller already reduces per-element
+/// (ReduceOrderedSum) or with exact integer counts merged in fixed shard
+/// order, so which thread runs which index — the only thing a backend
+/// controls — can never change results. That is the determinism contract:
+/// outputs are bitwise identical for every worker count, enforced by the
+/// backend sweep in tests/exec.
+///
+/// A loop is carved into chunks of max(1, n / (8 * workers)) indices that
+/// the workers and the calling thread grab off a shared atomic counter, so
+/// skewed per-index costs cannot serialize the tail. The caller always
+/// takes a share, and completion blocks on a per-call latch, so concurrent
+/// loops on one backend, and loops nested in a loop body, always finish.
+/// With at most one worker, or a one-index range, the loop runs inline.
 class Backend {
  public:
-  virtual ~Backend() = default;
+  /// Spawns max(0, num_workers) worker threads; zero workers is serial.
+  explicit Backend(int num_workers);
+  ~Backend();
 
-  /// Runs body(shard) exactly once for every shard in [0, num_shards).
-  /// Non-virtual on purpose: the entry point guards degenerate counts
-  /// (num_shards <= 0 returns without dispatching, so a degenerate
-  /// ShardPlan over an empty mapped store cannot reach any
-  /// implementation) and owns the obs instrumentation — per-shard
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
+
+  /// Shared process-wide backend with no workers: bodies run on the
+  /// calling thread in index order. Every `Backend*` parameter treats null
+  /// as this backend.
+  static Backend* Serial();
+
+  /// Runs body(shard) exactly once for every shard in [0, num_shards);
+  /// num_shards <= 0 returns without dispatching. Instrumented: per-shard
   /// "exec/shard" spans, the slowest/mean imbalance gauge, and the
-  /// per-backend upskill_exec_shard_seconds histogram — so every
-  /// implementation inherits both.
+  /// per-backend upskill_exec_shard_seconds histogram.
   void Run(int num_shards, const std::function<void(int shard)>& body);
 
   /// Runs body(i) exactly once for every i in [begin, end): the
-  /// index-loop shape of the audited cell/item/block ParallelFor sites
-  /// in core/trainer.cc and core/skill_model.cc. Chunking is
-  /// implementation-defined; an empty range returns without
-  /// dispatching. Not instrumented (the migrated sites never were).
+  /// index-loop shape of the cell/item/block loops in core/trainer.cc and
+  /// core/skill_model.cc. An empty or reversed range returns without
+  /// dispatching. Not instrumented.
   void RunIndices(size_t begin, size_t end,
                   const std::function<void(size_t index)>& body);
 
-  /// Stable identifier ("serial" or "pool"); labels metrics.
-  virtual const char* name() const = 0;
+  /// Stable identifier ("serial" without workers, "pool" with); labels
+  /// metrics.
+  const char* name() const { return workers_.empty() ? "serial" : "pool"; }
 
-  /// Maximum concurrent execution slots, counting the calling thread;
-  /// always >= 1. ResolveShardCount sizes automatic shard counts from
-  /// this.
-  virtual int concurrency() const = 0;
-
- protected:
-  /// Scheduling core: dispatch body over [0, num_shards). Only called
-  /// with num_shards >= 1.
-  virtual void RunShards(int num_shards,
-                         const std::function<void(int shard)>& body) = 0;
-
-  /// Index-loop core. Only called with a non-empty range.
-  virtual void RunIndexLoop(size_t begin, size_t end,
-                            const std::function<void(size_t index)>& body) = 0;
-};
-
-/// Inline, pool-free execution: body runs on the calling thread in
-/// shard order. Every `Backend*` parameter treats null as this backend.
-class SerialBackend : public Backend {
- public:
-  /// Shared process-wide instance (stateless; safe from any thread).
-  static SerialBackend* Get();
-
-  const char* name() const override { return "serial"; }
-  int concurrency() const override { return 1; }
-
- protected:
-  void RunShards(int num_shards,
-                 const std::function<void(int shard)>& body) override;
-  void RunIndexLoop(size_t begin, size_t end,
-                    const std::function<void(size_t index)>& body) override;
-};
-
-/// Runs shards and index loops on an owned ThreadPool through the
-/// ParallelFor machinery.
-class ThreadPoolBackend : public Backend {
- public:
-  /// Owns a new pool with max(1, num_threads) workers.
-  explicit ThreadPoolBackend(int num_threads);
-
-  const char* name() const override { return "pool"; }
-  int concurrency() const override { return ParallelMaxSlots(&pool_); }
-
- protected:
-  void RunShards(int num_shards,
-                 const std::function<void(int shard)>& body) override;
-  void RunIndexLoop(size_t begin, size_t end,
-                    const std::function<void(size_t index)>& body) override;
+  /// Maximum concurrent runners: the workers plus the calling thread.
+  /// ResolveShardCount sizes automatic shard counts from this.
+  int concurrency() const { return static_cast<int>(workers_.size()) + 1; }
 
  private:
-  ThreadPool pool_;
+  struct Loop;
+
+  void WorkerLoop();
+
+  std::mutex mutex_;
+  std::condition_variable work_available_;
+  /// One entry per worker share of a running loop.
+  std::deque<std::shared_ptr<Loop>> queue_;
+  bool shutting_down_ = false;
+  std::vector<std::thread> workers_;
 };
 
 /// Builds the backend behind `--backend` and SkillModelConfig::backend:

@@ -7,7 +7,7 @@ namespace exec {
 
 void MapShards(Backend* backend, int num_shards,
                const std::function<void(int shard)>& body) {
-  (backend != nullptr ? backend : SerialBackend::Get())->Run(num_shards, body);
+  (backend != nullptr ? backend : Backend::Serial())->Run(num_shards, body);
 }
 
 namespace {

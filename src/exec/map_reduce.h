@@ -11,9 +11,9 @@ namespace exec {
 class Backend;
 
 /// Runs `body(shard)` once for every shard index in [0, num_shards),
-/// scheduled by `backend` (inline through the shared SerialBackend when
-/// null). Each shard index is visited exactly once, so per-shard state
-/// (a ShardWorkspace) is safe without locking; which *slot* runs which
+/// scheduled by `backend` (inline through Backend::Serial() when null).
+/// Each shard index is visited exactly once, so per-shard state (a
+/// ShardWorkspace) is safe without locking; which thread runs which
 /// shard is nondeterministic, which is exactly why results must never
 /// depend on it — reduce per-element (ReduceOrderedSum) or with exact
 /// order-independent sums. This is a thin forward to Backend::Run,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "exec/backend.h"
 
 namespace upskill {
@@ -53,14 +52,6 @@ int ResolveShardCount(int requested, const Backend* backend, size_t count) {
   return static_cast<int>(std::max<size_t>(1, std::min(automatic, count)));
 }
 
-DatasetShard::DatasetShard(const Dataset& dataset, IndexRange users)
-    : dataset_(&dataset), users_(users) {
-  UPSKILL_CHECK(users.end <= static_cast<size_t>(dataset.num_users()));
-  for (size_t u = users.begin; u < users.end; ++u) {
-    num_actions_ += dataset.sequence(static_cast<UserId>(u)).size();
-  }
-}
-
 ShardPlan PlanDatasetShards(const Dataset& dataset, int num_shards) {
   const size_t num_users = static_cast<size_t>(dataset.num_users());
   std::vector<size_t> weights(num_users);
@@ -68,16 +59,6 @@ ShardPlan PlanDatasetShards(const Dataset& dataset, int num_shards) {
     weights[u] = dataset.sequence(static_cast<UserId>(u)).size();
   }
   return ShardPlan::Balanced(weights, num_shards);
-}
-
-std::vector<DatasetShard> MakeDatasetShards(const Dataset& dataset,
-                                            const ShardPlan& plan) {
-  std::vector<DatasetShard> shards;
-  shards.reserve(static_cast<size_t>(plan.num_shards()));
-  for (int k = 0; k < plan.num_shards(); ++k) {
-    shards.emplace_back(dataset, plan.range(k));
-  }
-  return shards;
 }
 
 }  // namespace exec

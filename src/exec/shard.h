@@ -68,42 +68,9 @@ class Backend;
 /// granularity or with exact sums — only scheduling.
 int ResolveShardCount(int requested, const Backend* backend, size_t count);
 
-/// Immutable zero-copy view over a contiguous run of a Dataset's users:
-/// the sequence spans stay owned by the Dataset, the ItemTable is shared.
-/// The Dataset must outlive the shard and keep its sequences unchanged.
-class DatasetShard {
- public:
-  DatasetShard() = default;
-  DatasetShard(const Dataset& dataset, IndexRange users);
-
-  const Dataset& dataset() const { return *dataset_; }
-  const ItemTable& items() const { return dataset_->items(); }
-
-  /// Global user-id bounds of this shard.
-  UserId user_begin() const { return static_cast<UserId>(users_.begin); }
-  UserId user_end() const { return static_cast<UserId>(users_.end); }
-  size_t num_users() const { return users_.size(); }
-  /// Total actions across the shard's users (computed at construction).
-  size_t num_actions() const { return num_actions_; }
-
-  /// Sequence of a *global* user id; must lie in [user_begin, user_end).
-  std::span<const Action> sequence(UserId user) const {
-    return dataset_->sequence(user);
-  }
-
- private:
-  const Dataset* dataset_ = nullptr;
-  IndexRange users_;
-  size_t num_actions_ = 0;
-};
-
 /// Plans the user axis of `dataset`: ShardPlan::Balanced over the users'
 /// sequence lengths.
 ShardPlan PlanDatasetShards(const Dataset& dataset, int num_shards);
-
-/// Materializes one DatasetShard view per plan range.
-std::vector<DatasetShard> MakeDatasetShards(const Dataset& dataset,
-                                            const ShardPlan& plan);
 
 }  // namespace exec
 }  // namespace upskill

@@ -22,7 +22,6 @@ void ExecContext::EnsureUserShards(const Dataset& dataset,
   built_users_ = num_users;
   built_shards_ = resolved;
   plan_ = PlanDatasetShards(dataset, resolved);
-  shards_ = MakeDatasetShards(dataset, plan_);
   while (workspaces_.size() < static_cast<size_t>(resolved)) {
     workspaces_.emplace_back();
   }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <vector>
 
 #include "core/dp.h"
@@ -15,7 +14,7 @@ namespace exec {
 /// Per-shard scratch owned across iterations. One workspace is bound to
 /// one shard index for the lifetime of an ExecContext, so buffers grown
 /// for a shard's longest sequence are reused on every subsequent pass —
-/// what used to be per-call (or per-thread-slot) scratch in the trainer,
+/// what used to be per-call (or per-thread) scratch in the trainer,
 /// EM, and readout loops. Workspaces are only ever touched by the single
 /// MapShards task running their shard, never concurrently.
 struct ShardWorkspace {
@@ -40,7 +39,8 @@ struct ShardWorkspace {
 
 /// The sharded-execution state one driver (a Trainer run, an EM run, a
 /// standalone assignment pass) carries across iterations: the user-axis
-/// ShardPlan, the DatasetShard views, and one ShardWorkspace per shard.
+/// ShardPlan and one ShardWorkspace per shard. Shard k's users are
+/// plan().range(k); their sequences are read from the dataset itself.
 /// EnsureUserShards is idempotent for an unchanged (dataset, shard count)
 /// pair, so calling it at the top of every pass costs nothing
 /// in the steady state while keeping workspaces (and their grown arenas)
@@ -51,7 +51,7 @@ class ExecContext {
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
 
-  /// (Re)builds the plan/shards/workspaces for `dataset`'s user axis,
+  /// (Re)builds the plan and workspaces for `dataset`'s user axis,
   /// balanced by action count (PlanDatasetShards).
   /// `requested_shards <= 0` resolves against `backend`'s concurrency
   /// (null = serial) via ResolveShardCount — but reuses ANY existing plan
@@ -64,7 +64,6 @@ class ExecContext {
                         const Backend* backend = nullptr);
 
   const ShardPlan& plan() const { return plan_; }
-  std::span<const DatasetShard> shards() const { return shards_; }
   int num_shards() const { return plan_.num_shards(); }
 
   ShardWorkspace& workspace(int shard) {
@@ -76,7 +75,6 @@ class ExecContext {
   int built_users_ = -1;
   int built_shards_ = 0;
   ShardPlan plan_;
-  std::vector<DatasetShard> shards_;
   // deque: stable addresses while growing, no moves of live arenas.
   std::deque<ShardWorkspace> workspaces_;
 };

@@ -57,6 +57,9 @@ struct TcpServer::Connection {
   TcpStreams streams;
   /// Close once `out` drains: the protocol asked to, or the peer is done.
   bool closing = false;
+  /// The write side is shut: `out` drained while closing, and the loop
+  /// discards input until the peer's EOF.
+  bool write_shut = false;
   /// The epoll interest: EPOLLIN until EOF, EPOLLOUT while replies wait.
   uint32_t events = EPOLLIN;
 };
@@ -213,11 +216,15 @@ void TcpServer::RunWorker(Worker* worker) {
         continue;
       }
       Connection* conn = static_cast<Connection*>(ptr);
-      bool alive = (events[i].events & (EPOLLERR | EPOLLHUP)) == 0;
-      if (alive && (events[i].events & EPOLLIN)) {
+      const uint32_t ready = events[i].events;
+      // Once the write side is shut, the peer's EOF arrives as a hangup;
+      // the input before it is still read (and discarded) first.
+      bool alive = (ready & EPOLLERR) == 0 &&
+                   ((ready & EPOLLHUP) == 0 || conn->write_shut);
+      if (alive && (ready & (EPOLLIN | EPOLLHUP))) {
         alive = HandleReadable(worker, conn);
       }
-      if (alive && (events[i].events & EPOLLOUT)) alive = Flush(worker, conn);
+      if (alive && (ready & EPOLLOUT)) alive = Flush(worker, conn);
       if (!alive) CloseConnection(worker, conn);
     }
   }
@@ -327,7 +334,18 @@ bool TcpServer::Flush(Worker* worker, Connection* conn) {
   }
   const bool drained = streams.out_sent == streams.out.size();
   if (drained) {
-    if (conn->closing) return false;
+    if (conn->closing) {
+      // Closing a socket whose peer's input is still unread makes the
+      // kernel answer with RST and drop the replies it has not sent yet.
+      // So shut the write side, which sends FIN after the replies, and
+      // close at the peer's EOF (HandleReadable discards what comes
+      // before it).
+      if (streams.eof) return false;
+      if (!conn->write_shut) {
+        if (::shutdown(conn->fd, SHUT_WR) != 0) return false;
+        conn->write_shut = true;
+      }
+    }
     streams.out.clear();
     streams.out_sent = 0;
   }

@@ -55,6 +55,9 @@ class TcpProtocol {
   /// appends their replies to `streams->out`. Returns true to close the
   /// connection once `out` drains. The loop also closes after the drain
   /// that saw `eof`, and calls the protocol no more once either holds.
+  /// Closing shuts the write side first and waits for the peer's EOF, so
+  /// input the peer sent after the last answered request cannot reset
+  /// the connection and destroy replies still in flight.
   virtual bool Consume(TcpStreams* streams) = 0;
 };
 
@@ -122,7 +125,9 @@ class TcpServer {
   bool HandleReadable(Worker* worker, Connection* conn);
   /// Writes pending replies and re-arms the epoll interest; false when
   /// the connection must close now (a failed send, or a closing
-  /// connection whose replies have drained).
+  /// connection whose replies have drained and whose peer has sent EOF).
+  /// A closing connection whose peer has not shuts its write side once
+  /// the replies drain, and reads on to the EOF.
   bool Flush(Worker* worker, Connection* conn);
   void CloseConnection(Worker* worker, Connection* conn);
 

@@ -29,7 +29,7 @@ int16_t QuantizeCost(double log_value) {
 
 std::shared_ptr<const QuantizedModel> QuantizedModel::FromServingModel(
     const ServingModel& model, exec::Backend* backend) {
-  if (backend == nullptr) backend = exec::SerialBackend::Get();
+  if (backend == nullptr) backend = exec::Backend::Serial();
   std::shared_ptr<QuantizedModel> q(new QuantizedModel());
   q->num_levels_ = model.num_levels();
   q->num_items_ = model.num_items();

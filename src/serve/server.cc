@@ -191,7 +191,7 @@ Result<double> Server::ItemDifficulty(ItemId item) const {
 exec::Backend* Server::ResolveExecBackend(exec::Backend* backend) const {
   if (backend != nullptr) return backend;
   if (backend_ != nullptr) return backend_.get();
-  return exec::SerialBackend::Get();
+  return exec::Backend::Serial();
 }
 
 void Server::SwapSnapshot(std::shared_ptr<const ServingModel> next,

@@ -72,7 +72,7 @@ void RankDescending(const double* scores, size_t stride, size_t count,
 
 Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
     ModelSnapshot snapshot, exec::Backend* backend) {
-  if (backend == nullptr) backend = exec::SerialBackend::Get();
+  if (backend == nullptr) backend = exec::Backend::Serial();
   const int levels = snapshot.config.num_levels;
   if (levels < 1) {
     return Status::InvalidArgument("snapshot has no skill levels");

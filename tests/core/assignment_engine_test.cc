@@ -137,8 +137,8 @@ bool HasOddShard(const Dataset& dataset, int num_shards,
                  exec::Backend* backend) {
   exec::ExecContext context;
   context.EnsureUserShards(dataset, num_shards, backend);
-  for (const exec::DatasetShard& shard : context.shards()) {
-    if (shard.num_users() % 2 == 1) return true;
+  for (int k = 0; k < context.num_shards(); ++k) {
+    if (context.plan().range(k).size() % 2 == 1) return true;
   }
   return false;
 }
@@ -225,7 +225,7 @@ void ExpectGridTracksPaths(PassKind kind, exec::Backend* backend,
 }
 
 TEST(AssignmentEngineCountsTest, PatchedGridMatchesSweepAfterEveryPass) {
-  exec::ThreadPoolBackend pool(4);
+  exec::Backend pool(4);
   for (const PassKind kind :
        {PassKind::kPlain, PassKind::kForgetting, PassKind::kClasses}) {
     SCOPED_TRACE(static_cast<int>(kind));
@@ -260,7 +260,7 @@ TEST(AssignmentEngineCountsTest, ClearedPathsLeaveAPositiveZeroGrid) {
     c.log_prior = -std::numeric_limits<double>::infinity();
   }
 
-  exec::ThreadPoolBackend pool(4);
+  exec::Backend pool(4);
   const std::pair<exec::Backend*, int> runs[] = {{nullptr, 0}, {&pool, 7}};
   for (const auto& [backend, shards] : runs) {
     SCOPED_TRACE(shards);

@@ -253,7 +253,7 @@ TEST(ForgettingEngineTest, FlagColumnFollowsTheGapThreshold) {
     int64_t gap_threshold;
   } steps[] = {{true, 100}, {true, 0}, {false, 0}, {true, 100}};
 
-  exec::ThreadPoolBackend pool(4);
+  exec::Backend pool(4);
   const std::pair<exec::Backend*, int> runs[] = {{nullptr, 0}, {&pool, 7}};
   for (const auto& [backend, shards] : runs) {
     SCOPED_TRACE(shards);

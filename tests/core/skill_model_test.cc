@@ -103,7 +103,7 @@ TEST(SkillModelTest, CacheParallelMatchesSequential) {
   ASSERT_TRUE(created.ok());
   SkillModel model = std::move(created).value();
   const ItemTable items = MakeItems();
-  exec::ThreadPoolBackend pool(4);
+  exec::Backend pool(4);
   EXPECT_EQ(model.ItemLogProbCache(items),
             model.ItemLogProbCache(items, &pool));
 }

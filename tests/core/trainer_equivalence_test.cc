@@ -9,7 +9,7 @@
 //  - Trainer::Train, which refits from the assignment engine's patched
 //    count grid, vs a loop that re-sweeps every path through
 //    FitParameters each iteration (bitwise);
-//  - LogProbCache dirty-cell tracking.
+//  - a reused LogProbCache vs a fresh one after each parameter change.
 
 #include "core/trainer.h"
 
@@ -136,7 +136,7 @@ TEST(FitParametersEquivalenceTest, ParallelIsBitwiseIdenticalToSerial) {
   SkillModel serial = SkillModel::Create(dataset.schema(), config).value();
   FitParameters(dataset, assignments, &serial);
 
-  exec::ThreadPoolBackend pool(8);
+  exec::Backend pool(8);
   for (const bool levels : {false, true}) {
     for (const bool features : {false, true}) {
       ParallelOptions parallel;
@@ -336,7 +336,7 @@ TEST(TrainerEquivalenceTest, PatchedCountGridMatchesFullSweeps) {
   }
 }
 
-TEST(LogProbCacheTest, TracksDirtyCellsAndMatchesFullRecompute) {
+TEST(LogProbCacheTest, ReusedCacheMatchesFullRecompute) {
   const Dataset& dataset = TestData();
   const SkillModelConfig config = TestConfig();
   SkillModel model = SkillModel::Create(dataset.schema(), config).value();
@@ -346,31 +346,28 @@ TEST(LogProbCacheTest, TracksDirtyCellsAndMatchesFullRecompute) {
 
   LogProbCache cache;
   cache.Update(model, dataset.items());
-  EXPECT_EQ(cache.last_dirty_cells(),
-            model.num_features() * model.num_levels());
   EXPECT_EQ(cache.values(), model.ItemLogProbCache(dataset.items()));
 
-  // No parameter changed: nothing recomputes and the totals are stable.
+  // No parameter changed: the totals are stable.
   const std::vector<double> before = cache.values();
   cache.Update(model, dataset.items());
-  EXPECT_EQ(cache.last_dirty_cells(), 0);
   EXPECT_EQ(cache.values(), before);
 
   // Perturb exactly one component (the gamma "intensity" feature, whose
-  // SetParameters accepts any positive values); only its cell may
-  // recompute, and the totals must equal a from-scratch cache bitwise.
+  // SetParameters accepts any positive values); the reused cache's
+  // totals must equal a from-scratch cache bitwise.
   ASSERT_EQ(model.component(2, 2).kind(), DistributionKind::kGamma);
-  std::vector<double> params = model.component(2, 2).Parameters();
+  const std::vector<double> original = model.component(2, 2).Parameters();
+  std::vector<double> params = original;
   params[0] += 0.125;
   ASSERT_TRUE(model.mutable_component(2, 2)->SetParameters(params).ok());
   cache.Update(model, dataset.items());
-  EXPECT_EQ(cache.last_dirty_cells(), 1);
   EXPECT_EQ(cache.values(), model.ItemLogProbCache(dataset.items()));
 
-  // Setting a parameter to its current value keeps the cell clean.
-  ASSERT_TRUE(model.mutable_component(2, 2)->SetParameters(params).ok());
+  // And back: the cache follows the model to its old parameters.
+  ASSERT_TRUE(model.mutable_component(2, 2)->SetParameters(original).ok());
   cache.Update(model, dataset.items());
-  EXPECT_EQ(cache.last_dirty_cells(), 0);
+  EXPECT_EQ(cache.values(), model.ItemLogProbCache(dataset.items()));
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ TEST(FitParametersTest, ParallelModesMatchSequential) {
   };
 
   const SkillModel sequential = fit({}, nullptr);
-  exec::ThreadPoolBackend pool(4);
+  exec::Backend pool(4);
   for (const auto& [levels, features] :
        {std::pair{true, false}, {false, true}, {true, true}}) {
     ParallelOptions parallel;

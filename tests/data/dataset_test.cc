@@ -102,21 +102,6 @@ TEST(DatasetTest, RejectsBadActions) {
   ASSERT_TRUE(dataset.AddAction(u, 10, 1).ok());    // equal time is fine
 }
 
-TEST(DatasetTest, SortSequencesRestoresOrder) {
-  Dataset dataset = MakeDataset();
-  const UserId u = dataset.AddUser();
-  ASSERT_TRUE(dataset.AddAction(u, 10, 0).ok());
-  // Simulate a bulk loader writing out of order via sort.
-  ASSERT_TRUE(dataset.AddAction(u, 20, 1).ok());
-  ASSERT_TRUE(dataset.AddAction(u, 20, 2).ok());
-  dataset.SortSequences();
-  const auto& seq = dataset.sequence(u);
-  EXPECT_EQ(seq[0].time, 10);
-  // Stable sort keeps insertion order among equal times.
-  EXPECT_EQ(seq[1].item, 1);
-  EXPECT_EQ(seq[2].item, 2);
-}
-
 TEST(DatasetTest, CountUsedItemsAndMinTime) {
   Dataset dataset = MakeDataset();
   const UserId u0 = dataset.AddUser();
@@ -267,19 +252,15 @@ TEST(DatasetBufferTest, RejectedAppendLeavesEverySequenceUnchanged) {
   ExpectSequences(dataset, expected);
 }
 
-TEST(DatasetBufferTest, SortSequencesAfterRunsMoved) {
+TEST(DatasetBufferTest, AppendsAfterRunsMoved) {
   Sequences expected;
   Dataset dataset = FillRoundRobin(kLengths, &expected);
-  dataset.SortSequences();
-  // Already chronological; the stable sort keeps tied actions in order.
-  ExpectSequences(dataset, expected);
-  // The runs still take appends after the sort.
+  // Every run takes one more append, the empty one included.
   for (UserId u = 0; u < dataset.num_users(); ++u) {
     const Action a{500, u % 4, 1.5};
     ASSERT_TRUE(dataset.AddAction(u, a.time, a.item, a.rating).ok());
     expected[static_cast<size_t>(u)].push_back(a);
   }
-  dataset.SortSequences();
   ExpectSequences(dataset, expected);
 }
 

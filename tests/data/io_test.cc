@@ -117,5 +117,24 @@ TEST_F(DatasetIoTest, ActionReferencingUnknownItemFails) {
   EXPECT_FALSE(LoadDataset(dir_.string()).ok());
 }
 
+// Rows may interleave users, but each user's own rows must come in time
+// order: the load fails at the first row that goes back in time.
+TEST_F(DatasetIoTest, ActionsOutOfTimeOrderFailAtTheRow) {
+  const Dataset original = MakeRichDataset();
+  ASSERT_TRUE(SaveDataset(original, dir_.string()).ok());
+  const std::string path = (dir_ / "actions.csv").string();
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("user,time,item,rating\n0,5,0,\n1,3,2,\n0,4,1,\n", f);
+  std::fclose(f);
+  const auto loaded = LoadDataset(dir_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  const std::string& message = loaded.status().message();
+  EXPECT_NE(message.find("actions.csv:4 "), std::string::npos) << message;
+  EXPECT_NE(message.find("time order"), std::string::npos) << message;
+  EXPECT_EQ(message.find("SortSequences"), std::string::npos) << message;
+}
+
 }  // namespace
 }  // namespace upskill

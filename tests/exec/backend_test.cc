@@ -1,7 +1,9 @@
-// Unit tests for the execution backends: the Run() degenerate-count
-// guard, serial/pool scheduling (exactly-once visitation, nested-Run
-// reentrancy), pool/serial parity shard by shard, and CreateBackend's
-// name resolution.
+// Unit tests for the execution backend: the degenerate-count and
+// empty-range guards, exactly-once visitation, concurrent and nested
+// loops on one backend, loop state that outlives the call, parity with
+// the serial backend shard by shard, and CreateBackend's name
+// resolution. Each scheduling case runs on Backend::Serial() and on a
+// 3-worker backend.
 
 #include "exec/backend.h"
 
@@ -9,8 +11,10 @@
 
 #include <atomic>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/dataset.h"
@@ -49,8 +53,8 @@ Dataset MakeDataset(const std::vector<int>& sequence_lengths,
 std::vector<std::shared_ptr<Backend>> AllBackends() {
   std::vector<std::shared_ptr<Backend>> backends;
   backends.push_back(
-      std::shared_ptr<Backend>(SerialBackend::Get(), [](Backend*) {}));
-  backends.push_back(std::make_shared<ThreadPoolBackend>(3));
+      std::shared_ptr<Backend>(Backend::Serial(), [](Backend*) {}));
+  backends.push_back(std::make_shared<Backend>(3));
   return backends;
 }
 
@@ -62,13 +66,15 @@ TEST(BackendRunTest, DegenerateShardCountsNeverDispatch) {
     backend->Run(-1000, [&](int) { calls.fetch_add(1); });
     backend->RunIndices(5, 5, [&](size_t) { calls.fetch_add(1); });
     backend->RunIndices(0, 0, [&](size_t) { calls.fetch_add(1); });
+    backend->RunIndices(7, 3, [&](size_t) { calls.fetch_add(1); });
+    backend->RunIndices(9, 4, [&](size_t) { calls.fetch_add(1); });
     EXPECT_EQ(calls.load(), 0) << backend->name();
   }
   // MapShards funnels through the same guard, null backend included.
   std::atomic<int> calls{0};
   MapShards(nullptr, 0, [&](int) { calls.fetch_add(1); });
   MapShards(nullptr, -3, [&](int) { calls.fetch_add(1); });
-  MapShards(SerialBackend::Get(), 0, [&](int) { calls.fetch_add(1); });
+  MapShards(Backend::Serial(), 0, [&](int) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
 }
 
@@ -89,10 +95,8 @@ TEST(BackendRunTest, EmptyMappedStorePlanIsSafeOnEveryBackend) {
     context.EnsureUserShards(mapped.value(), 0, backend.get());
     std::atomic<int> users_seen{0};
     MapShards(backend.get(), context.num_shards(), [&](int shard) {
-      const DatasetShard& view =
-          context.shards()[static_cast<size_t>(shard)];
       users_seen.fetch_add(
-          static_cast<int>(view.user_end() - view.user_begin()));
+          static_cast<int>(context.plan().range(shard).size()));
     });
     EXPECT_EQ(users_seen.load(), 0) << backend->name();
   }
@@ -128,27 +132,101 @@ TEST(BackendRunTest, RunIndicesCoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(BackendRunTest, NestedRunExecutesInline) {
-  // A shard body that dispatches through its own backend must not
-  // deadlock (the pool backend's ParallelFor supports reentrancy: the
-  // calling thread always participates).
+TEST(BackendRunTest, ParallelSumMatchesSerial) {
+  constexpr size_t kCount = 10000;
+  long long expected = 0;
+  for (size_t i = 0; i < kCount; ++i) {
+    expected += static_cast<long long>(i) * 3 - 1;
+  }
   for (const auto& backend : AllBackends()) {
-    std::atomic<int> inner{0};
-    backend->Run(4, [&](int) {
-      backend->Run(3, [&](int) { inner.fetch_add(1); });
+    std::vector<long long> contributions(kCount, 0);
+    backend->RunIndices(0, kCount, [&contributions](size_t i) {
+      contributions[i] = static_cast<long long>(i) * 3 - 1;
     });
-    EXPECT_EQ(inner.load(), 12) << backend->name();
+    EXPECT_EQ(std::accumulate(contributions.begin(), contributions.end(),
+                              0LL),
+              expected)
+        << backend->name();
   }
 }
 
-TEST(ThreadPoolBackendTest, ConcurrencyCountsWorkersAndCaller) {
-  ThreadPoolBackend owned(3);
-  EXPECT_EQ(owned.concurrency(), 4);  // 3 workers + the calling thread
-  ThreadPoolBackend clamped(0);
-  EXPECT_EQ(clamped.concurrency(), 2);  // at least one worker
+// Loops on one backend from several threads at once: each call must
+// return only once its own body has finished, even while the others are
+// still in flight (a backend-wide wait would let a loop return early, or
+// deadlock).
+TEST(BackendRunTest, ConcurrentLoopsOnOneBackendSeeOwnCompletion) {
+  constexpr int kLoops = 8;
+  constexpr size_t kPerLoop = 500;
+  for (const auto& backend : AllBackends()) {
+    std::vector<std::vector<int>> results(kLoops,
+                                          std::vector<int>(kPerLoop, 0));
+    std::vector<std::thread> callers;
+    callers.reserve(kLoops);
+    for (int loop = 0; loop < kLoops; ++loop) {
+      callers.emplace_back([&backend, &results, loop] {
+        backend->RunIndices(0, kPerLoop, [&results, loop](size_t i) {
+          results[loop][i] = loop + 1;
+        });
+        for (size_t i = 0; i < kPerLoop; ++i) {
+          EXPECT_EQ(results[loop][i], loop + 1)
+              << backend->name() << " loop " << loop << " i " << i;
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+  }
 }
 
-TEST(ThreadPoolBackendTest, MatchesSerialShardByShard) {
+// A body that dispatches through its own backend must not deadlock:
+// with more outer shards than runners, every worker sits in an outer
+// shard waiting on its inner loop, and the inner loops still finish
+// because each caller takes a share of its own loop.
+TEST(BackendRunTest, NestedLoopsCompleteWhileEveryWorkerIsBusy) {
+  constexpr int kOuter = 8;
+  constexpr size_t kInner = 64;
+  for (const auto& backend : AllBackends()) {
+    std::vector<std::vector<std::atomic<int>>> hits(kOuter);
+    for (auto& row : hits) row = std::vector<std::atomic<int>>(kInner);
+    backend->Run(kOuter, [&](int outer) {
+      backend->RunIndices(0, kInner, [&hits, outer](size_t inner) {
+        hits[static_cast<size_t>(outer)][inner].fetch_add(1);
+      });
+    });
+    for (int outer = 0; outer < kOuter; ++outer) {
+      for (size_t inner = 0; inner < kInner; ++inner) {
+        EXPECT_EQ(hits[static_cast<size_t>(outer)][inner].load(), 1)
+            << backend->name() << " " << outer << "," << inner;
+      }
+    }
+  }
+}
+
+// A worker can pick up its share of a loop after the caller has returned
+// and destroyed everything the body referenced. It must find the range
+// exhausted and leave the body alone; ASan and TSan watch this.
+TEST(BackendRunTest, LateWorkersNeverTouchAFinishedLoop) {
+  for (const auto& backend : AllBackends()) {
+    for (int round = 0; round < 2000; ++round) {
+      std::vector<int> values(2, 0);
+      backend->RunIndices(0, values.size(),
+                          [&values](size_t i) { values[i] = 1; });
+      ASSERT_EQ(values[0] + values[1], 2) << backend->name();
+    }
+  }
+}
+
+TEST(BackendTest, ConcurrencyCountsWorkersAndCaller) {
+  EXPECT_EQ(Backend::Serial()->concurrency(), 1);
+  EXPECT_STREQ(Backend::Serial()->name(), "serial");
+  Backend owned(3);
+  EXPECT_EQ(owned.concurrency(), 4);  // 3 workers + the calling thread
+  EXPECT_STREQ(owned.name(), "pool");
+  auto clamped = CreateBackend("pool", 0);
+  ASSERT_TRUE(clamped.ok());
+  EXPECT_EQ(clamped.value()->concurrency(), 2);  // at least one worker
+}
+
+TEST(BackendTest, PoolMatchesSerialShardByShard) {
   // The pool backend must produce bitwise-identical per-shard reductions
   // to the serial backend, shard by shard.
   const std::vector<double> values = [] {
@@ -183,7 +261,7 @@ TEST(ThreadPoolBackendTest, MatchesSerialShardByShard) {
 TEST(CreateBackendTest, KnownNamesResolveAndOthersFail) {
   auto serial = CreateBackend("serial", 8);
   ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(serial.value().get(), SerialBackend::Get());
+  EXPECT_EQ(serial.value().get(), Backend::Serial());
   EXPECT_EQ(serial.value()->concurrency(), 1);
 
   auto pool = CreateBackend("pool", 3);

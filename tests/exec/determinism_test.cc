@@ -429,7 +429,7 @@ TEST(BackendSweepTest, EvalReportBitwiseInvariantAcrossExecBackends) {
 
   auto base = eval::EvaluateItemPrediction(
       split.value().train, trained.value().assignments, trained.value().model,
-      split.value().test, /*k=*/10, exec::SerialBackend::Get());
+      split.value().test, /*k=*/10, exec::Backend::Serial());
   ASSERT_TRUE(base.ok());
   ASSERT_GT(base.value().num_cases, 0u);
 

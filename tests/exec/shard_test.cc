@@ -1,6 +1,6 @@
 // Unit tests for the sharded execution core: plan coverage and balance,
-// shard-count resolution, dataset shard views, the fixed-shape ordered
-// reductions, MapShards dispatch, and ExecContext reuse.
+// shard-count resolution, the fixed-shape ordered reductions, MapShards
+// dispatch, and ExecContext's plan ranges and reuse.
 
 #include "exec/shard.h"
 
@@ -119,33 +119,36 @@ TEST(ResolveShardCountTest, AutoScalesWithPoolAndClampsToCount) {
   // A serial backend still gets kDefaultShardsPerSlot shards (one slot):
   // shard count only affects scheduling granularity, never results.
   EXPECT_EQ(ResolveShardCount(0, nullptr, 100), kDefaultShardsPerSlot);
-  EXPECT_EQ(ResolveShardCount(0, SerialBackend::Get(), 100),
+  EXPECT_EQ(ResolveShardCount(0, Backend::Serial(), 100),
             kDefaultShardsPerSlot);
   EXPECT_EQ(ResolveShardCount(0, nullptr, 0), 1);
-  ThreadPoolBackend pool(3);  // 4 slots (workers + caller)
+  Backend pool(3);  // 4 slots (workers + caller)
   EXPECT_EQ(ResolveShardCount(0, &pool, 1000), 4 * kDefaultShardsPerSlot);
   EXPECT_EQ(ResolveShardCount(0, &pool, 5), 5);
   EXPECT_EQ(ResolveShardCount(-1, &pool, 0), 1);
 }
 
-TEST(DatasetShardTest, ViewsPartitionUsersAndActions) {
+TEST(ExecContextTest, PlanRangesPartitionUsersAndActions) {
   const Dataset dataset = MakeDataset({5, 0, 9, 2, 14, 1});
-  const ShardPlan plan = PlanDatasetShards(dataset, 3);
-  const std::vector<DatasetShard> shards = MakeDatasetShards(dataset, plan);
-  ASSERT_EQ(shards.size(), 3u);
-  size_t users = 0;
+  ExecContext context;
+  context.EnsureUserShards(dataset, 3);
+  ASSERT_EQ(context.num_shards(), 3);
+  // The ranges tile the user axis in order, so every user, and with it
+  // every action, lands in exactly one shard.
+  std::vector<int> visits(static_cast<size_t>(dataset.num_users()), 0);
+  size_t next = 0;
   size_t actions = 0;
-  for (const DatasetShard& shard : shards) {
-    users += shard.num_users();
-    actions += shard.num_actions();
-    for (UserId u = shard.user_begin(); u < shard.user_end(); ++u) {
-      // Zero-copy: the shard's span aliases the dataset's storage.
-      EXPECT_EQ(shard.sequence(u).data(), dataset.sequence(u).data());
-      EXPECT_EQ(shard.sequence(u).size(), dataset.sequence(u).size());
+  for (int k = 0; k < context.num_shards(); ++k) {
+    const IndexRange users = context.plan().range(k);
+    EXPECT_EQ(users.begin, next) << k;
+    next = users.end;
+    for (size_t u = users.begin; u < users.end; ++u) {
+      ++visits[u];
+      actions += dataset.sequence(static_cast<UserId>(u)).size();
     }
-    EXPECT_EQ(&shard.items(), &dataset.items());
   }
-  EXPECT_EQ(users, static_cast<size_t>(dataset.num_users()));
+  EXPECT_EQ(next, static_cast<size_t>(dataset.num_users()));
+  for (const int count : visits) EXPECT_EQ(count, 1);
   EXPECT_EQ(actions, dataset.num_actions());
 }
 
@@ -176,7 +179,7 @@ TEST(ReduceOrderedSumTest, FixedShapeIsPureFunctionOfValues) {
 
 TEST(MapShardsTest, VisitsEveryShardExactlyOnce) {
   for (const bool threaded : {false, true}) {
-    ThreadPoolBackend pool(4);
+    Backend pool(4);
     constexpr int kShards = 23;
     std::vector<std::atomic<int>> visits(kShards);
     MapShards(threaded ? &pool : nullptr, kShards, [&](int shard) {
@@ -204,7 +207,7 @@ TEST(ExecContextTest, EnsureIsIdempotentAndWorkspacesAreStable) {
   // An auto request sticks to the existing plan even under a different
   // backend (drivers whose phases use different backends must not
   // thrash).
-  ThreadPoolBackend pool(4);
+  Backend pool(4);
   context.EnsureUserShards(dataset, 0, &pool);
   EXPECT_EQ(context.num_shards(), 3);
   EXPECT_EQ(&context.workspace(0), first);
@@ -221,10 +224,10 @@ TEST(ExecContextTest, AutoPlanIsSizedFromTheFirstBackend) {
   // the axis-gated (serial) backends later phases pass must keep it.
   const Dataset dataset = MakeDataset(std::vector<int>(100, 3));
   ExecContext context;
-  ThreadPoolBackend pool(4);  // 5 slots
+  Backend pool(4);  // 5 slots
   context.EnsureUserShards(dataset, 0, &pool);
   EXPECT_EQ(context.num_shards(), 5 * kDefaultShardsPerSlot);
-  context.EnsureUserShards(dataset, 0, SerialBackend::Get());
+  context.EnsureUserShards(dataset, 0, Backend::Serial());
   EXPECT_EQ(context.num_shards(), 5 * kDefaultShardsPerSlot);
 
   ExecContext serial_first;

@@ -4,7 +4,8 @@
 // (plain and quantized) under live connections, deadline load shedding
 // and its request accounting, connection limits, and concurrent
 // mixed-protocol clients (the TSan target for the net subsystem), the
-// unread-reply cap, an idle worker while a half-closed client leaves its
+// unread-reply cap, a close that ends in EOF while requests behind `quit`
+// are still arriving, an idle worker while a half-closed client leaves its
 // replies unread, and a worker that keeps serving with its process's fd
 // table full.
 
@@ -15,7 +16,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -739,6 +742,55 @@ TEST_F(NetServerTest, SlowConsumerIsCutOffAtTheUnreadReplyCap) {
   EXPECT_LT(static_cast<size_t>(
                 std::count(replies.begin(), replies.end(), '\n')),
             kLevels + 1);
+  net.Stop();
+}
+
+// `quit` ends a connection's answers while the client may still be
+// sending: here more than one read drain (16 MiB) of requests follows it.
+// The server sends the replies it produced, shuts its write side and
+// discards input until the client's EOF. Closing the socket with that
+// input unread would make the kernel answer with RST, so the client would
+// see a reset instead of EOF, and its further sends would fail.
+TEST_F(NetServerTest, RequestsBehindQuitEndInEofNotReset) {
+  serve::Server server(serving_);
+  NetServer net(&server, nullptr, NetServerConfig{});
+  ASSERT_TRUE(net.Start().ok());
+  serve::Server reference(serving_);
+  const std::vector<std::string> lines = {"observe hc 3", "observe hc 5",
+                                          "level hc", "quit"};
+  std::string head;
+  std::string expected;
+  for (const std::string& line : lines) {
+    head += line + "\n";
+    expected += reference.Execute(serve::ParseServeRequest(line).value());
+    expected += '\n';
+  }
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", net.port()).ok());
+  ASSERT_TRUE(client.SendRaw(head).ok());
+  Status sent;
+  std::thread sender([&client, &sent] {
+    std::string tail;
+    while (tail.size() <= (17u << 20)) tail += "level hc\n";
+    sent = client.SendRaw(tail);
+    client.ShutdownWrite();
+  });
+  std::string replies;
+  int error = 0;
+  char chunk[64 * 1024];
+  while (true) {
+    const ssize_t n = ::recv(client.fd(), chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      replies.append(chunk, static_cast<size_t>(n));
+    } else if (n == 0 || errno != EINTR) {
+      error = n == 0 ? 0 : errno;
+      break;
+    }
+  }
+  sender.join();
+  EXPECT_EQ(error, 0) << std::strerror(error);
+  EXPECT_EQ(replies, expected);
+  EXPECT_TRUE(sent.ok()) << sent.ToString();
   net.Stop();
 }
 

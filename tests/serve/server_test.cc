@@ -373,7 +373,7 @@ TEST_F(ServerTest, EvictCommandDropsIdleSessionsOnly) {
 
 TEST_F(ServerTest, ExecuteBatchPreservesRequestOrder) {
   Server server(serving_);
-  exec::ThreadPoolBackend pool(4);
+  exec::Backend pool(4);
   std::vector<ServeRequest> requests;
   for (int i = 0; i < 64; ++i) {
     requests.push_back(
@@ -397,7 +397,7 @@ TEST_F(ServerTest, ConcurrentObserveMatchesBatchUnderThePool) {
   // parallel via ExecuteBatch (interleaving all sessions), then check
   // every final level against the batch DP tails.
   Server server(serving_);
-  exec::ThreadPoolBackend pool(4);
+  exec::Backend pool(4);
   // Round-robin the users' actions so same-user requests stay ordered
   // across batches while different users interleave within one batch.
   size_t max_len = 0;
