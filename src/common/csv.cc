@@ -73,22 +73,6 @@ std::string FormatCsvLine(const std::vector<std::string>& fields) {
   return out;
 }
 
-Result<std::vector<std::vector<std::string>>> ReadCsvFile(
-    const std::string& path) {
-  std::ifstream file(path);
-  if (!file.is_open()) return Status::IoError("cannot open " + path);
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  while (std::getline(file, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    Result<std::vector<std::string>> fields = ParseCsvLine(line);
-    if (!fields.ok()) return fields.status();
-    rows.push_back(std::move(fields).value());
-  }
-  return rows;
-}
-
 CsvScanner::CsvScanner(FILE* file, std::string path, size_t max_line_bytes)
     : file_(file),
       path_(std::move(path)),
@@ -149,7 +133,7 @@ Result<bool> CsvScanner::Next(std::vector<std::string>* fields) {
       return CorruptionAt("NUL byte in line");
     }
     if (length > 0 && line[length - 1] == '\r') --length;
-    if (length == 0) continue;  // skip blank lines, like ReadCsvFile
+    if (length == 0) continue;  // skip blank lines
     Result<std::vector<std::string>> parsed =
         ParseCsvLine(std::string_view(line, length));
     if (!parsed.ok()) return CorruptionAt(parsed.status().message());

@@ -20,10 +20,6 @@ Result<std::vector<std::string>> ParseCsvLine(std::string_view line);
 /// Escapes and joins fields into one CSV record (no trailing newline).
 std::string FormatCsvLine(const std::vector<std::string>& fields);
 
-/// Reads an entire CSV file into rows of fields. Skips blank lines.
-Result<std::vector<std::vector<std::string>>> ReadCsvFile(
-    const std::string& path);
-
 /// Writes rows to `path`, overwriting any existing file.
 Status WriteCsvFile(const std::string& path,
                     const std::vector<std::vector<std::string>>& rows);
@@ -47,7 +43,7 @@ class CsvScanner {
   /// Reads the next non-blank record into `fields`. Returns true when a
   /// record was read, false at end of file; malformed rows, over-long
   /// lines and lines holding a NUL byte come back as Corruption citing
-  /// the byte offset.
+  /// the byte offset, and a failed read (a directory, say) as IoError.
   Result<bool> Next(std::vector<std::string>* fields);
 
   /// 1-based line number of the record Next() last returned.

@@ -23,16 +23,21 @@ Result<SkillAssignments> LoadAssignments(const std::string& path,
   if (num_users < 0) {
     return Status::InvalidArgument("num_users must be non-negative");
   }
-  Result<std::vector<std::vector<std::string>>> rows = ReadCsvFile(path);
-  if (!rows.ok()) return rows.status();
+  Result<CsvScanner> opened = CsvScanner::Open(path);
+  if (!opened.ok()) return opened.status();
+  CsvScanner scanner = std::move(opened).value();
 
   // Collect (position, level) pairs per user, then validate density.
   std::vector<std::vector<std::pair<size_t, int>>> pending(
       static_cast<size_t>(num_users));
-  for (size_t r = 1; r < rows.value().size(); ++r) {
-    const std::vector<std::string>& row = rows.value()[r];
+  std::vector<std::string> row;
+  for (bool header = true;; header = false) {
+    Result<bool> next = scanner.Next(&row);
+    if (!next.ok()) return next.status();
+    if (!next.value()) break;
+    if (header) continue;
     if (row.size() != 3) {
-      return Status::Corruption(StringPrintf("assignments row %zu", r));
+      return scanner.CorruptionAt("assignments row needs 3 fields");
     }
     const Result<long long> user = ParseInt(row[0]);
     const Result<long long> position = ParseInt(row[1]);

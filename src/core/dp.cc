@@ -246,15 +246,15 @@ void CheckPlainArgs(int num_levels, std::span<const double> log_initial) {
                 log_initial.size() == static_cast<size_t>(num_levels));
 }
 
-// Sizes `scratch` for a plain solve over n item ids stored `item_stride`
-// bytes apart and returns the kernel's view of it.
-simd::DpSequence PlainSequence(const void* items, size_t item_stride,
-                               size_t n, size_t levels, DpScratch& scratch) {
+// Sizes `scratch` for a plain solve over `items` and returns the kernel's
+// view of it.
+simd::DpSequence PlainSequence(std::span<const int32_t> items, size_t levels,
+                               DpScratch& scratch) {
+  const size_t n = items.size();
   scratch.levels.resize(n);
   scratch.best_rows.resize(levels);
   scratch.up_moves.resize(n * simd::DpUpMoveWords(levels));
-  return {items, item_stride, n, scratch.up_moves.data(),
-          scratch.best_rows.data()};
+  return {items.data(), n, scratch.up_moves.data(), scratch.best_rows.data()};
 }
 
 // Backtracks a finished kernel run into scratch.levels.
@@ -265,21 +265,6 @@ double BacktrackPlain(const simd::DpSequence& seq, size_t levels,
                           scratch.levels.data());
 }
 
-// The plain solver: the whole-sequence kernel, then the backtrack.
-double SolvePlain(std::span<const double> item_log_probs, const void* items,
-                  size_t item_stride, size_t n, int num_levels,
-                  std::span<const double> log_initial, double log_stay,
-                  double log_up, DpScratch& scratch) {
-  CheckPlainArgs(num_levels, log_initial);
-  const size_t levels = static_cast<size_t>(num_levels);
-  const simd::DpSequence seq =
-      PlainSequence(items, item_stride, n, levels, scratch);
-  simd::DpForward(item_log_probs.data(), levels,
-                  log_initial.empty() ? nullptr : log_initial.data(),
-                  log_stay, log_up, seq);
-  return BacktrackPlain(seq, levels, scratch);
-}
-
 }  // namespace
 
 double SolveMonotonePathItems(std::span<const double> item_log_probs,
@@ -287,20 +272,13 @@ double SolveMonotonePathItems(std::span<const double> item_log_probs,
                               std::span<const double> log_initial,
                               double log_stay, double log_up,
                               DpScratch& scratch) {
-  return SolvePlain(item_log_probs, items.data(), sizeof(int32_t),
-                    items.size(), num_levels, log_initial, log_stay, log_up,
-                    scratch);
-}
-
-double SolveMonotonePathItems(std::span<const double> item_log_probs,
-                              std::span<const Action> actions, int num_levels,
-                              std::span<const double> log_initial,
-                              double log_stay, double log_up,
-                              DpScratch& scratch) {
-  return SolvePlain(item_log_probs,
-                    actions.empty() ? nullptr : &actions.front().item,
-                    sizeof(Action), actions.size(), num_levels, log_initial,
-                    log_stay, log_up, scratch);
+  CheckPlainArgs(num_levels, log_initial);
+  const size_t levels = static_cast<size_t>(num_levels);
+  const simd::DpSequence seq = PlainSequence(items, levels, scratch);
+  simd::DpForward(item_log_probs.data(), levels,
+                  log_initial.empty() ? nullptr : log_initial.data(),
+                  log_stay, log_up, seq);
+  return BacktrackPlain(seq, levels, scratch);
 }
 
 std::pair<double, double> SolveMonotonePathItemsPair(
@@ -310,11 +288,8 @@ std::pair<double, double> SolveMonotonePathItemsPair(
     DpScratch& first_scratch, DpScratch& second_scratch) {
   CheckPlainArgs(num_levels, log_initial);
   const size_t levels = static_cast<size_t>(num_levels);
-  const simd::DpSequence a = PlainSequence(first.data(), sizeof(int32_t),
-                                           first.size(), levels, first_scratch);
-  const simd::DpSequence b =
-      PlainSequence(second.data(), sizeof(int32_t), second.size(), levels,
-                    second_scratch);
+  const simd::DpSequence a = PlainSequence(first, levels, first_scratch);
+  const simd::DpSequence b = PlainSequence(second, levels, second_scratch);
   simd::DpForward(item_log_probs.data(), levels,
                   log_initial.empty() ? nullptr : log_initial.data(),
                   log_stay, log_up, a, b);

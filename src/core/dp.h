@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "data/dataset.h"
-
 namespace upskill {
 
 /// Result of the per-user dynamic program (Figure 2 / Equation 4).
@@ -91,13 +89,6 @@ struct DpScratch {
 /// reproduce SolveMonotonePath.
 double SolveMonotonePathItems(std::span<const double> item_log_probs,
                               std::span<const int32_t> items, int num_levels,
-                              std::span<const double> log_initial,
-                              double log_stay, double log_up,
-                              DpScratch& scratch);
-
-/// Same, reading the item ids in place from a user's actions (no copy).
-double SolveMonotonePathItems(std::span<const double> item_log_probs,
-                              std::span<const Action> actions, int num_levels,
                               std::span<const double> log_initial,
                               double log_stay, double log_up,
                               DpScratch& scratch);

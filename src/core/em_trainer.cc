@@ -5,12 +5,11 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "core/dp.h"
 #include "core/posterior.h"
 #include "core/trainer.h"
 #include "exec/backend.h"
 #include "exec/map_reduce.h"
-#include "exec/workspace.h"
+#include "exec/shard.h"
 
 namespace upskill {
 
@@ -18,6 +17,13 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kMinTransitionProb = 1e-4;
+
+// One E-step shard's forward/backward arenas (n x S per user, resized per
+// sequence), on their own cache lines.
+struct alignas(64) ForwardBackwardScratch {
+  std::vector<double> alpha;
+  std::vector<double> beta;
+};
 
 // Flat per-action offsets so worker threads can write disjoint gamma
 // regions.
@@ -45,6 +51,11 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
         config_.initial_level_up_probability < 1.0)) {
     return Status::InvalidArgument("initial_level_up_probability in (0,1)");
   }
+  // The E-step lattice has no down-edge, so a forgetting config would
+  // train without forgetting.
+  if (config_.model.forgetting.enabled) {
+    return Status::InvalidArgument("EM does not model forgetting");
+  }
   Result<SkillModel> created =
       SkillModel::Create(dataset.schema(), config_.model);
   if (!created.ok()) return created.status();
@@ -63,12 +74,12 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
           ? backend.get()
           : exec::Backend::Serial();
 
-  // One sharded-execution context for the run: the E-step and the hard
-  // readout share the same user-axis shard plan and per-shard workspaces
-  // (forward/backward arenas, DP arenas) across all iterations.
-  exec::ExecContext exec_context;
-  exec_context.EnsureUserShards(dataset, config_.model.num_shards,
-                                backend.get());
+  // The E-step's user shards, planned from the backend they run on, each
+  // with forward/backward arenas that persist across iterations.
+  const exec::ShardPlan plan =
+      exec::PlanDatasetShards(dataset, config_.model.num_shards, user_backend);
+  std::vector<ForwardBackwardScratch> shard_scratch(
+      static_cast<size_t>(plan.num_shards()));
 
   // Initialization: same uniform-segmentation hard fit as the hard
   // trainer, so the two are directly comparable.
@@ -109,14 +120,13 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
     const double log_stay = std::log(1.0 - result.level_up_probability);
 
     // ---- E-step: forward-backward per user, one task per user shard.
-    // Each shard's workspace keeps the forward/backward arenas alive
-    // across users and iterations; all outputs (gamma, the per-user
-    // ll/ups/stays vectors) are written at user granularity, so nothing
-    // depends on which thread ran which shard.
-    exec::MapShards(user_backend, exec_context.num_shards(),
-                    [&](int shard_index) {
-      const exec::IndexRange users = exec_context.plan().range(shard_index);
-      exec::ShardWorkspace& ws = exec_context.workspace(shard_index);
+    // All outputs (gamma, the per-user ll/ups/stays vectors) are written
+    // at user granularity, so nothing depends on which thread ran which
+    // shard.
+    user_backend->Run(plan.num_shards(), [&](int shard_index) {
+      const exec::IndexRange users = plan.range(shard_index);
+      ForwardBackwardScratch& ws =
+          shard_scratch[static_cast<size_t>(shard_index)];
       for (size_t u = users.begin; u < users.end; ++u) {
       std::span<const Action> seq = dataset.sequence(static_cast<UserId>(u));
       per_user_ll[u] = 0.0;
@@ -237,7 +247,7 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
         (config_.model.parallel.features && backend->concurrency() > 1)
             ? backend.get()
             : exec::Backend::Serial();
-    exec::MapShards(feature_backend, num_features, [&](int f) {
+    feature_backend->Run(num_features, [&](int f) {
       const double* column = dataset.items().column(f).data();
       std::vector<SufficientStats> stats(
           levels, result.model.component(f, 1).MakeStats());
@@ -259,32 +269,19 @@ Result<EmTrainResult> EmTrainer::Train(const Dataset& dataset) const {
     });
   }
 
-  // Hard readout with the learned transition weights.
-  std::vector<double> log_initial(levels);
+  // Hard readout: one assignment pass under the learned transition
+  // weights, the model EM fitted (which has no forgetting).
+  TransitionWeights learned;
+  learned.log_initial.resize(levels);
   for (size_t s = 0; s < levels; ++s) {
-    log_initial[s] = std::log(result.initial_distribution[s]);
+    learned.log_initial[s] = std::log(result.initial_distribution[s]);
   }
-  const double log_up = std::log(result.level_up_probability);
-  const double log_stay = std::log(1.0 - result.level_up_probability);
+  learned.log_up = std::log(result.level_up_probability);
+  learned.log_stay = std::log(1.0 - result.level_up_probability);
   log_prob_cache.Update(result.model, dataset.items(), user_backend);
-  const std::vector<double>& cache = log_prob_cache.values();
-  result.assignments.resize(static_cast<size_t>(dataset.num_users()));
-  // Fused item-indexed DP over the same user shards as the E-step, each
-  // reusing its shard workspace's DP arena: no per-user n×S
-  // materialization of the cache. (Deliberately NOT routed through
-  // AssignmentEngine::Assign — the engine honors the forgetting config,
-  // which the EM E-step ignores; the readout must score the exact model
-  // EM fitted.)
-  exec::MapShards(user_backend, exec_context.num_shards(),
-                  [&](int shard_index) {
-    const exec::IndexRange users = exec_context.plan().range(shard_index);
-    exec::ShardWorkspace& ws = exec_context.workspace(shard_index);
-    for (size_t u = users.begin; u < users.end; ++u) {
-      SolveMonotonePathItems(cache, dataset.sequence(static_cast<UserId>(u)),
-                             S, log_initial, log_stay, log_up, ws.dp);
-      result.assignments[u].assign(ws.dp.levels.begin(), ws.dp.levels.end());
-    }
-  });
+  result.assignments = AssignSkills(dataset, result.model, user_backend,
+                                    nullptr, &learned,
+                                    &log_prob_cache.values());
   return result;
 }
 

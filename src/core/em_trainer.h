@@ -47,7 +47,8 @@ struct EmTrainResult {
 /// E-step runs the forward-backward algorithm over the action-skill
 /// lattice (stay / up-one transitions), the M-step refits every component
 /// with posterior weights (Distribution::FitWeighted), the initial level
-/// distribution, and (optionally) the level-up probability.
+/// distribution, and (optionally) the level-up probability. The lattice
+/// has no down-edge, so Train refuses a config with forgetting enabled.
 class EmTrainer {
  public:
   explicit EmTrainer(EmTrainerConfig config) : config_(config) {}

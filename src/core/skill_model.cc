@@ -156,8 +156,8 @@ void LogProbCache::Update(const SkillModel& model, const ItemTable& items,
       }
     }
     log_scratch_.resize(features_with_logs.size() * num_items);
-    // RunIndices on purpose (parallelism audit): (feature, block)
-    // indexed, disjoint scratch slices, no cross-task reduction.
+    // Disjoint scratch slices per (feature, block) task and no cross-task
+    // reduction, so scheduling cannot move a value.
     backend->RunIndices(0, features_with_logs.size() * blocks, [&](size_t task) {
       const int f = features_with_logs[task / blocks];
       const size_t begin = (task % blocks) * kCacheBlock;
@@ -172,10 +172,9 @@ void LogProbCache::Update(const SkillModel& model, const ItemTable& items,
     });
   }
 
-  // RunIndices on purpose (parallelism audit): the cache is indexed
-  // by (cell, item-block) — not by user — so the exec-layer user shards
-  // don't apply; every task writes a disjoint column slice and no floats
-  // are reduced across tasks, so scheduling cannot affect the values.
+  // Every (cell, item-block) task writes a disjoint column slice and no
+  // floats are reduced across tasks, so scheduling cannot affect the
+  // values.
   backend->RunIndices(0, num_cells * blocks, [&](size_t task) {
     const size_t cell = task / blocks;
     const size_t begin = (task % blocks) * kCacheBlock;
@@ -198,9 +197,8 @@ void LogProbCache::Update(const SkillModel& model, const ItemTable& items,
   });
 
   // Totals sum features in ascending order from 0.0 so they stay bitwise
-  // equal to ItemLogProb.
-  // RunIndices on purpose (parallelism audit): item-block indexed,
-  // per-item serial feature sums — thread count cannot move a rounding.
+  // equal to ItemLogProb; each item's sum is serial within its block, so
+  // thread count cannot move a rounding.
   backend->RunIndices(0, blocks, [&](size_t block) {
     const size_t begin = block * kCacheBlock;
     const size_t end = std::min(num_items, begin + kCacheBlock);
@@ -240,27 +238,44 @@ Result<SkillModel> SkillModel::Load(const std::string& path,
                                     const SkillModelConfig& config) {
   Result<SkillModel> model = Create(schema, config);
   if (!model.ok()) return model.status();
-  Result<std::vector<std::vector<std::string>>> rows = ReadCsvFile(path);
-  if (!rows.ok()) return rows.status();
+  // Save writes a component's parameters as %.17g values joined by '|',
+  // at most 25 bytes each, after a "feature,level,kind," prefix of at most
+  // 64 bytes; a categorical component holds one value per category.
+  size_t max_parameters = 2;
+  for (int f = 0; f < schema.num_features(); ++f) {
+    max_parameters = std::max(
+        max_parameters, static_cast<size_t>(schema.feature(f).cardinality));
+  }
+  Result<CsvScanner> opened =
+      CsvScanner::Open(path, 64 + 25 * max_parameters);
+  if (!opened.ok()) return opened.status();
+  CsvScanner scanner = std::move(opened).value();
+  std::vector<std::string> row;
   size_t restored = 0;
-  for (size_t r = 1; r < rows.value().size(); ++r) {
-    const std::vector<std::string>& row = rows.value()[r];
-    if (row.size() != 4) return Status::Corruption("bad model row");
+  for (bool header = true;; header = false) {
+    Result<bool> next = scanner.Next(&row);
+    if (!next.ok()) return next.status();
+    if (!next.value()) break;
+    if (header) continue;
+    if (row.size() != 4) {
+      return scanner.CorruptionAt(
+          StringPrintf("model row has %zu fields, want 4", row.size()));
+    }
     Result<long long> feature = ParseInt(row[0]);
     Result<long long> level = ParseInt(row[1]);
     if (!feature.ok()) return feature.status();
     if (!level.ok()) return level.status();
     if (feature.value() < 0 || feature.value() >= schema.num_features() ||
         level.value() < 1 || level.value() > config.num_levels) {
-      return Status::Corruption("model row out of range");
+      return scanner.CorruptionAt("model row out of range");
     }
     Result<DistributionKind> kind = DistributionKindFromString(row[2]);
     if (!kind.ok()) return kind.status();
     Distribution* dist = model.value().mutable_component(
         static_cast<int>(feature.value()), static_cast<int>(level.value()));
     if (dist->kind() != kind.value()) {
-      return Status::Corruption(StringPrintf(
-          "model row %zu: kind %s does not match schema", r, row[2].c_str()));
+      return scanner.CorruptionAt(
+          "kind " + row[2] + " does not match the schema");
     }
     std::vector<double> params;
     for (const std::string& field : Split(row[3], '|')) {

@@ -99,11 +99,12 @@ struct SkillModelConfig {
   ForgettingConfig forgetting;
   /// Number of user-axis shards for the sharded execution core
   /// (src/exec): the dataset's user range is cut into this many
-  /// contiguous, action-count-balanced runs, each with its own persistent
-  /// workspace. 0 resolves automatically from the thread count. Fitted
-  /// parameters, assignments, and objectives are bitwise identical for
-  /// ANY value — sharding only changes scheduling, never reduction order
-  /// (see DESIGN.md, "Sharded execution core").
+  /// contiguous, action-count-balanced runs, each one task of the
+  /// training driver's user loop with its own scratch. 0 resolves
+  /// automatically from the user loop's backend. Fitted parameters,
+  /// assignments, and objectives are bitwise identical for ANY value —
+  /// sharding only changes scheduling, never reduction order (see
+  /// DESIGN.md, "Sharded execution core").
   int num_shards = 0;
   /// Execution backend name passed to exec::CreateBackend ("serial" or
   /// "pool"). Empty or "auto" picks "pool" when parallel.any() and

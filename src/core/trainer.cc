@@ -73,11 +73,9 @@ constexpr size_t kMinItemsForParallelTransform = 65536;
 // Runs fit_cell over the (level, feature) grid with the axis fan-out
 // selected by ParallelOptions: both axes flat, one axis with the other
 // nested inside the task, or fully sequential. Mirrors the paper's
-// separate "skill" and "feature" parallelization conditions.
-// Backend::RunIndices on purpose (parallelism audit): cell-indexed, not
-// user-indexed — each cell refits its own component (disjoint writes)
-// from an already-merged count grid, so the exec-layer user shards don't
-// apply and scheduling cannot affect the fitted parameters.
+// separate "skill" and "feature" parallelization conditions. Each cell
+// refits its own component (disjoint writes) from an already-merged count
+// grid, so scheduling cannot affect the fitted parameters.
 template <typename FitCell>
 void DispatchCells(exec::Backend* backend, ParallelOptions parallel,
                    int num_levels, int num_features, const FitCell& fit_cell) {
@@ -185,9 +183,8 @@ void FitCellsFromCountGrid(const ItemTable& items,
     logs.resize(num_items);
     const double* column = items.column(f).data();
     // One log per item is light work; fan out only for large catalogs
-    // where the column transform outweighs the dispatch. RunIndices on
-    // purpose (parallelism audit): item-indexed with one independent
-    // write per item — no reduction, no user axis.
+    // where the column transform outweighs the dispatch. One independent
+    // write per item and no reduction, so scheduling cannot move a value.
     exec::Backend* column_backend = num_items >= kMinItemsForParallelTransform
                                         ? update_backend
                                         : exec::Backend::Serial();
@@ -251,20 +248,13 @@ void FitParameters(const Dataset& dataset, const SkillAssignments& assignments,
 }
 
 AssignmentEngine::AssignmentEngine(const Dataset& dataset, int num_levels,
-                                   int num_shards,
-                                   exec::ExecContext* context)
+                                   int num_shards)
     : dataset_(&dataset),
       num_levels_(num_levels),
       num_shards_request_(num_shards),
       assignments_(static_cast<size_t>(dataset.num_users())),
       user_ll_(static_cast<size_t>(dataset.num_users()), 0.0),
-      user_classes_(static_cast<size_t>(dataset.num_users()), 0),
-      context_(context) {
-  if (context_ == nullptr) {
-    owned_context_ = std::make_unique<exec::ExecContext>();
-    context_ = owned_context_.get();
-  }
-}
+      user_classes_(static_cast<size_t>(dataset.num_users()), 0) {}
 
 void AssignmentEngine::TrackCounts(SkillAssignments initial) {
   UPSKILL_CHECK(!have_previous_ && level_counts_.empty());
@@ -306,12 +296,20 @@ AssignmentStats AssignmentEngine::RunPass(exec::Backend* user_backend,
                                           const ForgettingConfig& forgetting,
                                           const SolveUser& solve_user,
                                           const SolvePair& solve_pair) {
+  if (user_backend == nullptr) user_backend = exec::Backend::Serial();
   // The first pass copies every action's item id into the column, each
   // shard task its own users' range before solving them, so the records
   // are read once; later passes read ids only from the column. The
   // down-edge flags are staged the same way, once per gap threshold.
   const bool fill_column = item_column_ == nullptr;
-  if (fill_column) BuildItemColumn();
+  if (fill_column) {
+    // The user shards are planned with the column. The shard count only
+    // moves scheduling, so a later pass on another backend keeps the plan.
+    plan_ = exec::PlanDatasetShards(*dataset_, num_shards_request_,
+                                    user_backend);
+    shards_.resize(static_cast<size_t>(plan_.num_shards()));
+    BuildItemColumn();
+  }
   const bool fill_down =
       forgetting.enabled &&
       (down_column_ == nullptr || down_threshold_ != forgetting.gap_threshold);
@@ -335,7 +333,7 @@ AssignmentStats AssignmentEngine::RunPass(exec::Backend* user_backend,
   auto record_moves = [&](std::span<const int32_t> items,
                           const std::vector<int>& old_path,
                           const std::vector<int>& new_path,
-                          exec::ShardWorkspace& ws) {
+                          ShardScratch& ws) {
     const bool same_length = old_path.size() == new_path.size();
     auto list = [&](const std::vector<int>& path, const std::vector<int>& other,
                     std::vector<uint32_t>& cells) {
@@ -350,7 +348,7 @@ AssignmentStats AssignmentEngine::RunPass(exec::Backend* user_backend,
     list(new_path, old_path, ws.added_cells);
   };
   auto commit = [&](size_t u, const DpScratch& scratch, double ll,
-                    exec::ShardWorkspace& ws) {
+                    ShardScratch& ws) {
     std::vector<int>& current = assignments_[u];
     if (!have_previous_ || scratch.levels != current) {
       ws.changed = true;
@@ -360,18 +358,15 @@ AssignmentStats AssignmentEngine::RunPass(exec::Backend* user_backend,
     user_ll_[u] = ll;
   };
 
-  // One MapShards task per balanced user shard; each task owns its
-  // shard's persistent workspace (DP arenas, move lists), so the loop body
-  // is lock-free and allocation-free in the steady state. With a pair
-  // solver, the shard's users go two per call; a user left over at the
-  // end of the shard is solved alone.
+  // One task per balanced user shard; each task owns its shard's scratch
+  // (DP arenas, move lists), so the loop body is lock-free and
+  // allocation-free in the steady state. With a pair solver, the shard's
+  // users go two per call; a user left over at the end of the shard is
+  // solved alone.
   constexpr bool kPairs = !std::is_null_pointer_v<SolvePair>;
-  exec::ExecContext& ctx = *context_;
-  ctx.EnsureUserShards(*dataset_, num_shards_request_, user_backend);
-  const int num_shards = ctx.num_shards();
-  exec::MapShards(user_backend, num_shards, [&](int shard_index) {
-    const auto [begin, end] = ctx.plan().range(shard_index);
-    exec::ShardWorkspace& ws = ctx.workspace(shard_index);
+  user_backend->Run(plan_.num_shards(), [&](int shard_index) {
+    const auto [begin, end] = plan_.range(shard_index);
+    ShardScratch& ws = shards_[static_cast<size_t>(shard_index)];
     ws.changed = false;
     ws.removed_cells.clear();
     ws.added_cells.clear();
@@ -411,8 +406,7 @@ AssignmentStats AssignmentEngine::RunPass(exec::Backend* user_backend,
   // Exact grid moves, applied in fixed shard order. Cells stay integers
   // in [0, 2^53) and x - x is +0.0, so the patched grid is bitwise what
   // CountAssignedActions gives for the new paths.
-  for (int k = 0; k < num_shards; ++k) {
-    const exec::ShardWorkspace& ws = ctx.workspace(k);
+  for (const ShardScratch& ws : shards_) {
     stats.changed = stats.changed || ws.changed;
     for (const uint32_t cell : ws.removed_cells) level_counts_[cell] -= 1.0;
     for (const uint32_t cell : ws.added_cells) level_counts_[cell] += 1.0;
@@ -531,8 +525,8 @@ SkillAssignments AssignSkills(const Dataset& dataset, const SkillModel& model,
                               const TransitionWeights* transitions,
                               const std::vector<double>* item_log_probs) {
   // The per-(item, level) log-probability cache is shared across all
-  // occurrences of an item; the trainer passes its incrementally
-  // maintained cache, standalone callers get a fresh one.
+  // occurrences of an item; the training drivers pass the cache they
+  // keep across iterations, standalone callers get a fresh one.
   std::vector<double> computed;
   if (item_log_probs == nullptr) {
     computed = model.ItemLogProbCache(dataset.items(), backend);
@@ -626,16 +620,12 @@ Result<TrainResult> Trainer::Train(const Dataset& dataset) const {
   TransitionWeights transition_weights;
   std::vector<ProgressionClassWeights> classes;
 
-  // One sharded-execution context for the whole run. The plan is sized
-  // here from the full backend, before any phase runs; the axis-gated
-  // user backend keeps it. The assignment engine carries the previous
-  // iteration's paths and per-shard DP arenas, and keeps the count grid
-  // of its paths that every update step refits from: counted from the
-  // initialization, then patched from the paths each pass moved.
-  exec::ExecContext exec_context;
-  exec_context.EnsureUserShards(dataset, config_.num_shards, backend.get());
-  AssignmentEngine engine(dataset, config_.num_levels, config_.num_shards,
-                          &exec_context);
+  // The assignment engine plans its user shards from the user backend on
+  // its first pass, carries the previous iteration's paths and per-shard
+  // DP arenas, and keeps the count grid of its paths that every update
+  // step refits from: counted from the initialization, then patched from
+  // the paths each pass moved.
+  AssignmentEngine engine(dataset, config_.num_levels, config_.num_shards);
 
   // Phase telemetry: every phase below runs under an obs::Span, which
   // yields the wall-clock seconds for TrainResult's per-run readouts,

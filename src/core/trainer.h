@@ -11,7 +11,7 @@
 #include "core/dp.h"
 #include "core/skill_model.h"
 #include "data/dataset.h"
-#include "exec/workspace.h"
+#include "exec/shard.h"
 
 namespace upskill {
 
@@ -45,9 +45,9 @@ struct TrainResult {
   bool converged = false;
   double final_log_likelihood = 0.0;
   /// Wall-clock split, for the efficiency experiments (Section VI-F).
-  /// `cache_seconds` is the per-iteration item log-prob cache refresh,
+  /// `cache_seconds` is the per-iteration item log-prob cache recompute,
   /// which the paper folds into the assignment step; it is kept separate
-  /// here so the incremental cache's effect is visible.
+  /// here so its share of the pass is visible.
   double assignment_seconds = 0.0;
   double cache_seconds = 0.0;
   double update_seconds = 0.0;
@@ -189,10 +189,10 @@ struct AssignmentStats {
 
 /// Fused, arena-backed assignment step. Every pass solves every user.
 /// Owns the state that makes repeated passes over one dataset cheap:
-///  - an exec::ExecContext (borrowed from the caller or owned) whose
-///    per-shard workspaces hold the DP arenas — zero steady-state
-///    allocation; the user loop runs as exec::MapShards over the
-///    context's balanced user shards;
+///  - the user-shard plan (exec::PlanDatasetShards from the backend of
+///    the first pass, kept for every later pass) and one scratch struct
+///    per shard holding its DP arenas and move lists — zero steady-state
+///    allocation; each pass runs one Backend::Run task per shard;
 ///  - the assignments of the previous pass, which tell whether a pass
 ///    changed any path (AssignmentStats::changed) and which count-grid
 ///    cells it moved;
@@ -214,12 +214,9 @@ struct AssignmentStats {
 class AssignmentEngine {
  public:
   /// `num_shards` <= 0 resolves automatically from the backend of the
-  /// first pass. `context` (optional) shares one ExecContext across
-  /// drivers — e.g. Trainer::Train builds the plan from its full backend
-  /// before the engine's first pass.
+  /// first pass.
   explicit AssignmentEngine(const Dataset& dataset, int num_levels,
-                            int num_shards = 0,
-                            exec::ExecContext* context = nullptr);
+                            int num_shards = 0);
 
   /// Adopts `initial` (empty path = not counted) as the paths the first
   /// pass starts from and counts them into level_counts(), which every
@@ -256,6 +253,23 @@ class AssignmentEngine {
   SkillAssignments TakeAssignments() && { return std::move(assignments_); }
 
  private:
+  // One shard's scratch, reused by every pass. Each sits on its own cache
+  // lines: shard tasks on different threads write their vectors' headers
+  // once per user.
+  struct alignas(64) ShardScratch {
+    DpScratch dp;
+    // The second user's arena when a pass solves two users per kernel
+    // call.
+    DpScratch pair_dp;
+    // Count-grid moves of the shard's users in the last pass: the
+    // (level, item) cell offsets their old paths left and their new paths
+    // entered. Applied as exact -1 / +1 in shard order after the join.
+    std::vector<uint32_t> removed_cells;
+    std::vector<uint32_t> added_cells;
+    // Whether any of the shard's paths moved in the last pass.
+    bool changed = false;
+  };
+
   // Runs one pass: solve_user(scratch, user) solves one user into
   // scratch.levels and returns its log-likelihood; a non-null
   // solve_pair(first_scratch, second_scratch, first, second) solves two
@@ -293,9 +307,8 @@ class AssignmentEngine {
   std::vector<double> user_ll_;
   std::vector<int> user_classes_;
   bool have_previous_ = false;
-  // Sharded-execution state: borrowed from the caller or owned here.
-  exec::ExecContext* context_;
-  std::unique_ptr<exec::ExecContext> owned_context_;
+  exec::ShardPlan plan_;
+  std::vector<ShardScratch> shards_;
 };
 
 }  // namespace upskill

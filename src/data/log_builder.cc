@@ -173,19 +173,22 @@ Result<Dataset> ActionLogBuilder::Build() && {
 }
 
 Result<Dataset> LoadActionLogCsv(const std::string& path) {
-  Result<std::vector<std::vector<std::string>>> rows = ReadCsvFile(path);
-  if (!rows.ok()) return rows.status();
+  Result<CsvScanner> opened = CsvScanner::Open(path);
+  if (!opened.ok()) return opened.status();
+  CsvScanner scanner = std::move(opened).value();
   ActionLogBuilder builder;
-  for (size_t r = 0; r < rows.value().size(); ++r) {
-    const std::vector<std::string>& row = rows.value()[r];
+  std::vector<std::string> row;
+  for (bool first = true;; first = false) {
+    Result<bool> next = scanner.Next(&row);
+    if (!next.ok()) return next.status();
+    if (!next.value()) break;
     if (row.size() != 3 && row.size() != 4) {
-      return Status::Corruption(
-          StringPrintf("row %zu: expected user,time,item[,rating]", r));
+      return scanner.CorruptionAt("expected user,time,item[,rating]");
     }
     const Result<long long> time = ParseInt(row[1]);
     if (!time.ok()) {
-      // Tolerate a single header row.
-      if (r == 0) continue;
+      // The first row may be a header.
+      if (first) continue;
       return time.status();
     }
     double rating = std::numeric_limits<double>::quiet_NaN();

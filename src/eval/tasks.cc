@@ -7,7 +7,6 @@
 #include "core/inference.h"
 #include "exec/backend.h"
 #include "exec/map_reduce.h"
-#include "exec/shard.h"
 
 namespace upskill {
 namespace eval {
@@ -20,40 +19,28 @@ Result<ItemPredictionReport> EvaluateItemPrediction(
   if (backend == nullptr) backend = exec::Backend::Serial();
   ItemPredictionReport report;
   report.reciprocal_ranks.assign(test.size(), 0.0);
-  // Test cases are independent and uniform-cost, so an equal-count plan
-  // over the case index space is right. Per-shard state is limited to
-  // things whose aggregation is exact (hit counts) or order-fixed
-  // (first error in shard order); the reciprocal ranks land per-case.
-  const exec::ShardPlan plan = exec::ShardPlan::Contiguous(
-      test.size(),
-      exec::ResolveShardCount(0, backend, test.size()));
-  const int num_shards = plan.num_shards();
-  std::vector<size_t> shard_hits(static_cast<size_t>(num_shards), 0);
-  std::vector<Status> shard_errors(static_cast<size_t>(num_shards),
-                                   Status::OK());
-  exec::MapShards(backend, num_shards, [&](int shard) {
-    const exec::IndexRange range = plan.range(shard);
-    for (size_t i = range.begin; i < range.end; ++i) {
-      const HeldOutAction& held = test[i];
-      const int level =
-          NearestActionLevel(train.sequence(held.user),
-                             assignments[static_cast<size_t>(held.user)],
-                             held.action.time);
-      Result<int> rank = ItemRankAtLevel(model, level, held.action.item);
-      if (!rank.ok()) {
-        shard_errors[static_cast<size_t>(shard)] = rank.status();
-        return;
-      }
-      if (rank.value() <= k) ++shard_hits[static_cast<size_t>(shard)];
-      report.reciprocal_ranks[i] = 1.0 / static_cast<double>(rank.value());
-    }
+  // Test cases are independent: each writes only its own rank (0 when it
+  // failed), so the hit count and the first failing case are read in case
+  // order after the loop.
+  const auto rank_of = [&](size_t i) {
+    const HeldOutAction& held = test[i];
+    const int level = NearestActionLevel(
+        train.sequence(held.user),
+        assignments[static_cast<size_t>(held.user)], held.action.time);
+    return ItemRankAtLevel(model, level, held.action.item);
+  };
+  std::vector<int> ranks(test.size(), 0);
+  backend->RunIndices(0, test.size(), [&](size_t i) {
+    const Result<int> rank = rank_of(i);
+    if (!rank.ok()) return;
+    ranks[i] = rank.value();
+    report.reciprocal_ranks[i] = 1.0 / static_cast<double>(rank.value());
   });
   size_t hits = 0;
-  for (int shard = 0; shard < num_shards; ++shard) {
-    if (!shard_errors[static_cast<size_t>(shard)].ok()) {
-      return shard_errors[static_cast<size_t>(shard)];
-    }
-    hits += shard_hits[static_cast<size_t>(shard)];
+  for (size_t i = 0; i < test.size(); ++i) {
+    // Ranks start at 1; re-running the first failed case gives its status.
+    if (ranks[i] == 0) return rank_of(i).status();
+    if (ranks[i] <= k) ++hits;
   }
   report.num_cases = test.size();
   if (!test.empty()) {

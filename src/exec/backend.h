@@ -16,11 +16,11 @@
 namespace upskill {
 namespace exec {
 
-/// The execution engine behind exec::MapShards and every other parallel
-/// loop in the process. Section IV-C of the paper derives three
-/// independent axes of parallelism for training (users in the assignment
-/// step; skill levels and features in the update step); callers request
-/// them all through a Backend.
+/// The execution engine behind every parallel loop in the process.
+/// Section IV-C of the paper derives three independent axes of
+/// parallelism for training (users in the assignment step; skill levels
+/// and features in the update step); callers request them all through a
+/// Backend.
 ///
 /// A backend owns its worker threads and the *scheduling* of loop bodies
 /// and nothing else: every caller already reduces per-element

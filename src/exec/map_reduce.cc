@@ -1,14 +1,7 @@
 #include "exec/map_reduce.h"
 
-#include "exec/backend.h"
-
 namespace upskill {
 namespace exec {
-
-void MapShards(Backend* backend, int num_shards,
-               const std::function<void(int shard)>& body) {
-  (backend != nullptr ? backend : Backend::Serial())->Run(num_shards, body);
-}
 
 namespace {
 

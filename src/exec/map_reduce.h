@@ -2,24 +2,10 @@
 #define UPSKILL_EXEC_MAP_REDUCE_H_
 
 #include <cstddef>
-#include <functional>
 #include <span>
 
 namespace upskill {
 namespace exec {
-
-class Backend;
-
-/// Runs `body(shard)` once for every shard index in [0, num_shards),
-/// scheduled by `backend` (inline through Backend::Serial() when null).
-/// Each shard index is visited exactly once, so per-shard state (a
-/// ShardWorkspace) is safe without locking; which thread runs which
-/// shard is nondeterministic, which is exactly why results must never
-/// depend on it — reduce per-element (ReduceOrderedSum) or with exact
-/// order-independent sums. This is a thin forward to Backend::Run,
-/// which owns the num_shards <= 0 guard and the obs instrumentation.
-void MapShards(Backend* backend, int num_shards,
-               const std::function<void(int shard)>& body);
 
 /// Elements folded serially (left to right) at each leaf of the ordered
 /// reduction below. Sums over fewer than this many elements are bitwise

@@ -52,13 +52,15 @@ int ResolveShardCount(int requested, const Backend* backend, size_t count) {
   return static_cast<int>(std::max<size_t>(1, std::min(automatic, count)));
 }
 
-ShardPlan PlanDatasetShards(const Dataset& dataset, int num_shards) {
+ShardPlan PlanDatasetShards(const Dataset& dataset, int requested_shards,
+                            const Backend* backend) {
   const size_t num_users = static_cast<size_t>(dataset.num_users());
   std::vector<size_t> weights(num_users);
   for (size_t u = 0; u < num_users; ++u) {
     weights[u] = dataset.sequence(static_cast<UserId>(u)).size();
   }
-  return ShardPlan::Balanced(weights, num_shards);
+  return ShardPlan::Balanced(
+      weights, ResolveShardCount(requested_shards, backend, num_users));
 }
 
 }  // namespace exec

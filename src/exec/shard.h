@@ -55,7 +55,7 @@ class ShardPlan {
 
 /// Shards-per-slot oversubscription used when the shard count is left to
 /// the runtime: enough shards that dynamic scheduling can rebalance a
-/// skewed tail, few enough that per-shard workspaces stay cheap.
+/// skewed tail, few enough that per-shard scratch stays cheap.
 inline constexpr int kDefaultShardsPerSlot = 4;
 
 class Backend;
@@ -69,8 +69,11 @@ class Backend;
 int ResolveShardCount(int requested, const Backend* backend, size_t count);
 
 /// Plans the user axis of `dataset`: ShardPlan::Balanced over the users'
-/// sequence lengths.
-ShardPlan PlanDatasetShards(const Dataset& dataset, int num_shards);
+/// sequence lengths, into ResolveShardCount(requested_shards, backend,
+/// num_users) shards. The training drivers plan from the backend their
+/// user loop runs on and keep the plan for the whole run.
+ShardPlan PlanDatasetShards(const Dataset& dataset, int requested_shards,
+                            const Backend* backend);
 
 }  // namespace exec
 }  // namespace upskill

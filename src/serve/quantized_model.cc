@@ -5,8 +5,6 @@
 #include <limits>
 
 #include "exec/backend.h"
-#include "exec/map_reduce.h"
-#include "exec/shard.h"
 
 namespace upskill {
 namespace serve {
@@ -39,46 +37,41 @@ std::shared_ptr<const QuantizedModel> QuantizedModel::FromServingModel(
   q->mults_.resize(num_items);
 
   const std::vector<double>& log_probs = model.item_log_probs();
-  const exec::ShardPlan plan = exec::ShardPlan::Contiguous(
-      num_items,
-      exec::ResolveShardCount(0, backend, num_items));
-  exec::MapShards(backend, plan.num_shards(), [&](int shard) {
-    const exec::IndexRange range = plan.range(shard);
-    for (size_t item = range.begin; item < range.end; ++item) {
-      const double* row = log_probs.data() + item * levels;
-      int16_t* out = q->rows_.data() + item * levels;
-      double row_max = -std::numeric_limits<double>::infinity();
-      for (size_t s = 0; s < levels; ++s) row_max = std::max(row_max, row[s]);
-      if (!std::isfinite(row_max)) {
-        // Item impossible at every level: a flat row (the DP sees only
-        // the transition structure), like the double path where a shared
-        // -inf cancels out of every comparison.
-        std::fill(out, out + levels, static_cast<int16_t>(0));
-        q->mults_[item] = 0;
-        continue;
-      }
-      double residual_range = 0.0;
-      for (size_t s = 0; s < levels; ++s) {
-        const double r =
-            std::max(row[s] - row_max, -kQuantResidualRange);  // -inf floors
-        residual_range = std::max(residual_range, -r);
-      }
-      if (residual_range == 0.0) {
-        std::fill(out, out + levels, static_cast<int16_t>(0));
-        q->mults_[item] = 0;
-        continue;
-      }
-      const double lane_scale = 32767.0 / residual_range;
-      for (size_t s = 0; s < levels; ++s) {
-        const double r = std::max(row[s] - row_max, -kQuantResidualRange);
-        out[s] = static_cast<int16_t>(std::lround(r * lane_scale));
-      }
-      // <= lround(256 * 127 / 32767 * 32768) = 32513, so it fits int16
-      // and vpmulhrsw can apply it to 16 lanes at once.
-      q->mults_[item] = static_cast<int16_t>(std::lround(
-          static_cast<double>(kQuantAccScale) * residual_range / 32767.0 *
-          32768.0));
+  // Each item writes its own row and multiplier.
+  backend->RunIndices(0, num_items, [&](size_t item) {
+    const double* row = log_probs.data() + item * levels;
+    int16_t* out = q->rows_.data() + item * levels;
+    double row_max = -std::numeric_limits<double>::infinity();
+    for (size_t s = 0; s < levels; ++s) row_max = std::max(row_max, row[s]);
+    if (!std::isfinite(row_max)) {
+      // Item impossible at every level: a flat row (the DP sees only the
+      // transition structure), like the double path where a shared -inf
+      // cancels out of every comparison.
+      std::fill(out, out + levels, static_cast<int16_t>(0));
+      q->mults_[item] = 0;
+      return;
     }
+    double residual_range = 0.0;
+    for (size_t s = 0; s < levels; ++s) {
+      const double r =
+          std::max(row[s] - row_max, -kQuantResidualRange);  // -inf floors
+      residual_range = std::max(residual_range, -r);
+    }
+    if (residual_range == 0.0) {
+      std::fill(out, out + levels, static_cast<int16_t>(0));
+      q->mults_[item] = 0;
+      return;
+    }
+    const double lane_scale = 32767.0 / residual_range;
+    for (size_t s = 0; s < levels; ++s) {
+      const double r = std::max(row[s] - row_max, -kQuantResidualRange);
+      out[s] = static_cast<int16_t>(std::lround(r * lane_scale));
+    }
+    // <= lround(256 * 127 / 32767 * 32768) = 32513, so it fits int16 and
+    // vpmulhrsw can apply it to 16 lanes at once.
+    q->mults_[item] = static_cast<int16_t>(
+        std::lround(static_cast<double>(kQuantAccScale) * residual_range /
+                    32767.0 * 32768.0));
   });
 
   const TransitionWeights* transitions = model.transitions();

@@ -1,13 +1,15 @@
 #include "serve/server.h"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <utility>
 
 #include "common/string_util.h"
 #include "core/dp.h"
-#include "exec/map_reduce.h"
-#include "exec/shard.h"
 #include "obs/exposition.h"
 #include "obs/model_health.h"
 #include "obs/trace.h"
@@ -395,22 +397,61 @@ std::string Server::StatsText() const {
   return response;
 }
 
+namespace {
+
+// Requests that change or report server-wide state: the installed
+// snapshot, the session store, the request counters.
+bool IsServerWide(ServeRequest::Kind kind) {
+  using Kind = ServeRequest::Kind;
+  return kind == Kind::kSwap || kind == Kind::kStats ||
+         kind == Kind::kEvict || kind == Kind::kReset;
+}
+
+}  // namespace
+
 std::vector<std::string> Server::ExecuteBatch(
     std::span<const ServeRequest> requests, exec::Backend* backend) {
-  std::vector<std::string> responses(requests.size());
   backend = ResolveExecBackend(backend);
-  // Same contiguous shard plan as the rest of the stack: each shard owns
-  // a disjoint run of the request/response arrays, so the only shared
-  // mutable state is inside Execute (the session store's striped locks).
-  const exec::ShardPlan plan = exec::ShardPlan::Contiguous(
-      requests.size(),
-      exec::ResolveShardCount(0, backend, requests.size()));
-  exec::MapShards(backend, plan.num_shards(), [&](int shard) {
-    const exec::IndexRange range = plan.range(shard);
-    for (size_t i = range.begin; i < range.end; ++i) {
-      responses[i] = Execute(requests[i]);
+  const size_t n = requests.size();
+  // A server-wide request runs alone, after the requests before it and
+  // before the ones after it. The requests between two of them are
+  // counting-sorted into groups of whole session-store shards (a request
+  // without a user goes by its index), one `Run` shard per group: a
+  // user's requests run in request order on one task, and no two tasks
+  // share a shard lock. A backend with at most one worker runs loops
+  // inline (exec/backend.h), so it takes one group: request order.
+  const size_t max_groups =
+      backend->concurrency() <= 2 ? 1
+                                  : static_cast<size_t>(sessions_.num_shards());
+  std::vector<std::string> responses(n);
+  std::vector<uint32_t> group(n, 0);
+  std::vector<size_t> order(n);
+  for (size_t begin = 0; begin < n;) {
+    size_t end = begin;
+    while (end < n && !IsServerWide(requests[end].kind)) ++end;
+    const size_t groups = std::bit_floor(std::min(end - begin, max_groups));
+    if (groups > 1) {
+      backend->RunIndices(begin, end, [&](size_t i) {
+        const std::string& user = requests[i].user;
+        group[i] = static_cast<uint32_t>(
+            (user.empty() ? i : sessions_.ShardIndex(user)) & (groups - 1));
+      });
     }
-  });
+    std::vector<size_t> starts(groups + 1, 0);
+    for (size_t i = begin; i < end; ++i) ++starts[group[i] + 1];
+    std::partial_sum(starts.begin(), starts.end(), starts.begin());
+    std::vector<size_t> next(starts.begin(), starts.end() - 1);
+    for (size_t i = begin; i < end; ++i) order[next[group[i]]++] = i;
+    backend->Run(static_cast<int>(groups), [&](int g) {
+      const size_t first = starts[static_cast<size_t>(g)];
+      const size_t last = starts[static_cast<size_t>(g) + 1];
+      for (size_t k = first; k < last; ++k) {
+        responses[order[k]] = Execute(requests[order[k]]);
+      }
+    });
+    if (end < n) responses[end] = Execute(requests[end]);
+    begin = end + 1;
+  }
   return responses;
 }
 

@@ -155,11 +155,14 @@ class Server {
   std::string Execute(const ServeRequest& request);
 
   /// Executes a batch, responses in request order, fanning out over
-  /// `backend` (resolved as for SwapSnapshot). Requests touching the same
-  /// user are safe
-  /// (the session store serializes them per shard) but their relative
-  /// order within a batch is unspecified; a swap inside a batch applies
-  /// to whichever requests observe it.
+  /// `backend` (resolved as for SwapSnapshot). Every response is the one
+  /// the requests would get one by one, in order: a swap, stats, evict or
+  /// reset runs alone, after every request before it and before every
+  /// request after it, and between two of them a user's requests run in
+  /// request order on one task while other users' run concurrently. A
+  /// backend with at most one worker runs the whole batch in request
+  /// order; on a pool, different users' requests (and so their observe
+  /// hook calls) interleave.
   std::vector<std::string> ExecuteBatch(std::span<const ServeRequest> requests,
                                         exec::Backend* backend = nullptr);
 

@@ -8,8 +8,6 @@
 
 #include "common/string_util.h"
 #include "exec/backend.h"
-#include "exec/map_reduce.h"
-#include "exec/shard.h"
 
 namespace upskill {
 namespace serve {
@@ -102,18 +100,12 @@ Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
       static_cast<size_t>(model->snapshot_.items.num_items());
   model->ranked_.resize(static_cast<size_t>(levels) * num_items);
   const std::vector<double>& log_probs = model->log_probs_;
-  // Per-level rankings are independent full sorts (uniform cost), so the
-  // level axis gets the same contiguous shard plan the batch executor
-  // uses; each shard writes a disjoint slice of ranked_.
-  const exec::ShardPlan plan = exec::ShardPlan::Contiguous(
-      static_cast<size_t>(levels),
-      exec::ResolveShardCount(0, backend, static_cast<size_t>(levels)));
-  exec::MapShards(backend, plan.num_shards(), [&](int shard) {
-    const exec::IndexRange range = plan.range(shard);
-    for (size_t s = range.begin; s < range.end; ++s) {
-      RankDescending(log_probs.data() + s, static_cast<size_t>(levels),
-                     num_items, model->ranked_.data() + s * num_items);
-    }
+  // Per-level rankings are independent full sorts: one instrumented
+  // shard per level, each writing a disjoint slice of ranked_.
+  backend->Run(levels, [&](int level) {
+    const size_t s = static_cast<size_t>(level);
+    RankDescending(log_probs.data() + s, static_cast<size_t>(levels),
+                   num_items, model->ranked_.data() + s * num_items);
   });
   return std::shared_ptr<const ServingModel>(std::move(model));
 }

@@ -100,6 +100,11 @@ class SessionStore {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
+  /// The shard `user` hashes to, in [0, num_shards()).
+  size_t ShardIndex(const std::string& user) const {
+    return std::hash<std::string>{}(user)&mask_;
+  }
+
  private:
   struct Shard {
     mutable std::mutex mutex;
@@ -113,10 +118,10 @@ class SessionStore {
   void AddLive(int64_t delta);
 
   Shard& ShardFor(const std::string& user) {
-    return shards_[std::hash<std::string>{}(user)&mask_];
+    return shards_[ShardIndex(user)];
   }
   const Shard& ShardFor(const std::string& user) const {
-    return shards_[std::hash<std::string>{}(user)&mask_];
+    return shards_[ShardIndex(user)];
   }
 
   // unique_ptr-free fixed array: shards are neither copyable nor movable

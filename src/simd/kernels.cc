@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/logging.h"
@@ -163,12 +162,9 @@ void DpForward(const double* item_log_probs, size_t levels,
                const DpSequence& seq) {
   if (seq.length == 0) return;
   const size_t words = DpUpMoveWords(levels);
-  const char* id = static_cast<const char*>(seq.items);
+  const int32_t* id = seq.items;
   auto next_row = [&] {
-    int32_t item;
-    std::memcpy(&item, id, sizeof(item));
-    id += seq.item_stride;
-    return item_log_probs + static_cast<size_t>(item) * levels;
+    return item_log_probs + static_cast<size_t>(*id++) * levels;
   };
   // One row, updated in place from the top level down: level s reads
   // best_{t-1}[s - 1] before that slot is overwritten.

@@ -93,13 +93,9 @@ void DpRowInteriorWithDown(const double* prev, const double* row,
 /// Words of up-move bits DpForward writes per action.
 inline size_t DpUpMoveWords(size_t levels) { return (levels + 63) / 64; }
 
-/// One item sequence for DpForward. Item ids are read in place: id t is
-/// the int32 stored `t * item_stride` bytes past `items`, so a caller
-/// passes a packed id array (stride 4) or the id member of an array of
-/// records (stride = the record size) without copying.
+/// One item sequence for DpForward: `length` packed item ids.
 struct DpSequence {
-  const void* items = nullptr;
-  size_t item_stride = sizeof(int32_t);
+  const int32_t* items = nullptr;
   size_t length = 0;
   /// Out, [length * DpUpMoveWords(levels)]: for t >= 1, bit s % 64 of
   /// word t * DpUpMoveWords(levels) + s / 64 is set iff level s at action

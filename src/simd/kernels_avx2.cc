@@ -265,18 +265,14 @@ void DpForwardRegisters(const double* item_log_probs, size_t levels,
   // One sequence's cursor and best row. The cursor is copied out of the
   // DpSequence, so the up-move stores cannot make the loop reload it.
   struct Chain {
-    const char* id;
-    size_t stride;
+    const int32_t* id;
     uint64_t* up_moves;
     __m256d best_lo;
     __m256d best_hi;
   };
   auto load_row = [&](Chain& c, __m256d& row_lo, __m256d& row_hi)
                       __attribute__((always_inline)) {
-    int32_t item;
-    std::memcpy(&item, c.id, sizeof(item));
-    c.id += c.stride;
-    const double* row = item_log_probs + static_cast<size_t>(item) * levels;
+    const double* row = item_log_probs + static_cast<size_t>(*c.id++) * levels;
     if constexpr (kHi) {
       row_lo = _mm256_loadu_pd(row);
       row_hi = _mm256_maskload_pd(row + 4, mask_hi);
@@ -286,8 +282,7 @@ void DpForwardRegisters(const double* item_log_probs, size_t levels,
     }
   };
   auto start = [&](const DpSequence& seq) __attribute__((always_inline)) {
-    Chain c{static_cast<const char*>(seq.items), seq.item_stride,
-            seq.up_moves, zero, zero};
+    Chain c{seq.items, seq.up_moves, zero, zero};
     __m256d row_lo, row_hi;
     load_row(c, row_lo, row_hi);
     c.best_lo = _mm256_add_pd(row_lo, initial_lo);

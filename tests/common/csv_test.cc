@@ -52,6 +52,21 @@ TEST(FormatCsvLineTest, RoundTripsThroughParse) {
   EXPECT_EQ(parsed.value(), fields);
 }
 
+// Every record of `path`, read through a CsvScanner.
+Result<std::vector<std::vector<std::string>>> ScanAll(const std::string& path) {
+  Result<CsvScanner> opened = CsvScanner::Open(path);
+  if (!opened.ok()) return opened.status();
+  CsvScanner scanner = std::move(opened).value();
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> row;
+  while (true) {
+    Result<bool> next = scanner.Next(&row);
+    if (!next.ok()) return next.status();
+    if (!next.value()) return rows;
+    rows.push_back(row);
+  }
+}
+
 class CsvFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -67,14 +82,22 @@ TEST_F(CsvFileTest, WriteAndReadBack) {
   const std::vector<std::vector<std::string>> rows = {
       {"h1", "h2"}, {"a", "1"}, {"b,x", "2"}};
   ASSERT_TRUE(WriteCsvFile(path_.string(), rows).ok());
-  const auto read = ReadCsvFile(path_.string());
+  const auto read = ScanAll(path_.string());
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value(), rows);
 }
 
 TEST_F(CsvFileTest, MissingFileFails) {
-  const auto read = ReadCsvFile(path_.string() + ".does-not-exist");
+  const auto read = ScanAll(path_.string() + ".does-not-exist");
   EXPECT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
+}
+
+TEST_F(CsvFileTest, ReadErrorIsAnIoError) {
+  // A directory opens but cannot be read: the failed read surfaces
+  // instead of ending the file early.
+  const auto read = ScanAll(path_.parent_path().string());
+  ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kIoError);
 }
 
@@ -85,7 +108,7 @@ TEST_F(CsvFileTest, SkipsBlankLinesAndCarriageReturns) {
     std::fputs("a,b\r\n\r\nc,d\n\n", f);
     std::fclose(f);
   }
-  const auto read = ReadCsvFile(path_.string());
+  const auto read = ScanAll(path_.string());
   ASSERT_TRUE(read.ok());
   ASSERT_EQ(read.value().size(), 2u);
   EXPECT_EQ(read.value()[0], (std::vector<std::string>{"a", "b"}));
@@ -99,7 +122,7 @@ TEST_F(CsvFileTest, CorruptFileSurfacesError) {
     std::fputs("good,row\nbad\"row\n", f);
     std::fclose(f);
   }
-  const auto read = ReadCsvFile(path_.string());
+  const auto read = ScanAll(path_.string());
   EXPECT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
 }

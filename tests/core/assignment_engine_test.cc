@@ -15,7 +15,7 @@
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
 #include "exec/backend.h"
-#include "exec/workspace.h"
+#include "exec/shard.h"
 
 namespace upskill {
 namespace {
@@ -135,10 +135,10 @@ void ExpectGridMatchesSweep(const AssignmentEngine& engine,
 // them.
 bool HasOddShard(const Dataset& dataset, int num_shards,
                  exec::Backend* backend) {
-  exec::ExecContext context;
-  context.EnsureUserShards(dataset, num_shards, backend);
-  for (int k = 0; k < context.num_shards(); ++k) {
-    if (context.plan().range(k).size() % 2 == 1) return true;
+  const exec::ShardPlan plan =
+      exec::PlanDatasetShards(dataset, num_shards, backend);
+  for (int k = 0; k < plan.num_shards(); ++k) {
+    if (plan.range(k).size() % 2 == 1) return true;
   }
   return false;
 }

@@ -93,5 +93,14 @@ TEST_F(AssignmentsIoTest, MissingFileFails) {
   EXPECT_FALSE(LoadAssignments(path_ + ".missing", 1, 3).ok());
 }
 
+TEST_F(AssignmentsIoTest, DirectoryPathIsAnIoError) {
+  // A directory opens but cannot be read: the read error surfaces
+  // instead of an empty file's all-empty paths.
+  const auto loaded =
+      LoadAssignments(std::filesystem::temp_directory_path().string(), 3, 5);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
 }  // namespace
 }  // namespace upskill

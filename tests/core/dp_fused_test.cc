@@ -80,17 +80,6 @@ RandomConfig MakeRandomConfig(Rng& rng) {
   return config;
 }
 
-// The same sequence as user actions, the form the assignment engine
-// hands the solver (ids read in place from the records).
-std::vector<Action> AsActions(const std::vector<int32_t>& items) {
-  std::vector<Action> actions(items.size());
-  for (size_t t = 0; t < items.size(); ++t) {
-    actions[t].time = static_cast<int64_t>(t);
-    actions[t].item = items[t];
-  }
-  return actions;
-}
-
 TEST(DpFusedTest, MatchesMaterializedSolverOnRandomConfigs) {
   Rng rng(20260806);
   DpScratch scratch;  // reused across trials, like the assignment engine
@@ -108,14 +97,6 @@ TEST(DpFusedTest, MatchesMaterializedSolverOnRandomConfigs) {
     EXPECT_EQ(expected.levels, scratch.levels) << "trial " << trial;
     // Bitwise: the fused kernel must follow the exact arithmetic order.
     EXPECT_EQ(expected.log_likelihood, ll) << "trial " << trial;
-
-    const std::vector<Action> actions = AsActions(config.items);
-    const double actions_ll = SolveMonotonePathItems(
-        config.item_log_probs, std::span<const Action>(actions),
-        config.levels, config.log_initial, config.log_stay, config.log_up,
-        scratch);
-    EXPECT_EQ(expected.levels, scratch.levels) << "trial " << trial;
-    EXPECT_EQ(expected.log_likelihood, actions_ll) << "trial " << trial;
   }
 }
 
@@ -163,11 +144,6 @@ TEST(DpFusedTest, EmptySequenceYieldsEmptyPath) {
       item_log_probs, std::span<const int32_t>(), 2, {}, -0.5, -1.5, scratch);
   EXPECT_TRUE(scratch.levels.empty());
   EXPECT_EQ(0.0, ll);
-  scratch.levels.assign(3, 7);
-  const double actions_ll = SolveMonotonePathItems(
-      item_log_probs, std::span<const Action>(), 2, {}, -0.5, -1.5, scratch);
-  EXPECT_TRUE(scratch.levels.empty());
-  EXPECT_EQ(0.0, actions_ll);
   const double forgetting_ll = SolveMonotonePathItemsWithForgetting(
       item_log_probs, {}, 2, {}, -0.5, -1.5, {}, -2.0, scratch);
   EXPECT_TRUE(scratch.levels.empty());

@@ -52,6 +52,15 @@ TEST(EmTrainerTest, RejectsBadInput) {
     ASSERT_FALSE(result.ok()) << max_iterations;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
+
+  // The E-step lattice has no down-edge: a forgetting config is refused
+  // rather than trained without forgetting.
+  config = MakeConfig();
+  config.model.forgetting.enabled = true;
+  config.model.forgetting.gap_threshold = 10;
+  const auto forgetting = EmTrainer(config).Train(data.dataset);
+  ASSERT_FALSE(forgetting.ok());
+  EXPECT_EQ(forgetting.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EmTrainerTest, MarginalLikelihoodIsNonDecreasing) {

@@ -214,27 +214,28 @@ TEST(ForgettingEngineTest, FlagColumnFollowsTheGapThreshold) {
   const std::vector<double> cache =
       trained.value().model.ItemLogProbCache(dataset.items());
 
-  // The per-user oracle: flags from the records, then the item solvers.
+  // The per-user oracle: ids and flags staged from the records, then the
+  // item solvers.
   auto solve_from_records = [&](const ForgettingConfig& forgetting) {
     SkillAssignments paths;
     DpScratch scratch;
     for (UserId u = 0; u < dataset.num_users(); ++u) {
       const std::span<const Action> seq = dataset.sequence(u);
-      if (forgetting.enabled && seq.size() > 1) {
-        std::vector<int32_t> ids;
-        std::vector<uint8_t> flags;
-        for (size_t n = 0; n < seq.size(); ++n) {
-          ids.push_back(seq[n].item);
-          if (n > 0) {
-            flags.push_back(seq[n].time - seq[n - 1].time >
-                            forgetting.gap_threshold);
-          }
+      std::vector<int32_t> ids;
+      std::vector<uint8_t> flags;
+      for (size_t n = 0; n < seq.size(); ++n) {
+        ids.push_back(seq[n].item);
+        if (n > 0) {
+          flags.push_back(seq[n].time - seq[n - 1].time >
+                          forgetting.gap_threshold);
         }
+      }
+      if (forgetting.enabled && seq.size() > 1) {
         SolveMonotonePathItemsWithForgetting(
             cache, ids, kLevels, {}, 0.0, 0.0, flags,
             std::log(forgetting.drop_probability), scratch);
       } else {
-        SolveMonotonePathItems(cache, seq, kLevels, {}, 0.0, 0.0, scratch);
+        SolveMonotonePathItems(cache, ids, kLevels, {}, 0.0, 0.0, scratch);
       }
       paths.push_back(scratch.levels);
     }

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 
 #include "dist/categorical.h"
 #include "exec/backend.h"
@@ -151,6 +152,44 @@ TEST(SkillModelTest, SaveLoadRoundTrip) {
   std::filesystem::remove(path);
 }
 
+TEST(SkillModelTest, SaveLoadRoundTripsAWideIdFeature) {
+  // 50,000 categories: each level's row is over a megabyte, past the CSV
+  // scanner's default line bound, so Load sizes its bound from the schema.
+  constexpr int kItems = 50000;
+  FeatureSchema schema;
+  ASSERT_TRUE(schema.AddIdFeature(kItems).ok());
+  SkillModelConfig config;
+  config.num_levels = 2;
+  SkillModel model = SkillModel::Create(schema, config).value();
+  std::vector<double> ids;
+  for (int i = 0; i < kItems; i += 7) ids.push_back(i);
+  model.mutable_component(0, 1)->Fit(ids);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("upskill_model_wide_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  ASSERT_TRUE(model.Save(path).ok());
+  EXPECT_GT(std::filesystem::file_size(path), size_t{2} << 20);
+  const auto loaded = SkillModel::Load(path, schema, config);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (int s = 1; s <= 2; ++s) {
+    EXPECT_EQ(loaded.value().component(0, s).Parameters(),
+              model.component(0, s).Parameters())
+        << "s=" << s;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SkillModelTest, LoadFromADirectoryIsAnIoError) {
+  SkillModelConfig config;
+  config.num_levels = 2;
+  const auto loaded = SkillModel::Load(
+      std::filesystem::temp_directory_path().string(), MakeSchema(), config);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
 TEST(SkillModelTest, LoadRejectsWrongShape) {
   SkillModelConfig config;
   config.num_levels = 2;
@@ -165,6 +204,18 @@ TEST(SkillModelTest, LoadRejectsWrongShape) {
   SkillModelConfig other = config;
   other.num_levels = 3;
   EXPECT_FALSE(SkillModel::Load(path, MakeSchema(), other).ok());
+  // A malformed row, and a row whose kind contradicts the schema (feature
+  // 1 is a count, so Poisson), cite path:line (byte N); the 30-byte
+  // header puts row 2 at byte 30.
+  for (const char* bad_row : {"0,1,categorical\n", "1,1,gamma,1|1\n"}) {
+    std::ofstream(path) << "feature,level,kind,parameters\n" << bad_row;
+    const auto loaded = SkillModel::Load(path, MakeSchema(), config);
+    ASSERT_FALSE(loaded.ok()) << bad_row;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().message().find(path + ":2 (byte 30): "),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
   std::filesystem::remove(path);
 }
 

@@ -141,5 +141,14 @@ TEST_F(LoadActionLogCsvTest, RejectsMalformedRows) {
   EXPECT_FALSE(LoadActionLogCsv(path_).ok());
 }
 
+TEST_F(LoadActionLogCsvTest, DirectoryPathIsAnIoError) {
+  // A directory opens but cannot be read: the read error surfaces
+  // instead of an empty log.
+  const auto dataset =
+      LoadActionLogCsv(std::filesystem::temp_directory_path().string());
+  ASSERT_FALSE(dataset.ok());
+  EXPECT_EQ(dataset.status().code(), StatusCode::kIoError);
+}
+
 }  // namespace
 }  // namespace upskill

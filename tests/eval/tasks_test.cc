@@ -56,6 +56,13 @@ TEST(ItemPredictionTest, ScoresKnownRanking) {
   EXPECT_DOUBLE_EQ(at2.value().accuracy_at_k, 1.0);
   ASSERT_EQ(at2.value().reciprocal_ranks.size(), 1u);
   EXPECT_DOUBLE_EQ(at2.value().reciprocal_ranks[0], 0.5);
+
+  // A case outside the ID vocabulary fails the evaluation with its status.
+  const std::vector<HeldOutAction> bad = {{u, Action{11, 1, 0.0}, 0},
+                                          {u, Action{12, 7, 0.0}, 0}};
+  const auto failed = EvaluateItemPrediction(train, assignments, model, bad, 1);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(ItemPredictionTest, ValidatesK) {

@@ -20,7 +20,6 @@
 #include "data/dataset.h"
 #include "exec/map_reduce.h"
 #include "exec/shard.h"
-#include "exec/workspace.h"
 #include "store/store_reader.h"
 #include "store/store_writer.h"
 
@@ -70,17 +69,11 @@ TEST(BackendRunTest, DegenerateShardCountsNeverDispatch) {
     backend->RunIndices(9, 4, [&](size_t) { calls.fetch_add(1); });
     EXPECT_EQ(calls.load(), 0) << backend->name();
   }
-  // MapShards funnels through the same guard, null backend included.
-  std::atomic<int> calls{0};
-  MapShards(nullptr, 0, [&](int) { calls.fetch_add(1); });
-  MapShards(nullptr, -3, [&](int) { calls.fetch_add(1); });
-  MapShards(Backend::Serial(), 0, [&](int) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(BackendRunTest, EmptyMappedStorePlanIsSafeOnEveryBackend) {
-  // A packed store with zero users maps to an empty dataset; the exec
-  // context's degenerate plan over it must never reach a backend with a
+  // A packed store with zero users maps to an empty dataset; the
+  // degenerate user-axis plan over it must never reach a backend with a
   // shard that has users, and a zero shard count must not dispatch.
   const std::string path = testing::TempDir() + "/backend_empty.store";
   ASSERT_TRUE(store::PackDataset(MakeDataset({}), path).ok());
@@ -91,12 +84,10 @@ TEST(BackendRunTest, EmptyMappedStorePlanIsSafeOnEveryBackend) {
   ASSERT_EQ(mapped.value().num_users(), 0);
 
   for (const auto& backend : AllBackends()) {
-    ExecContext context;
-    context.EnsureUserShards(mapped.value(), 0, backend.get());
+    const ShardPlan plan = PlanDatasetShards(mapped.value(), 0, backend.get());
     std::atomic<int> users_seen{0};
-    MapShards(backend.get(), context.num_shards(), [&](int shard) {
-      users_seen.fetch_add(
-          static_cast<int>(context.plan().range(shard).size()));
+    backend->Run(plan.num_shards(), [&](int shard) {
+      users_seen.fetch_add(static_cast<int>(plan.range(shard).size()));
     });
     EXPECT_EQ(users_seen.load(), 0) << backend->name();
   }
@@ -238,7 +229,7 @@ TEST(BackendTest, PoolMatchesSerialShardByShard) {
   }();
   const auto reduce_shards = [&](Backend* backend, const ShardPlan& plan) {
     std::vector<double> sums(static_cast<size_t>(plan.num_shards()), 0.0);
-    MapShards(backend, plan.num_shards(), [&](int shard) {
+    backend->Run(plan.num_shards(), [&](int shard) {
       const IndexRange range = plan.range(shard);
       sums[static_cast<size_t>(shard)] =
           ReduceOrderedSum(std::span<const double>(
@@ -251,7 +242,7 @@ TEST(BackendTest, PoolMatchesSerialShardByShard) {
       const ShardPlan plan = ShardPlan::Contiguous(values.size(), shards);
       auto pool = CreateBackend("pool", threads);
       ASSERT_TRUE(pool.ok());
-      EXPECT_EQ(reduce_shards(nullptr, plan),
+      EXPECT_EQ(reduce_shards(Backend::Serial(), plan),
                 reduce_shards(pool.value().get(), plan))
           << "threads=" << threads << " shards=" << shards;
     }

@@ -5,7 +5,7 @@
 // without the global progression component), the EM trainer, and the
 // eval harness, comparing everything with operator== (no tolerances).
 // The suite also runs under UPSKILL_SANITIZE=thread, where the same
-// sweeps double as race detectors for the shard workspaces.
+// sweeps double as race detectors for the drivers' per-shard scratch.
 
 #include <gtest/gtest.h>
 

@@ -1,18 +1,16 @@
 // Unit tests for the sharded execution core: plan coverage and balance,
-// shard-count resolution, the fixed-shape ordered reductions, MapShards
-// dispatch, and ExecContext's plan ranges and reuse.
+// shard-count resolution, the user-axis plan's ranges, and the
+// fixed-shape ordered reductions.
 
 #include "exec/shard.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <vector>
 
 #include "data/dataset.h"
 #include "exec/backend.h"
 #include "exec/map_reduce.h"
-#include "exec/workspace.h"
 
 namespace upskill {
 namespace exec {
@@ -128,18 +126,17 @@ TEST(ResolveShardCountTest, AutoScalesWithPoolAndClampsToCount) {
   EXPECT_EQ(ResolveShardCount(-1, &pool, 0), 1);
 }
 
-TEST(ExecContextTest, PlanRangesPartitionUsersAndActions) {
+TEST(PlanDatasetShardsTest, RangesPartitionUsersAndActions) {
   const Dataset dataset = MakeDataset({5, 0, 9, 2, 14, 1});
-  ExecContext context;
-  context.EnsureUserShards(dataset, 3);
-  ASSERT_EQ(context.num_shards(), 3);
+  const ShardPlan plan = PlanDatasetShards(dataset, 3, nullptr);
+  ASSERT_EQ(plan.num_shards(), 3);
   // The ranges tile the user axis in order, so every user, and with it
   // every action, lands in exactly one shard.
   std::vector<int> visits(static_cast<size_t>(dataset.num_users()), 0);
   size_t next = 0;
   size_t actions = 0;
-  for (int k = 0; k < context.num_shards(); ++k) {
-    const IndexRange users = context.plan().range(k);
+  for (int k = 0; k < plan.num_shards(); ++k) {
+    const IndexRange users = plan.range(k);
     EXPECT_EQ(users.begin, next) << k;
     next = users.end;
     for (size_t u = users.begin; u < users.end; ++u) {
@@ -175,64 +172,6 @@ TEST(ReduceOrderedSumTest, FixedShapeIsPureFunctionOfValues) {
   for (const double v : values) serial += v;
   EXPECT_NEAR(once, serial, 1e-9);
   EXPECT_EQ(ReduceOrderedSum(std::vector<double>{}), 0.0);
-}
-
-TEST(MapShardsTest, VisitsEveryShardExactlyOnce) {
-  for (const bool threaded : {false, true}) {
-    Backend pool(4);
-    constexpr int kShards = 23;
-    std::vector<std::atomic<int>> visits(kShards);
-    MapShards(threaded ? &pool : nullptr, kShards, [&](int shard) {
-      visits[static_cast<size_t>(shard)].fetch_add(1);
-    });
-    for (int k = 0; k < kShards; ++k) {
-      EXPECT_EQ(visits[static_cast<size_t>(k)].load(), 1) << k;
-    }
-  }
-}
-
-TEST(ExecContextTest, EnsureIsIdempotentAndWorkspacesAreStable) {
-  const Dataset dataset = MakeDataset({4, 6, 2, 8, 3});
-  ExecContext context;
-  context.EnsureUserShards(dataset, 3);
-  ASSERT_EQ(context.num_shards(), 3);
-  ShardWorkspace* first = &context.workspace(0);
-  first->dp.items.resize(64);  // grow an arena; it must survive re-Ensure
-
-  context.EnsureUserShards(dataset, 3);
-  EXPECT_EQ(context.num_shards(), 3);
-  EXPECT_EQ(&context.workspace(0), first);
-  EXPECT_EQ(context.workspace(0).dp.items.size(), 64u);
-
-  // An auto request sticks to the existing plan even under a different
-  // backend (drivers whose phases use different backends must not
-  // thrash).
-  Backend pool(4);
-  context.EnsureUserShards(dataset, 0, &pool);
-  EXPECT_EQ(context.num_shards(), 3);
-  EXPECT_EQ(&context.workspace(0), first);
-
-  // An explicit different request rebuilds; workspaces grow but persist.
-  context.EnsureUserShards(dataset, 5, &pool);
-  EXPECT_EQ(context.num_shards(), 5);
-  EXPECT_EQ(&context.workspace(0), first);
-  EXPECT_EQ(context.workspace(0).dp.items.size(), 64u);
-}
-
-TEST(ExecContextTest, AutoPlanIsSizedFromTheFirstBackend) {
-  // The training drivers size the plan once from their full backend;
-  // the axis-gated (serial) backends later phases pass must keep it.
-  const Dataset dataset = MakeDataset(std::vector<int>(100, 3));
-  ExecContext context;
-  Backend pool(4);  // 5 slots
-  context.EnsureUserShards(dataset, 0, &pool);
-  EXPECT_EQ(context.num_shards(), 5 * kDefaultShardsPerSlot);
-  context.EnsureUserShards(dataset, 0, Backend::Serial());
-  EXPECT_EQ(context.num_shards(), 5 * kDefaultShardsPerSlot);
-
-  ExecContext serial_first;
-  serial_first.EnsureUserShards(dataset, 0);
-  EXPECT_EQ(serial_first.num_shards(), kDefaultShardsPerSlot);
 }
 
 }  // namespace

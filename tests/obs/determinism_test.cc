@@ -2,7 +2,7 @@
 // enabled produces bitwise-identical models, assignments, and objectives
 // to training with both disabled, including under a multi-threaded pool.
 // Runs under UPSKILL_SANITIZE=thread as a race detector for the
-// instrumented MapShards / Backend paths.
+// instrumented Backend::Run paths.
 
 #include <gtest/gtest.h>
 

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <mutex>
+#include <utility>
 
+#include "common/string_util.h"
 #include "core/difficulty.h"
 #include "core/recommend.h"
 #include "core/trainer.h"
@@ -390,6 +394,73 @@ TEST_F(ServerTest, ExecuteBatchPreservesRequestOrder) {
   EXPECT_EQ(responses[64].substr(0, 9), "ok level=");
   EXPECT_EQ(responses[65].substr(0, 4), "ERR ");
   EXPECT_EQ(server.num_sessions(), 64u);
+}
+
+TEST_F(ServerTest, ExecuteBatchAnswersAsRequestByRequest) {
+  // A batch runs each swap/stats/evict/reset alone and each user's
+  // requests in order, so every response matches a one-by-one replay on
+  // any backend; the serial backend also fires the observe hook in
+  // request order.
+  std::vector<std::string> lines = {"observe a 0 1", "reset", "observe a 1 2"};
+  for (int i = 0; i < 40; ++i) {
+    const std::string user = StringPrintf("u%d", i % 7);
+    lines.push_back(
+        StringPrintf("observe %s %d %d", user.c_str(), i % 20, 10 + i));
+    if (i % 5 == 0) lines.push_back("level " + user);
+    if (i % 9 == 0) lines.push_back(StringPrintf("difficulty %d", i));
+  }
+  lines.push_back("evict 30");
+  for (int i = 0; i < 7; ++i) lines.push_back(StringPrintf("level u%d", i));
+  // After this reset every level request fails: none may run before it.
+  for (int i = 0; i < 32; ++i) {
+    lines.push_back(StringPrintf("observe v%d 0 1", i));
+  }
+  lines.push_back("reset");
+  for (int i = 0; i < 32; ++i) lines.push_back(StringPrintf("level v%d", i));
+  lines.push_back("observe a 2 3");
+  std::vector<ServeRequest> requests;
+  for (const std::string& line : lines) {
+    requests.push_back(ParseServeRequest(line).value());
+  }
+  using Observed = std::vector<std::pair<std::string, ItemId>>;
+  const auto record = [](Server& server, Observed* observed,
+                         std::mutex* mutex) {
+    server.SetObserveHook(
+        [observed, mutex](const std::string& user, ItemId item, int64_t) {
+          std::lock_guard<std::mutex> lock(*mutex);
+          observed->emplace_back(user, item);
+        });
+  };
+
+  Server reference(serving_);
+  Observed reference_observed;
+  std::mutex reference_mutex;
+  record(reference, &reference_observed, &reference_mutex);
+  std::vector<std::string> expected;
+  for (const ServeRequest& request : requests) {
+    expected.push_back(reference.Execute(request));
+  }
+  // The observe after the reset starts a's session over.
+  EXPECT_NE(expected[2].find(" actions=1"), std::string::npos) << expected[2];
+
+  exec::Backend pool(4);
+  for (exec::Backend* backend : {exec::Backend::Serial(), &pool}) {
+    SCOPED_TRACE(backend->name());
+    Server server(serving_);
+    Observed observed;
+    std::mutex mutex;
+    record(server, &observed, &mutex);
+    EXPECT_EQ(server.ExecuteBatch(requests, backend), expected);
+    EXPECT_EQ(server.num_sessions(), reference.num_sessions());
+    if (backend == exec::Backend::Serial()) {
+      EXPECT_EQ(observed, reference_observed);
+    } else {
+      std::sort(observed.begin(), observed.end());
+      Observed sorted = reference_observed;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(observed, sorted);
+    }
+  }
 }
 
 TEST_F(ServerTest, ConcurrentObserveMatchesBatchUnderThePool) {

@@ -159,16 +159,10 @@ class KernelEquivalenceTest : public ::testing::Test {
     return cache;
   }
 
-  std::vector<Action> MakeActions(size_t length) {
+  std::vector<int32_t> MakeIds(size_t length) {
     std::uniform_int_distribution<int32_t> pick(0, kDpItems - 1);
-    std::vector<Action> actions(length);
-    for (Action& a : actions) a.item = pick(rng_);
-    return actions;
-  }
-
-  static std::vector<int32_t> IdsOf(const std::vector<Action>& actions) {
-    std::vector<int32_t> ids;
-    for (const Action& a : actions) ids.push_back(a.item);
+    std::vector<int32_t> ids(length);
+    for (int32_t& id : ids) id = pick(rng_);
     return ids;
   }
 };
@@ -291,20 +285,15 @@ struct DpOutput {
   std::vector<double> row;
 };
 
-// The DpSequence over `actions`' ids, read in place from the records or
-// from the packed copy `ids`, writing into `out`.
-simd::DpSequence SequenceInto(const std::vector<Action>& actions,
-                              const std::vector<int32_t>& ids,
-                              bool in_actions, size_t levels, DpOutput& out) {
+// The DpSequence over `ids`, writing into `out`.
+simd::DpSequence SequenceInto(const std::vector<int32_t>& ids, size_t levels,
+                              DpOutput& out) {
   const size_t length = ids.size();
   out.moves.assign(length * simd::DpUpMoveWords(levels),
                    0x5a5a5a5a5a5a5a5aULL);
   out.row.assign(levels, 42.0);
   simd::DpSequence seq;
-  seq.items = length == 0 ? nullptr
-              : in_actions ? static_cast<const void*>(&actions[0].item)
-                           : ids.data();
-  seq.item_stride = in_actions ? sizeof(Action) : sizeof(int32_t);
+  seq.items = length == 0 ? nullptr : ids.data();
   seq.length = length;
   seq.up_moves = out.moves.data();
   seq.last_row = out.row.data();
@@ -325,39 +314,31 @@ std::vector<uint64_t> RealLevelBits(std::vector<uint64_t> words,
 
 // The whole-sequence DP against its scalar reference: every level count
 // with a register-resident vector body (1..8) and two that fall back to
-// the reference (9, 12); lengths from empty to many actions; ids packed
-// and read in place from Action records; cache rows that are all -inf,
-// all signed zeros (every comparison a tie) or partly NaN; with and
-// without log_initial, with zero and non-zero costs.
+// the reference (9, 12); lengths from empty to many actions; cache rows
+// that are all -inf, all signed zeros (every comparison a tie) or partly
+// NaN; with and without log_initial, with zero and non-zero costs.
 TEST_F(KernelEquivalenceTest, DpForwardMatchesScalarBitwise) {
   for (const size_t levels : kDpLevels) {
     const std::vector<double> cache = MakeCache(levels);
     std::vector<double> log_initial = MakeScores(levels);
     log_initial[0] = -0.0;
     for (const size_t length : kDpLengths) {
-      const std::vector<Action> actions = MakeActions(length);
-      const std::vector<int32_t> ids = IdsOf(actions);
-      for (const bool in_actions : {false, true}) {
-        for (const bool with_initial : {false, true}) {
-          for (const auto& [log_stay, log_up] :
-               {std::pair{0.0, 0.0}, std::pair{-0.105, -2.302}}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "levels=" << levels << " length=" << length
-                         << " in_actions=" << in_actions
-                         << " initial=" << with_initial
-                         << " stay=" << log_stay);
-            DpOutput got, want;
-            const double* initial =
-                with_initial ? log_initial.data() : nullptr;
-            simd::DpForward(cache.data(), levels, initial, log_stay, log_up,
-                            SequenceInto(actions, ids, in_actions, levels,
-                                         got));
-            simd::scalar::DpForward(
-                cache.data(), levels, initial, log_stay, log_up,
-                SequenceInto(actions, ids, in_actions, levels, want));
-            EXPECT_EQ(got.moves, want.moves);
-            ExpectBitEqual(got.row, want.row);
-          }
+      const std::vector<int32_t> ids = MakeIds(length);
+      for (const bool with_initial : {false, true}) {
+        for (const auto& [log_stay, log_up] :
+             {std::pair{0.0, 0.0}, std::pair{-0.105, -2.302}}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "levels=" << levels << " length=" << length
+                       << " initial=" << with_initial
+                       << " stay=" << log_stay);
+          DpOutput got, want;
+          const double* initial = with_initial ? log_initial.data() : nullptr;
+          simd::DpForward(cache.data(), levels, initial, log_stay, log_up,
+                          SequenceInto(ids, levels, got));
+          simd::scalar::DpForward(cache.data(), levels, initial, log_stay,
+                                  log_up, SequenceInto(ids, levels, want));
+          EXPECT_EQ(got.moves, want.moves);
+          ExpectBitEqual(got.row, want.row);
         }
       }
     }
@@ -379,10 +360,8 @@ TEST_F(KernelEquivalenceTest, DpForwardPairMatchesOneSequenceBitwise) {
       const int num_levels = static_cast<int>(levels);
       for (const size_t length_a : kDpLengths) {
         for (const size_t length_b : kDpLengths) {
-          const std::vector<Action> actions[2] = {MakeActions(length_a),
-                                                  MakeActions(length_b)};
-          const std::vector<int32_t> ids[2] = {IdsOf(actions[0]),
-                                               IdsOf(actions[1])};
+          const std::vector<int32_t> ids[2] = {MakeIds(length_a),
+                                               MakeIds(length_b)};
           for (const bool with_initial : {false, true}) {
             for (const auto& [log_stay, log_up] :
                  {std::pair{0.0, 0.0}, std::pair{-0.105, -2.302}}) {
@@ -393,28 +372,20 @@ TEST_F(KernelEquivalenceTest, DpForwardPairMatchesOneSequenceBitwise) {
                            << " stay=" << log_stay);
               const double* initial =
                   with_initial ? log_initial.data() : nullptr;
-              for (const bool in_actions : {false, true}) {
-                DpOutput alone[2], paired[2];
-                for (int k = 0; k < 2; ++k) {
-                  simd::DpForward(cache.data(), levels, initial, log_stay,
-                                  log_up,
-                                  SequenceInto(actions[k], ids[k], in_actions,
-                                               levels, alone[k]));
-                }
-                simd::DpForward(
-                    cache.data(), levels, initial, log_stay, log_up,
-                    SequenceInto(actions[0], ids[0], in_actions, levels,
-                                 paired[0]),
-                    SequenceInto(actions[1], ids[1], in_actions, levels,
-                                 paired[1]));
-                for (int k = 0; k < 2; ++k) {
-                  SCOPED_TRACE(::testing::Message() << "chain " << k
-                                                    << " in_actions="
-                                                    << in_actions);
-                  EXPECT_EQ(RealLevelBits(paired[k].moves, levels),
-                            RealLevelBits(alone[k].moves, levels));
-                  ExpectBitEqual(paired[k].row, alone[k].row);
-                }
+              DpOutput alone_out[2], paired_out[2];
+              for (int k = 0; k < 2; ++k) {
+                simd::DpForward(cache.data(), levels, initial, log_stay,
+                                log_up, SequenceInto(ids[k], levels,
+                                                     alone_out[k]));
+              }
+              simd::DpForward(cache.data(), levels, initial, log_stay, log_up,
+                              SequenceInto(ids[0], levels, paired_out[0]),
+                              SequenceInto(ids[1], levels, paired_out[1]));
+              for (int k = 0; k < 2; ++k) {
+                SCOPED_TRACE(::testing::Message() << "chain " << k);
+                EXPECT_EQ(RealLevelBits(paired_out[k].moves, levels),
+                          RealLevelBits(alone_out[k].moves, levels));
+                ExpectBitEqual(paired_out[k].row, alone_out[k].row);
               }
 
               const std::span<const double> initial_span =
