@@ -49,6 +49,7 @@
 #include "core/trainer.h"
 #include "core/trajectory.h"
 #include "data/io.h"
+#include "common/durable_file.h"
 #include "common/string_util.h"
 #include "data/describe.h"
 #include "data/log_builder.h"
@@ -179,17 +180,6 @@ Result<Args> ParseArgs(int argc, char** argv, int first) {
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
-}
-
-Status WriteTextFile(const std::string& path, const std::string& content) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return Status::IoError("cannot open " + path);
-  const size_t written = std::fwrite(content.data(), 1, content.size(), file);
-  const bool closed = std::fclose(file) == 0;
-  if (written != content.size() || !closed) {
-    return Status::IoError("short write to " + path);
-  }
-  return Status::OK();
 }
 
 int Usage() {
@@ -463,13 +453,13 @@ int CmdTrain(const Args& args) {
     obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
     recorder.Disable();
     const Status wrote =
-        WriteTextFile(trace_out, obs::RenderChromeTrace(recorder));
+        ReplaceFile(trace_out, obs::RenderChromeTrace(recorder));
     if (!wrote.ok()) return Fail(wrote);
     std::printf("trace -> %s (%zu spans)\n", trace_out.c_str(),
                 recorder.Events().size());
   }
   if (!metrics_out.empty()) {
-    const Status wrote = WriteTextFile(
+    const Status wrote = ReplaceFile(
         metrics_out, obs::RenderPrometheus(obs::MetricsRegistry::Global()));
     if (!wrote.ok()) return Fail(wrote);
     std::printf("metrics -> %s\n", metrics_out.c_str());

@@ -1,9 +1,10 @@
 #include "common/csv.h"
 
+#include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
+#include "common/durable_file.h"
 #include "common/string_util.h"
 
 namespace upskill {
@@ -82,7 +83,10 @@ CsvScanner::CsvScanner(FILE* file, std::string path, size_t max_line_bytes)
 Result<CsvScanner> CsvScanner::Open(const std::string& path,
                                     size_t max_line_bytes) {
   FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return Status::IoError("cannot open " + path);
+  if (file == nullptr) {
+    return Status::IoError(StringPrintf("cannot open %s: %s", path.c_str(),
+                                        std::strerror(errno)));
+  }
   return CsvScanner(file, path, max_line_bytes);
 }
 
@@ -110,7 +114,9 @@ Result<bool> CsvScanner::Next(std::vector<std::string>* fields) {
                                   buffer_.size() - end_, file_.get());
       if (n == 0) {
         if (std::ferror(file_.get())) {
-          return Status::IoError("read failed for " + path_);
+          return Status::IoError(StringPrintf("read failed for %s: %s",
+                                              path_.c_str(),
+                                              std::strerror(errno)));
         }
         eof_ = true;
       }
@@ -144,14 +150,21 @@ Result<bool> CsvScanner::Next(std::vector<std::string>* fields) {
 
 Status WriteCsvFile(const std::string& path,
                     const std::vector<std::vector<std::string>>& rows) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file.is_open()) return Status::IoError("cannot open " + path);
+  Result<DurableFile> file = DurableFile::CreateReplacement(path);
+  if (!file.ok()) return file.status();
+  // Formatted rows are staged and written out ~1 MiB at a time.
+  constexpr size_t kBlockBytes = 1 << 20;
+  std::string block;
   for (const auto& row : rows) {
-    file << FormatCsvLine(row) << '\n';
+    block += FormatCsvLine(row);
+    block += '\n';
+    if (block.size() >= kBlockBytes) {
+      UPSKILL_RETURN_IF_ERROR(file.value().Write(block));
+      block.clear();
+    }
   }
-  file.flush();
-  if (!file.good()) return Status::IoError("write failed for " + path);
-  return Status::OK();
+  UPSKILL_RETURN_IF_ERROR(file.value().Write(block));
+  return file.value().Commit();
 }
 
 }  // namespace upskill

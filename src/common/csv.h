@@ -20,7 +20,9 @@ Result<std::vector<std::string>> ParseCsvLine(std::string_view line);
 /// Escapes and joins fields into one CSV record (no trailing newline).
 std::string FormatCsvLine(const std::vector<std::string>& fields);
 
-/// Writes rows to `path`, overwriting any existing file.
+/// Replaces `path` with the rows, one FormatCsvLine each, through
+/// DurableFile::CreateReplacement: a failed save leaves the previous file
+/// intact, and a target that exists and is not a regular file is refused.
 Status WriteCsvFile(const std::string& path,
                     const std::vector<std::vector<std::string>>& rows);
 

@@ -31,8 +31,9 @@ struct FileSyscalls {
 void SetFileSyscallsForTest(const FileSyscalls* table);
 
 /// The one way this system writes the files it persists (snapshots,
-/// stores, checkpoints, the ingest log). Every failure is an IoError
-/// naming the call, the path and errno.
+/// stores, checkpoints, the ingest log, CSV files, the CLI's trace and
+/// metrics dumps). Every failure is an IoError naming the call, the path
+/// and errno.
 ///
 /// A replacement writes `path + ".tmp"`, and Commit() publishes it: fsync
 /// the file, close it, rename it over `path`, fsync the parent directory.

@@ -45,10 +45,11 @@ struct EmTrainResult {
 
 /// Soft-assignment trainer for the same monotone progression model: the
 /// E-step runs the forward-backward algorithm over the action-skill
-/// lattice (stay / up-one transitions), the M-step refits every component
-/// with posterior weights (Distribution::FitWeighted), the initial level
-/// distribution, and (optionally) the level-up probability. The lattice
-/// has no down-edge, so Train refuses a config with forgetting enabled.
+/// lattice (stay / up-one transitions), the M-step accumulates each
+/// component's posterior-weighted SufficientStats and refits it with
+/// Distribution::FitFromStats, then the initial level distribution, and
+/// (optionally) the level-up probability. The lattice has no down-edge,
+/// so Train refuses a config with forgetting enabled.
 class EmTrainer {
  public:
   explicit EmTrainer(EmTrainerConfig config) : config_(config) {}

@@ -14,7 +14,6 @@
 #include "common/string_util.h"
 #include "data/schema_io.h"
 #include "obs/metrics.h"
-#include "obs/model_health.h"
 #include "obs/trace.h"
 
 namespace upskill {
@@ -47,16 +46,25 @@ struct RefreshInstruments {
   obs::Counter& clean_users;
   obs::Counter& actions_added;
   obs::Histogram& refresh_seconds;
+  obs::Gauge& last_dirty_users;
+  obs::Gauge& param_delta_l2;
 
   static RefreshInstruments& Get() {
     static RefreshInstruments* instruments = [] {
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+      registry.SetHelp("upskill_online_last_dirty_users",
+                       "Users refit by the most recent online-EM refresh.");
+      registry.SetHelp("upskill_online_param_delta_l2",
+                       "L2 norm of the model parameter change in the most "
+                       "recent online-EM refresh vs the previous fit.");
       return new RefreshInstruments{
           registry.GetCounter("upskill_online_refreshes_total"),
           registry.GetCounter("upskill_online_dirty_users_total"),
           registry.GetCounter("upskill_online_clean_users_total"),
           registry.GetCounter("upskill_online_actions_added_total"),
           registry.GetHistogram("upskill_online_refresh_seconds"),
+          registry.GetGauge("upskill_online_last_dirty_users"),
+          registry.GetGauge("upskill_online_param_delta_l2"),
       };
     }();
     return *instruments;
@@ -205,7 +213,7 @@ Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
 
   // M-step — but only if anything moved: a refresh over identical data is
   // a strict no-op on the model. The flattened-parameter snapshot feeds
-  // the model-health delta gauge; it reads the model and never writes it,
+  // the parameter-delta gauge; it reads the model and never writes it,
   // and is skipped entirely when metrics are off, so refresh outputs are
   // bitwise identical either way.
   std::vector<double> params_before;
@@ -237,8 +245,8 @@ Result<OnlineRefreshStats> OnlineTrainer::Refresh(const Dataset& previous,
   instruments.clean_users.Increment(stats.clean_users);
   instruments.actions_added.Increment(stats.actions_added);
   instruments.refresh_seconds.Observe(stats.refresh_seconds);
-  obs::ModelHealth::Global().NoteRefresh(stats.dirty_users,
-                                         stats.param_delta_l2);
+  instruments.last_dirty_users.Set(static_cast<double>(stats.dirty_users));
+  instruments.param_delta_l2.Set(stats.param_delta_l2);
   return stats;
 }
 

@@ -26,8 +26,8 @@ struct OnlineRefreshStats {
   size_t actions_removed = 0;
   size_t actions_added = 0;
   /// L2 norm of the flattened model-parameter change this refresh made
-  /// vs the previous fit (model-health telemetry; 0.0 when metrics are
-  /// disabled or nothing was dirty).
+  /// vs the previous fit (`upskill_online_param_delta_l2`; 0.0 when
+  /// metrics are disabled or nothing was dirty).
   double param_delta_l2 = 0.0;
   double refresh_seconds = 0.0;
 };

@@ -170,7 +170,7 @@ void Backend::RunIndices(size_t begin, size_t end,
   if (begin >= end) return;
   const size_t count = end - begin;
   const size_t workers = workers_.size();
-  if (workers <= 1 || count == 1) {
+  if (workers == 0 || count == 1) {
     for (size_t i = begin; i < end; ++i) body(i);
     return;
   }

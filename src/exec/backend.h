@@ -35,7 +35,7 @@ namespace exec {
 /// skewed per-index costs cannot serialize the tail. The caller always
 /// takes a share, and completion blocks on a per-call latch, so concurrent
 /// loops on one backend, and loops nested in a loop body, always finish.
-/// With at most one worker, or a one-index range, the loop runs inline.
+/// Without workers, or for a one-index range, the loop runs inline.
 class Backend {
  public:
   /// Spawns max(0, num_workers) worker threads; zero workers is serial.

@@ -1,7 +1,6 @@
 #include "ffm/ffm.h"
 
 #include <cmath>
-#include <fstream>
 
 #include "common/logging.h"
 #include "eval/metrics.h"
@@ -170,49 +169,6 @@ double FfmModel::Evaluate(std::span<const Example> examples) const {
     actual.push_back(example.target);
   }
   return eval::Rmse(predicted, actual);
-}
-
-Status FfmModel::Save(const std::string& path) const {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file.is_open()) return Status::IoError("cannot open " + path);
-  file.precision(17);
-  file << "ffm " << num_fields_ << ' ' << num_features_ << ' '
-       << config_.num_latent << '\n';
-  file << bias_ << '\n';
-  for (size_t i = 0; i < linear_.size(); ++i) {
-    file << linear_[i] << (i + 1 == linear_.size() ? '\n' : ' ');
-  }
-  for (size_t i = 0; i < latent_.size(); ++i) {
-    file << latent_[i] << (i + 1 == latent_.size() ? '\n' : ' ');
-  }
-  file.flush();
-  if (!file.good()) return Status::IoError("write failed for " + path);
-  return Status::OK();
-}
-
-Result<FfmModel> FfmModel::Load(const std::string& path) {
-  std::ifstream file(path);
-  if (!file.is_open()) return Status::IoError("cannot open " + path);
-  std::string magic;
-  int num_fields = 0;
-  int num_features = 0;
-  int num_latent = 0;
-  file >> magic >> num_fields >> num_features >> num_latent;
-  if (!file.good() || magic != "ffm") {
-    return Status::Corruption("not an FFM model file: " + path);
-  }
-  FfmConfig config;
-  config.num_latent = num_latent;
-  Result<FfmModel> created = Create(num_fields, num_features, config);
-  if (!created.ok()) return created.status();
-  FfmModel model = std::move(created).value();
-  file >> model.bias_;
-  for (double& w : model.linear_) file >> w;
-  for (double& w : model.latent_) file >> w;
-  if (file.fail()) return Status::Corruption("truncated FFM model file");
-  // Gradient accumulators restart fresh; persisted models are for
-  // inference (further training would re-warm AdaGrad).
-  return model;
 }
 
 }  // namespace ffm

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -79,12 +78,6 @@ class FfmModel {
 
   /// RMSE of predictions against targets.
   double Evaluate(std::span<const Example> examples) const;
-
-  /// Persists all weights (text format, loadable by Load).
-  Status Save(const std::string& path) const;
-
-  /// Restores a model saved by Save().
-  static Result<FfmModel> Load(const std::string& path);
 
   int num_fields() const { return num_fields_; }
   int num_features() const { return num_features_; }

@@ -7,7 +7,6 @@
 #include "common/string_util.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
-#include "obs/model_health.h"
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
@@ -122,8 +121,8 @@ HttpResponse HttpAdminServer::Respond(const std::string& request_line,
 
 void InstallAdminEndpoints(HttpAdminServer* http, serve::Server* server,
                            std::function<Status()> health) {
-  http->Handle("/metrics", [] {
-    obs::ModelHealth::Global().Sample();
+  http->Handle("/metrics", [server] {
+    server->SampleModelGauges();
     HttpResponse response;
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
     response.body = obs::RenderPrometheus(obs::MetricsRegistry::Global());
@@ -144,7 +143,7 @@ void InstallAdminEndpoints(HttpAdminServer* http, serve::Server* server,
 
   const auto start = std::chrono::steady_clock::now();
   http->Handle("/statusz", [server, start] {
-    obs::ModelHealth::Global().Sample();
+    server->SampleModelGauges();
     const std::shared_ptr<const serve::ServingModel> model = server->model();
     const double uptime = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
@@ -157,7 +156,7 @@ void InstallAdminEndpoints(HttpAdminServer* http, serve::Server* server,
     body += StringPrintf("snapshot_version: %d\n",
                          static_cast<int>(serve::kSnapshotVersion));
     body += StringPrintf("snapshot_age_seconds: %.1f\n",
-                         obs::ModelHealth::Global().SnapshotAgeSeconds());
+                         server->SnapshotAgeSeconds());
     body += StringPrintf("levels: %d\nitems: %d\n", model->num_levels(),
                          model->num_items());
     body += StringPrintf(

@@ -70,7 +70,8 @@ class HttpAdminServer {
 };
 
 /// Wires the standard admin surface onto `http`:
-///   /metrics  Prometheus text exposition (model-health sampled first)
+///   /metrics  Prometheus text exposition (`server`'s model gauges
+///             sampled first)
 ///   /healthz  "ok", or 503 with the error while `health` (optional)
 ///             reports one, e.g. a sticky ingest-log failure
 ///   /statusz  human-readable status: build info, snapshot version/age,

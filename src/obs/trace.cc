@@ -11,11 +11,14 @@ namespace obs {
 
 namespace {
 
-// Registered once so the metric appears in scrapes (at zero) before the
-// first drop ever happens.
+// Registered, with its HELP text, at the first drop.
 Counter& TraceDroppedCounter() {
-  static Counter* counter =
-      &MetricsRegistry::Global().GetCounter("upskill_trace_dropped_total");
+  static Counter* counter = [] {
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    registry.SetHelp("upskill_trace_dropped_total",
+                     "Phase spans dropped because the trace buffer was full.");
+    return &registry.GetCounter("upskill_trace_dropped_total");
+  }();
   return *counter;
 }
 

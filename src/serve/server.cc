@@ -11,7 +11,6 @@
 #include "common/string_util.h"
 #include "core/dp.h"
 #include "obs/exposition.h"
-#include "obs/model_health.h"
 #include "obs/trace.h"
 #include "serve/snapshot.h"
 #include "simd/kernels.h"
@@ -43,19 +42,39 @@ Server::Server(std::shared_ptr<const ServingModel> model, int num_shards,
         &registry.GetCounter("upskill_serve_requests_total", labels),
         &registry.GetCounter("upskill_serve_request_errors_total", labels)};
   }
-  // Model-health wiring: the initial snapshot is an install too, and the
-  // session level distribution is sampled from the store at scrape time.
-  obs::ModelHealth& health = obs::ModelHealth::Global();
-  health.NoteSnapshotInstalled("", static_cast<int>(kSnapshotVersion),
-                               model_->num_levels(), model_->num_items());
-  health_sampler_token_ = health.AddSampler([this] {
-    obs::ModelHealth::Global().SetSessionLevelCounts(
-        sessions_.LevelCounts(this->model()->num_levels()));
-  });
-}
-
-Server::~Server() {
-  obs::ModelHealth::Global().RemoveSampler(health_sampler_token_);
+  for (const auto& [name, help] : {
+           std::pair{"upskill_model_snapshot_version",
+                     "Format version of the installed snapshot."},
+           std::pair{"upskill_model_snapshot_age_seconds",
+                     "Seconds since the serving snapshot was installed."},
+           std::pair{"upskill_model_levels",
+                     "Skill levels in the serving model."},
+           std::pair{"upskill_model_items", "Items in the serving model."},
+           std::pair{"upskill_model_snapshot_installs_total",
+                     "Snapshots installed, at start and by every swap."},
+           std::pair{"upskill_model_recommend_items_total",
+                     "Items returned across all recommend requests."},
+           std::pair{"upskill_model_recommend_empty_total",
+                     "Recommend requests that returned no items."},
+           std::pair{"upskill_model_session_level_count",
+                     "Live sessions whose current maximum-likelihood skill "
+                     "level is `level` (level 0 includes sessions with no "
+                     "observation yet)."},
+           std::pair{"upskill_model_snapshot_info",
+                     "Snapshot identity: 1 for the path being served, 0 for "
+                     "a path a swap replaced."}}) {
+    registry.SetHelp(name, help);
+  }
+  registry.GetGauge("upskill_model_snapshot_version")
+      .Set(static_cast<double>(kSnapshotVersion));
+  model_instruments_ = ModelInstruments{
+      &registry.GetGauge("upskill_model_snapshot_age_seconds"),
+      &registry.GetGauge("upskill_model_levels"),
+      &registry.GetGauge("upskill_model_items"),
+      &registry.GetCounter("upskill_model_snapshot_installs_total"),
+      &registry.GetCounter("upskill_model_recommend_items_total"),
+      &registry.GetCounter("upskill_model_recommend_empty_total")};
+  NoteInstall(*model_, nullptr);
 }
 
 std::shared_ptr<const ServingModel> Server::model() const {
@@ -156,28 +175,30 @@ Result<SessionLevel> Server::Observe(const std::string& user, ItemId item,
 }
 
 Result<SessionLevel> Server::CurrentLevel(const std::string& user) const {
-  SessionState session;
+  SessionLevel session;
   if (!sessions_.Lookup(user, &session) || session.actions == 0) {
     return Status::NotFound("no observed actions for user " + user);
   }
-  return SessionLevel{session.level, session.actions};
+  return session;
 }
 
 Result<std::vector<UpskillRecommendation>> Server::Recommend(
     const std::string& user,
     const UpskillRecommendationOptions& options) const {
-  SessionState session;
+  SessionLevel session;
   if (!sessions_.Lookup(user, &session) || session.actions == 0) {
     return Status::NotFound("no observed actions for user " + user);
   }
   const std::shared_ptr<const ServingModel> model = this->model();
-  // A swap that changed S may have raced the lookup; the copied level is
+  // A swap that changed S may have raced the lookup; the level read is
   // still a valid 1-based level under the *old* S, so clamp it.
   const int level = std::min(session.level, model->num_levels());
   Result<std::vector<UpskillRecommendation>> picks =
       model->Recommend(level, options);
   if (picks.ok()) {
-    obs::ModelHealth::Global().NoteRecommendation(picks.value().size());
+    const size_t items = picks.value().size();
+    model_instruments_.recommend_items->Increment(items);
+    if (items == 0) model_instruments_.recommend_empty->Increment();
   }
   return picks;
 }
@@ -203,19 +224,18 @@ void Server::SwapSnapshot(std::shared_ptr<const ServingModel> next,
   // the two views are then published atomically together.
   std::shared_ptr<const QuantizedModel> qnext =
       quantized_ ? QuantizedModel::FromServingModel(*next, backend) : nullptr;
+  // The replaced view is released after the lock, not under it.
+  std::shared_ptr<const ServingModel> previous;
   bool reset = false;
   {
     std::lock_guard<std::mutex> lock(model_mutex_);
     reset = next->num_levels() != model_->num_levels();
-    model_ = std::move(next);
+    previous = std::exchange(model_, std::move(next));
     qmodel_ = std::move(qnext);
+    NoteInstall(*model_, previous.get());
   }
   if (reset) sessions_.Clear();
   snapshot_swaps_.Increment();
-  const std::shared_ptr<const ServingModel> installed = this->model();
-  obs::ModelHealth::Global().NoteSnapshotInstalled(
-      "", static_cast<int>(kSnapshotVersion), installed->num_levels(),
-      installed->num_items());
 }
 
 Status Server::SwapSnapshotFile(const std::string& path,
@@ -225,8 +245,47 @@ Status Server::SwapSnapshotFile(const std::string& path,
       ServingModel::FromSnapshotFile(path, backend);
   if (!next.ok()) return next.status();
   SwapSnapshot(std::move(next).value(), backend);
-  obs::ModelHealth::Global().NoteSnapshotPath(path);
   return Status::OK();
+}
+
+void Server::NoteInstall(const ServingModel& installed,
+                         const ServingModel* previous) {
+  installed_at_ = std::chrono::steady_clock::now();
+  model_instruments_.age->Set(0.0);
+  model_instruments_.levels->Set(installed.num_levels());
+  model_instruments_.items->Set(installed.num_items());
+  model_instruments_.installs->Increment();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto info = [&registry](const std::string& path) -> obs::Gauge& {
+    return registry.GetGauge("upskill_model_snapshot_info",
+                             "path=\"" + obs::EscapeLabelValue(path) + "\"");
+  };
+  if (previous != nullptr && !previous->path().empty()) {
+    info(previous->path()).Set(0.0);
+  }
+  if (!installed.path().empty()) info(installed.path()).Set(1.0);
+}
+
+double Server::SnapshotAgeSeconds() const {
+  std::lock_guard<std::mutex> lock(model_mutex_);
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       installed_at_)
+      .count();
+}
+
+void Server::SampleModelGauges() {
+  const std::vector<uint64_t> counts =
+      sessions_.LevelCounts(model()->num_levels());
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  std::lock_guard<std::mutex> lock(sample_mutex_);
+  levels_published_ = std::max(levels_published_, counts.size());
+  for (size_t s = 0; s < levels_published_; ++s) {
+    registry
+        .GetGauge("upskill_model_session_level_count",
+                  StringPrintf("level=\"%zu\"", s))
+        .Set(s < counts.size() ? static_cast<double>(counts[s]) : 0.0);
+  }
+  model_instruments_.age->Set(SnapshotAgeSeconds());
 }
 
 ServeResponse Server::Handle(const ServeRequest& request,
@@ -374,8 +433,8 @@ std::string Server::LatencyQuantilesInline() const {
   return out;
 }
 
-std::string Server::StatsText() const {
-  obs::ModelHealth::Global().Sample();
+std::string Server::StatsText() {
+  SampleModelGauges();
   const std::shared_ptr<const ServingModel> model = this->model();
   // Summary line first (stable machine-parseable header; new fields are
   // only ever appended at the end of the line), then the Prometheus
@@ -418,8 +477,9 @@ std::vector<std::string> Server::ExecuteBatch(
   // counting-sorted into groups of whole session-store shards (a request
   // without a user goes by its index), one `Run` shard per group: a
   // user's requests run in request order on one task, and no two tasks
-  // share a shard lock. A backend with at most one worker runs loops
-  // inline (exec/backend.h), so it takes one group: request order.
+  // share a shard lock. A backend with at most one worker takes one
+  // group, so it answers in request order: a second runner would only
+  // share the group loop with the caller.
   const size_t max_groups =
       backend->concurrency() <= 2 ? 1
                                   : static_cast<size_t>(sessions_.num_shards());

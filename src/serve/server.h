@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -22,17 +23,17 @@
 namespace upskill {
 namespace serve {
 
-/// Level and observation count reported by Observe / CurrentLevel.
-struct SessionLevel {
-  int level = 0;
-  uint64_t actions = 0;
-};
-
 /// The online serving front end: an immutable ServingModel (swappable at
 /// runtime) plus the sharded SessionStore. Every method is thread-safe;
 /// requests for distinct users proceed in parallel, and a snapshot swap
 /// never blocks readers — in-flight requests finish against the view they
 /// started with.
+///
+/// The server owns the telemetry of the model it serves: the
+/// `upskill_model_*` gauges and counters, registered at construction.
+/// Installs (construction and every swap) set the level, item and
+/// identity gauges; SampleModelGauges refreshes the age and the session
+/// levels at scrape time, so no request pays for them.
 class Server {
  public:
   /// `quantized` switches session state to the int16 fixed-point forward
@@ -43,7 +44,6 @@ class Server {
   /// from the double view — only level inference is quantized.
   Server(std::shared_ptr<const ServingModel> model, int num_shards = 64,
          bool quantized = false);
-  ~Server();
 
   /// Current model view (atomically readable while swaps happen).
   std::shared_ptr<const ServingModel> model() const;
@@ -96,7 +96,7 @@ class Server {
   void SwapSnapshot(std::shared_ptr<const ServingModel> next,
                     exec::Backend* backend = nullptr);
 
-  /// LoadSnapshot + ServingModel::FromSnapshot + SwapSnapshot.
+  /// ServingModel::FromSnapshotFile + SwapSnapshot.
   Status SwapSnapshotFile(const std::string& path,
                           exec::Backend* backend = nullptr);
 
@@ -122,6 +122,17 @@ class Server {
   uint64_t requests_served() const {
     return requests_.load(std::memory_order_relaxed);
   }
+
+  /// Seconds since the serving model was installed (construction or the
+  /// last swap).
+  double SnapshotAgeSeconds() const;
+
+  /// Samples the served model's scrape-time gauges: live sessions per
+  /// level 0..S (`upskill_model_session_level_count{level}`; a level above
+  /// S that an earlier, larger model published reads 0) and
+  /// `upskill_model_snapshot_age_seconds`. `stats`, `/metrics` and
+  /// `/statusz` call it before they render.
+  void SampleModelGauges();
 
   /// Per-kind latency quantiles for kinds that have traffic, one
   /// "  <kind>: p50=<s> p90=<s> p99=<s> count=<n>\n" row per kind.
@@ -175,12 +186,22 @@ class Server {
     obs::Counter* errors = nullptr;
   };
 
+  /// The served model's instruments (see the class comment).
+  struct ModelInstruments {
+    obs::Gauge* age = nullptr;
+    obs::Gauge* levels = nullptr;
+    obs::Gauge* items = nullptr;
+    obs::Counter* installs = nullptr;
+    obs::Counter* recommend_items = nullptr;
+    obs::Counter* recommend_empty = nullptr;
+  };
+
   /// The `stats` reply body: the "ok sessions=..." summary line
   /// (including trace_dropped and per-kind latency quantiles) followed
   /// by the Prometheus exposition of the process registry,
   /// "# EOF"-terminated, with no trailing newline (the transport appends
   /// it).
-  std::string StatsText() const;
+  std::string StatsText();
 
   /// Both views, read under one lock acquisition so a concurrent swap can
   /// never hand out a double view paired with a stale quantized one.
@@ -195,19 +216,28 @@ class Server {
   /// first, then the installed backend, then serial.
   exec::Backend* ResolveExecBackend(exec::Backend* backend) const;
 
+  /// Stamps the install time and publishes `installed`'s gauges; sets its
+  /// `upskill_model_snapshot_info` series to 1 after setting that of
+  /// `previous` (null at construction) to 0. SwapSnapshot calls it with
+  /// model_mutex_ held, so racing swaps publish in install order.
+  void NoteInstall(const ServingModel& installed,
+                   const ServingModel* previous);
+
   const bool quantized_;
   std::shared_ptr<exec::Backend> backend_;
   mutable std::mutex model_mutex_;
   std::shared_ptr<const ServingModel> model_;
   std::shared_ptr<const QuantizedModel> qmodel_;
+  std::chrono::steady_clock::time_point installed_at_;
   SessionStore sessions_;
   ObserveHook observe_hook_;
   std::atomic<uint64_t> requests_{0};
   std::array<KindInstruments, kNumServeRequestKinds> instruments_;
   obs::Counter& snapshot_swaps_;
-  /// ModelHealth sampler registration (session level distribution);
-  /// deregistered in the destructor.
-  uint64_t health_sampler_token_ = 0;
+  ModelInstruments model_instruments_;
+  /// Guards levels_published_: the level gauges SampleModelGauges has set.
+  std::mutex sample_mutex_;
+  size_t levels_published_ = 0;
 };
 
 }  // namespace serve

@@ -70,6 +70,18 @@ void RankDescending(const double* scores, size_t stride, size_t count,
 
 Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
     ModelSnapshot snapshot, exec::Backend* backend) {
+  return Build(std::move(snapshot), "", backend);
+}
+
+Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshotFile(
+    const std::string& path, exec::Backend* backend) {
+  Result<ModelSnapshot> snapshot = LoadSnapshot(path);
+  if (!snapshot.ok()) return snapshot.status();
+  return Build(std::move(snapshot).value(), path, backend);
+}
+
+Result<std::shared_ptr<const ServingModel>> ServingModel::Build(
+    ModelSnapshot snapshot, std::string path, exec::Backend* backend) {
   if (backend == nullptr) backend = exec::Backend::Serial();
   const int levels = snapshot.config.num_levels;
   if (levels < 1) {
@@ -91,6 +103,7 @@ Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
 
   std::shared_ptr<ServingModel> model(new ServingModel());
   model->snapshot_ = std::move(snapshot);
+  model->path_ = std::move(path);
   model->log_down_ =
       std::log(model->snapshot_.config.forgetting.drop_probability);
   model->log_probs_ =
@@ -108,13 +121,6 @@ Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshot(
                    num_items, model->ranked_.data() + s * num_items);
   });
   return std::shared_ptr<const ServingModel>(std::move(model));
-}
-
-Result<std::shared_ptr<const ServingModel>> ServingModel::FromSnapshotFile(
-    const std::string& path, exec::Backend* backend) {
-  Result<ModelSnapshot> snapshot = LoadSnapshot(path);
-  if (!snapshot.ok()) return snapshot.status();
-  return FromSnapshot(std::move(snapshot).value(), backend);
 }
 
 std::span<const ItemId> ServingModel::RankedItems(int level) const {

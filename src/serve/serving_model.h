@@ -42,9 +42,13 @@ class ServingModel {
   static Result<std::shared_ptr<const ServingModel>> FromSnapshot(
       ModelSnapshot snapshot, exec::Backend* backend = nullptr);
 
-  /// Convenience: LoadSnapshot + FromSnapshot.
+  /// LoadSnapshot + FromSnapshot, recording `path` as the model's path().
   static Result<std::shared_ptr<const ServingModel>> FromSnapshotFile(
       const std::string& path, exec::Backend* backend = nullptr);
+
+  /// The snapshot file this view was read from; empty when it was built
+  /// by FromSnapshot. Labels `upskill_model_snapshot_info`.
+  const std::string& path() const { return path_; }
 
   int num_levels() const { return snapshot_.config.num_levels; }
   int num_items() const { return snapshot_.items.num_items(); }
@@ -103,7 +107,11 @@ class ServingModel {
  private:
   ServingModel() = default;
 
+  static Result<std::shared_ptr<const ServingModel>> Build(
+      ModelSnapshot snapshot, std::string path, exec::Backend* backend);
+
   ModelSnapshot snapshot_;
+  std::string path_;
   // [item * S + (level-1)]
   std::vector<double> log_probs_;
   // ranked_[(level-1) * num_items + rank] = item id.

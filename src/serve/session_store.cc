@@ -30,12 +30,12 @@ void SessionStore::AddLive(int64_t delta) {
   live_gauge_.Add(static_cast<double>(delta));
 }
 
-bool SessionStore::Lookup(const std::string& user, SessionState* out) const {
+bool SessionStore::Lookup(const std::string& user, SessionLevel* out) const {
   const Shard& shard = ShardFor(user);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.sessions.find(user);
   if (it == shard.sessions.end()) return false;
-  *out = it->second;
+  *out = SessionLevel{it->second.level, it->second.actions};
   return true;
 }
 

@@ -45,6 +45,13 @@ struct SessionState {
   int level = 0;
 };
 
+/// Level and observation count of one session, as Observe, CurrentLevel
+/// and SessionStore::Lookup report them.
+struct SessionLevel {
+  int level = 0;
+  uint64_t actions = 0;
+};
+
 /// Sharded map of user key -> SessionState guarded by striped mutexes:
 /// the key hashes to one of `num_shards` shards, each an independent
 /// mutex + hash map, so concurrent requests for different users contend
@@ -69,8 +76,9 @@ class SessionStore {
     fn(it->second);
   }
 
-  /// Copies the session for `user` into `out`; false when absent.
-  bool Lookup(const std::string& user, SessionState* out) const;
+  /// Reads the level and action count of `user`'s session into `out`,
+  /// under its shard lock; false when absent.
+  bool Lookup(const std::string& user, SessionLevel* out) const;
 
   /// Removes the session for `user`; false when absent.
   bool Erase(const std::string& user);
@@ -91,8 +99,8 @@ class SessionStore {
   /// observation yet); sessions reporting a level above `num_levels`
   /// (stale vs. a smaller swapped-in model) are clamped into the top
   /// bin. Locks one shard at a time, so it can run against live traffic;
-  /// the result is a consistent-per-shard estimate, which is all the
-  /// model-health gauges need.
+  /// the result is a consistent-per-shard estimate, which is all
+  /// Server::SampleModelGauges needs.
   std::vector<uint64_t> LevelCounts(int num_levels) const;
 
   /// Drops every session (e.g. after a snapshot swap changed S).

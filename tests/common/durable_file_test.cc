@@ -1,9 +1,9 @@
 // The durable-file module under a fail-at-syscall-k sweep: each replacing
-// writer (snapshot, store, checkpoint) and the ingest log runs once per
-// syscall it makes, with that one call failing (or, for a write, writing
-// only half its bytes), and must keep the invariants an I/O error may not
-// break. Plus the directory a commit syncs, and the targets a replacement
-// refuses.
+// writer (snapshot, store, checkpoint, model and assignments CSV) and the
+// ingest log runs once per syscall it makes, with that one call failing
+// (or, for a write, writing only half its bytes), and must keep the
+// invariants an I/O error may not break. Plus the directory a commit
+// syncs, and the targets a replacement refuses.
 
 #include "common/durable_file.h"
 
@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/assignments_io.h"
 #include "core/online_trainer.h"
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
@@ -238,6 +239,30 @@ TEST(DurableFileSweepTest, SaveCheckpoint) {
       TempPath("sweep.ckpt"),
       [&](const std::string& p) { return old_state.SaveCheckpoint(p); },
       [&](const std::string& p) { return new_state.SaveCheckpoint(p); });
+}
+
+TEST(DurableFileSweepTest, SkillModelSave) {
+  auto old_fit = Trainer(Config()).Train(Generate(1));
+  auto new_fit = Trainer(Config()).Train(Generate(2));
+  ASSERT_TRUE(old_fit.ok() && new_fit.ok());
+  SweepReplacement(
+      TempPath("sweep_model.csv"),
+      [&](const std::string& p) { return old_fit.value().model.Save(p); },
+      [&](const std::string& p) { return new_fit.value().model.Save(p); });
+}
+
+TEST(DurableFileSweepTest, SaveAssignments) {
+  auto old_fit = Trainer(Config()).Train(Generate(1));
+  auto new_fit = Trainer(Config()).Train(Generate(2));
+  ASSERT_TRUE(old_fit.ok() && new_fit.ok());
+  SweepReplacement(
+      TempPath("sweep_assignments.csv"),
+      [&](const std::string& p) {
+        return SaveAssignments(old_fit.value().assignments, p);
+      },
+      [&](const std::string& p) {
+        return SaveAssignments(new_fit.value().assignments, p);
+      });
 }
 
 // --- The ingest log. ---

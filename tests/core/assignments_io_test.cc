@@ -100,6 +100,8 @@ TEST_F(AssignmentsIoTest, DirectoryPathIsAnIoError) {
       LoadAssignments(std::filesystem::temp_directory_path().string(), 3, 5);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("Is a directory"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 }  // namespace

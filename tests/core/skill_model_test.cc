@@ -188,6 +188,8 @@ TEST(SkillModelTest, LoadFromADirectoryIsAnIoError) {
       std::filesystem::temp_directory_path().string(), MakeSchema(), config);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("Is a directory"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(SkillModelTest, LoadRejectsWrongShape) {

@@ -148,6 +148,8 @@ TEST_F(LoadActionLogCsvTest, DirectoryPathIsAnIoError) {
       LoadActionLogCsv(std::filesystem::temp_directory_path().string());
   ASSERT_FALSE(dataset.ok());
   EXPECT_EQ(dataset.status().code(), StatusCode::kIoError);
+  EXPECT_NE(dataset.status().message().find("Is a directory"), std::string::npos)
+      << dataset.status().ToString();
 }
 
 }  // namespace

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <span>
 #include <string>
@@ -204,6 +207,28 @@ TEST(BackendRunTest, LateWorkersNeverTouchAFinishedLoop) {
       ASSERT_EQ(values[0] + values[1], 2) << backend->name();
     }
   }
+}
+
+// A one-worker pool shares a loop between its worker and the caller:
+// index 0 waits until some index runs on another thread.
+TEST(BackendRunTest, OneWorkerPoolRunsIndicesOnItsWorker) {
+  Backend backend(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mutex;
+  std::condition_variable ran_elsewhere;
+  bool elsewhere = false;
+  backend.RunIndices(0, 2, [&](size_t i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (std::this_thread::get_id() != caller) {
+      elsewhere = true;
+      ran_elsewhere.notify_all();
+    }
+    if (i == 0) {
+      ran_elsewhere.wait_for(lock, std::chrono::seconds(5),
+                             [&elsewhere] { return elsewhere; });
+    }
+  });
+  EXPECT_TRUE(elsewhere);
 }
 
 TEST(BackendTest, ConcurrencyCountsWorkersAndCaller) {

@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <vector>
 
 #include "ffm/feature_builder.h"
@@ -96,62 +92,6 @@ TEST(FfmModelTest, InteractionsCaptureNonAdditiveStructure) {
   Rng rng(11);
   model.Train(examples, rng);
   EXPECT_LT(model.Evaluate(examples), 0.25);
-}
-
-TEST(FfmModelTest, SaveLoadRoundTrip) {
-  FfmConfig config;
-  config.epochs = 10;
-  auto created = FfmModel::Create(2, 6, config);
-  ASSERT_TRUE(created.ok());
-  FfmModel model = std::move(created).value();
-  std::vector<Example> examples;
-  for (int u = 0; u < 3; ++u) {
-    for (int i = 0; i < 3; ++i) {
-      examples.push_back(
-          Example{{{0, u, 1.0}, {1, 3 + i, 1.0}}, 2.0 + u - 0.4 * i});
-    }
-  }
-  Rng rng(21);
-  model.Train(examples, rng);
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("upskill_ffm_" + std::to_string(::getpid()) + ".txt"))
-          .string();
-  ASSERT_TRUE(model.Save(path).ok());
-  const auto loaded = FfmModel::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().num_fields(), 2);
-  EXPECT_EQ(loaded.value().num_features(), 6);
-  for (const Example& example : examples) {
-    EXPECT_DOUBLE_EQ(loaded.value().Predict(example.features),
-                     model.Predict(example.features));
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(FfmModelTest, LoadRejectsGarbage) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("upskill_ffm_bad_" + std::to_string(::getpid()) + ".txt"))
-          .string();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a model\n", f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(FfmModel::Load(path).ok());
-  // Truncated file: valid header, missing weights.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("ffm 2 6 4\n0.5\n", f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(FfmModel::Load(path).ok());
-  std::filesystem::remove(path);
-  EXPECT_FALSE(FfmModel::Load(path).ok());  // missing file
 }
 
 TEST(FfmModelTest, ValidationTrainingStopsEarlyAndNeverDegrades) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <filesystem>
 #include <mutex>
+#include <thread>
 #include <utility>
 
 #include "common/string_util.h"
@@ -18,6 +19,8 @@
 #include "core/recommend.h"
 #include "core/trainer.h"
 #include "datagen/synthetic.h"
+#include "obs/exposition.h"
+#include "obs/metrics.h"
 #include "serve/snapshot.h"
 
 namespace upskill {
@@ -225,6 +228,118 @@ TEST_F(ServerTest, SwapResetsSessionsWhenLevelsChange) {
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result.value().level, 1);
   EXPECT_LE(result.value().level, 3);
+}
+
+double GaugeValue(const std::string& name, const std::string& labels = "") {
+  return obs::MetricsRegistry::Global().GetGauge(name, labels).Value();
+}
+
+uint64_t CounterValue(const std::string& name) {
+  return obs::MetricsRegistry::Global().GetCounter(name).Value();
+}
+
+// The `upskill_model_snapshot_info` series of `path`.
+obs::Gauge& SnapshotInfo(const std::string& path) {
+  return obs::MetricsRegistry::Global().GetGauge(
+      "upskill_model_snapshot_info",
+      "path=\"" + obs::EscapeLabelValue(path) + "\"");
+}
+
+TEST_F(ServerTest, ConstructionPublishesTheModelGauges) {
+  SnapshotInfo(path_).Set(0.0);  // another test's server may have set it
+  Server server(serving_);
+  EXPECT_EQ(GaugeValue("upskill_model_levels"), 4.0);
+  EXPECT_EQ(GaugeValue("upskill_model_items"), serving_->num_items());
+  EXPECT_EQ(GaugeValue("upskill_model_snapshot_version"),
+            static_cast<double>(kSnapshotVersion));
+  EXPECT_EQ(SnapshotInfo(path_).Value(), 1.0);
+}
+
+TEST_F(ServerTest, SwapsRepublishTheModelGauges) {
+  Server server(serving_);
+  bool top = false;  // a session at level 4 of 4
+  for (UserId u = 0; u < dataset_->num_users() && !top; ++u) {
+    top = Replay(server, u, "user" + std::to_string(u)) == 4;
+  }
+  ASSERT_TRUE(top);
+  const ServeRequest stats = ParseServeRequest("stats").value();
+  const std::string level4 = "level=\"4\"";
+  server.Handle(stats);  // samples the level gauges
+  EXPECT_GE(GaugeValue("upskill_model_session_level_count", level4), 1.0);
+
+  ASSERT_TRUE(server.SwapSnapshotFile(path_other_s_).ok());  // S: 4 -> 3
+  EXPECT_EQ(GaugeValue("upskill_model_levels"), 3.0);
+  EXPECT_EQ(SnapshotInfo(path_other_s_).Value(), 1.0);
+  EXPECT_EQ(SnapshotInfo(path_).Value(), 0.0);
+  server.Handle(stats);
+  EXPECT_EQ(GaugeValue("upskill_model_session_level_count", level4), 0.0);
+
+  ASSERT_TRUE(server.SwapSnapshotFile(path_).ok());  // and back
+  EXPECT_EQ(GaugeValue("upskill_model_levels"), 4.0);
+  EXPECT_EQ(SnapshotInfo(path_).Value(), 1.0);
+  EXPECT_EQ(SnapshotInfo(path_other_s_).Value(), 0.0);
+}
+
+TEST_F(ServerTest, RecommendCountsItsItemsAndEmptyAnswers) {
+  Server server(serving_);
+  const uint64_t items_before =
+      CounterValue("upskill_model_recommend_items_total");
+  const uint64_t empty_before =
+      CounterValue("upskill_model_recommend_empty_total");
+  UpskillRecommendationOptions options;
+  options.max_results = 5;
+  uint64_t items = 0;
+  uint64_t empty = 0;
+  for (UserId u = 0; u < dataset_->num_users(); ++u) {
+    const std::string name = "user" + std::to_string(u);
+    Replay(server, u, name);
+    const auto picks = server.Recommend(name, options);
+    ASSERT_TRUE(picks.ok()) << picks.status().ToString();
+    items += picks.value().size();
+    empty += picks.value().empty() ? 1 : 0;
+  }
+  EXPECT_FALSE(server.Recommend("never-seen", options).ok());  // not counted
+  EXPECT_GT(items, 0u);
+  EXPECT_GT(empty, 0u);
+  EXPECT_EQ(CounterValue("upskill_model_recommend_items_total") - items_before,
+            items);
+  EXPECT_EQ(CounterValue("upskill_model_recommend_empty_total") - empty_before,
+            empty);
+}
+
+// The admin plane samples the model gauges while swaps and requests run
+// (a race for TSan to see); once they stop, one sample describes the
+// model the last swap installed and the sessions left.
+TEST_F(ServerTest, SamplingRacesSwapsAndRequests) {
+  Server server(serving_);
+  std::thread swapper([&] {
+    for (int i = 1; i <= 6; ++i) {  // S alternates 3, 4: sessions reset
+      EXPECT_TRUE(server.SwapSnapshotFile(i % 2 ? path_other_s_ : path_).ok());
+    }
+  });
+  std::thread sampler([&] {
+    const ServeRequest stats = ParseServeRequest("stats").value();
+    for (int i = 0; i < 20; ++i) server.Handle(stats);
+  });
+  for (UserId u = 0; u < 10; ++u) {
+    const std::string name = "user" + std::to_string(u);
+    for (const Action& action : dataset_->sequence(u)) {
+      EXPECT_TRUE(server.Observe(name, action.item, 0, false).ok());
+    }
+    (void)server.Recommend(name, UpskillRecommendationOptions{});  // raced
+  }
+  swapper.join();
+  sampler.join();
+  server.SampleModelGauges();
+  EXPECT_EQ(GaugeValue("upskill_model_levels"), 4.0);
+  EXPECT_EQ(SnapshotInfo(path_).Value(), 1.0);
+  EXPECT_EQ(SnapshotInfo(path_other_s_).Value(), 0.0);
+  double sessions = 0.0;
+  for (int s = 0; s <= 4; ++s) {
+    sessions += GaugeValue("upskill_model_session_level_count",
+                           StringPrintf("level=\"%d\"", s));
+  }
+  EXPECT_EQ(sessions, static_cast<double>(server.num_sessions()));
 }
 
 TEST_F(ServerTest, ParseServeRequestCoversTheGrammar) {

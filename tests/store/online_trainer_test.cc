@@ -26,6 +26,7 @@
 #include "data/dataset.h"
 #include "data/schema_io.h"
 #include "datagen/synthetic.h"
+#include "obs/metrics.h"
 
 namespace upskill {
 namespace {
@@ -190,6 +191,22 @@ TEST_P(OnlineTrainerTest, RefreshPatchesGridExactlyAndRefitsFromIt) {
   SkillModel anchor = online.model();
   FitCellsFromCountGrid(current.items(), grid, &anchor);
   EXPECT_EQ(ModelParams(anchor), ModelParams(online.model()));
+}
+
+TEST_P(OnlineTrainerTest, RefreshSetsItsGauges) {
+  const auto data = MakeData();
+  OnlineTrainer online(MakeConfig(GetParam()));
+  ASSERT_TRUE(online.TrainFullReplay(data.dataset).ok());
+  int expected_dirty = 0;
+  const Dataset current = GrowDataset(data.dataset, &expected_dirty);
+  auto stats = online.Refresh(data.dataset, current);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  EXPECT_EQ(registry.GetGauge("upskill_online_last_dirty_users").Value(),
+            static_cast<double>(expected_dirty));
+  EXPECT_GT(stats.value().param_delta_l2, 0.0);
+  EXPECT_EQ(registry.GetGauge("upskill_online_param_delta_l2").Value(),
+            stats.value().param_delta_l2);
 }
 
 TEST_P(OnlineTrainerTest, CheckpointRoundTripIsBitwise) {
