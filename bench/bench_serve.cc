@@ -28,7 +28,6 @@
 #include "serve/serving_model.h"
 #include "serve/snapshot.h"
 #include "simd/kernels.h"
-#include "simd/simd.h"
 
 namespace upskill {
 namespace serve {
@@ -201,12 +200,10 @@ BENCHMARK(BM_ServeThroughput)
 
 // ---------------------------------------------------------------------
 // Quantized serving benches (scripts/bench.sh --suites simd). The step
-// family is the serve-side streaming DP measured four ways over one
-// synthetic fixture — the double column with the scalar backend forced
-// (the pre-quantization serve path and the baseline the BENCH_PR6.json
-// >= 3x bar is measured against), the double column on the compiled
-// backend, and the int16 quantized column on the scalar and dispatched
-// kernels. The observe family is the same comparison end to end through
+// family is the serve-side streaming DP measured two ways over one
+// synthetic fixture — the double column (MonotoneForwardStep) and the
+// int16 quantized column; each has one body on every backend. The
+// observe family is the same comparison end to end through
 // Server::Observe (shard lock, session map and recommend bookkeeping
 // included).
 
@@ -214,7 +211,7 @@ constexpr size_t kStepItems = 512;
 constexpr size_t kStepSeq = 1024;
 
 void ServeQuantizedStepBench(benchmark::State& state, int levels,
-                             bool quantized, bool force_scalar) {
+                             bool quantized) {
   Rng rng(31);
   const size_t num_levels = static_cast<size_t>(levels);
   std::vector<double> rows(kStepItems * num_levels);
@@ -258,7 +255,6 @@ void ServeQuantizedStepBench(benchmark::State& state, int levels,
   const int16_t q_up =
       static_cast<int16_t>(std::lround(log_up * kQuantAccScale));
 
-  simd::ForceScalarForTest(force_scalar);
   if (quantized) {
     std::vector<int16_t> column(num_levels);
     std::vector<int16_t> next(num_levels);
@@ -295,8 +291,6 @@ void ServeQuantizedStepBench(benchmark::State& state, int levels,
       benchmark::DoNotOptimize(MonotoneForwardLevel(column));
     }
   }
-  simd::ForceScalarForTest(false);
-  state.SetLabel(force_scalar ? "scalar" : simd::BackendName());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kStepSeq));
 }
@@ -316,27 +310,14 @@ void ServeQuantizedObserveBench(benchmark::State& state, bool quantized) {
 }
 
 void RegisterQuantizedBenches() {
-  struct StepVariant {
-    const char* name;
-    bool quantized;
-    bool force_scalar;
-  };
-  static const std::vector<StepVariant>* variants =
-      new std::vector<StepVariant>{
-          {"double_scalar", false, true},
-          {"double_vector", false, false},
-          {"quantized_scalar", true, true},
-          {"quantized_simd", true, false},
-      };
   for (const int levels : {5, 32, 64}) {
-    for (const StepVariant& variant : *variants) {
+    for (const bool quantized : {false, true}) {
       benchmark::RegisterBenchmark(
           ("BM_ServeQuantized/step/levels:" + std::to_string(levels) + "/" +
-           variant.name)
+           (quantized ? "quantized" : "double"))
               .c_str(),
-          [levels, &variant](benchmark::State& state) {
-            ServeQuantizedStepBench(state, levels, variant.quantized,
-                                    variant.force_scalar);
+          [levels, quantized](benchmark::State& state) {
+            ServeQuantizedStepBench(state, levels, quantized);
           });
     }
   }

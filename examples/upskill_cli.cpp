@@ -411,23 +411,48 @@ int TrainOnline(const Args& args, const Dataset& dataset,
   return 0;
 }
 
+// Writes the `train` telemetry sinks that were asked for: the trace
+// recorder's spans as Chrome-tracing JSON, and the metrics registry as
+// the Prometheus exposition.
+Status WriteTrainTelemetry(const std::string& trace_out,
+                           const std::string& metrics_out) {
+  if (!trace_out.empty()) {
+    obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+    recorder.Disable();
+    UPSKILL_RETURN_IF_ERROR(
+        ReplaceFile(trace_out, obs::RenderChromeTrace(recorder)));
+    std::printf("trace -> %s (%zu spans)\n", trace_out.c_str(),
+                recorder.Events().size());
+  }
+  if (!metrics_out.empty()) {
+    UPSKILL_RETURN_IF_ERROR(ReplaceFile(
+        metrics_out, obs::RenderPrometheus(obs::MetricsRegistry::Global())));
+    std::printf("metrics -> %s\n", metrics_out.c_str());
+  }
+  return Status::OK();
+}
+
 int CmdTrain(const Args& args) {
   if (args.positional.size() != 2) return Usage();
   const auto dataset =
       LoadDatasetOrStore(args.positional[0], args.HasFlag("from-store"));
   if (!dataset.ok()) return Fail(dataset.status());
   const SkillModelConfig config = ConfigFromArgs(args);
-  if (args.HasFlag("online")) {
-    return TrainOnline(args, dataset.value(), config);
-  }
 
-  // Telemetry sinks: --trace-out captures one Chrome-tracing span per
-  // trainer phase per iteration; --metrics-out dumps the Prometheus
+  // Telemetry sinks, for the batch and the online trainer alike:
+  // --trace-out captures one Chrome-tracing span per trainer phase per
+  // iteration (or per refresh); --metrics-out dumps the Prometheus
   // exposition after training. Both are pure observers — the trained
   // model is bitwise identical with or without them.
   const std::string metrics_out = args.StringFlag("metrics-out", "");
   const std::string trace_out = args.StringFlag("trace-out", "");
   if (!trace_out.empty()) obs::TraceRecorder::Global().Enable();
+  if (args.HasFlag("online")) {
+    const int trained = TrainOnline(args, dataset.value(), config);
+    if (trained != 0) return trained;
+    const Status wrote = WriteTrainTelemetry(trace_out, metrics_out);
+    return wrote.ok() ? 0 : Fail(wrote);
+  }
 
   SkillModel model;
   double final_ll = 0.0;
@@ -449,21 +474,8 @@ int CmdTrain(const Args& args) {
   }
   const Status saved = model.Save(args.positional[1]);
   if (!saved.ok()) return Fail(saved);
-  if (!trace_out.empty()) {
-    obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-    recorder.Disable();
-    const Status wrote =
-        ReplaceFile(trace_out, obs::RenderChromeTrace(recorder));
-    if (!wrote.ok()) return Fail(wrote);
-    std::printf("trace -> %s (%zu spans)\n", trace_out.c_str(),
-                recorder.Events().size());
-  }
-  if (!metrics_out.empty()) {
-    const Status wrote = ReplaceFile(
-        metrics_out, obs::RenderPrometheus(obs::MetricsRegistry::Global()));
-    if (!wrote.ok()) return Fail(wrote);
-    std::printf("metrics -> %s\n", metrics_out.c_str());
-  }
+  const Status wrote = WriteTrainTelemetry(trace_out, metrics_out);
+  if (!wrote.ok()) return Fail(wrote);
   std::printf("trained %d levels in %d iterations (log-likelihood %.1f); "
               "model -> %s\n",
               config.num_levels, iterations, final_ll,

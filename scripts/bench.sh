@@ -9,9 +9,10 @@
 #     micro  bench_micro: training/eval kernels
 #     serve  bench_serve: snapshot IO, streaming observe, BM_ServeThroughput
 #     simd   the SIMD/quantized kernel slices of both binaries:
-#            BM_LogProbBatch + BM_ForwardStepStreaming from bench_micro and
-#            BM_ServeQuantized from bench_serve, merged into one JSON so the
-#            scalar-vs-vector-vs-quantized triples land in a single run.
+#            BM_LogProbBatch (scalar-vs-vector pairs) +
+#            BM_ForwardStepStreaming from bench_micro and BM_ServeQuantized
+#            (double-vs-quantized pairs) from bench_serve, merged into one
+#            JSON so every pair lands in a single run.
 #     net    bench_net: epoll TCP front end over real loopback sockets
 #            (binary/text protocol waves, req/s-per-core counters)
 #     store  bench_store: out-of-core store — pack throughput, verified

@@ -132,7 +132,8 @@ Result<bool> CsvScanner::Next(std::vector<std::string>* fields) {
       return CorruptionAt(StringPrintf("line exceeds %zu bytes",
                                        max_line_bytes_));
     }
-    const size_t consumed = length + (newline != nullptr ? 1 : 0);
+    line_terminated_ = newline != nullptr;
+    const size_t consumed = length + (line_terminated_ ? 1 : 0);
     begin_ += consumed;
     next_offset_ += consumed;
     if (std::memchr(line, '\0', length) != nullptr) {

@@ -53,6 +53,9 @@ class CsvScanner {
   /// Byte offset (from the start of the file) of that record's first
   /// character.
   uint64_t line_offset() const { return line_offset_; }
+  /// True when that record ended in a newline; false for a last line the
+  /// file cut off before its terminator.
+  bool line_terminated() const { return line_terminated_; }
   const std::string& path() const { return path_; }
 
   /// "path:line (byte N): what" — the uniform parse-error shape.
@@ -76,6 +79,7 @@ class CsvScanner {
   bool eof_ = false;
   size_t line_number_ = 0;
   uint64_t line_offset_ = 0;
+  bool line_terminated_ = false;
   uint64_t next_offset_ = 0;
 };
 

@@ -206,37 +206,31 @@ double BacktrackUpMoves(const double* final_row, const uint64_t* up_moves,
 // One transition of the item-indexed recurrence: curr[s] = row[s] + the
 // best of stay (free at the top level), up from s - 1 and, when
 // `down_open`, the forgetting down-edge from s + 1. Strict `>` keeps ties
-// on stay, and the down-edge is checked after stay/up. The bottom and top
-// levels are peeled around the vectorized interior. `from` (null when no
+// on stay, and the down-edge is checked after stay/up: the operations of
+// SolveMonotonePathWithForgetting, in its order. `from` (null when no
 // backtrack follows) receives 0 = stay, 1 = from below, 2 = from above.
 void RecurrenceStep(const double* prev, const double* row, size_t levels,
                     double log_stay, double log_up, bool down_open,
                     double log_down, double* curr, uint8_t* from) {
-  {
-    double incoming = prev[0] + (levels > 1 ? log_stay : 0.0);
+  for (size_t s = 0; s < levels; ++s) {
+    double incoming = prev[s] + (s + 1 < levels ? log_stay : 0.0);
     uint8_t step = 0;
-    if (levels > 1 && down_open) {
-      const double down = prev[1] + log_down;
-      const bool down_wins = down > incoming;
-      incoming = down_wins ? down : incoming;
-      step = down_wins ? 2 : step;
+    if (s > 0) {
+      const double up = prev[s - 1] + log_up;
+      if (up > incoming) {
+        incoming = up;
+        step = 1;
+      }
     }
-    curr[0] = incoming + row[0];
-    if (from != nullptr) from[0] = step;
-  }
-  if (down_open) {
-    simd::DpRowInteriorWithDown(prev, row, levels, log_stay, log_up, log_down,
-                                curr, from);
-  } else {
-    simd::DpRowInterior(prev, row, levels, log_stay, log_up, curr, from);
-  }
-  if (levels > 1) {
-    const size_t s = levels - 1;
-    const double stay = prev[s] + 0.0;
-    const double up = prev[s - 1] + log_up;
-    const bool up_wins = up > stay;
-    curr[s] = (up_wins ? up : stay) + row[s];
-    if (from != nullptr) from[s] = static_cast<uint8_t>(up_wins);
+    if (down_open && s + 1 < levels) {
+      const double down = prev[s + 1] + log_down;
+      if (down > incoming) {
+        incoming = down;
+        step = 2;
+      }
+    }
+    curr[s] = incoming + row[s];
+    if (from != nullptr) from[s] = step;
   }
 }
 

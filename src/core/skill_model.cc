@@ -257,6 +257,11 @@ Result<SkillModel> SkillModel::Load(const std::string& path,
     if (!next.ok()) return next.status();
     if (!next.value()) break;
     if (header) continue;
+    // Save ends every row in a newline, so a row without one was cut off,
+    // possibly mid-number.
+    if (!scanner.line_terminated()) {
+      return scanner.CorruptionAt("model row is not newline-terminated");
+    }
     if (row.size() != 4) {
       return scanner.CorruptionAt(
           StringPrintf("model row has %zu fields, want 4", row.size()));

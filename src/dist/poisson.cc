@@ -17,10 +17,12 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 // under an (almost) all-zero level stays finitely unlikely instead of
 // impossible.
 constexpr double kMinRate = 1e-8;
-// Per-call count table for the batched gather kernel: covers every count
+// Per-call count table for the batched lookup kernel: covers every count
 // the datasets realistically produce; the rare k >= kCountTable lanes are
 // recomputed in a scalar fixup pass. Below kMinBatchForTable elements the
 // table would cost more than it saves, so the plain loop runs instead.
+// Both paths give the same bits, so the choice depends on the batch size
+// alone, never on the SIMD backend.
 constexpr size_t kCountTable = 128;
 constexpr size_t kMinBatchForTable = 64;
 }  // namespace
@@ -38,7 +40,7 @@ void Poisson::LogProbBatch(std::span<const double> xs,
   UPSKILL_CHECK(xs.size() == out.size());
   const double log_rate = std::log(rate_);
   const double rate = rate_;
-  if (xs.size() < kMinBatchForTable || !simd::VectorEnabled()) {
+  if (xs.size() < kMinBatchForTable) {
     for (size_t i = 0; i < xs.size(); ++i) {
       const double x = xs[i];
       const long long k = static_cast<long long>(x);

@@ -67,8 +67,7 @@ std::shared_ptr<const QuantizedModel> QuantizedModel::FromServingModel(
       const double r = std::max(row[s] - row_max, -kQuantResidualRange);
       out[s] = static_cast<int16_t>(std::lround(r * lane_scale));
     }
-    // <= lround(256 * 127 / 32767 * 32768) = 32513, so it fits int16 and
-    // vpmulhrsw can apply it to 16 lanes at once.
+    // <= lround(256 * 127 / 32767 * 32768) = 32513, so it fits int16.
     q->mults_[item] = static_cast<int16_t>(
         std::lround(static_cast<double>(kQuantAccScale) * residual_range /
                     32767.0 * 32768.0));

@@ -24,8 +24,7 @@ inline constexpr int32_t kQuantAccScale = 256;
 /// the item's best level are floored (and -inf becomes exactly this).
 /// e^-127 is far beyond double's discrimination in the DP anyway, and
 /// 127 nats * kQuantAccScale keeps the Q15 multiplier below 32768, so it
-/// fits int16 and the kernels can reconstruct a row with one vpmulhrsw
-/// (16 lanes per instruction) instead of widening to int32.
+/// fits int16 next to the int16 row lanes.
 inline constexpr double kQuantResidualRange = 127.0;
 
 /// Floor for quantized transition/initial costs whose double value is
@@ -47,12 +46,11 @@ inline constexpr int16_t kQuantCostFloor = -32768;
 /// where range_i = max_s(-r[s]) (0 for a flat row, giving q = 0, m = 0).
 /// The residual clamp bounds m_i at 32513, so the multiplier is itself an
 /// int16 and the serving kernels reconstruct accumulator units on the fly
-/// as (q[s] * m_i + 2^14) >> 15 (round to nearest) — exactly what one
-/// vpmulhrsw computes for 16 lanes. Each item's row spends its full 15
-/// bits of precision on its own dynamic range. Dropping the per-item
-/// maximum is exact for level inference: the forward DP adds row[s] to
-/// every lane of the same column, so a per-item uniform shift cancels in
-/// every comparison the argmax ever makes.
+/// as (q[s] * m_i + 2^14) >> 15 (round to nearest). Each item's row
+/// spends its full 15 bits of precision on its own dynamic range.
+/// Dropping the per-item maximum is exact for level inference: the
+/// forward DP adds row[s] to every lane of the same column, so a per-item
+/// uniform shift cancels in every comparison the argmax ever makes.
 ///
 /// Like ServingModel, instances are immutable and shared by shared_ptr;
 /// a snapshot hot-swap builds a fresh QuantizedModel (requantization) and

@@ -8,27 +8,27 @@
 #include "common/logging.h"
 #include "simd/kernels_impl.h"
 
-// Dispatchers + scalar reference bodies. Backend coverage (every other
-// architecture, aarch64 included, runs the scalar reference):
+// Dispatchers, scalar reference bodies and the one-body kernels. Backend
+// coverage (every other architecture, aarch64 included, runs the scalar
+// reference):
 //
 //   kernel                  avx2
 //   LookupLogProbBatch       x    (needs gather)
 //   GammaLogProbBatch        x
 //   LogNormalLogProbBatch    x
-//   DpRowInterior            x
-//   DpRowInteriorWithDown    x
 //   DpForward                x    (levels <= 8: row in registers; the
 //                                  two-sequence form interleaves both
 //                                  chains, the scalar one runs them in
 //                                  turn)
-//   QuantizedForwardStep     x    (the per-action serve hot path)
-//   QuantizedForwardInit          (once per session — not hot)
-//   QuantizedForwardLevel         (S-element argmax — not hot)
 //   Crc32Update              x    (PCLMULQDQ folding; scalar is
 //                                  slicing-by-8)
 //
-// The dispatch check is one predictable branch per kernel call; every
-// call amortizes it over a whole batch / DP row / buffer.
+// A kernel gets a vector body only when a benchmark workload runs it
+// vectorized. The quantized serving kernels have one body and no
+// dispatch: at the served level counts (S = 5) a 16-lane int16 step
+// runs no vector arithmetic. The dispatch check is one predictable
+// branch per kernel call; every call amortizes it over a whole batch /
+// sequence / buffer.
 
 namespace upskill {
 namespace simd {
@@ -66,14 +66,25 @@ inline uint32_t LoadLe32(const uint8_t* p) {
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
-// The quantized bodies below are built from detail::RowAccUnit (the
-// rounded Q15 reconstruction, +2^14 before the arithmetic shift so the
-// per-add error is at most half a unit — flips at near-tied levels get
-// twice as rare for free), detail::AddSat16, and plain max — each the
-// scalar twin of exactly one AVX2 instruction.
-using detail::AddSat16;
-using detail::RowAccUnit;
-using detail::SaturateInt16;
+// The quantized kernels' arithmetic. SaturateInt16 clamps to the int16
+// rails; AddSat16 is a saturating int16 add.
+inline int16_t SaturateInt16(int32_t v) {
+  return static_cast<int16_t>(std::clamp(v, -32768, 32767));
+}
+
+inline int16_t AddSat16(int16_t a, int16_t b) {
+  return SaturateInt16(static_cast<int32_t>(a) + static_cast<int32_t>(b));
+}
+
+// A stored row lane in accumulator units: (a * b + 2^14) >> 15, rounded
+// to nearest (the +2^14 halves the per-add error, so flips at near-tied
+// levels get twice as rare). With the Q15 row multiplier in [0, 32767]
+// the result is in [-32767, 0]. C++20 defines >> on negatives as
+// arithmetic shift.
+inline int16_t RowAccUnit(int16_t qlane, int16_t mult) {
+  return static_cast<int16_t>(
+      (static_cast<int32_t>(qlane) * mult + (1 << 14)) >> 15);
+}
 
 }  // namespace
 
@@ -127,36 +138,6 @@ void LogNormalLogProbBatch(std::span<const double> xs,
   }
 }
 
-void DpRowInterior(const double* prev, const double* row, size_t levels,
-                   double log_stay, double log_up, double* curr,
-                   uint8_t* from) {
-  for (size_t s = 1; s + 1 < levels; ++s) {
-    const double stay = prev[s] + log_stay;
-    const double up = prev[s - 1] + log_up;
-    const bool up_wins = up > stay;
-    curr[s] = (up_wins ? up : stay) + row[s];
-    if (from != nullptr) from[s] = static_cast<uint8_t>(up_wins);
-  }
-}
-
-void DpRowInteriorWithDown(const double* prev, const double* row,
-                           size_t levels, double log_stay, double log_up,
-                           double log_down, double* curr, uint8_t* from) {
-  for (size_t s = 1; s + 1 < levels; ++s) {
-    const double stay = prev[s] + log_stay;
-    const double up = prev[s - 1] + log_up;
-    const bool up_wins = up > stay;
-    double incoming = up_wins ? up : stay;
-    uint8_t step = static_cast<uint8_t>(up_wins);
-    const double down = prev[s + 1] + log_down;
-    const bool down_wins = down > incoming;
-    incoming = down_wins ? down : incoming;
-    step = down_wins ? 2 : step;
-    curr[s] = incoming + row[s];
-    if (from != nullptr) from[s] = step;
-  }
-}
-
 void DpForward(const double* item_log_probs, size_t levels,
                const double* log_initial, double log_stay, double log_up,
                const DpSequence& seq) {
@@ -186,82 +167,6 @@ void DpForward(const double* item_log_probs, size_t levels,
     }
     best[0] = best[0] + (levels > 1 ? log_stay : 0.0) + row[0];
   }
-}
-
-void QuantizedForwardInit(const int16_t* qrow, int16_t row_mult,
-                          const int16_t* q_initial, size_t levels,
-                          int16_t* column) {
-  int32_t max = std::numeric_limits<int32_t>::min();
-  for (size_t s = 0; s < levels; ++s) {
-    const int32_t v =
-        static_cast<int32_t>(RowAccUnit(qrow[s], row_mult)) +
-        (q_initial != nullptr ? static_cast<int32_t>(q_initial[s]) : 0);
-    max = std::max(max, v);
-  }
-  for (size_t s = 0; s < levels; ++s) {
-    const int32_t v =
-        static_cast<int32_t>(RowAccUnit(qrow[s], row_mult)) +
-        (q_initial != nullptr ? static_cast<int32_t>(q_initial[s]) : 0);
-    column[s] = SaturateInt16(v - max);
-  }
-}
-
-void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
-                          int16_t row_mult, int16_t q_stay, int16_t q_up,
-                          bool allow_down, int16_t q_down, size_t levels,
-                          int16_t* next_column) {
-  // Integer mirror of MonotoneForwardStep's peeled structure in pure
-  // saturating int16 (NNUE-style): max() is exact on ties (same value
-  // either way), so no strict-> bookkeeping is needed; the down-edge
-  // folds into the same max; staying at the top level is free. Every op
-  // here is the scalar twin of one AVX2 instruction (vpaddsw / vpmaxsw /
-  // vpmulhrsw / vpsubw), so the backends agree bit for bit. Saturation
-  // can only fire on lanes the renormalize already pinned to the -32768
-  // rail ("effectively impossible"); lanes near the maximum are exact.
-  {
-    int16_t incoming =
-        levels > 1 ? AddSat16(prev_column[0], q_stay) : prev_column[0];
-    if (levels > 1 && allow_down) {
-      incoming = std::max(incoming, AddSat16(prev_column[1], q_down));
-    }
-    next_column[0] = AddSat16(incoming, RowAccUnit(qrow[0], row_mult));
-  }
-  for (size_t s = 1; s + 1 < levels; ++s) {
-    const int16_t stay = AddSat16(prev_column[s], q_stay);
-    const int16_t up = AddSat16(prev_column[s - 1], q_up);
-    int16_t incoming = std::max(stay, up);
-    if (allow_down) {
-      incoming = std::max(incoming, AddSat16(prev_column[s + 1], q_down));
-    }
-    next_column[s] = AddSat16(incoming, RowAccUnit(qrow[s], row_mult));
-  }
-  if (levels > 1) {
-    const size_t s = levels - 1;
-    const int16_t stay = prev_column[s];
-    const int16_t up = AddSat16(prev_column[s - 1], q_up);
-    next_column[s] =
-        AddSat16(std::max(stay, up), RowAccUnit(qrow[s], row_mult));
-  }
-  // Renormalize by the row maximum: with the invariant max(prev) == 0 and
-  // all costs <= 0, every lane is in [-32768, 0], so the plain subtract
-  // (value - max >= value) cannot overflow.
-  int16_t max = next_column[0];
-  for (size_t s = 1; s < levels; ++s) max = std::max(max, next_column[s]);
-  for (size_t s = 0; s < levels; ++s) {
-    next_column[s] = static_cast<int16_t>(next_column[s] - max);
-  }
-}
-
-int QuantizedForwardLevel(const int16_t* column, size_t levels) {
-  size_t level = 0;
-  int16_t best = column[0];
-  for (size_t s = 1; s < levels; ++s) {
-    if (column[s] > best) {
-      best = column[s];
-      level = s;
-    }
-  }
-  return static_cast<int>(level) + 1;
 }
 
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
@@ -337,23 +242,6 @@ void LogNormalLogProbBatch(std::span<const double> xs,
                                 half_log_two_pi, out);
 }
 
-void DpRowInterior(const double* prev, const double* row, size_t levels,
-                   double log_stay, double log_up, double* curr,
-                   uint8_t* from) {
-  UPSKILL_DISPATCH_VECTOR(DpRowInterior, prev, row, levels, log_stay, log_up,
-                          curr, from);
-  scalar::DpRowInterior(prev, row, levels, log_stay, log_up, curr, from);
-}
-
-void DpRowInteriorWithDown(const double* prev, const double* row,
-                           size_t levels, double log_stay, double log_up,
-                           double log_down, double* curr, uint8_t* from) {
-  UPSKILL_DISPATCH_VECTOR(DpRowInteriorWithDown, prev, row, levels, log_stay,
-                          log_up, log_down, curr, from);
-  scalar::DpRowInteriorWithDown(prev, row, levels, log_stay, log_up, log_down,
-                                curr, from);
-}
-
 void DpForward(const double* item_log_probs, size_t levels,
                const double* log_initial, double log_stay, double log_up,
                const DpSequence& seq) {
@@ -385,31 +273,6 @@ void DpForward(const double* item_log_probs, size_t levels,
   DpForward(item_log_probs, levels, log_initial, log_stay, log_up, second);
 }
 
-void QuantizedForwardInit(const int16_t* qrow, int16_t row_mult,
-                          const int16_t* q_initial, size_t levels,
-                          int16_t* column) {
-  scalar::QuantizedForwardInit(qrow, row_mult, q_initial, levels, column);
-}
-
-void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
-                          int16_t row_mult, int16_t q_stay, int16_t q_up,
-                          bool allow_down, int16_t q_down, size_t levels,
-                          int16_t* next_column) {
-#if defined(__x86_64__) || defined(_M_X64)
-  if (ActiveBackend() == Backend::kAvx2) {
-    avx2::QuantizedForwardStep(prev_column, qrow, row_mult, q_stay, q_up,
-                               allow_down, q_down, levels, next_column);
-    return;
-  }
-#endif
-  scalar::QuantizedForwardStep(prev_column, qrow, row_mult, q_stay, q_up,
-                               allow_down, q_down, levels, next_column);
-}
-
-int QuantizedForwardLevel(const int16_t* column, size_t levels) {
-  return scalar::QuantizedForwardLevel(column, levels);
-}
-
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (ActiveBackend() == Backend::kAvx2) {
@@ -420,6 +283,84 @@ uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
 }
 
 #undef UPSKILL_DISPATCH_VECTOR
+
+// ---------------------------------------------------------------------------
+// One-body kernels.
+// ---------------------------------------------------------------------------
+
+void QuantizedForwardInit(const int16_t* qrow, int16_t row_mult,
+                          const int16_t* q_initial, size_t levels,
+                          int16_t* column) {
+  int32_t max = std::numeric_limits<int32_t>::min();
+  for (size_t s = 0; s < levels; ++s) {
+    const int32_t v =
+        static_cast<int32_t>(RowAccUnit(qrow[s], row_mult)) +
+        (q_initial != nullptr ? static_cast<int32_t>(q_initial[s]) : 0);
+    max = std::max(max, v);
+  }
+  for (size_t s = 0; s < levels; ++s) {
+    const int32_t v =
+        static_cast<int32_t>(RowAccUnit(qrow[s], row_mult)) +
+        (q_initial != nullptr ? static_cast<int32_t>(q_initial[s]) : 0);
+    column[s] = SaturateInt16(v - max);
+  }
+}
+
+void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
+                          int16_t row_mult, int16_t q_stay, int16_t q_up,
+                          bool allow_down, int16_t q_down, size_t levels,
+                          int16_t* next_column) {
+  // Integer mirror of MonotoneForwardStep in pure saturating int16
+  // (NNUE-style): max() is exact on ties (same value either way), so no
+  // strict-> bookkeeping is needed; the down-edge folds into the same
+  // max; staying at the top level is free. Saturation can only fire on
+  // lanes the renormalize already pinned to the -32768 rail ("effectively
+  // impossible"); lanes near the maximum are exact.
+  {
+    int16_t incoming =
+        levels > 1 ? AddSat16(prev_column[0], q_stay) : prev_column[0];
+    if (levels > 1 && allow_down) {
+      incoming = std::max(incoming, AddSat16(prev_column[1], q_down));
+    }
+    next_column[0] = AddSat16(incoming, RowAccUnit(qrow[0], row_mult));
+  }
+  for (size_t s = 1; s + 1 < levels; ++s) {
+    const int16_t stay = AddSat16(prev_column[s], q_stay);
+    const int16_t up = AddSat16(prev_column[s - 1], q_up);
+    int16_t incoming = std::max(stay, up);
+    if (allow_down) {
+      incoming = std::max(incoming, AddSat16(prev_column[s + 1], q_down));
+    }
+    next_column[s] = AddSat16(incoming, RowAccUnit(qrow[s], row_mult));
+  }
+  if (levels > 1) {
+    const size_t s = levels - 1;
+    const int16_t stay = prev_column[s];
+    const int16_t up = AddSat16(prev_column[s - 1], q_up);
+    next_column[s] =
+        AddSat16(std::max(stay, up), RowAccUnit(qrow[s], row_mult));
+  }
+  // Renormalize by the row maximum: with the invariant max(prev) == 0 and
+  // all costs <= 0, every lane is in [-32768, 0], so the plain subtract
+  // (value - max >= value) cannot overflow.
+  int16_t max = next_column[0];
+  for (size_t s = 1; s < levels; ++s) max = std::max(max, next_column[s]);
+  for (size_t s = 0; s < levels; ++s) {
+    next_column[s] = static_cast<int16_t>(next_column[s] - max);
+  }
+}
+
+int QuantizedForwardLevel(const int16_t* column, size_t levels) {
+  size_t level = 0;
+  int16_t best = column[0];
+  for (size_t s = 1; s < levels; ++s) {
+    if (column[s] > best) {
+      best = column[s];
+      level = s;
+    }
+  }
+  return static_cast<int>(level) + 1;
+}
 
 }  // namespace simd
 }  // namespace upskill

@@ -10,11 +10,12 @@
 namespace upskill {
 namespace simd {
 
-// Dispatched hot-loop kernels. Each function picks the ActiveBackend()
-// implementation; the `scalar::` namespace exposes the reference loops
-// directly so equivalence tests can compare the dispatched path against
-// the fallback bitwise (doubles) / bit-exact (integers) without touching
-// the process-wide backend switch.
+// Hot-loop kernels. The batched log-prob kernels, DpForward and
+// Crc32Update pick the ActiveBackend() implementation; the `scalar::`
+// namespace exposes their reference loops directly so equivalence tests
+// can compare the dispatched path against the fallback bitwise (doubles)
+// / bit-exact (integers) without touching the process-wide backend
+// switch. The quantized serving kernels have one body, on every backend.
 //
 // Bitwise-exactness contract for the double kernels: the vector bodies
 // perform exactly the scalar reference's operations (same IEEE adds,
@@ -60,31 +61,6 @@ void LogNormalLogProbBatch(std::span<const double> xs,
                            std::span<const double> log_xs, double mu,
                            double sigma, double log_sigma,
                            double half_log_two_pi, std::span<double> out);
-
-// ---------------------------------------------------------------------------
-// Two-row max-plus DP kernels (vectorized across the level dimension).
-// ---------------------------------------------------------------------------
-
-/// Interior of one DP row update (levels s in [1, levels - 1); the caller
-/// peels the bottom and top levels, which carry boundary rules):
-///   stay     = prev[s] + log_stay
-///   up       = prev[s - 1] + log_up
-///   up_wins  = up > stay            // strict: ties stay low
-///   curr[s]  = (up_wins ? up : stay) + row[s]
-///   from[s]  = up_wins ? 1 : 0
-/// `from` may be null (streaming forward step — no backtracking).
-void DpRowInterior(const double* prev, const double* row, size_t levels,
-                   double log_stay, double log_up, double* curr,
-                   uint8_t* from);
-
-/// Forgetting variant (the down-edge is open for this transition):
-///   down      = prev[s + 1] + log_down
-///   down_wins = down > (up_wins ? up : stay)   // checked after stay/up
-///   curr[s]   = (down_wins ? down : ...) + row[s]
-///   from[s]   = down_wins ? 2 : (up_wins ? 1 : 0)
-void DpRowInteriorWithDown(const double* prev, const double* row,
-                           size_t levels, double log_stay, double log_up,
-                           double log_down, double* curr, uint8_t* from);
 
 // ---------------------------------------------------------------------------
 // Whole-sequence assignment DP (the plain stay/up recurrence).
@@ -138,19 +114,16 @@ void DpForward(const double* item_log_probs, size_t levels,
 // multiplier `row_mult` (in [0, 32767]) converts a stored lane into
 // accumulator units, rounding to nearest:
 //   row_acc[s] = (int32(qrow[s]) * row_mult + 2^14) >> 15   (arith. shift)
-// which is exactly what vpmulhrsw computes for 16 lanes at once (the
-// instruction's lone divergence, -32768 * -32768, is unreachable with a
-// non-negative multiplier). The whole step stays in *saturating* int16
-// arithmetic — adds clamp at the int16 rails like NNUE accumulators — so
-// 16 levels move per instruction with no widening. Saturation only ever
-// fires on lanes >= 128 nats below the column maximum, which the
+// The whole step stays in *saturating* int16 arithmetic — adds clamp at
+// the int16 rails like NNUE accumulators. Saturation only ever fires on
+// lanes >= 128 nats below the column maximum, which the
 // renormalize-and-clamp already pinned to the rail; argmax-relevant
 // lanes are computed exactly. Every step renormalizes the column by its
 // maximum (a uniform shift, which the argmax/relative DP is invariant
 // to; the invariant max(column) == 0 also makes the renorm subtraction
 // itself overflow-free), so the column never drifts no matter how long
-// the session runs. All arithmetic is integer, so scalar and vector
-// backends agree bit for bit.
+// the session runs. These kernels have one body: no backend switch
+// reaches them.
 
 /// First observation: column[s] = sat16(row_acc[s] + q_initial[s] - max),
 /// with q_initial treated as all-zero when empty (free start).
@@ -199,23 +172,9 @@ void LogNormalLogProbBatch(std::span<const double> xs,
                            std::span<const double> log_xs, double mu,
                            double sigma, double log_sigma,
                            double half_log_two_pi, std::span<double> out);
-void DpRowInterior(const double* prev, const double* row, size_t levels,
-                   double log_stay, double log_up, double* curr,
-                   uint8_t* from);
-void DpRowInteriorWithDown(const double* prev, const double* row,
-                           size_t levels, double log_stay, double log_up,
-                           double log_down, double* curr, uint8_t* from);
 void DpForward(const double* item_log_probs, size_t levels,
                const double* log_initial, double log_stay, double log_up,
                const DpSequence& seq);
-void QuantizedForwardInit(const int16_t* qrow, int16_t row_mult,
-                          const int16_t* q_initial, size_t levels,
-                          int16_t* column);
-void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
-                          int16_t row_mult, int16_t q_stay, int16_t q_up,
-                          bool allow_down, int16_t q_down, size_t levels,
-                          int16_t* next_column);
-int QuantizedForwardLevel(const int16_t* column, size_t levels);
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
 
 }  // namespace scalar

@@ -14,8 +14,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <limits>
 
 #include "simd/kernels.h"
@@ -28,20 +26,6 @@ namespace avx2 {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-// Expands a 4-bit movemask into 4 little-endian bytes of 0/1 so DP
-// backpointer flags can be stored with one 32-bit write per vector.
-constexpr std::array<uint32_t, 16> kLaneBytes = [] {
-  std::array<uint32_t, 16> table{};
-  for (int mask = 0; mask < 16; ++mask) {
-    uint32_t value = 0;
-    for (int lane = 0; lane < 4; ++lane) {
-      if (mask & (1 << lane)) value |= 1u << (8 * lane);
-    }
-    table[static_cast<size_t>(mask)] = value;
-  }
-  return table;
-}();
 
 }  // namespace
 
@@ -142,79 +126,6 @@ void LogNormalLogProbBatch(std::span<const double> xs,
   if (i < n) {
     scalar::LogNormalLogProbBatch(xs.subspan(i), log_xs.subspan(i), mu, sigma,
                                   log_sigma, half_log_two_pi, out.subspan(i));
-  }
-}
-
-void DpRowInterior(const double* prev, const double* row, size_t levels,
-                   double log_stay, double log_up, double* curr,
-                   uint8_t* from) {
-  if (levels < 2) return;
-  const size_t end = levels - 1;
-  const __m256d stay_v = _mm256_set1_pd(log_stay);
-  const __m256d up_v = _mm256_set1_pd(log_up);
-  size_t s = 1;
-  for (; s + 4 <= end; s += 4) {
-    const __m256d stay = _mm256_add_pd(_mm256_loadu_pd(prev + s), stay_v);
-    const __m256d up = _mm256_add_pd(_mm256_loadu_pd(prev + s - 1), up_v);
-    const __m256d up_wins = _mm256_cmp_pd(up, stay, _CMP_GT_OQ);
-    const __m256d best = _mm256_blendv_pd(stay, up, up_wins);
-    _mm256_storeu_pd(curr + s, _mm256_add_pd(best, _mm256_loadu_pd(row + s)));
-    if (from != nullptr) {
-      const uint32_t flags =
-          kLaneBytes[static_cast<size_t>(_mm256_movemask_pd(up_wins))];
-      std::memcpy(from + s, &flags, sizeof(flags));
-    }
-  }
-  for (; s < end; ++s) {
-    const double stay = prev[s] + log_stay;
-    const double up = prev[s - 1] + log_up;
-    const bool up_wins = up > stay;
-    curr[s] = (up_wins ? up : stay) + row[s];
-    if (from != nullptr) from[s] = static_cast<uint8_t>(up_wins);
-  }
-}
-
-void DpRowInteriorWithDown(const double* prev, const double* row,
-                           size_t levels, double log_stay, double log_up,
-                           double log_down, double* curr, uint8_t* from) {
-  if (levels < 2) return;
-  const size_t end = levels - 1;
-  const __m256d stay_v = _mm256_set1_pd(log_stay);
-  const __m256d up_v = _mm256_set1_pd(log_up);
-  const __m256d down_v = _mm256_set1_pd(log_down);
-  size_t s = 1;
-  for (; s + 4 <= end; s += 4) {
-    const __m256d stay = _mm256_add_pd(_mm256_loadu_pd(prev + s), stay_v);
-    const __m256d up = _mm256_add_pd(_mm256_loadu_pd(prev + s - 1), up_v);
-    const __m256d down = _mm256_add_pd(_mm256_loadu_pd(prev + s + 1), down_v);
-    const __m256d up_wins = _mm256_cmp_pd(up, stay, _CMP_GT_OQ);
-    const __m256d best_su = _mm256_blendv_pd(stay, up, up_wins);
-    const __m256d down_wins = _mm256_cmp_pd(down, best_su, _CMP_GT_OQ);
-    const __m256d best = _mm256_blendv_pd(best_su, down, down_wins);
-    _mm256_storeu_pd(curr + s, _mm256_add_pd(best, _mm256_loadu_pd(row + s)));
-    if (from != nullptr) {
-      const uint32_t u =
-          static_cast<uint32_t>(_mm256_movemask_pd(up_wins)) & 0xFu;
-      const uint32_t d =
-          static_cast<uint32_t>(_mm256_movemask_pd(down_wins)) & 0xFu;
-      // Per-lane byte: down ? 2 : (up ? 1 : 0). Single-bit bytes, so the
-      // shifted add can never carry across lanes.
-      const uint32_t flags = kLaneBytes[u & ~d] | (kLaneBytes[d] << 1);
-      std::memcpy(from + s, &flags, sizeof(flags));
-    }
-  }
-  for (; s < end; ++s) {
-    const double stay = prev[s] + log_stay;
-    const double up = prev[s - 1] + log_up;
-    const bool up_wins = up > stay;
-    double incoming = up_wins ? up : stay;
-    uint8_t step = static_cast<uint8_t>(up_wins);
-    const double down = prev[s + 1] + log_down;
-    const bool down_wins = down > incoming;
-    incoming = down_wins ? down : incoming;
-    step = down_wins ? 2 : step;
-    curr[s] = incoming + row[s];
-    if (from != nullptr) from[s] = step;
   }
 }
 
@@ -363,209 +274,6 @@ void DpForward(const double* item_log_probs, size_t levels,
                const DpSequence& first, const DpSequence& second) {
   DpForwardDispatch(item_log_probs, levels, log_initial, log_stay, log_up,
                     first, &second);
-}
-
-namespace {
-
-inline __m256i Load16(const int16_t* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-
-inline void Store16(int16_t* p, __m256i v) {
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-}
-
-inline int16_t HorizontalMax16(__m256i v) {
-  __m128i m = _mm_max_epi16(_mm256_castsi256_si128(v),
-                            _mm256_extracti128_si256(v, 1));
-  m = _mm_max_epi16(m, _mm_unpackhi_epi64(m, m));
-  m = _mm_max_epi16(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(0, 0, 0, 1)));
-  m = _mm_max_epi16(m, _mm_shufflelo_epi16(m, _MM_SHUFFLE(0, 0, 0, 1)));
-  return static_cast<int16_t>(_mm_extract_epi16(m, 0));
-}
-
-}  // namespace
-
-namespace {
-
-// Spreads the maximum int16 lane of `v` to every lane: one cross-half
-// fold, then three in-lane rotations (alignr works per 128-bit lane,
-// which is enough once both halves agree). Keeping the reduction in ymm
-// avoids the extract -> scalar -> rebroadcast round trip on the step's
-// critical path.
-inline __m256i BroadcastMax16(__m256i v) {
-  v = _mm256_max_epi16(v, _mm256_permute2x128_si256(v, v, 1));
-  v = _mm256_max_epi16(v, _mm256_alignr_epi8(v, v, 8));
-  v = _mm256_max_epi16(v, _mm256_alignr_epi8(v, v, 4));
-  v = _mm256_max_epi16(v, _mm256_alignr_epi8(v, v, 2));
-  return v;
-}
-
-// Columns up to this many levels take the register-resident fast path
-// below (at most 8 interior blocks incl. the overlapped tail).
-constexpr size_t kRegisterPathMaxLevels = 128;
-
-}  // namespace
-
-void QuantizedForwardStep(const int16_t* prev_column, const int16_t* qrow,
-                          int16_t row_mult, int16_t q_stay, int16_t q_up,
-                          bool allow_down, int16_t q_down, size_t levels,
-                          int16_t* next_column) {
-  // Register-resident fast path: every interior block's value is held in
-  // a ymm register until the column max is known, so the step makes a
-  // single pass over memory — compute, reduce, subtract, store — instead
-  // of storing unnormalized values and re-walking them to renormalize.
-  // The serial step-to-step dependency in streaming serving makes that
-  // second memory pass (store -> reload -> subtract -> store) the
-  // dominant latency, not instruction throughput. Requires at least one
-  // full interior block (levels >= 18) so the overlapped tail is legal,
-  // and enough registers to hold the column (levels <= 128); everything
-  // else falls through to the general path after this block.
-  if (levels >= 18 && levels <= kRegisterPathMaxLevels) {
-    const __m256i mult_v = _mm256_set1_epi16(row_mult);
-    const __m256i stay_v = _mm256_set1_epi16(q_stay);
-    const __m256i up_v = _mm256_set1_epi16(q_up);
-    const __m256i down_v = _mm256_set1_epi16(q_down);
-
-    int16_t edge0 = detail::AddSat16(prev_column[0], q_stay);
-    if (allow_down) {
-      edge0 = std::max(edge0, detail::AddSat16(prev_column[1], q_down));
-    }
-    edge0 = detail::AddSat16(edge0, detail::RowAccUnit(qrow[0], row_mult));
-
-    const size_t top = levels - 1;
-    const int16_t edge_top = detail::AddSat16(
-        std::max(prev_column[top],
-                 detail::AddSat16(prev_column[top - 1], q_up)),
-        detail::RowAccUnit(qrow[top], row_mult));
-
-    __m256i buf[8];
-    size_t offs[8];
-    size_t nb = 0;
-    __m256i vmax = _mm256_set1_epi16(std::max(edge0, edge_top));
-    const auto block = [&](size_t at) {
-      const __m256i stay =
-          _mm256_adds_epi16(Load16(prev_column + at), stay_v);
-      const __m256i up =
-          _mm256_adds_epi16(Load16(prev_column + at - 1), up_v);
-      __m256i incoming = _mm256_max_epi16(stay, up);
-      if (allow_down) {
-        const __m256i down =
-            _mm256_adds_epi16(Load16(prev_column + at + 1), down_v);
-        incoming = _mm256_max_epi16(incoming, down);
-      }
-      const __m256i row_acc = _mm256_mulhrs_epi16(Load16(qrow + at), mult_v);
-      const __m256i value = _mm256_adds_epi16(incoming, row_acc);
-      buf[nb] = value;
-      offs[nb] = at;
-      ++nb;
-      vmax = _mm256_max_epi16(vmax, value);
-    };
-    const size_t end = top;
-    size_t s = 1;
-    for (; s + 16 <= end; s += 16) block(s);
-    if (s < end) block(end - 16);
-
-    // Overlapped blocks recompute identical values from prev_column and
-    // get the same subtrahend, so their overlapping stores agree.
-    const __m256i max_v = BroadcastMax16(vmax);
-    for (size_t k = 0; k < nb; ++k) {
-      Store16(next_column + offs[k], _mm256_sub_epi16(buf[k], max_v));
-    }
-    const int16_t smax = static_cast<int16_t>(
-        _mm_extract_epi16(_mm256_castsi256_si128(max_v), 0));
-    next_column[0] = static_cast<int16_t>(edge0 - smax);
-    next_column[top] = static_cast<int16_t>(edge_top - smax);
-    return;
-  }
-  // Pure saturating-int16 arithmetic, 16 levels per instruction:
-  // vpaddsw / vpmaxsw / vpmulhrsw are bit-exact twins of the scalar
-  // reference's AddSat16 / max / RowAccUnit, so the backends always
-  // produce identical columns. The bottom and top lanes carry boundary
-  // rules and are peeled; the last partial interior block re-runs 16
-  // lanes at an overlapping offset instead of a scalar tail (the step is
-  // a pure function of prev_column, so overlapped stores write identical
-  // bytes).
-  const __m256i mult_v = _mm256_set1_epi16(row_mult);
-  const __m256i stay_v = _mm256_set1_epi16(q_stay);
-  const __m256i up_v = _mm256_set1_epi16(q_up);
-  const __m256i down_v = _mm256_set1_epi16(q_down);
-
-  int16_t smax;
-  {
-    int16_t incoming = levels > 1 ? detail::AddSat16(prev_column[0], q_stay)
-                                  : prev_column[0];
-    if (levels > 1 && allow_down) {
-      incoming =
-          std::max(incoming, detail::AddSat16(prev_column[1], q_down));
-    }
-    const int16_t value =
-        detail::AddSat16(incoming, detail::RowAccUnit(qrow[0], row_mult));
-    next_column[0] = value;
-    smax = value;
-  }
-
-  const size_t end = levels > 0 ? levels - 1 : 0;
-  __m256i vmax = _mm256_set1_epi16(-32768);
-  const auto block = [&](size_t at) {
-    const __m256i stay =
-        _mm256_adds_epi16(Load16(prev_column + at), stay_v);
-    const __m256i up =
-        _mm256_adds_epi16(Load16(prev_column + at - 1), up_v);
-    __m256i incoming = _mm256_max_epi16(stay, up);
-    if (allow_down) {
-      const __m256i down =
-          _mm256_adds_epi16(Load16(prev_column + at + 1), down_v);
-      incoming = _mm256_max_epi16(incoming, down);
-    }
-    const __m256i row_acc = _mm256_mulhrs_epi16(Load16(qrow + at), mult_v);
-    const __m256i value = _mm256_adds_epi16(incoming, row_acc);
-    Store16(next_column + at, value);
-    vmax = _mm256_max_epi16(vmax, value);
-  };
-  size_t s = 1;
-  for (; s + 16 <= end; s += 16) block(s);
-  if (s < end && end > 16) {
-    block(end - 16);
-    s = end;
-  }
-  for (; s < end; ++s) {
-    const int16_t stay = detail::AddSat16(prev_column[s], q_stay);
-    const int16_t up = detail::AddSat16(prev_column[s - 1], q_up);
-    int16_t incoming = std::max(stay, up);
-    if (allow_down) {
-      incoming =
-          std::max(incoming, detail::AddSat16(prev_column[s + 1], q_down));
-    }
-    const int16_t value =
-        detail::AddSat16(incoming, detail::RowAccUnit(qrow[s], row_mult));
-    next_column[s] = value;
-    smax = std::max(smax, value);
-  }
-  if (levels > 1) {
-    const size_t top = levels - 1;
-    const int16_t incoming =
-        std::max(prev_column[top], detail::AddSat16(prev_column[top - 1], q_up));
-    const int16_t value = detail::AddSat16(
-        incoming, detail::RowAccUnit(qrow[top], row_mult));
-    next_column[top] = value;
-    smax = std::max(smax, value);
-  }
-  // Interior blocks only run when end > 16; skipping the horizontal
-  // reduce otherwise keeps tiny columns (S <= 17) on a short scalar path.
-  if (end > 16) smax = std::max(smax, HorizontalMax16(vmax));
-
-  // Renormalize in place. value - max >= value, so the plain subtract
-  // cannot overflow; no overlapped block here (the subtraction is not
-  // idempotent), the remainder runs scalar.
-  const __m256i max_v = _mm256_set1_epi16(smax);
-  size_t j = 0;
-  for (; j + 16 <= levels; j += 16) {
-    Store16(next_column + j, _mm256_sub_epi16(Load16(next_column + j), max_v));
-  }
-  for (; j < levels; ++j) {
-    next_column[j] = static_cast<int16_t>(next_column[j] - smax);
-  }
 }
 
 namespace {

@@ -4,10 +4,9 @@
 namespace upskill {
 namespace simd {
 
-/// Vector backend driving the hot kernels (batched log-probs, the two-row
-/// assignment DP, the streaming forward column, the quantized serving
-/// step, the CRC-32 behind every on-disk checksum). The backend is picked
-/// once per process:
+/// Vector backend driving the dispatched kernels (batched log-probs, the
+/// whole-sequence assignment DP, the CRC-32 behind every on-disk
+/// checksum). The backend is picked once per process:
 ///
 ///   compile time  — kAvx2 on x86-64 (the AVX2 bodies live in a dedicated
 ///                   translation unit built with -mavx2 -mpclmul; the CPU
@@ -20,10 +19,10 @@ namespace simd {
 ///                   keep the fallback path green).
 ///
 /// Every dispatched kernel is bitwise identical across backends for the
-/// double kernels and bit-exact (integer arithmetic) for the quantized
-/// ones and the CRC, so the choice can never change results — only
-/// speed. That is what lets tests sweep backends and compare with
-/// operator==.
+/// double kernels and bit-exact for the CRC, so the choice can never
+/// change results — only speed. That is what lets tests sweep backends
+/// and compare with operator==. No library code outside src/simd/ reads
+/// the backend.
 enum class Backend {
   kScalar,
   kAvx2,
@@ -34,9 +33,6 @@ Backend ActiveBackend();
 
 /// Stable lowercase name of ActiveBackend(): "scalar" or "avx2".
 const char* BackendName();
-
-/// True when ActiveBackend() != kScalar.
-inline bool VectorEnabled() { return ActiveBackend() != Backend::kScalar; }
 
 /// Test/bench hook: forces the scalar fallback on (true) or restores the
 /// detected backend (false), overriding UPSKILL_FORCE_SCALAR. Affects

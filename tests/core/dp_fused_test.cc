@@ -40,9 +40,11 @@ struct RandomConfig {
   double log_down;
 };
 
-RandomConfig MakeRandomConfig(Rng& rng) {
+// `levels` 0 draws the level count from 1..8.
+RandomConfig MakeRandomConfig(Rng& rng, int levels = 0) {
   RandomConfig config;
-  config.levels = static_cast<int>(rng.NextIntInRange(1, 8));
+  config.levels =
+      levels > 0 ? levels : static_cast<int>(rng.NextIntInRange(1, 8));
   const int num_items = static_cast<int>(rng.NextIntInRange(1, 50));
   config.item_log_probs.resize(static_cast<size_t>(num_items) *
                                config.levels);
@@ -116,14 +118,15 @@ TEST(DpFusedTest, MatchesPlainSolverWithZeroCosts) {
   }
 }
 
+// Random level counts 1..8, then fixed wide columns (9, 17, 64) so the
+// recurrence step runs many interior levels, with and without the
+// down-edge, against the materialized solver.
 TEST(DpFusedTest, MatchesForgettingSolverOnRandomConfigs) {
   Rng rng(31337);
   DpScratch scratch;
-  for (int trial = 0; trial < 200; ++trial) {
-    const RandomConfig config = MakeRandomConfig(rng);
+  const auto check = [&](const RandomConfig& config, int trial) {
     const std::vector<double> log_probs =
         Materialize(config.item_log_probs, config.items, config.levels);
-
     const MonotonePath expected = SolveMonotonePathWithForgetting(
         log_probs, config.levels, config.log_initial, config.log_stay,
         config.log_up, config.allow_down, config.log_down);
@@ -131,8 +134,18 @@ TEST(DpFusedTest, MatchesForgettingSolverOnRandomConfigs) {
         config.item_log_probs, config.items, config.levels,
         config.log_initial, config.log_stay, config.log_up,
         config.allow_down, config.log_down, scratch);
-    EXPECT_EQ(expected.levels, scratch.levels) << "trial " << trial;
-    EXPECT_EQ(expected.log_likelihood, ll) << "trial " << trial;
+    EXPECT_EQ(expected.levels, scratch.levels)
+        << "levels " << config.levels << " trial " << trial;
+    EXPECT_EQ(expected.log_likelihood, ll)
+        << "levels " << config.levels << " trial " << trial;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    check(MakeRandomConfig(rng), trial);
+  }
+  for (const int levels : {9, 17, 64}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      check(MakeRandomConfig(rng, levels), trial);
+    }
   }
 }
 

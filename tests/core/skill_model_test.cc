@@ -218,6 +218,20 @@ TEST(SkillModelTest, LoadRejectsWrongShape) {
               std::string::npos)
         << loaded.status().ToString();
   }
+  // A saved file cut 9 bytes short of its end: the cut lands inside the
+  // last row's last parameter, so that row still parses, but Save ends
+  // every row in a newline and this one has none. Header plus 3 features
+  // x 2 levels puts the row on line 7.
+  const double long_params[] = {2.718281828459045, 0.5772156649015329};
+  ASSERT_TRUE(
+      created.value().mutable_component(2, 2)->SetParameters(long_params).ok());
+  ASSERT_TRUE(created.value().Save(path).ok());
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 9);
+  const auto cut = SkillModel::Load(path, MakeSchema(), config);
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(cut.status().message().find(path + ":7 "), std::string::npos)
+      << cut.status().ToString();
   std::filesystem::remove(path);
 }
 

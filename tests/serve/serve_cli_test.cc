@@ -2,8 +2,9 @@
 // binary: generate -> train -> snapshot -> `upskill_cli serve` over a
 // scripted stdin session, including a mid-session snapshot swap (same-S
 // swap keeps the session; an S-changing swap resets it), plus the
-// `--backend` flag of train, the online refresh and snapshot. The binary
-// path is injected by CMake as UPSKILL_CLI_PATH.
+// `--backend` flag of train, the online refresh and snapshot, and the
+// telemetry sinks of `train` and `train --online`. The binary path is
+// injected by CMake as UPSKILL_CLI_PATH.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -15,11 +16,99 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace upskill {
 namespace {
+
+// True when `text` is one well-formed JSON value (RFC 8259 grammar, no
+// limits checked) with only whitespace around it.
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string_view text) : text_(text) {}
+
+  bool Valid() {
+    SkipSpace();
+    if (!Value()) return false;
+    SkipSpace();
+    return pos_ == text_.size();
+  }
+
+ private:
+  bool At(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+  bool AtDigit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+  void SkipSpace() {
+    while (At(' ') || At('\t') || At('\r') || At('\n')) ++pos_;
+  }
+  bool Value() {
+    if (At('{')) return Container('}', /*object=*/true);
+    if (At('[')) return Container(']', /*object=*/false);
+    if (At('"')) return String();
+    for (const std::string_view word : {"true", "false", "null"}) {
+      if (text_.substr(pos_, word.size()) == word) {
+        pos_ += word.size();
+        return true;
+      }
+    }
+    return Number();
+  }
+  bool Container(char close, bool object) {
+    ++pos_;
+    SkipSpace();
+    if (At(close)) return ++pos_, true;
+    while (true) {
+      if (object) {
+        if (!String()) return false;
+        SkipSpace();
+        if (!At(':')) return false;
+        ++pos_;
+        SkipSpace();
+      }
+      if (!Value()) return false;
+      SkipSpace();
+      if (At(close)) return ++pos_, true;
+      if (!At(',')) return false;
+      ++pos_;
+      SkipSpace();
+    }
+  }
+  bool String() {
+    if (!At('"')) return false;
+    for (++pos_; pos_ < text_.size(); ++pos_) {
+      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+      if (c == '"') return ++pos_, true;
+      if (c < 0x20) return false;
+      if (c == '\\') ++pos_;  // skip the escaped character
+    }
+    return false;
+  }
+  bool Digits() {
+    const size_t start = pos_;
+    while (AtDigit()) ++pos_;
+    return pos_ > start;
+  }
+  bool Number() {
+    if (At('-')) ++pos_;
+    if (!Digits()) return false;
+    if (At('.')) {
+      ++pos_;
+      if (!Digits()) return false;
+    }
+    if (At('e') || At('E')) {
+      ++pos_;
+      if (At('+') || At('-')) ++pos_;
+      if (!Digits()) return false;
+    }
+    return true;
+  }
+
+  std::string_view text_;
+  size_t pos_ = 0;
+};
 
 class ServeCliTest : public ::testing::Test {
  protected:
@@ -300,6 +389,27 @@ TEST_F(ServeCliTest, TrainWritesTraceAndMetricsDumps) {
   EXPECT_NE(metrics.find("upskill_train_iterations_total"),
             std::string::npos);
   EXPECT_NE(metrics.rfind("# EOF\n"), std::string::npos);
+}
+
+// `train --online` writes the sinks plain `train` writes: a refresh's
+// counter lands in the exposition and its span in a trace that parses.
+TEST_F(ServeCliTest, OnlineRefreshWritesTraceAndMetricsDumps) {
+  Run("generate synthetic " + dir_ + "/data --users 30 --seed 19");
+  Run("train " + dir_ + "/data " + dir_ +
+      "/seed.csv --levels 3 --online --checkpoint " + dir_ + "/ck.bin");
+  Run("train " + dir_ + "/data " + dir_ +
+      "/refreshed.csv --levels 3 --online --checkpoint " + dir_ +
+      "/ck.bin --previous " + dir_ + "/data --metrics-out " + dir_ +
+      "/r.prom --trace-out " + dir_ + "/t.json");
+
+  const std::string metrics = Slurp(dir_ + "/r.prom");
+  EXPECT_NE(metrics.find("upskill_online_refreshes_total"), std::string::npos)
+      << metrics;
+  const std::string trace = Slurp(dir_ + "/t.json");
+  EXPECT_TRUE(JsonChecker(trace).Valid()) << trace;
+  EXPECT_FALSE(JsonChecker(trace.substr(0, trace.size() - 2)).Valid());
+  EXPECT_NE(trace.find("\"name\":\"online/refresh\""), std::string::npos)
+      << trace;
 }
 
 // --backend only moves scheduling: at 4 threads, serial, pool and the
